@@ -24,10 +24,16 @@ Spread client (§3.3):
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.encryption import GroupCipher, IntegrityError, SealedMessage
-from repro.crypto.rsa import RsaSigner, RsaVerifier, cached_rsa_keypair
+from repro.crypto.rsa import (
+    RsaKeyPair,
+    RsaSigner,
+    RsaVerifier,
+    cached_rsa_keypair,
+)
 from repro.obs.metrics import record_op_counts
 from repro.gcs.messages import GroupMessage, View
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage
@@ -65,12 +71,8 @@ class SecureGroupMember:
         self.obs = framework.obs
         self.protocol.obs = framework.obs
         self._view_seen_at: Dict[Tuple[int, int], float] = {}
-        keypair = cached_rsa_keypair(
-            framework.rsa_bits, machine_index % 64
-        )
-        self._signer = RsaSigner(keypair, self.protocol.ledger)
+        self._key_slot = machine_index % 64
         self._verifier = RsaVerifier(self.protocol.ledger)
-        self._keypair = keypair
         self._cpu_tail = 0.0
         # Hot-path caches: all three are set once on the framework/
         # transport and never reassigned, and the message handler runs
@@ -108,6 +110,21 @@ class SecureGroupMember:
         self.stalls_detected = 0
         self.restarts = 0
         self.dropped_ciphertexts = 0
+
+    # -- signing identity ---------------------------------------------------
+    #
+    # Resolved on first use: key generation is the largest fixed cost of a
+    # fresh process, and with ``sign_for_real=False`` (signatures charged
+    # to the ledger, not computed) nothing ever reads the key.
+
+    @cached_property
+    def _keypair(self) -> RsaKeyPair:
+        """This member's deterministic ``(rsa_bits, slot)`` key pair."""
+        return cached_rsa_keypair(self.framework.rsa_bits, self._key_slot)
+
+    @cached_property
+    def _signer(self) -> RsaSigner:
+        return RsaSigner(self._keypair, self.protocol.ledger)
 
     # -- membership -------------------------------------------------------
 

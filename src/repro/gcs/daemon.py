@@ -95,15 +95,31 @@ class Daemon:
         # group name -> member name -> record (replicated state)
         self.groups: Dict[str, Dict[str, MemberRecord]] = {}
         self.config: Optional[Config] = None
-        self._recv: Dict[int, Dict[int, SequencedMessage]] = {}
+        self._recv: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
         # Messages this daemon sequenced itself, kept until delivered so a
         # configuration change can flush in-flight sends (view synchrony).
-        self._sent: Dict[int, Dict[int, SequencedMessage]] = {}
+        self._sent: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
         self._delivered = 0
         self._frozen = False
-        # Config id with a zero-delay _try_deliver already queued (dedupe:
-        # one delivery scan per instant, not one per arriving frame).
+        # Delivery scans are scheduled in proportion to frames delivered,
+        # not frames arrived, through two dedupe keys (both cleared by
+        # crash() and re-initialised by a configuration install):
+        #
+        # * ``_deliver_soon`` — config id with a zero-delay _try_deliver
+        #   already queued: one arrival scan per instant.  Frames landing
+        #   at the same time were all scheduled before that scan, so it
+        #   sees every one of them.
+        # * ``_wake`` — the armed hold wake ``(config_id, hold)``.
+        #   Invariant: while it is set and ``hold > now``, frame
+        #   ``_delivered + 1`` sits in ``_recv`` held behind the token
+        #   sweep until ``hold``, and exactly one _try_deliver is queued
+        #   for that instant.  Nothing can deliver or discard the head
+        #   before then, so a scan that finds it still held arms nothing
+        #   new, and a frame arriving behind it schedules no scan at all:
+        #   it cannot become deliverable before the wake, and the NACK
+        #   gap logic only runs when the head is *missing*.
         self._deliver_soon: Optional[Tuple[int, int]] = None
+        self._wake: Optional[Tuple[Tuple[int, int], float]] = None
         self._send_queue: List[GroupMessage] = []
         # configuration-change state
         self._reachable: FrozenSet[int] = frozenset()
@@ -270,7 +286,8 @@ class Daemon:
             and smsg.seq <= self._delivered
         ):
             return  # duplicate of an already-delivered frame
-        self._recv.setdefault(smsg.config_id, {})[smsg.seq] = smsg
+        pending = self._recv.setdefault(smsg.config_id, {})
+        pending[smsg.seq] = smsg
         if self.world.obs.enabled:
             # First arrival wins: a fault duplicate or a NACK-served
             # retransmit must not re-parent an already-recorded frame.
@@ -278,14 +295,26 @@ class Daemon:
                 (smsg.config_id, smsg.seq), self.world.obs.causality.current
             )
         if self.config and smsg.config_id == self.config.config_id:
-            # One zero-delay delivery scan per instant: frames landing at
-            # the same time were all scheduled before this event, so the
-            # single scan sees (and delivers) exactly what the first of
-            # the per-frame scans used to; the suppressed scans were
-            # no-ops (even their NACK arming dedupes on the gap key).
+            wake = self._wake
+            if (
+                wake is not None
+                and wake[0] == smsg.config_id
+                and wake[1] > self.world.sim.now
+            ):
+                # Behind a held head (see ``_wake``): the armed wake does
+                # the delivering; only the queue-depth gauge moves now.
+                self._gauge_undelivered(len(pending))
+                return
             if self._deliver_soon != smsg.config_id:
                 self._deliver_soon = smsg.config_id
                 self.world.sim.schedule(0, self._try_deliver, smsg.config_id)
+
+    def _gauge_undelivered(self, depth: int) -> None:
+        """Frames queued behind a held head, as of the latest arrival."""
+        if self.world.obs.enabled:
+            self.world.obs.gauge(
+                "daemon.undelivered", daemon=f"d{self.daemon_id}"
+            ).set(depth)
 
     def _hold_until(self, smsg: SequencedMessage) -> float:
         """The ordering-settlement barrier: the token sweep must pass us.
@@ -300,7 +329,7 @@ class Daemon:
             index[smsg.origin_daemon]
         ][index[self.daemon_id]]
 
-    def _try_deliver(self, config_id: int) -> None:
+    def _try_deliver(self, config_id: Tuple[int, int]) -> None:
         self._deliver_soon = None
         if self._crashed or self.config is None or self.config.config_id != config_id:
             return
@@ -317,11 +346,12 @@ class Daemon:
                 return
             hold = self._hold_until(smsg)
             if hold > now:
-                self.world.sim.schedule_at(hold, self._try_deliver, config_id)
-                if self.world.obs.enabled:
-                    self.world.obs.gauge(
-                        "daemon.undelivered", daemon=f"d{self.daemon_id}"
-                    ).set(len(pending))
+                if self._wake != (config_id, hold):
+                    self._wake = (config_id, hold)
+                    self.world.sim.schedule_at(
+                        hold, self._try_deliver, config_id
+                    )
+                self._gauge_undelivered(len(pending))
                 return
             self._delivered += 1
             del pending[smsg.seq]
@@ -408,7 +438,9 @@ class Daemon:
     # always retains its own undelivered messages, so a gap converges as
     # long as any daemon in the configuration holds the frame.
 
-    def _record_history(self, config_id, smsg: SequencedMessage) -> None:
+    def _record_history(
+        self, config_id: Tuple[int, int], smsg: SequencedMessage
+    ) -> None:
         bucket = self._history.setdefault(config_id, {})
         bucket[smsg.seq] = smsg
         limit = self.world.params.retransmit_history
@@ -417,7 +449,7 @@ class Daemon:
             # first key is always the oldest
             del bucket[next(iter(bucket))]
 
-    def _arm_nack(self, config_id) -> None:
+    def _arm_nack(self, config_id: Tuple[int, int]) -> None:
         key = (config_id, self._delivered + 1)
         if self._nack_armed_for == key:
             return  # a timer for this exact gap is already pending
@@ -518,6 +550,7 @@ class Daemon:
         self._delivered = 0
         self._frozen = False
         self._deliver_soon = None
+        self._wake = None
         self._send_queue = []
         self._accepts = {}
         self._nack_armed_for = None
@@ -714,7 +747,7 @@ class Daemon:
         ring = TokenRing(self.world.topology, machines, self.world.sim)
         config = Config(new_config_id, ordered_ids, ring)
         # Union of sequenced-but-undelivered messages per old config.
-        union: Dict[int, Dict[int, SequencedMessage]] = {}
+        union: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
         for state_ in states.values():
             bucket = union.setdefault(state_.config_id, {})
             bucket.update(state_.undelivered)
@@ -738,7 +771,7 @@ class Daemon:
         self,
         round_token: Tuple[int, int],
         config: Config,
-        union: Dict[int, Dict[int, SequencedMessage]],
+        union: Dict[Tuple[int, int], Dict[int, SequencedMessage]],
         states: Dict[int, _AcceptState],
     ) -> None:
         if self._crashed:
@@ -786,6 +819,7 @@ class Daemon:
             if key[0] == config.config_id
         }
         self._nack_armed_for = None
+        self._wake = None
         self._delivered = 0
         self._frozen = False
         self.world.tracer.record(
@@ -849,7 +883,7 @@ def _fan_out(clients, message: GroupMessage) -> None:
 
 
 def _reconstruct_groups(
-    state: _AcceptState, union: Dict[int, Dict[int, SequencedMessage]]
+    state: _AcceptState, union: Dict[Tuple[int, int], Dict[int, SequencedMessage]]
 ) -> Dict[str, Dict[str, MemberRecord]]:
     """Apply the flush union's membership messages to a reported state.
 

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.costs import EVENTS, conceptual_cost
 from repro.analysis.table1 import render_table1, table1_rows
 from repro.gcs.messages import ViewEvent
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import build_group
 
 SIZES = (4, 7, 11, 16)
@@ -26,12 +26,12 @@ def _measure(protocol_cls, event, n, m=4, p=3):
     return loop.mass_leave([f"{event.value}{n}-{i}" for i in range(1, p + 1)])
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 @pytest.mark.parametrize("event", EVENTS)
 @pytest.mark.parametrize("n", SIZES)
 def test_formula_matches_or_bounds_measurement(protocol, event, n):
     m, p = 4, min(3, n - 2)
-    stats = _measure(PROTOCOLS[protocol], event, n, m=m, p=p)
+    stats = _measure(get_protocol(protocol), event, n, m=m, p=p)
     sponsor = None
     if protocol == "STR" and event in (ViewEvent.LEAVE, ViewEvent.PARTITION):
         # Leaving m{n//2} (leave) or m1..mp (partition) fixes the sponsor.
@@ -103,7 +103,7 @@ class TestTable1Rendering:
 
     def test_render_contains_all_protocols(self):
         text = render_table1()
-        for protocol in PROTOCOLS:
+        for protocol in available():
             assert protocol in text
         evaluated = render_table1(n=12)
         assert "n=12" in evaluated

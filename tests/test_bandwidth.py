@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import build_group
 
 
@@ -33,7 +33,7 @@ def _bytes_for_join(protocol, size=10):
 class TestWireBytes:
     @pytest.fixture(scope="class")
     def join_bytes(self):
-        return {p: _bytes_for_join(p) for p in PROTOCOLS}
+        return {p: _bytes_for_join(p) for p in available()}
 
     def test_bd_floods_the_network(self, join_bytes):
         """BD's 2n broadcasts cost more wire bytes than any other
@@ -50,20 +50,20 @@ class TestWireBytes:
 
 class TestMessageSizing:
     def test_gdh_keylist_carries_n_elements(self):
-        loop = build_group(PROTOCOLS["GDH"], 6)
+        loop = build_group(get_protocol("GDH"), 6)
         stats = loop.join("x")
         keylist = [m for m in stats.messages if m.step == "gdh-keylist"][0]
         assert keylist.element_count == 7  # one partial key per member
         assert keylist.size_bytes > 7 * (loop.group.p_bits // 8)
 
     def test_bd_messages_are_single_element(self):
-        loop = build_group(PROTOCOLS["BD"], 6)
+        loop = build_group(get_protocol("BD"), 6)
         stats = loop.join("x")
         assert all(m.element_count == 1 for m in stats.messages)
 
     def test_tgdh_tree_broadcast_scales_with_group(self):
-        small = build_group(PROTOCOLS["TGDH"], 4)
-        big = build_group(PROTOCOLS["TGDH"], 16, prefix="b")
+        small = build_group(get_protocol("TGDH"), 4)
+        big = build_group(get_protocol("TGDH"), 16, prefix="b")
         small_tree = max(
             m.element_count for m in small.join("x").messages
         )
@@ -74,8 +74,8 @@ class TestMessageSizing:
         from repro.crypto.groups import GROUP_512, GROUP_1024
         from repro.protocols.loopback import LoopbackGroup
 
-        loop512 = LoopbackGroup(PROTOCOLS["BD"], group=GROUP_512)
-        loop1024 = LoopbackGroup(PROTOCOLS["BD"], group=GROUP_1024)
+        loop512 = LoopbackGroup(get_protocol("BD"), group=GROUP_512)
+        loop1024 = LoopbackGroup(get_protocol("BD"), group=GROUP_1024)
         for loop in (loop512, loop1024):
             for i in range(3):
                 loop.join(f"m{i}")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SecureSpreadFramework
 from repro.core.secure_group import _message_bytes, sorted_repr
+from repro.crypto import rsa
 from repro.gcs.topology import lan_testbed
 from repro.protocols.base import ProtocolMessage
 
@@ -60,6 +61,57 @@ class TestSigning:
         snap = a.protocol.ledger.snapshot()
         assert snap.signatures >= 1
         assert snap.verifications >= 1
+
+
+class TestLazyKeys:
+    """RSA key pairs are resolved on first use, not at construction."""
+
+    def test_charged_only_signing_never_generates_a_key(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an RSA key pair was generated")
+
+        # An empty cache, so a key an earlier test left behind cannot
+        # hide an eager lookup.
+        monkeypatch.setattr(rsa, "_KEY_CACHE", {})
+        monkeypatch.setattr(rsa, "generate_rsa_keypair", refuse)
+        fw = _framework(sign_for_real=False)
+        members = fw.spawn_members(4)
+        for member in members:
+            member.join()
+            fw.run_until_idle()
+        members[1].leave()
+        fw.run_until_idle()
+        rest = [m for m in members if m is not members[1]]
+        assert len({m.key_bytes for m in rest}) == 1
+        assert rest[0].protocol.ledger.snapshot().signatures >= 1
+        assert rsa._KEY_CACHE == {}
+
+    def test_real_signing_uses_the_deterministic_slot_key(self, monkeypatch):
+        monkeypatch.setattr(rsa, "_KEY_CACHE", {})
+        fw = _framework(sign_for_real=True, rsa_bits=256)
+        members = fw.spawn_members(3)
+        assert rsa._KEY_CACHE == {}  # nothing until somebody signs
+        verified = []
+        public_key_of = fw.public_key_of
+
+        def recording(name):
+            verified.append(name)
+            return public_key_of(name)
+
+        monkeypatch.setattr(fw, "public_key_of", recording)
+        for member in members:
+            member.join()
+            fw.run_until_idle()
+        members[0].leave()
+        fw.run_until_idle()
+        assert members[1].key_bytes == members[2].key_bytes is not None
+        # Every sender's signature was checked against its framework key.
+        assert {"m0", "m1", "m2"} <= set(verified)
+        # The deterministic (bits, slot) key of the member's machine slot.
+        for slot, member in enumerate(members):
+            assert member._keypair is rsa.cached_rsa_keypair(256, slot)
+            assert public_key_of(member.name) == member._keypair.public
+            assert member._signer.keypair is member._keypair
 
 
 class TestStateGuards:

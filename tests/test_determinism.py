@@ -5,14 +5,14 @@ import pytest
 from repro.bench.harness import measure_event
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import build_group
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 def test_loopback_runs_are_reproducible(protocol):
-    a = build_group(PROTOCOLS[protocol], 5, seed=3)
-    b = build_group(PROTOCOLS[protocol], 5, seed=3)
+    a = build_group(get_protocol(protocol), 5, seed=3)
+    b = build_group(get_protocol(protocol), 5, seed=3)
     assert a.shared_key() == b.shared_key()
     assert a.join("x").key == b.join("x").key
 
@@ -63,7 +63,7 @@ def test_concurrent_groups_with_different_protocols():
     groups, five protocols, overlapping rekeys, no interference."""
     fw = SecureSpreadFramework(lan_testbed(), dh_group="dh-test")
     groups = {}
-    for index, protocol in enumerate(sorted(PROTOCOLS)):
+    for index, protocol in enumerate(available()):
         group_name = f"grp-{protocol}"
         fw.set_group_protocol(group_name, protocol)
         groups[group_name] = [

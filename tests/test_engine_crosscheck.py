@@ -11,16 +11,16 @@ import pytest
 
 from repro.bench.harness import measure_event
 from repro.gcs.topology import lan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import LoopbackGroup
 
-ALL_PROTOCOLS = sorted(PROTOCOLS)
+ALL_PROTOCOLS = available()
 
 
 def _churn(protocol, engine):
     """Joins to n=8, a leave, a partition and a merge; returns per-event
     (op_counts, rounds) plus the final group for key checks."""
-    loop = LoopbackGroup(PROTOCOLS[protocol], engine=engine)
+    loop = LoopbackGroup(get_protocol(protocol), engine=engine)
     trail = []
     for i in range(8):
         stats = loop.join(f"m{i}")

@@ -6,10 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import build_group
 
-ALL = sorted(PROTOCOLS.items())
+ALL = [(name, get_protocol(name)) for name in available()]
 
 
 @pytest.mark.parametrize("name,cls", ALL)
@@ -78,7 +78,7 @@ class TestTgdhHeightBound:
         """The paper (footnote 7): TGDH's best-effort balancing keeps the
         height below 2·log2(n) for additive events; churn can degrade it
         but never past the number of members."""
-        loop = build_group(PROTOCOLS["TGDH"], 4)
+        loop = build_group(get_protocol("TGDH"), 4)
         counter = [4]
         for grow, pick in script:
             members = list(loop.members())
@@ -95,7 +95,7 @@ class TestTgdhHeightBound:
 
     def test_sequential_joins_meet_the_paper_bound(self):
         for n in (8, 16, 32, 50):
-            loop = build_group(PROTOCOLS["TGDH"], n, prefix=f"h{n}-")
+            loop = build_group(get_protocol("TGDH"), n, prefix=f"h{n}-")
             height = loop.protocols[f"h{n}-0"]._tree.height()
             assert height <= 2 * math.ceil(math.log2(n))
 

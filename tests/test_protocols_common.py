@@ -9,10 +9,10 @@ members unable to follow (key freshness / independence at the state level).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import LoopbackGroup, build_group
 
-ALL = sorted(PROTOCOLS.items())
+ALL = [(name, get_protocol(name)) for name in available()]
 
 
 @pytest.mark.parametrize("name,cls", ALL)
@@ -198,33 +198,33 @@ def test_random_event_sequences_preserve_agreement(name, cls, script, data):
 
 class TestLoopbackValidation:
     def test_double_join_rejected(self):
-        loop = build_group(PROTOCOLS["BD"], 3)
+        loop = build_group(get_protocol("BD"), 3)
         with pytest.raises(ValueError):
             loop.join("m0")
 
     def test_leave_of_stranger_rejected(self):
-        loop = build_group(PROTOCOLS["BD"], 3)
+        loop = build_group(get_protocol("BD"), 3)
         with pytest.raises(ValueError):
             loop.leave("ghost")
 
     def test_partition_needs_actual_members(self):
-        loop = build_group(PROTOCOLS["BD"], 3)
+        loop = build_group(get_protocol("BD"), 3)
         with pytest.raises(ValueError):
             loop.partition(["ghost"])
 
     def test_partition_cannot_take_everyone(self):
-        loop = build_group(PROTOCOLS["BD"], 3)
+        loop = build_group(get_protocol("BD"), 3)
         with pytest.raises(ValueError):
             loop.partition(["m0", "m1", "m2"])
 
     def test_merge_requires_same_protocol(self):
-        a = build_group(PROTOCOLS["BD"], 3)
-        b = build_group(PROTOCOLS["STR"], 2, prefix="s")
+        a = build_group(get_protocol("BD"), 3)
+        b = build_group(get_protocol("STR"), 2, prefix="s")
         with pytest.raises(ValueError):
             a.merge(b)
 
     def test_shared_key_raises_on_divergence(self):
-        loop = build_group(PROTOCOLS["BD"], 3)
+        loop = build_group(get_protocol("BD"), 3)
         loop.protocols["m0"].key = 12345  # corrupt one member
         with pytest.raises(AssertionError):
             loop.shared_key()

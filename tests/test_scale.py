@@ -10,12 +10,12 @@ import math
 
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import get_protocol
 from repro.protocols.loopback import build_group
 
 
 def test_tgdh_at_one_hundred_members_stays_logarithmic():
-    loop = build_group(PROTOCOLS["TGDH"], 100)
+    loop = build_group(get_protocol("TGDH"), 100)
     tree = loop.protocols["m0"]._tree
     assert tree.height() <= 2 * math.ceil(math.log2(100))
     stats = loop.leave("m50")
@@ -24,7 +24,7 @@ def test_tgdh_at_one_hundred_members_stays_logarithmic():
 
 
 def test_str_join_cost_flat_at_one_hundred():
-    loop = build_group(PROTOCOLS["STR"], 100)
+    loop = build_group(get_protocol("STR"), 100)
     stats = loop.join("x")
     assert stats.max_exponentiations() <= 6
     assert stats.rounds == 2
