@@ -18,7 +18,7 @@ simulation:
 
 
 from conftest import run_once
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.crypto.costmodel import expensive_signatures, free_crypto
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import Topology, lan_testbed, wan_testbed
@@ -73,8 +73,12 @@ def test_cpu_contention_drives_bd_scaling(benchmark):
     penalty that dual-CPU machines impose."""
 
     def measure():
-        dual = measure_event(lan_testbed, "BD", 40, "join", repeats=1)
-        many = measure_event(_many_core_lan, "BD", 40, "join", repeats=1)
+        dual, many = (
+            run_experiment(
+                ExperimentSpec("BD", "join", 40, topology=testbed, repeats=1)
+            )
+            for testbed in (lan_testbed, _many_core_lan)
+        )
         return dual.total_ms, many.total_ms
 
     dual, many = run_once(benchmark, measure)

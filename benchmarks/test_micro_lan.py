@@ -89,7 +89,7 @@ def test_membership_service_cost(benchmark):
         world = GcsWorld(lan_testbed())
         clients = _grow(world, 20)
         stamps = []
-        late = world.client("late", 5)
+        late = world.channel("late", 5)
         for client in clients:
             client.on_view = lambda _c, _v: stamps.append(world.now)
         t0 = world.now

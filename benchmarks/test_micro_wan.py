@@ -75,7 +75,7 @@ def test_membership_service_cost(benchmark):
         stamps = []
         for client in clients:
             client.on_view = lambda _c, _v: stamps.append(world.now)
-        late = world.client("late", 5)
+        late = world.channel("late", 5)
         t0 = world.now
         late.join("g")
         world.run_until_idle()

@@ -10,14 +10,14 @@ from conftest import run_once
 from repro.analysis.costs import conceptual_cost
 from repro.analysis.table1 import render_table1
 from repro.gcs.messages import ViewEvent
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import build_group
 
 
 def _measure_all(n=10):
     measurements = {}
-    for name, cls in PROTOCOLS.items():
-        loop = build_group(cls, n)
+    for name in available():
+        loop = build_group(get_protocol(name), n)
         stats = loop.join("x")
         loop.leave("x")
         leave_stats = loop.leave(f"m{n // 2}")
@@ -51,8 +51,8 @@ def test_table1(benchmark, results_dir):
 def test_table1_orderings():
     """The qualitative conclusions the paper draws from Table 1."""
     n = 20
-    join = {p: conceptual_cost(p, ViewEvent.JOIN, n=n) for p in PROTOCOLS}
-    leave = {p: conceptual_cost(p, ViewEvent.LEAVE, n=n) for p in PROTOCOLS}
+    join = {p: conceptual_cost(p, ViewEvent.JOIN, n=n) for p in available()}
+    leave = {p: conceptual_cost(p, ViewEvent.LEAVE, n=n) for p in available()}
     # BD minimizes exponentiations but explodes in messages.
     assert join["BD"].serial_exponentiations == 3
     assert join["BD"].messages == max(c.messages for c in join.values())
@@ -74,6 +74,6 @@ def test_table1_orderings():
     assert big_leave_tgdh.serial_exponentiations < big_leave_gdh.serial_exponentiations
     assert big_leave_tgdh.serial_exponentiations < big_leave_str.serial_exponentiations
     # GDH merge needs m+3 rounds; everyone else is constant-round.
-    merge = {p: conceptual_cost(p, ViewEvent.MERGE, n=n, m=6) for p in PROTOCOLS}
+    merge = {p: conceptual_cost(p, ViewEvent.MERGE, n=n, m=6) for p in available()}
     assert merge["GDH"].rounds == 9
     assert all(merge[p].rounds <= 8 for p in ("BD", "CKD", "STR"))

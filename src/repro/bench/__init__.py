@@ -20,14 +20,7 @@ from repro.bench.chaos import (
     run_chaos_cell,
 )
 from repro.bench.compare import compare_files, compare_payloads
-from repro.bench.harness import (
-    EventMeasurement,
-    ExperimentSpec,
-    grow_group,
-    grow_group_batched,
-    measure_event,
-    run_experiment,
-)
+from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
 from repro.bench.load import (
     render_load_table,
     run_load,
@@ -54,7 +47,6 @@ from repro.bench.series import (
     measure_protocol_curve,
     run_figure_cell,
     sweep_group_sizes,
-    sweep_group_sizes_parallel,
 )
 
 __all__ = [
@@ -67,9 +59,6 @@ __all__ = [
     "cell_key",
     "compare_files",
     "compare_payloads",
-    "grow_group",
-    "grow_group_batched",
-    "measure_event",
     "measure_protocol_curve",
     "pool_stats",
     "register_runner",
@@ -90,5 +79,4 @@ __all__ = [
     "series_to_csv",
     "source_fingerprint",
     "sweep_group_sizes",
-    "sweep_group_sizes_parallel",
 ]

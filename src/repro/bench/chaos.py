@@ -26,12 +26,11 @@ restarts, baseline time-to-key).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence
 
-from repro.bench.harness import grow_group
 from repro.bench.pool import Cell, register_runner, run_cells
+from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.faults import LinkFaults
 from repro.gcs.topology import TESTBEDS
@@ -88,26 +87,6 @@ class ChaosCell:
         return cls(**{key: value for key, value in data.items() if key in known})
 
 
-def _converged_key(framework: SecureSpreadFramework, members) -> Optional[tuple]:
-    """The (view_id, key) every member agrees on, or None.
-
-    Convergence means: every member's protocol has settled on the *same*
-    membership view, holds a key for exactly that view, and all the keys
-    are equal — the "confirmed shared key" of the acceptance criteria.
-    """
-    views = {m.protocol.view.view_id if m.protocol.view else None for m in members}
-    if len(views) != 1 or None in views:
-        return None
-    (view_id,) = views
-    for m in members:
-        if not m.protocol.done_for(m.protocol.view):
-            return None
-    keys = {m.protocol.key for m in members}
-    if len(keys) != 1:
-        return None
-    return (view_id, keys.pop())
-
-
 @register_runner("chaos")
 def run_chaos_cell(
     spec: dict, metrics: Optional[MetricsRegistry] = None
@@ -151,23 +130,18 @@ def run_chaos_cell(
             trace=trace,
         )
         engine_name = framework.engine.name
-        members = grow_group(framework, group_size)
+        driver = GroupDriver(
+            framework, max_events=max_events, metrics=registry, kind="chaos"
+        )
+        driver.run(driver.grow(group_size))
         if rate > 0.0:
             framework.world.install_link_faults(
                 LinkFaults.uniform(seed=sample_seed, drop=rate)
             )
-        joiner = framework.member(
-            "x1", group_size % len(framework.world.topology.machines)
-        )
-        framework.mark_event()
-        joiner.join()
-        try:
-            framework.run_until_idle(max_events=max_events)
-        except RuntimeError:
-            # Livelock guard tripped: count the sample as failed
-            # but keep the sweep going.
-            pass
-        outcome = _converged_key(framework, members + [joiner])
+        # A tripped livelock guard is counted on the registry and the
+        # sample reported as non-converged; the sweep keeps going.
+        driver.run(driver.join(group_size % driver.machines))
+        outcome = driver.converged_key()
         if outcome is not None:
             converged += 1
             view_id, _key = outcome
@@ -221,40 +195,6 @@ def _chaos_summary(result: dict) -> str:
     return line
 
 
-def chaos_cells_grid(
-    protocols: Sequence[str],
-    drop_rates: Sequence[float],
-    group_size: int = 6,
-    topology: str = "lan",
-    dh_group: str = "dh-512",
-    engine="symbolic",
-    repeats: int = 2,
-    seed: int = 0,
-    stall_timeout_ms: float = CHAOS_STALL_TIMEOUT_MS,
-    max_events: int = CHAOS_MAX_EVENTS,
-    trace: bool = False,
-) -> List[Cell]:
-    """The sweep's cell grid, protocol-major with rates in given order."""
-    cells: List[Cell] = []
-    for protocol in protocols:
-        for rate in drop_rates:
-            spec = {
-                "protocol": protocol,
-                "drop_rate": rate,
-                "group_size": group_size,
-                "topology": topology,
-                "dh_group": dh_group,
-                "engine": engine,
-                "repeats": repeats,
-                "seed": seed,
-                "stall_timeout_ms": stall_timeout_ms,
-                "max_events": max_events,
-                "trace": trace,
-            }
-            cells.append(Cell("chaos", spec, summarize=_chaos_summary))
-    return cells
-
-
 def run_chaos(
     protocols: Sequence[str] = CHAOS_PROTOCOLS,
     drop_rates: Sequence[float] = CHAOS_DROP_RATES,
@@ -286,21 +226,27 @@ def run_chaos(
     every sample's events are appended to it as dicts labeled with the
     (protocol, drop rate, sample) cell coordinates.
     """
-    if not (engine is None or isinstance(engine, str)):
-        jobs, cache_dir, use_cache = 1, None, False
-    cells = chaos_cells_grid(
-        protocols,
-        drop_rates,
-        group_size=group_size,
-        topology=topology,
-        dh_group=dh_group,
-        engine=engine,
-        repeats=repeats,
-        seed=seed,
-        stall_timeout_ms=stall_timeout_ms,
-        max_events=max_events,
-        trace=trace_events is not None,
-    )
+    cells = [
+        Cell(
+            "chaos",
+            {
+                "protocol": protocol,
+                "drop_rate": rate,
+                "group_size": group_size,
+                "topology": topology,
+                "dh_group": dh_group,
+                "engine": engine,
+                "repeats": repeats,
+                "seed": seed,
+                "stall_timeout_ms": stall_timeout_ms,
+                "max_events": max_events,
+                "trace": trace_events is not None,
+            },
+            summarize=_chaos_summary,
+        )
+        for protocol in protocols
+        for rate in drop_rates
+    ]
     results = run_cells(
         cells,
         jobs=jobs,
@@ -322,14 +268,6 @@ def chaos_payload(cells: Sequence[ChaosCell], **meta) -> dict:
     payload = {"benchmark": "chaos"}
     payload.update(meta)
     payload["cells"] = [cell.to_dict() for cell in cells]
-    return payload
-
-
-def write_chaos_json(path: str, cells: Sequence[ChaosCell], **meta) -> dict:
-    payload = chaos_payload(cells, **meta)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
     return payload
 
 

@@ -41,9 +41,6 @@ and ``--no-cache``: cells shard across workers and merge
 deterministically, and previously computed cells are served from a
 content-addressed on-disk cache keyed by the cell spec, the seed and a
 fingerprint of the ``src/repro`` tree (see :mod:`repro.bench.pool`).
-
-The original flag spelling (``--figure 11``, ``--table 1``) keeps
-working and takes the same sweep options it always did.
 """
 
 from __future__ import annotations
@@ -58,21 +55,20 @@ from repro.analysis.table1 import render_table1
 from repro.bench.chaos import (
     CHAOS_DROP_RATES,
     CHAOS_STALL_TIMEOUT_MS,
+    chaos_payload,
     render_chaos_table,
     run_chaos,
-    write_chaos_json,
 )
 from repro.bench.compare import compare_files
-from repro.bench.harness import _fresh_framework, grow_group
 from repro.bench.load import (
     LOAD_ARRIVALS,
     LOAD_DURATION_MS,
     LOAD_GROUP_SIZE,
     LOAD_GROUPS,
     LOAD_RATE_HZ,
+    load_payload,
     render_load_table,
     run_load,
-    write_load_json,
 )
 from repro.bench.plot import render_plot
 from repro.bench.pool import DEFAULT_CACHE_DIR, pool_stats
@@ -82,19 +78,17 @@ from repro.bench.profiling import (
     profile_micro_sweep,
     render_profile_table,
     wallclock_document,
-    write_json,
 )
-from repro.bench.report import render_series, series_to_csv
+from repro.bench.report import render_series, series_to_csv, write_json
 from repro.bench.scale import (
     SCALE_SIZES,
     render_scale_table,
     run_scale,
-    write_scale_json,
+    scale_payload,
 )
-from repro.bench.series import (
-    DEFAULT_SIZES,
-    sweep_group_sizes_parallel,
-)
+from repro.bench.series import DEFAULT_SIZES, sweep_group_sizes
+from repro.core.driver import GroupDriver
+from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import TESTBEDS
 from repro.protocols import available
 from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS
@@ -108,12 +102,6 @@ from repro.obs import (
 )
 
 TOPOLOGIES = TESTBEDS
-
-#: The subcommand surface (a leading ``--`` selects the legacy flags).
-SUBCOMMANDS = (
-    "figure", "table", "trace", "report", "critpath", "scale", "chaos",
-    "load", "compare", "profile", "live",
-)
 
 #: subcommands that can run on the asyncio transport; everything else
 #: needs virtual time, fault injection or tracing — simulator add-ons
@@ -207,26 +195,6 @@ def build_common_parser() -> argparse.ArgumentParser:
         "faults, tracing and virtual-time sweeps are simulator-only)",
     )
     return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy flag interface: ``--figure N`` / ``--table N``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the evaluation of 'On the Performance of "
-        "Group Key Agreement Protocols' (ICDCS 2002) on the simulated "
-        "testbeds.",
-    )
-    target = parser.add_mutually_exclusive_group(required=True)
-    target.add_argument(
-        "--figure", choices=sorted(FIGURES), help="figure to regenerate"
-    )
-    target.add_argument(
-        "--table", choices=["1"], help="table to print"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    _add_figure_options(parser)
-    return parser
 
 
 def _add_figure_options(parser: argparse.ArgumentParser) -> None:
@@ -568,40 +536,44 @@ def _emit(args, lines: List[str]) -> None:
     """Print the rendered text, and copy it to ``--out`` when given."""
     text = "\n".join(lines)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"\nwrote {args.out}")
 
 
-def _pool_kwargs(args) -> dict:
-    """The pool arguments of a parsed command line.
+def _progress(line: str) -> None:
+    print(f"  {line}", flush=True)
 
-    The legacy ``--figure N`` parser has no pool flags; it runs inline
-    and uncached, exactly as it always did.
-    """
+
+def _pool_kwargs(args, metrics: MetricsRegistry) -> dict:
+    """The pool arguments of a parsed command line."""
     return {
-        "jobs": getattr(args, "jobs", 1),
-        "cache_dir": getattr(args, "cache_dir", None),
-        "use_cache": getattr(args, "use_cache", False),
+        "jobs": args.jobs,
+        "cache_dir": args.cache_dir,
+        "use_cache": args.use_cache,
+        "metrics": metrics,
+        "progress": _progress,
     }
 
 
 def _print_pool_stats(metrics: MetricsRegistry) -> None:
     stats = pool_stats(metrics)
+    livelocks = int(metrics.counter_total("bench.cell.livelock"))
     if stats["cells"]:
         print(
             f"cells: {stats['cells']} "
             f"({stats['cache_hits']} cache hits, "
             f"{stats['executed']} executed)"
+            + (f", {livelocks} livelocked settles" if livelocks else "")
         )
 
 
-def run_figures(args, figure: str, engine=None) -> int:
+def run_figures(args) -> int:
     lines: List[str] = []
     metrics = MetricsRegistry(enabled=True)
-    for title, topology, event, dh_group in FIGURES[figure]:
-        series = sweep_group_sizes_parallel(
+    for title, topology, event, dh_group in FIGURES[args.number]:
+        series = sweep_group_sizes(
             topology,
             args.protocols,
             event,
@@ -610,10 +582,8 @@ def run_figures(args, figure: str, engine=None) -> int:
             repeats=args.repeats,
             seed=args.seed,
             name=title,
-            engine=engine,
-            metrics=metrics,
-            progress=lambda line: print(f"  {line}", flush=True),
-            **_pool_kwargs(args),
+            engine=args.engine,
+            **_pool_kwargs(args, metrics),
         )
         lines.append(render_series(series, title))
         lines.append("")
@@ -637,23 +607,7 @@ def run_table(args) -> int:
 
 def run_scale_command(args) -> int:
     metrics = MetricsRegistry(enabled=True)
-    measurements = run_scale(
-        protocols=args.protocols,
-        sizes=args.sizes,
-        topology=args.topology,
-        dh_group=args.dh_group,
-        engine=args.engine,
-        repeats=args.repeats,
-        seed=args.seed,
-        observe=args.observe,
-        progress=lambda line: print(f"  {line}", flush=True),
-        metrics=metrics,
-        shard_jobs=args.shard_crypto,
-        **_pool_kwargs(args),
-    )
-    write_scale_json(
-        args.out,
-        measurements,
+    meta = dict(
         sizes=sorted(set(args.sizes)),
         protocols=list(args.protocols),
         engine=args.engine,
@@ -662,6 +616,13 @@ def run_scale_command(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
+    measurements = run_scale(
+        observe=args.observe,
+        shard_jobs=args.shard_crypto,
+        **meta,
+        **_pool_kwargs(args, metrics),
+    )
+    write_json(args.out, scale_payload(measurements, **meta))
     print()
     print(render_scale_table(measurements))
     if args.observe:
@@ -677,25 +638,7 @@ def run_scale_command(args) -> int:
 def run_chaos_command(args) -> int:
     trace_events: Optional[List[dict]] = [] if args.trace_log else None
     metrics = MetricsRegistry(enabled=True)
-    cells = run_chaos(
-        protocols=args.protocols,
-        drop_rates=args.drops,
-        group_size=args.size,
-        topology=args.topology,
-        dh_group=args.dh_group,
-        engine=args.engine,
-        repeats=args.repeats,
-        seed=args.seed,
-        stall_timeout_ms=args.stall_timeout_ms,
-        progress=lambda line: print(f"  {line}", flush=True),
-        trace_events=trace_events,
-        metrics=metrics,
-        **_pool_kwargs(args),
-    )
-    write_chaos_json(
-        args.out,
-        cells,
-        drops=list(args.drops),
+    meta = dict(
         protocols=list(args.protocols),
         group_size=args.size,
         engine=args.engine,
@@ -705,6 +648,13 @@ def run_chaos_command(args) -> int:
         seed=args.seed,
         stall_timeout_ms=args.stall_timeout_ms,
     )
+    cells = run_chaos(
+        drop_rates=args.drops,
+        trace_events=trace_events,
+        **meta,
+        **_pool_kwargs(args, metrics),
+    )
+    write_json(args.out, chaos_payload(cells, drops=list(args.drops), **meta))
     print()
     print(render_chaos_table(cells))
     converged = sum(cell.converged for cell in cells)
@@ -747,27 +697,7 @@ def run_load_command(args) -> int:
         trace = recorded  # validated by WorkloadSpec at grid build time
         arrivals = ["trace"]
     metrics = MetricsRegistry(enabled=True)
-    results = run_load(
-        protocols=args.protocols,
-        arrivals=arrivals,
-        groups=args.groups,
-        group_size=args.group_size,
-        rate_hz=args.rate,
-        duration_ms=args.duration_ms,
-        seed=args.seed,
-        topology=args.topology,
-        dh_group=args.dh_group,
-        engine=args.engine,
-        stall_timeout_ms=args.stall_timeout_ms,
-        storm=args.storm,
-        trace=trace,
-        progress=lambda line: print(f"  {line}", flush=True),
-        metrics=metrics,
-        **_pool_kwargs(args),
-    )
-    write_load_json(
-        args.out,
-        results,
+    meta = dict(
         protocols=list(args.protocols),
         arrivals=arrivals,
         groups=args.groups,
@@ -781,6 +711,8 @@ def run_load_command(args) -> int:
         seed=args.seed,
         stall_timeout_ms=args.stall_timeout_ms,
     )
+    results = run_load(trace=trace, **meta, **_pool_kwargs(args, metrics))
+    write_json(args.out, load_payload(results, **meta))
     print()
     print(render_load_table(results))
     converged = sum(1 for cell in results if cell.converged)
@@ -811,10 +743,10 @@ def run_profile_command(args) -> int:
         top=args.top,
         with_profiler=args.with_profiler,
         metrics=metrics,
-        progress=lambda line: print(f"  {line}", flush=True),
+        progress=_progress,
         shard_jobs=args.shard_crypto,
     )
-    write_json(args.out, profile_doc)
+    write_json(args.out, profile_doc, sort_keys=True)
     baseline = None
     if args.baseline:
         try:
@@ -851,7 +783,7 @@ def run_profile_command(args) -> int:
         profile_doc, baseline,
         max_wall_regression=args.max_wall_regression,
     )
-    write_json(args.wallclock, wallclock)
+    write_json(args.wallclock, wallclock, sort_keys=True)
     print()
     print(render_profile_table(profile_doc))
     print(f"\nwrote {args.out}")
@@ -895,11 +827,7 @@ def run_profile_command(args) -> int:
 
 
 def run_live_command(args) -> int:
-    from repro.bench.live import (
-        render_live_table,
-        run_live_benchmark,
-        write_live_json,
-    )
+    from repro.bench.live import render_live_table, run_live_benchmark
 
     document = run_live_benchmark(
         protocol=args.protocol,
@@ -911,9 +839,9 @@ def run_live_command(args) -> int:
         port=args.port,
         daemon_mode=args.daemon,
         timeout_s=args.timeout,
-        progress=lambda line: print(f"  {line}", flush=True),
+        progress=_progress,
     )
-    write_live_json(args.out, document)
+    write_json(args.out, document, sort_keys=True)
     print()
     print(render_live_table(document))
     print(f"\nwrote {args.out}")
@@ -940,40 +868,35 @@ def run_compare_command(args) -> int:
 
 
 def _run_observed_event(args):
-    """Grow a group, run one observed membership event, return the framework."""
-    framework = _fresh_framework(
-        TOPOLOGIES[args.topology], args.protocol, args.dh_group, args.seed,
-        observe=True, engine=args.engine,
-        trace=bool(getattr(args, "trace_log", None)),
+    """Grow a group and run one observed membership event; returns the
+    framework and the event's one-line title."""
+    framework = SecureSpreadFramework(
+        TOPOLOGIES[args.topology](),
+        default_protocol=args.protocol,
+        dh_group=args.dh_group,
+        seed=args.seed,
+        observe=True,
+        engine=args.engine,
+        trace=bool(args.trace_log),
     )
-    members = grow_group(framework, args.size)
-    if args.event == "join":
-        joiner = framework.member(
-            "x1", (args.size + 1) % len(framework.world.topology.machines)
-        )
-        framework.mark_event()
-        joiner.join()
-    else:
-        victim = members[args.size // 2]
-        framework.mark_event()
-        victim.leave()
-    framework.run_until_idle()
-    return framework
+    driver = GroupDriver(framework)
+    driver.run(driver.grow(args.size))
+    driver.run(driver.join() if args.event == "join" else driver.leave())
+    return framework, (
+        f"{args.event} at n={args.size}, {args.protocol}, {args.dh_group}, "
+        f"{framework.world.topology.name}"
+    )
 
 
 def _dump_gcs_trace(args, framework) -> None:
-    if not getattr(args, "trace_log", None):
+    if not args.trace_log:
         return
     count = framework.world.tracer.to_jsonl(args.trace_log)
     print(f"wrote {args.trace_log}: {count} simulation events")
 
 
 def run_trace_command(args) -> int:
-    framework = _run_observed_event(args)
-    title = (
-        f"{args.event} at n={args.size}, {args.protocol}, {args.dh_group}, "
-        f"{framework.world.topology.name}"
-    )
+    framework, title = _run_observed_event(args)
     trace = framework.obs.write_chrome_trace(args.out)
     validate_chrome_trace(trace)
     print(
@@ -990,13 +913,9 @@ def run_trace_command(args) -> int:
 
 
 def run_report_command(args) -> int:
-    framework = _run_observed_event(args)
-    title = (
-        f"{args.event} at n={args.size}, {args.protocol}, {args.dh_group}, "
-        f"{framework.world.topology.name}"
-    )
+    framework, title = _run_observed_event(args)
     lines = [render_report(framework.timeline, framework.obs.spans, title)]
-    if getattr(args, "critical_path", False):
+    if args.critical_path:
         paths = timeline_critical_paths(framework.timeline, framework.obs.spans)
         lines.append("")
         lines.append(render_critical_paths(paths))
@@ -1006,13 +925,9 @@ def run_report_command(args) -> int:
 
 
 def run_critpath_command(args) -> int:
-    framework = _run_observed_event(args)
-    title = (
-        f"Critical paths: {args.event} at n={args.size}, {args.protocol}, "
-        f"{args.dh_group}, {framework.world.topology.name}"
-    )
+    framework, title = _run_observed_event(args)
     paths = timeline_critical_paths(framework.timeline, framework.obs.spans)
-    lines = [title, "", render_critical_paths(paths), ""]
+    lines = [f"Critical paths: {title}", "", render_critical_paths(paths), ""]
     lines.append(render_percentiles(
         framework.obs.metrics.log_histograms(),
         "Rekey latency percentiles (ms)",
@@ -1057,30 +972,20 @@ def _validate_transport(args) -> None:
         )
 
 
-def run_subcommand(argv: Sequence[str]) -> int:
-    args = build_subcommand_parser().parse_args(argv)
-    _validate_transport(args)
-    if args.command == "live":
-        return run_live_command(args)
-    if args.command == "figure":
-        return run_figures(args, args.number, engine=args.engine)
-    if args.command == "table":
-        return run_table(args)
-    if args.command == "trace":
-        return run_trace_command(args)
-    if args.command == "report":
-        return run_report_command(args)
-    if args.command == "critpath":
-        return run_critpath_command(args)
-    if args.command == "scale":
-        return run_scale_command(args)
-    if args.command == "load":
-        return run_load_command(args)
-    if args.command == "compare":
-        return run_compare_command(args)
-    if args.command == "profile":
-        return run_profile_command(args)
-    return run_chaos_command(args)
+#: subcommand name -> body; the single dispatch table
+COMMANDS = {
+    "figure": run_figures,
+    "table": run_table,
+    "trace": run_trace_command,
+    "report": run_report_command,
+    "critpath": run_critpath_command,
+    "scale": run_scale_command,
+    "chaos": run_chaos_command,
+    "load": run_load_command,
+    "compare": run_compare_command,
+    "profile": run_profile_command,
+    "live": run_live_command,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1090,16 +995,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     that trips the livelock guard — exits nonzero with a one-line error
     instead of a traceback, so shell pipelines and CI can gate on it.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_subcommand_parser().parse_args(argv)
     try:
-        if argv and argv[0] in SUBCOMMANDS:
-            return run_subcommand(argv)
-        args = build_parser().parse_args(argv)
-        if args.table == "1":
-            args.out = None
-            return run_table(args)
-        args.out = None
-        return run_figures(args, args.figure, engine=None)
+        _validate_transport(args)
+        return COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, RuntimeError, AssertionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

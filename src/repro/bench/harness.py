@@ -9,26 +9,21 @@ paper describes in §6.1.2 (CKD's controller-leave weighting, STR's
 middle-member leave, TGDH measured on the tree its own heuristic builds).
 
 An experiment cell is described by an :class:`ExperimentSpec` and run with
-:func:`run_experiment`; :func:`measure_event` remains as a thin
-backward-compatible wrapper over the old positional surface.
+:func:`run_experiment`.  The procedure itself — growth, the measured
+event, the size-restoring undo — lives in
+:class:`repro.core.driver.GroupDriver`; this module is the spec, the
+averaging and the serialization.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
+from repro.core.driver import GroupDriver, Sample
 from repro.core.framework import SecureSpreadFramework
 from repro.crypto.engine import CryptoEngine
-from repro.gcs.messages import View, ViewEvent
 from repro.gcs.topology import TESTBEDS, Topology
-from repro.obs.report import epoch_breakdown
-
-#: event budget for large-n runs (the simulator default is sized for the
-#: paper's n ≤ 50 sweeps; a 1000-member rekey legitimately needs millions
-#: of deliveries).
-LARGE_RUN_MAX_EVENTS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,6 @@ class ExperimentSpec:
                 f"choose from {sorted(TESTBEDS)} or pass a factory"
             )
 
-    def topology_factory(self) -> Callable[[], Topology]:
-        if callable(self.topology):
-            return self.topology
-        return TESTBEDS[self.topology]
-
     def build_framework(self, observe: Optional[bool] = None) -> SecureSpreadFramework:
         """A fresh framework configured for this cell."""
         engine = self.engine
@@ -82,8 +72,9 @@ class ExperimentSpec:
             from repro.crypto.engine import sharded_engine
 
             engine = sharded_engine(engine, self.shard_jobs)
+        factory = self.topology if callable(self.topology) else TESTBEDS[self.topology]
         return SecureSpreadFramework(
-            self.topology_factory()(),
+            factory(),
             default_protocol=self.protocol,
             dh_group=self.dh_group,
             seed=self.seed,
@@ -140,120 +131,43 @@ class EventMeasurement:
         return cls(**{key: value for key, value in data.items() if key in known})
 
 
-def _fresh_framework(
-    topology_factory: Callable[[], Topology],
-    protocol: str,
-    dh_group: str,
-    seed: int,
-    observe: bool = False,
-    engine=None,
-    trace: bool = False,
-) -> SecureSpreadFramework:
-    return SecureSpreadFramework(
-        topology_factory(),
-        default_protocol=protocol,
-        dh_group=dh_group,
-        seed=seed,
-        observe=observe,
-        engine=engine,
-        trace=trace,
-    )
+def _mean(values) -> Optional[float]:
+    return sum(values) / len(values) if None not in values else None
 
 
-def grow_group(
-    framework: SecureSpreadFramework, size: int, start: int = 0, prefix: str = "m"
-) -> List:
-    """Grow the group to ``size`` members by sequential (settled) joins."""
-    members = []
-    machines = len(framework.world.topology.machines)
-    for index in range(start, size):
-        member = framework.member(f"{prefix}{index}", index % machines)
-        member.join()
-        framework.run_until_idle()
-        members.append(member)
-    return members
-
-
-def grow_group_batched(
+def averaged(
+    spec: ExperimentSpec,
     framework: SecureSpreadFramework,
-    size: int,
-    start: int = 0,
-    prefix: str = "m",
-    existing: Optional[List] = None,
-    group_name: str = "secure-group",
-    max_events: int = LARGE_RUN_MAX_EVENTS,
-    machine_of: Optional[Callable[[int], int]] = None,
-) -> List:
-    """Grow the group to ``size`` members with a *single* rekey.
-
-    :func:`grow_group` re-runs a full key agreement after every join —
-    O(n²) event churn that dominates large-n setup.  Here every member
-    defers rekeying while all joins flow through the membership service,
-    then one synthetic merge view (newcomers = everything beyond the
-    settled base) drives a single agreement over the final membership.
-    The resulting membership view is asserted identical to what
-    sequential growth settles on.
-
-    ``existing`` is the list of members already in the group (defaults to
-    every member created for ``group_name``); returns the new members,
-    like :func:`grow_group`.  ``machine_of`` overrides the default
-    ``index % machines`` placement — the workload engine uses it to
-    stagger many groups across the testbed instead of piling every
-    group's member 0 onto machine 0.
-    """
-    if existing is None:
-        existing = framework.members_of(group_name)
-    base_names = {member.name for member in existing}
-    machines = len(framework.world.topology.machines)
-    if machine_of is None:
-        def machine_of(index: int) -> int:
-            return index % machines
-    joiners = [
-        framework.member(f"{prefix}{index}", machine_of(index), group_name)
-        for index in range(start, size)
-    ]
-    if not joiners:
-        return []
-    everyone = list(existing) + joiners
-    for member in everyone:
-        member.defer_rekey = True
-    for member in joiners:
-        member.join()
-    framework.run_until_idle(max_events=max_events)
-    final = max(
-        (m._deferred_view for m in everyone if m._deferred_view is not None),
-        key=lambda view: view.view_id,
-        default=None,
+    event: str,
+    group_size: int,
+    samples: Sequence[Sample],
+    ops: Optional[dict] = None,
+) -> EventMeasurement:
+    """One cell's :class:`EventMeasurement`: ``samples`` averaged."""
+    return EventMeasurement(
+        protocol=spec.protocol,
+        event=event,
+        group_size=group_size,
+        dh_group=spec.dh_group,
+        topology=framework.world.topology.name,
+        total_ms=_mean([s.total_ms for s in samples]),
+        membership_ms=_mean([s.membership_ms for s in samples]),
+        samples=len(samples),
+        communication_ms=_mean([s.communication_ms for s in samples]),
+        computation_ms=_mean([s.computation_ms for s in samples]),
+        engine=framework.engine.name,
+        ops=ops,
     )
-    expected = base_names | {member.name for member in joiners}
-    if final is None or set(final.members) != expected:
-        raise AssertionError(
-            "batched growth did not settle on the expected membership"
-        )
-    joined = tuple(name for name in final.members if name not in base_names)
-    rekey_view = View(
-        view_id=final.view_id,
-        group=final.group,
-        members=final.members,
-        event=ViewEvent.MERGE if len(joined) > 1 else ViewEvent.JOIN,
-        joined=joined,
-        left=(),
-    )
-    for member in everyone:
-        member.defer_rekey = False
-        member._deferred_view = None
-    for member in everyone:
-        member.flush_deferred(rekey_view)
-    framework.run_until_idle(max_events=max_events)
-    for member in everyone:
-        view = member.protocol.view
-        if view is None or view.members != final.members:
-            raise AssertionError(
-                f"{member.name} settled on a different membership view"
-            )
-        if not member.protocol.done_for(view):
-            raise AssertionError(f"{member.name} did not key the grown group")
-    return joiners
+
+
+def measure_settled(
+    spec: ExperimentSpec, driver: GroupDriver, size: int
+) -> EventMeasurement:
+    """Grow the driver's group to ``size`` (sequential joins), then
+    average ``spec.repeats`` size-restoring samples of ``spec.event``."""
+    driver.run(driver.grow(size))
+    samples = [driver.run(driver.measured(spec.event)) for _ in range(spec.repeats)]
+    return averaged(spec, driver.framework, spec.event, size, samples)
 
 
 def run_experiment(spec: ExperimentSpec) -> EventMeasurement:
@@ -268,158 +182,5 @@ def run_experiment(spec: ExperimentSpec) -> EventMeasurement:
     Observability is passive, so the timing numbers are identical either
     way.
     """
-    framework = spec.build_framework()
-    members = grow_group(framework, spec.group_size)
-    totals: List[float] = []
-    memberships: List[float] = []
-    comms: List[float] = []
-    computs: List[float] = []
-    extra_index = 0
-    for repeat in range(spec.repeats):
-        if spec.event == "join":
-            extra_index += 1
-            joiner = framework.member(
-                f"x{extra_index}",
-                (spec.group_size + extra_index)
-                % len(framework.world.topology.machines),
-            )
-            framework.mark_event()
-            joiner.join()
-            framework.run_until_idle()
-            record = framework.timeline.latest_complete()
-            totals.append(record.total_elapsed())
-            memberships.append(record.membership_elapsed())
-            if spec.breakdown:
-                phases = epoch_breakdown(record, framework.obs.spans)
-                comms.append(phases.communication_ms)
-                computs.append(phases.computation_ms)
-            joiner.leave()  # restore the size (unmeasured)
-            framework.run_until_idle()
-        else:
-            total, membership, comm, comput = _measure_leave(
-                framework, members, spec.protocol
-            )
-            totals.append(total)
-            memberships.append(membership)
-            if spec.breakdown:
-                comms.append(comm)
-                computs.append(comput)
-    return EventMeasurement(
-        protocol=spec.protocol,
-        event=spec.event,
-        group_size=spec.group_size,
-        dh_group=spec.dh_group,
-        topology=framework.world.topology.name,
-        total_ms=sum(totals) / len(totals),
-        membership_ms=sum(memberships) / len(memberships),
-        samples=spec.repeats,
-        communication_ms=sum(comms) / len(comms) if comms else None,
-        computation_ms=sum(computs) / len(computs) if computs else None,
-        engine=framework.engine.name,
-    )
-
-
-def measure_event(
-    topology_factory: Callable[[], Topology],
-    protocol: str,
-    group_size: int,
-    event: str,
-    dh_group: str = "dh-512",
-    repeats: int = 2,
-    seed: int = 0,
-    breakdown: bool = False,
-    engine=None,
-) -> EventMeasurement:
-    """Backward-compatible wrapper: build an :class:`ExperimentSpec` and
-    run it (the old positional-kwarg surface, kept for existing callers).
-
-    .. deprecated::
-        Build an :class:`ExperimentSpec` and call :func:`run_experiment`
-        instead; the spec form names every parameter and serializes.
-    """
-    warnings.warn(
-        "measure_event is deprecated; build an ExperimentSpec and call "
-        "run_experiment instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_experiment(
-        ExperimentSpec(
-            protocol=protocol,
-            event=event,
-            group_size=group_size,
-            dh_group=dh_group,
-            topology=topology_factory,
-            repeats=repeats,
-            seed=seed,
-            breakdown=breakdown,
-            engine=engine,
-        )
-    )
-
-
-def _leave_and_time(framework, member):
-    framework.mark_event()
-    member.leave()
-    framework.run_until_idle()
-    record = framework.timeline.latest_complete()
-    return record.total_elapsed(), record.membership_elapsed(), record
-
-
-def _rejoin(framework, member):
-    """Re-admit a member that left, replacing its protocol instance."""
-    fresh = framework.member(
-        member.name + "'",
-        framework.world.topology.machines.index(member.machine),
-        member.group_name,
-    )
-    fresh.join()
-    framework.run_until_idle()
-    return fresh
-
-
-def _measure_leave(framework, members: List, protocol: str):
-    """One leave sample, honoring the paper's §6.1.2 conventions.
-
-    Returns ``(total, membership, communication, computation)``; the phase
-    attribution entries are ``None`` unless the framework runs with
-    observability enabled.  CKD's controller-leave weighting is applied to
-    the phase attribution exactly as to the totals.
-    """
-    n = len(members)
-    if protocol == "STR":
-        victim_index = n // 2  # the middle of the STR stack
-    elif protocol == "CKD":
-        victim_index = n // 2  # non-controller case; weighted below
-    else:
-        victim_index = n // 2
-    victim = members[victim_index]
-    total, membership, record = _leave_and_time(framework, victim)
-    comm, comput = _phases_of(framework, record)
-    members[victim_index] = _rejoin(framework, victim)
-    if protocol == "CKD":
-        # Weight in the controller-leave case with probability 1/n: the
-        # departing controller forces full channel re-establishment.
-        controller = members[0]
-        ctrl_total, ctrl_membership, ctrl_record = _leave_and_time(
-            framework, controller
-        )
-        ctrl_comm, ctrl_comput = _phases_of(framework, ctrl_record)
-        replacement = _rejoin(framework, controller)
-        members.pop(0)
-        members.append(replacement)
-        total = (1 - 1 / n) * total + (1 / n) * ctrl_total
-        membership = (1 - 1 / n) * membership + (1 / n) * ctrl_membership
-        if comm is not None:
-            comm = (1 - 1 / n) * comm + (1 / n) * ctrl_comm
-            comput = (1 - 1 / n) * comput + (1 / n) * ctrl_comput
-    return total, membership, comm, comput
-
-
-def _phases_of(framework, record):
-    """Span-based (communication, computation) for one epoch record, or
-    ``(None, None)`` when observability is off."""
-    if not framework.obs.enabled:
-        return None, None
-    phases = epoch_breakdown(record, framework.obs.spans)
-    return phases.communication_ms, phases.computation_ms
+    driver = GroupDriver(spec.build_framework())
+    return measure_settled(spec, driver, spec.group_size)

@@ -23,26 +23,14 @@ blowup) is immediately visible.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Dict, Optional
 
-from repro.bench.harness import grow_group
-from repro.core.framework import SecureSpreadFramework
-from repro.gcs.topology import TESTBEDS
+from repro.bench.harness import ExperimentSpec
+from repro.core.driver import GroupDriver
 from repro.net.runner import DEFAULT_MACHINES, LiveGroupRunner
 from repro.obs.histo import render_percentiles
 
 SCHEMA = "bench-live/v1"
-
-
-def _epoch_stats(framework: SecureSpreadFramework) -> Dict:
-    record = framework.timeline.latest_complete()
-    return {
-        "total_ms": record.total_elapsed(),
-        "membership_ms": record.membership_elapsed(),
-        "key_agreement_ms": record.key_agreement_elapsed(),
-        "members": len(record.members),
-    }
 
 
 def simulate_prediction(
@@ -53,49 +41,17 @@ def simulate_prediction(
     seed: int = 0,
     topology: str = "lan",
 ) -> Dict:
-    """The virtual-time prediction for the live scenario.
-
-    Mirrors :meth:`~repro.net.runner.LiveGroupRunner.run` step for step:
-    sequential growth to ``size``, a measured join of ``x1`` on machine
-    ``size % machines``, an unmeasured restore leave, then a measured
-    leave of member ``size // 2``.
-    """
-    framework = SecureSpreadFramework(
-        TESTBEDS[topology](),
-        default_protocol=protocol,
-        dh_group=dh_group,
-        seed=seed,
-        observe=True,
-        engine=engine,
+    """The virtual-time prediction for the live scenario: the same
+    :meth:`~repro.core.driver.GroupDriver.join_leave_scenario` body
+    :class:`~repro.net.runner.LiveGroupRunner` awaits over TCP, drained
+    on the simulated testbed instead."""
+    spec = ExperimentSpec(
+        protocol, "join", size, dh_group, topology, seed=seed, engine=engine
     )
-    members = grow_group(framework, size)
-    machines = framework.transport.machine_count()
-    joiner = framework.member("x1", size % machines)
-    framework.mark_event()
-    joiner.join()
-    framework.run_until_idle()
-    join_stats = _epoch_stats(framework)
-    joiner.leave()
-    framework.run_until_idle()
-    victim = members[size // 2]
-    framework.mark_event()
-    victim.leave()
-    framework.run_until_idle()
-    leave_stats = _epoch_stats(framework)
-    rekey = framework.obs.log_histogram(
-        "member.rekey_ms", group="secure-group", protocol=protocol
-    )
-    return {
-        "topology": framework.world.topology.name,
-        "join": join_stats,
-        "leave": leave_stats,
-        "rekey_ms": {
-            "count": rekey.count,
-            "mean": rekey.mean,
-            "max": rekey.max,
-            **rekey.percentiles(),
-        },
-    }
+    framework = spec.build_framework(observe=True)
+    driver = GroupDriver(framework)
+    result = driver.run(driver.join_leave_scenario(size))
+    return {"topology": framework.world.topology.name, **result}
 
 
 def run_live_benchmark(
@@ -165,12 +121,6 @@ def _ratio(live_ms: float, sim_ms: float) -> Optional[float]:
     return live_ms / sim_ms if sim_ms > 0 else None
 
 
-def write_live_json(path: str, document: Dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def render_live_table(document: Dict) -> str:
     """Side-by-side live vs simulated summary of one bench-live run."""
     spec = document["spec"]
@@ -220,5 +170,4 @@ __all__ = [
     "render_percentiles",
     "run_live_benchmark",
     "simulate_prediction",
-    "write_live_json",
 ]

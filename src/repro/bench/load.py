@@ -26,7 +26,6 @@ order.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, List, Optional, Sequence
 
 from repro.bench.pool import Cell, register_runner, run_cells
@@ -174,54 +173,26 @@ def load_cells_grid(
 def run_load(
     protocols: Sequence[str],
     arrivals: Sequence[str] = LOAD_ARRIVALS,
-    groups: int = LOAD_GROUPS,
-    group_size: int = LOAD_GROUP_SIZE,
-    rate_hz: float = LOAD_RATE_HZ,
-    duration_ms: float = LOAD_DURATION_MS,
-    seed: int = 0,
-    topology: str = "lan",
-    dh_group: str = "dh-512",
-    engine="symbolic",
-    stall_timeout_ms: Optional[float] = DEFAULT_STALL_TIMEOUT_MS,
-    max_events: int = LOAD_MAX_EVENTS,
-    storm: bool = False,
-    trace: Sequence[dict] = (),
-    faults: Sequence[dict] = (),
     progress: Optional[Callable[[str], None]] = None,
     jobs: Optional[int] = 1,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     metrics: Optional[MetricsRegistry] = None,
+    **grid,
 ) -> List[WorkloadResult]:
     """Sweep protocols × arrival processes under sustained churn.
 
-    Cells shard over ``jobs`` worker processes and merge in grid order
-    regardless of completion order, so the artifact is byte-identical at
-    any jobs count; with ``cache_dir`` set, unchanged cells are served
-    from the content-addressed cache.  An engine *instance* (rather than
-    a name) forces the inline uncached path.
+    ``grid`` takes the remaining :func:`load_cells_grid` keywords (groups,
+    group_size, rate_hz, duration_ms, seed, topology, dh_group, engine,
+    stall_timeout_ms, max_events, storm, trace, faults).  Cells shard
+    over ``jobs`` worker processes and merge in grid order regardless of
+    completion order, so the artifact is byte-identical at any jobs
+    count; with ``cache_dir`` set, unchanged cells are served from the
+    content-addressed cache.  An engine *instance* (rather than a name)
+    forces the inline uncached path.
     """
-    if not (engine is None or isinstance(engine, str)):
-        jobs, cache_dir, use_cache = 1, None, False
-    cells = load_cells_grid(
-        protocols,
-        arrivals=arrivals,
-        groups=groups,
-        group_size=group_size,
-        rate_hz=rate_hz,
-        duration_ms=duration_ms,
-        seed=seed,
-        topology=topology,
-        dh_group=dh_group,
-        engine=engine,
-        stall_timeout_ms=stall_timeout_ms,
-        max_events=max_events,
-        storm=storm,
-        trace=trace,
-        faults=faults,
-    )
     results = run_cells(
-        cells,
+        load_cells_grid(protocols, arrivals=arrivals, **grid),
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
@@ -236,14 +207,6 @@ def load_payload(results: Sequence[WorkloadResult], **meta) -> dict:
     payload = {"benchmark": "load"}
     payload.update(meta)
     payload["cells"] = [result.to_dict() for result in results]
-    return payload
-
-
-def write_load_json(path: str, results: Sequence[WorkloadResult], **meta) -> dict:
-    payload = load_payload(results, **meta)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
     return payload
 
 

@@ -258,7 +258,10 @@ def run_cells(
     identical for any ``jobs``.  ``jobs=1`` runs the misses inline in
     the calling process (the sequential path); ``jobs=None`` uses every
     CPU.  Cache misses are executed and then stored; pass
-    ``use_cache=False`` (or ``cache_dir=None``) to always execute.
+    ``use_cache=False`` (or ``cache_dir=None``) to always execute.  A spec
+    that is not JSON-ready — it carries an engine *instance* or a testbed
+    factory — can be neither hashed nor shipped to a worker, so such a
+    grid runs inline and uncached.
 
     A runner failure propagates: the pool is torn down and the first
     worker exception re-raised, so a sweep never silently drops cells.
@@ -267,6 +270,11 @@ def run_cells(
     say = progress or (lambda _line: None)
     registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     jobs = resolve_jobs(jobs)
+    try:
+        for cell in cells:
+            canonical_json(cell.spec)
+    except TypeError:
+        jobs, use_cache = 1, False
     cache = ResultCache(cache_dir) if (use_cache and cache_dir) else None
     total = len(cells)
     results: List[Optional[dict]] = [None] * total

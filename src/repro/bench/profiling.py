@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import cProfile
 import io
-import json
 import pstats
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import LARGE_RUN_MAX_EVENTS, ExperimentSpec, _rejoin
-from repro.bench.harness import grow_group_batched
+from repro.bench.harness import ExperimentSpec
 from repro.bench.scale import SCALE_PROTOCOLS
+from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
 from repro.obs.metrics import MetricsRegistry
 
 #: The fixed micro-sweep: one cell per protocol, real engine, LAN, DH-512.
@@ -85,35 +84,21 @@ def _timed_cell(
 
     t = time.perf_counter()
     framework = espec.build_framework(observe=False)
-    members = grow_group_batched(framework, size, max_events=max_events)
-    machines = len(framework.world.topology.machines)
+    driver = GroupDriver(framework, max_events=max_events)
+    driver.grow_batched(size)
     t = clock("grow", t)
-    joiner = framework.member("x1", (size + 1) % machines)
-    framework.mark_event()
-    joiner.join()
-    framework.run_until_idle(max_events=max_events)
-    join_record = framework.timeline.latest_complete()
-    joiner.leave()  # restore the size (unmeasured)
-    framework.run_until_idle(max_events=max_events)
-    t = clock("join", t)
-    victim_index = size // 2
-    victim = members[victim_index]
-    framework.mark_event()
-    victim.leave()
-    framework.run_until_idle(max_events=max_events)
-    leave_record = framework.timeline.latest_complete()
-    members[victim_index] = _rejoin(framework, victim)
-    clock("leave", t)
+    sim = {}
+    for event, inject in (("join", driver.join), ("leave", driver.leave)):
+        sim[f"{event}_total_ms"] = driver.run(inject()).total_elapsed()
+        driver.run(driver.restore())  # unmeasured
+        t = clock(event, t)
     return {
         "protocol": espec.protocol,
         "group_size": size,
         "engine": framework.engine.name,
         "wall_s": round(sum(phases.values()), 4),
         "phases_wall_s": {k: round(v, 4) for k, v in phases.items()},
-        "sim": {
-            "join_total_ms": join_record.total_elapsed(),
-            "leave_total_ms": leave_record.total_elapsed(),
-        },
+        "sim": sim,
     }
 
 
@@ -265,12 +250,6 @@ def wallclock_document(
                 ratio is not None and ratio <= max_wall_regression
             )
     return document
-
-
-def write_json(path: str, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def render_profile_table(profile_doc: dict, rows: int = 8) -> str:

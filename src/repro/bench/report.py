@@ -1,7 +1,9 @@
-"""Rendering of figure series as terminal tables and CSV."""
+"""Rendering of figure series as terminal tables and CSV, and the one
+JSON artifact writer."""
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Optional
 
@@ -40,3 +42,15 @@ def series_to_csv(series: FigureSeries, path: str) -> None:
             row += [f"{series.curves[p][index]:.3f}" for p in protocols]
             row.append(f"{series.membership[index]:.3f}")
             handle.write(",".join(row) + "\n")
+
+
+def write_json(path: str, document: dict, sort_keys: bool = False) -> dict:
+    """Write one ``BENCH_*.json`` artifact (``indent=2``, trailing newline).
+
+    Cell-list payloads keep insertion order so cached and fresh cells
+    serialize alike; the profile/wallclock/live documents sort keys.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=sort_keys)
+        handle.write("\n")
+    return document

@@ -8,7 +8,7 @@ speculates about.
 
 Three things make large n tractable:
 
-* groups are grown with :func:`~repro.bench.harness.grow_group_batched`
+* groups are grown with :meth:`~repro.core.driver.GroupDriver.grow_batched`
   (one rekey per cell instead of one per join),
 * the default crypto engine is ``"symbolic"``, which skips the bignum
   arithmetic while charging the identical operation ledger — the
@@ -31,17 +31,11 @@ measured events (``EventMeasurement.ops``): integer counts that the
 
 from __future__ import annotations
 
-import json
 from typing import Callable, List, Optional, Sequence
 
-from repro.bench.harness import (
-    LARGE_RUN_MAX_EVENTS,
-    EventMeasurement,
-    ExperimentSpec,
-    _rejoin,
-    grow_group_batched,
-)
+from repro.bench.harness import EventMeasurement, ExperimentSpec, averaged
 from repro.bench.pool import Cell, register_runner, run_cells
+from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver, Sample
 from repro.crypto.ledger import OpCounts
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import available
@@ -52,14 +46,6 @@ SCALE_SIZES = (32, 64, 128, 256, 512, 1024)
 #: Every registered protocol (the paper's five, plus any plug-ins
 #: registered before this module is imported).
 SCALE_PROTOCOLS = available()
-
-
-def _ledger_totals(principals) -> OpCounts:
-    """Summed operation-ledger snapshot across a set of members."""
-    totals = OpCounts()
-    for member in principals:
-        totals = totals + member.protocol.ledger.snapshot()
-    return totals
 
 
 def _ops_dict(counts: OpCounts) -> dict:
@@ -93,82 +79,47 @@ def run_scale_cell(
     """
     registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     size = int(spec["group_size"])
-    repeats = int(spec.get("repeats", 1))
     observe = bool(spec.get("observe", False))
-    max_events = int(spec.get("max_events", LARGE_RUN_MAX_EVENTS))
     espec = ExperimentSpec(
         protocol=spec["protocol"],
         event="join",
         group_size=size,
         dh_group=spec.get("dh_group", "dh-512"),
         topology=spec.get("topology", "lan"),
-        repeats=repeats,
+        repeats=int(spec.get("repeats", 1)),
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine", "symbolic"),
         shard_jobs=int(spec.get("shard_jobs", 0)),
     )
     framework = espec.build_framework(observe=observe)
-    members = grow_group_batched(framework, size, max_events=max_events)
-    principals = list(members)
-    machines = len(framework.world.topology.machines)
-    join_totals: List[float] = []
-    join_memberships: List[float] = []
-    leave_totals: List[float] = []
-    leave_memberships: List[float] = []
-    join_ops = OpCounts()
-    leave_ops = OpCounts()
-    extra = 0
-    for _ in range(repeats):
-        # Measured join of one extra member, then restore.
-        extra += 1
-        joiner = framework.member(f"x{extra}", (size + extra) % machines)
-        principals.append(joiner)
-        before = _ledger_totals(principals)
-        framework.mark_event()
-        joiner.join()
-        framework.run_until_idle(max_events=max_events)
-        join_ops = join_ops + (_ledger_totals(principals) - before)
-        record = framework.timeline.latest_complete()
-        join_totals.append(record.total_elapsed())
-        join_memberships.append(record.membership_elapsed())
-        joiner.leave()  # restore the size (unmeasured)
-        framework.run_until_idle(max_events=max_events)
-        # Measured leave of the middle member, then restore.
-        victim_index = size // 2
-        victim = members[victim_index]
-        before = _ledger_totals(principals)
-        framework.mark_event()
-        victim.leave()
-        framework.run_until_idle(max_events=max_events)
-        leave_ops = leave_ops + (_ledger_totals(principals) - before)
-        record = framework.timeline.latest_complete()
-        leave_totals.append(record.total_elapsed())
-        leave_memberships.append(record.membership_elapsed())
-        members[victim_index] = _rejoin(framework, victim)
-        principals.append(members[victim_index])
+    driver = GroupDriver(
+        framework, max_events=int(spec.get("max_events", LARGE_RUN_MAX_EVENTS))
+    )
+    driver.grow_batched(size)
+    samples = {"join": [], "leave": []}
+    ops = {"join": OpCounts(), "leave": OpCounts()}
+    for _ in range(espec.repeats):
+        for event, inject in (("join", driver.join), ("leave", driver.leave)):
+            before = driver.ledger_totals()
+            record = driver.run(inject())
+            ops[event] = ops[event] + (driver.ledger_totals() - before)
+            # No phase attribution (driver.sample): an observed cell must
+            # serialize byte-identically to an unobserved one.
+            samples[event].append(
+                Sample(record.total_elapsed(), record.membership_elapsed())
+            )
+            driver.run(driver.restore())  # unmeasured
     registry.histogram(
         "bench.cell.sim_ms", kind="scale", protocol=espec.protocol
-    ).observe(sum(join_totals) + sum(leave_totals))
+    ).observe(sum(sum(s.total_ms for s in samples[e]) for e in ("join", "leave")))
     if observe:
         registry.merge_snapshot(framework.obs.metrics.snapshot())
-    result = {}
-    for event, totals, memberships, ops in (
-        ("join", join_totals, join_memberships, join_ops),
-        ("leave", leave_totals, leave_memberships, leave_ops),
-    ):
-        result[event] = EventMeasurement(
-            protocol=espec.protocol,
-            event=event,
-            group_size=size,
-            dh_group=espec.dh_group,
-            topology=framework.world.topology.name,
-            total_ms=sum(totals) / len(totals),
-            membership_ms=sum(memberships) / len(memberships),
-            samples=repeats,
-            engine=framework.engine.name,
-            ops=_ops_dict(ops),
+    return {
+        event: averaged(
+            espec, framework, event, size, samples[event], _ops_dict(ops[event])
         ).to_dict()
-    return result
+        for event in ("join", "leave")
+    }
 
 
 def scale_cells(
@@ -220,22 +171,17 @@ def scale_cells(
 def run_scale(
     protocols: Sequence[str] = SCALE_PROTOCOLS,
     sizes: Sequence[int] = SCALE_SIZES,
-    topology: str = "lan",
-    dh_group: str = "dh-512",
-    engine="symbolic",
-    repeats: int = 1,
-    seed: int = 0,
-    observe: bool = False,
-    max_events: int = LARGE_RUN_MAX_EVENTS,
     progress: Optional[Callable[[str], None]] = None,
     jobs: Optional[int] = 1,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     metrics: Optional[MetricsRegistry] = None,
-    shard_jobs: int = 0,
+    **grid,
 ) -> List[EventMeasurement]:
     """Join and leave total-elapsed times for every protocol and size.
 
+    ``grid`` takes the remaining :func:`scale_cells` keywords (topology,
+    dh_group, engine, repeats, seed, observe, max_events, shard_jobs).
     Cells are sharded over ``jobs`` worker processes and merged in grid
     order (protocol-major; per size: join then leave), so the output is
     identical for any ``jobs``.  With ``cache_dir`` set, previously
@@ -243,22 +189,8 @@ def run_scale(
     engine *instance* (rather than a name) cannot cross process or cache
     boundaries, so it forces the inline uncached path.
     """
-    if not (engine is None or isinstance(engine, str)):
-        jobs, cache_dir, use_cache = 1, None, False
-    cells = scale_cells(
-        protocols,
-        sizes,
-        topology=topology,
-        dh_group=dh_group,
-        engine=engine,
-        repeats=repeats,
-        seed=seed,
-        observe=observe,
-        max_events=max_events,
-        shard_jobs=shard_jobs,
-    )
     results = run_cells(
-        cells,
+        scale_cells(protocols, sizes, **grid),
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
@@ -279,16 +211,6 @@ def scale_payload(
     payload = {"benchmark": "scale"}
     payload.update(meta)
     payload["measurements"] = [m.to_dict() for m in measurements]
-    return payload
-
-
-def write_scale_json(
-    path: str, measurements: Sequence[EventMeasurement], **meta
-) -> dict:
-    payload = scale_payload(measurements, **meta)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
     return payload
 
 

@@ -15,16 +15,16 @@ the curves are assembled from the measurements by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.bench.harness import (
     EventMeasurement,
-    _fresh_framework,
-    _measure_leave,
-    grow_group,
+    ExperimentSpec,
+    measure_settled,
 )
 from repro.bench.pool import Cell, register_runner, run_cells
-from repro.gcs.topology import TESTBEDS, Topology
+from repro.core.driver import GroupDriver
+from repro.gcs.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 
 #: The default group sizes sampled along the paper's 0-50 member x-axis.
@@ -131,7 +131,7 @@ class FigureSeries:
 
 
 def measure_protocol_curve(
-    topology_factory: Callable[[], Topology],
+    topology_factory: Union[str, Callable[[], Topology]],
     protocol: str,
     event: str,
     dh_group: str = "dh-512",
@@ -149,53 +149,19 @@ def measure_protocol_curve(
     curves for different protocols are independent, but the sizes within
     one curve share framework state and must stay sequential.
     """
-    if event not in ("join", "leave"):
-        raise ValueError("event must be 'join' or 'leave'")
     sizes = sorted(set(sizes))
-    measurements: List[EventMeasurement] = []
-    framework = _fresh_framework(
-        topology_factory, protocol, dh_group, seed, engine=engine
+    spec = ExperimentSpec(
+        protocol=protocol,
+        event=event,
+        group_size=max(sizes, default=1),
+        dh_group=dh_group,
+        topology=topology_factory,
+        repeats=repeats,
+        seed=seed,
+        engine=engine,
     )
-    members: List = []
-    extra = 0
-    for size in sizes:
-        members += grow_group(framework, size, start=len(members))
-        totals, memberships = [], []
-        for _ in range(repeats):
-            if event == "join":
-                extra += 1
-                joiner = framework.member(
-                    f"x{extra}",
-                    (size + extra) % len(framework.world.topology.machines),
-                )
-                framework.mark_event()
-                joiner.join()
-                framework.run_until_idle()
-                record = framework.timeline.latest_complete()
-                totals.append(record.total_elapsed())
-                memberships.append(record.membership_elapsed())
-                joiner.leave()
-                framework.run_until_idle()
-            else:
-                total, membership, _, _ = _measure_leave(
-                    framework, members, protocol
-                )
-                totals.append(total)
-                memberships.append(membership)
-        measurements.append(
-            EventMeasurement(
-                protocol=protocol,
-                event=event,
-                group_size=size,
-                dh_group=dh_group,
-                topology=framework.world.topology.name,
-                total_ms=sum(totals) / len(totals),
-                membership_ms=sum(memberships) / len(memberships),
-                samples=repeats,
-                engine=framework.engine.name,
-            )
-        )
-    return measurements
+    driver = GroupDriver(spec.build_framework())
+    return [measure_settled(spec, driver, size) for size in sizes]
 
 
 @register_runner("figure")
@@ -204,13 +170,13 @@ def run_figure_cell(
 ) -> dict:
     """One figure cell: a single protocol's full size sweep.
 
-    ``spec["topology"]`` must be a testbed *name* so the cell can be
-    hashed and shipped to worker processes.  Returns
+    ``spec["topology"]`` is a testbed *name* whenever the cell is hashed
+    or shipped to worker processes.  Returns
     ``{"measurements": [EventMeasurement dict, ...]}`` in size order.
     """
     registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     measurements = measure_protocol_curve(
-        TESTBEDS[spec["topology"]],
+        spec["topology"],
         spec["protocol"],
         spec["event"],
         dh_group=spec.get("dh_group", "dh-512"),
@@ -226,82 +192,7 @@ def run_figure_cell(
 
 
 def sweep_group_sizes(
-    topology_factory: Callable[[], Topology],
-    protocols: Sequence[str],
-    event: str,
-    dh_group: str = "dh-512",
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    repeats: int = 2,
-    seed: int = 0,
-    name: str = "",
-    engine=None,
-) -> FigureSeries:
-    """Measure ``event`` for every protocol across group sizes.
-
-    Sequential reference path: one protocol curve after another in the
-    calling process (see :func:`sweep_group_sizes_parallel` for the
-    pooled equivalent keyed by testbed name).
-    """
-    if event not in ("join", "leave"):
-        raise ValueError("event must be 'join' or 'leave'")
-    sizes = sorted(set(sizes))
-    measurements: List[EventMeasurement] = []
-    for protocol in protocols:
-        measurements.extend(
-            measure_protocol_curve(
-                topology_factory,
-                protocol,
-                event,
-                dh_group=dh_group,
-                sizes=sizes,
-                repeats=repeats,
-                seed=seed,
-                engine=engine,
-            )
-        )
-    return FigureSeries.from_measurements(
-        name or f"{event}-{dh_group}", measurements, sizes
-    )
-
-
-def figure_cells(
-    topology: str,
-    protocols: Sequence[str],
-    event: str,
-    dh_group: str = "dh-512",
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    repeats: int = 2,
-    seed: int = 0,
-    engine=None,
-) -> List[Cell]:
-    """One pool cell per protocol curve, in protocol order."""
-    sizes = sorted(set(sizes))
-    cells: List[Cell] = []
-    for protocol in protocols:
-        spec = {
-            "topology": topology,
-            "protocol": protocol,
-            "event": event,
-            "dh_group": dh_group,
-            "sizes": sizes,
-            "repeats": repeats,
-            "seed": seed,
-            "engine": engine,
-        }
-
-        def summarize(result, protocol=protocol):
-            largest = result["measurements"][-1]
-            return (
-                f"{protocol} {event} curve done "
-                f"(n={largest['group_size']}: {largest['total_ms']:.1f} ms)"
-            )
-
-        cells.append(Cell("figure", spec, summarize=summarize))
-    return cells
-
-
-def sweep_group_sizes_parallel(
-    topology: str,
+    topology: Union[str, Callable[[], Topology]],
     protocols: Sequence[str],
     event: str,
     dh_group: str = "dh-512",
@@ -316,28 +207,39 @@ def sweep_group_sizes_parallel(
     metrics: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FigureSeries:
-    """:func:`sweep_group_sizes` through the experiment pool.
+    """Measure ``event`` for every protocol across group sizes.
 
-    ``topology`` is a testbed *name* (the cell must serialize); each
-    protocol curve is one cell, so the assembled series is identical to
-    the sequential sweep for any ``jobs``.  An engine instance forces
-    the inline uncached path.
+    Each protocol curve is one pool cell, so the assembled series is
+    identical for any ``jobs``.  ``topology`` is a testbed name or a
+    zero-argument factory; a factory — like an engine *instance* — makes
+    the sweep run inline and uncached (see :func:`run_cells`).
     """
-    if event not in ("join", "leave"):
-        raise ValueError("event must be 'join' or 'leave'")
-    if not (engine is None or isinstance(engine, str)):
-        jobs, cache_dir, use_cache = 1, None, False
     sizes = sorted(set(sizes))
-    cells = figure_cells(
-        topology,
-        protocols,
-        event,
-        dh_group=dh_group,
-        sizes=sizes,
-        repeats=repeats,
-        seed=seed,
-        engine=engine,
-    )
+
+    def summarize(result):
+        largest = result["measurements"][-1]
+        return (
+            f"{largest['protocol']} {event} curve done "
+            f"(n={largest['group_size']}: {largest['total_ms']:.1f} ms)"
+        )
+
+    cells = [
+        Cell(
+            "figure",
+            {
+                "topology": topology,
+                "protocol": protocol,
+                "event": event,
+                "dh_group": dh_group,
+                "sizes": sizes,
+                "repeats": repeats,
+                "seed": seed,
+                "engine": engine,
+            },
+            summarize=summarize,
+        )
+        for protocol in protocols
+    ]
     results = run_cells(
         cells,
         jobs=jobs,

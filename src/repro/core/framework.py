@@ -9,7 +9,6 @@ protocols for different groups"), and the measurement timeline.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Type, Union
 
 from repro.core.timing import RekeyTimeline
@@ -23,7 +22,7 @@ from repro.gcs.world import GcsWorld
 from repro.obs import DEFAULT_CAPACITY, Observability
 from repro.protocols import available, get_protocol
 from repro.protocols.base import KeyAgreementProtocol
-from repro.transport.base import Transport
+from repro.transport.base import CAP_VIRTUAL_TIME, Transport
 
 
 class SecureSpreadFramework:
@@ -38,7 +37,7 @@ class SecureSpreadFramework:
 
     def __init__(
         self,
-        substrate: Union[Topology, Transport, None] = None,
+        substrate: Union[Topology, Transport],
         default_protocol: str = "TGDH",
         dh_group="dh-512",
         cost_model: Optional[CostModel] = None,
@@ -50,20 +49,7 @@ class SecureSpreadFramework:
         engine: EngineSpec = None,
         stall_timeout_ms: Optional[float] = None,
         span_capacity: int = DEFAULT_CAPACITY,
-        topology: Optional[Topology] = None,
     ):
-        if topology is not None:
-            if substrate is not None:
-                raise ValueError("pass either substrate or topology, not both")
-            warnings.warn(
-                "the topology= keyword is deprecated; pass the topology (or "
-                "a Transport) as the first positional 'substrate' argument",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            substrate = topology
-        if substrate is None:
-            raise TypeError("SecureSpreadFramework requires a substrate")
         if default_protocol not in available():
             raise ValueError(
                 f"unknown protocol {default_protocol!r}; "
@@ -101,14 +87,13 @@ class SecureSpreadFramework:
         # Intra-epoch crypto sharding: when the engine carries a shard
         # pool, prefetch each broadcast round's exponentiations into the
         # shared power cache as the simulator activates the delivery
-        # bucket (see repro.crypto.parallel).  Simulated substrate only —
-        # a live transport has no event buckets to hook.
+        # bucket (see repro.crypto.parallel).  Virtual time only — a live
+        # transport has no event buckets to hook.
         if (
             getattr(self.engine, "shard_pool", None) is not None
-            and isinstance(self.transport, GcsWorld)
-            and self.transport.sim.bucket_hook is None
+            and CAP_VIRTUAL_TIME in self.transport.capabilities
         ):
-            self.transport.sim.bucket_hook = self._epoch_prefetch
+            self.transport.hook_delivery_rounds(self._epoch_prefetch)
 
     @property
     def world(self) -> GcsWorld:
@@ -120,7 +105,7 @@ class SecureSpreadFramework:
         deep inside whatever simulated-only feature was reached for.
         """
         transport = self.transport
-        if isinstance(transport, GcsWorld):
+        if CAP_VIRTUAL_TIME in transport.capabilities:
             return transport
         raise AttributeError(
             f"framework.world is the simulated substrate; this framework "
@@ -129,13 +114,13 @@ class SecureSpreadFramework:
             "simulator-only)"
         )
 
-    def _epoch_prefetch(self, events) -> None:
-        """Bucket hook: precompute a broadcast round's crypto off-process.
+    def _epoch_prefetch(self, deliveries) -> None:
+        """Delivery-round hook: precompute a broadcast round's crypto
+        off-process.
 
-        Every event in an activating bucket was scheduled before the
-        drain began, so the key-agreement fan-outs it contains are
-        exactly the deliveries about to run inline.  Each recipient's
-        protocol describes its expected exponentiations
+        ``deliveries`` are the ``(recipient channels, message)`` fan-outs
+        about to run inline (see :meth:`GcsWorld.hook_delivery_rounds`).
+        Each recipient's protocol describes its expected exponentiations
         (``receive_plan`` — pure, no state changes), the shard pool
         evaluates them across worker processes, and the results seed the
         engine's shared power cache *before* the handlers fire.  Cached
@@ -143,14 +128,9 @@ class SecureSpreadFramework:
         every call regardless, so this can never change a simulated
         time — a wrong plan only wastes background work.
         """
-        from repro.gcs.daemon import _fan_out
-
         batches: Dict[str, list] = {}
         members = self._members
-        for event in events:
-            if event.cancelled or event.fn is not _fan_out:
-                continue
-            recipients, message = event.args
+        for recipients, message in deliveries:
             payload = message.payload
             if (
                 not isinstance(payload, tuple)

@@ -61,6 +61,7 @@ class SecureGroupMember:
         self.client: GroupChannel = framework.transport.channel(
             name, machine_index
         )
+        self.machine_index = machine_index
         self.machine = framework.transport.machine(machine_index)
         self.client.on_view = self._on_view
         self.client.on_message = self._on_message
@@ -186,19 +187,7 @@ class SecureGroupMember:
         if self.defer_rekey:
             self._deferred_view = view
             return
-        self.framework.timeline.record_view(
-            view.view_id, self.name, self.sim.now, view.members
-        )
-        self._view_seen_at.setdefault(view.view_id, self.sim.now)
-        self._attempt = 0
-        self._attempt_epoch = view.view_id
-        self._early = []
-        outputs = self._charged(
-            lambda: self.protocol.start(view),
-            label=f"{self.protocol.name}.start",
-        )
-        self._after_protocol_step(view, outputs)
-        self._arm_watchdog(view)
+        self._begin_epoch(view)
 
     def flush_deferred(self, view: Optional[View] = None) -> None:
         """Run one key agreement for the settled membership after deferral.
@@ -213,8 +202,10 @@ class SecureGroupMember:
         if view is None:
             view = self._deferred_view
         self._deferred_view = None
-        if view is None:
-            return
+        if view is not None:
+            self._begin_epoch(view)
+
+    def _begin_epoch(self, view: View) -> None:
         self.framework.timeline.record_view(
             view.view_id, self.name, self.sim.now, view.members
         )

@@ -25,17 +25,14 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.net.client import NetClient
 from repro.net.compat import WallMachine, WallScheduler
 from repro.net.daemon import NetDaemon
-from repro.transport.base import Transport
 
 #: default machine count: the paper's LAN testbed (13 dual-CPU hosts)
 DEFAULT_MACHINES = 13
-
-#: how often the settle loop re-checks the group's security predicate
-_POLL_INTERVAL_S = 0.005
 
 
 class AsyncioTransport:
@@ -233,20 +230,19 @@ class LiveGroupRunner:
         :mod:`repro.bench.live` for the full schema).
         """
         port = await self._start_daemon()
-        try:
-            return await self._run_scenario(port)
-        finally:
-            if self.transport is not None:
-                await self.transport.aclose()
-            await self._stop_daemon()
-
-    async def _run_scenario(self, port: int) -> Dict:
         self.transport = AsyncioTransport(
             host=self.host,
             port=port,
             machines=self.machines,
             heartbeat_interval_s=self.heartbeat_interval_s,
         )
+        try:
+            return await self._run_scenario(port)
+        finally:
+            await self.transport.aclose()
+            await self._stop_daemon()
+
+    async def _run_scenario(self, port: int) -> Dict:
         framework = SecureSpreadFramework(
             self.transport,
             default_protocol=self.protocol,
@@ -257,114 +253,22 @@ class LiveGroupRunner:
         )
         self.framework = framework
         started = self.transport.now
-        # Sequential growth, the paper's procedure: each join completes
-        # its rekey before the next member arrives.
-        members = []
-        for index in range(self.size):
-            member = framework.member(
-                f"m{index}", index % self.machines, self.group_name
-            )
-            await member.client.connect()
-            member.join()
-            members.append(member)
-            await self._settle(members)
-        # Measured join: one newcomer on the next machine in rotation.
-        joiner = framework.member(
-            "x1", self.size % self.machines, self.group_name
+        driver = GroupDriver(framework, self.group_name, timeout_s=self.timeout_s)
+        result = await driver.arun(driver.join_leave_scenario(self.size))
+        result.update(
+            protocol=self.protocol,
+            group_size=self.size,
+            dh_group=self.dh_group,
+            engine=framework.engine.name,
+            seed=self.seed,
+            daemon={"mode": self.daemon_mode, "host": self.host, "port": port},
+            wall_elapsed_ms=self.transport.now - started,
         )
-        await joiner.client.connect()
-        framework.mark_event()
-        joiner.join()
-        members.append(joiner)
-        await self._settle(members)
-        join_stats = self._epoch_stats(framework)
-        # Restore the size (unmeasured), as the simulated harness does.
-        joiner.leave()
-        members.remove(joiner)
-        await self._settle(members)
-        joiner.client.disconnect()
-        # Measured leave: the middle member, the harness's victim choice.
-        victim = members[self.size // 2]
-        framework.mark_event()
-        victim.leave()
-        members.remove(victim)
-        await self._settle(members)
-        victim.client.disconnect()
-        leave_stats = self._epoch_stats(framework)
-        rekey = framework.obs.log_histogram(
-            "member.rekey_ms", group=self.group_name, protocol=self.protocol
-        )
-        result = {
-            "protocol": self.protocol,
-            "group_size": self.size,
-            "dh_group": self.dh_group,
-            "engine": framework.engine.name,
-            "seed": self.seed,
-            "daemon": {
-                "mode": self.daemon_mode,
-                "host": self.host,
-                "port": port,
-            },
-            "join": join_stats,
-            "leave": leave_stats,
-            "rekey_ms": {
-                "count": rekey.count,
-                "mean": rekey.mean,
-                "max": rekey.max,
-                **rekey.percentiles(),
-            },
-            "wall_elapsed_ms": self.transport.now - started,
-        }
-        for member in members:
+        for member in driver.members:
             member.client.disconnect()
         return result
-
-    async def _settle(self, members: List) -> None:
-        """Wait until every listed member holds the key for a view whose
-        membership is exactly the listed set."""
-        expected = {member.name for member in members}
-        deadline = asyncio.get_event_loop().time() + self.timeout_s
-        while True:
-            if all(self._is_settled(member, expected) for member in members):
-                return
-            if asyncio.get_event_loop().time() > deadline:
-                laggards = sorted(
-                    member.name
-                    for member in members
-                    if not self._is_settled(member, expected)
-                )
-                raise TimeoutError(
-                    f"group did not settle on {sorted(expected)} within "
-                    f"{self.timeout_s:g}s; waiting on {laggards}"
-                )
-            await asyncio.sleep(_POLL_INTERVAL_S)
-
-    @staticmethod
-    def _is_settled(member, expected) -> bool:
-        view = member.protocol.view
-        return (
-            member.is_secure
-            and view is not None
-            and set(view.members) == expected
-        )
-
-    @staticmethod
-    def _epoch_stats(framework: SecureSpreadFramework) -> Dict:
-        record = framework.timeline.latest_complete()
-        return {
-            "total_ms": record.total_elapsed(),
-            "membership_ms": record.membership_elapsed(),
-            "key_agreement_ms": record.key_agreement_elapsed(),
-            "members": len(record.members),
-        }
 
 
 def run_live(**kwargs) -> Dict:
     """Synchronous convenience wrapper: ``asyncio.run`` a LiveGroupRunner."""
     return asyncio.run(LiveGroupRunner(**kwargs).run())
-
-
-# Imported for its side effect on type checking only: AsyncioTransport
-# must satisfy the structural Transport protocol.
-def _check_protocol() -> Transport:  # pragma: no cover - typing aid
-    return AsyncioTransport()

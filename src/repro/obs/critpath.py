@@ -22,10 +22,12 @@ the plain sum lands exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.timing import EpochRecord, RekeyTimeline
 from repro.obs.spans import Span, SpanRecorder
+
+if TYPE_CHECKING:  # import cycle: repro.core imports repro.obs at runtime
+    from repro.core.timing import EpochRecord, RekeyTimeline
 
 #: Span name of the terminal instant every complete epoch records.
 KEY_INSTALL = "key-install"

@@ -30,16 +30,11 @@ The registry API:
 * :func:`get_protocol` — name → class, with the available names in the
   error message.
 * :func:`unregister` — remove a registration (test support).
-
-``PROTOCOLS`` remains as a read-only mapping view for backward
-compatibility; *indexing* it warns with ``DeprecationWarning`` — new code
-should call :func:`get_protocol` / :func:`available` instead.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from repro.protocols.base import (
     KeyAgreementProtocol,
@@ -124,44 +119,6 @@ def get_protocol(name: str) -> Type[KeyAgreementProtocol]:
     return cls
 
 
-class _RegistryView(Mapping):
-    """Read-only mapping over the registry, kept for old callers.
-
-    Iteration, ``len`` and ``in`` stay silent (they are how the registry
-    is *enumerated*, which ``available()`` also serves); item access is
-    the deprecated surface — it bypasses the case normalization and
-    error messages of :func:`get_protocol`.
-    """
-
-    def __getitem__(self, name: str) -> Type[KeyAgreementProtocol]:
-        warnings.warn(
-            "indexing repro.protocols.PROTOCOLS is deprecated; use "
-            "repro.protocols.get_protocol(name) (and available() for the "
-            "name list) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            return _REGISTRY[name]
-        except KeyError:
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(_REGISTRY))
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"PROTOCOLS({sorted(_REGISTRY)})"
-
-
-#: Deprecated mapping view of the registry (the pre-registry dict's name).
-PROTOCOLS = _RegistryView()
-
 # The paper's five, keyed by the names used throughout (§4).
 register("GDH", GdhProtocol)
 register("CKD", CkdProtocol)
@@ -179,7 +136,6 @@ __all__ = [
     "TgdhProtocol",
     "StrProtocol",
     "LoopbackGroup",
-    "PROTOCOLS",
     "available",
     "get_protocol",
     "register",

@@ -30,10 +30,11 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.bench.harness import LARGE_RUN_MAX_EVENTS, grow_group_batched
+from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import TESTBEDS, Topology
 from repro.obs.histo import LogHistogram
+from repro.obs.metrics import MetricsRegistry
 from repro.workload.spec import WorkloadSpec
 
 #: Epoch-watchdog timeout armed by default for every workload run (same
@@ -90,20 +91,6 @@ class WorkloadResult:
         return cls(**{key: value for key, value in data.items() if key in known})
 
 
-def group_converged(members: List) -> bool:
-    """True when every member has settled on the same view, holds a key
-    for exactly that view, and all the keys agree (the chaos benchmark's
-    confirmed-shared-key bar, per group)."""
-    if not members:
-        return False
-    views = {m.protocol.view.view_id if m.protocol.view else None for m in members}
-    if len(views) != 1 or None in views:
-        return False
-    if any(not m.protocol.done_for(m.protocol.view) for m in members):
-        return False
-    return len({m.protocol.key for m in members}) == 1
-
-
 class WorkloadEngine:
     """One sustained run on one framework; see the module docstring.
 
@@ -140,7 +127,12 @@ class WorkloadEngine:
             engine=engine,
             stall_timeout_ms=stall_timeout_ms,
         )
-        #: live members per group index, maintained through churn
+        #: where a tripped livelock guard is counted (``run_workload``
+        #: points it at the caller's registry)
+        self.metrics = MetricsRegistry(enabled=False)
+        #: one driver per group index; ``rosters`` are their live member
+        #: lists, maintained through churn
+        self.drivers: Dict[int, GroupDriver] = {}
         self.rosters: Dict[int, List] = {}
         self.joins = self.leaves = self.skipped = 0
         self._machines = self.framework.transport.machine_count()
@@ -162,20 +154,19 @@ class WorkloadEngine:
         per group), staggered over the machines, then zero the metrics so
         percentiles cover only the sustained phase."""
         spec = self.spec
-        machines = self._machines
         for group in range(spec.groups):
-            offset = group * spec.group_size
-            grow_group_batched(
+            driver = GroupDriver(
                 self.framework,
-                spec.group_size,
+                self.group_name(group),
                 prefix=f"g{group}.m",
-                group_name=self.group_name(group),
+                offset=group * spec.group_size,
                 max_events=self.max_events,
-                machine_of=lambda i, offset=offset: (offset + i) % machines,
+                metrics=self.metrics,
+                kind="load",
             )
-            self.rosters[group] = list(
-                self.framework.members_of(self.group_name(group))
-            )
+            driver.grow_batched(spec.group_size)
+            self.drivers[group] = driver
+            self.rosters[group] = driver.members
         self._next_machine = spec.groups * spec.group_size
         self.framework.obs.metrics.clear()
 
@@ -249,11 +240,8 @@ class WorkloadEngine:
         spec = self.spec
         self.populate()
         injected = self.inject()
-        try:
-            self.framework.run_until_idle(max_events=self.max_events)
-        except RuntimeError:
-            # Livelock guard tripped; report whatever converged.
-            pass
+        # A tripped livelock guard is counted; report whatever converged.
+        self.drivers[0].settle()
         end = self.framework.now
         makespan = end - self._base_ms
         converge = 0.0
@@ -263,8 +251,8 @@ class WorkloadEngine:
         percentiles = merged.percentiles()
         virtual_s = makespan / 1000.0
         converged_groups = sum(
-            1 for group in range(spec.groups)
-            if group_converged(self.rosters[group])
+            driver.converged_key() is not None
+            for driver in self.drivers.values()
         )
         return WorkloadResult(
             protocol=spec.protocol,
@@ -320,6 +308,8 @@ def run_workload(
         stall_timeout_ms=stall_timeout_ms,
         max_events=max_events,
     )
+    if metrics is not None:
+        driver.metrics = metrics
     result = driver.run()
     if metrics is not None and metrics.enabled:
         merged = driver.merged_histogram()

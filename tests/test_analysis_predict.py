@@ -2,7 +2,7 @@
 
 
 from repro.analysis.predict import predict_elapsed_ms
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.crypto.costmodel import pentium3_666
 from repro.gcs.messages import ViewEvent
 from repro.gcs.topology import lan_testbed, wan_testbed
@@ -35,8 +35,8 @@ def test_prediction_within_factor_of_simulation():
         predicted = predict_elapsed_ms(
             protocol, ViewEvent.JOIN, 10, lan_testbed(), model
         )
-        simulated = measure_event(
-            lan_testbed, protocol, 10, "join", dh_group="dh-512", repeats=1
+        simulated = run_experiment(
+            ExperimentSpec(protocol, "join", 10, dh_group="dh-512", repeats=1)
         ).total_ms
         assert predicted / 4 < simulated < predicted * 4, protocol
 

@@ -5,13 +5,13 @@ import os
 
 import pytest
 
-from repro.bench.cli import FIGURES, build_parser, build_subcommand_parser, main
+from repro.bench.cli import FIGURES, build_subcommand_parser, main
 from repro.gcs.topology import TESTBEDS
 from repro.obs import JSONL_SCHEMA_VERSION, validate_chrome_trace
 
 
 def test_table_mode(capsys):
-    assert main(["--table", "1"]) == 0
+    assert main(["table", "1"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "GDH" in out and "TGDH" in out
@@ -19,11 +19,12 @@ def test_table_mode(capsys):
 
 def test_figure_mode_small_run(capsys, tmp_path):
     code = main([
-        "--figure", "14",
+        "figure", "14",
         "--sizes", "3",
         "--repeats", "1",
         "--protocols", "STR", "CKD",
         "--csv", str(tmp_path),
+        "--jobs", "1", "--no-cache",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -36,12 +37,12 @@ def test_figure_mode_small_run(capsys, tmp_path):
 
 def test_requires_a_target():
     with pytest.raises(SystemExit):
-        build_parser().parse_args([])
+        build_subcommand_parser().parse_args([])
 
 
 def test_rejects_unknown_figure():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["--figure", "99"])
+        build_subcommand_parser().parse_args(["figure", "99"])
 
 
 def test_trace_subcommand_emits_valid_chrome_trace(capsys, tmp_path):

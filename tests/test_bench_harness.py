@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.bench.harness import EventMeasurement, grow_group, measure_event
+from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
 from repro.bench.report import render_series, series_to_csv
 from repro.bench.series import FigureSeries, sweep_group_sizes
 from repro.core import SecureSpreadFramework
+from repro.core.driver import GroupDriver
 from repro.gcs.topology import lan_testbed
 
 
-def _fast(**kwargs):
-    defaults = dict(dh_group="dh-test", repeats=1)
-    defaults.update(kwargs)
-    return defaults
+def _measure(protocol, size, event, repeats=1):
+    return run_experiment(
+        ExperimentSpec(protocol, event, size, dh_group="dh-test", repeats=repeats)
+    )
 
 
 class TestMeasureEvent:
     def test_join_measurement(self):
-        result = measure_event(lan_testbed, "STR", 4, "join", **_fast())
+        result = _measure("STR", 4, "join")
         assert isinstance(result, EventMeasurement)
         assert result.protocol == "STR"
         assert result.group_size == 4
@@ -27,29 +28,29 @@ class TestMeasureEvent:
         )
 
     def test_leave_measurement(self):
-        result = measure_event(lan_testbed, "TGDH", 5, "leave", **_fast())
+        result = _measure("TGDH", 5, "leave")
         assert result.event == "leave"
         assert result.total_ms > 0
 
     def test_ckd_leave_includes_controller_weighting(self):
-        result = measure_event(lan_testbed, "CKD", 6, "leave", **_fast())
+        result = _measure("CKD", 6, "leave")
         assert result.total_ms > 0
 
     def test_size_restored_between_repeats(self):
-        result = measure_event(
-            lan_testbed, "BD", 3, "join", dh_group="dh-test", repeats=3
-        )
+        result = _measure("BD", 3, "join", repeats=3)
         assert result.samples == 3
 
     def test_invalid_event_rejected(self):
         with pytest.raises(ValueError):
-            measure_event(lan_testbed, "BD", 3, "banana", **_fast())
+            _measure("BD", 3, "banana")
 
     def test_grow_group_distributes_members(self):
         framework = SecureSpreadFramework(
             lan_testbed(), default_protocol="BD", dh_group="dh-test"
         )
-        members = grow_group(framework, 15)
+        driver = GroupDriver(framework)
+        driver.run(driver.grow(15))
+        members = driver.members
         machines = {m.machine.name for m in members}
         assert len(members) == 15
         assert len(machines) == 13  # uniform distribution wraps around

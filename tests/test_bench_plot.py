@@ -68,8 +68,8 @@ def test_cli_plot_flag(capsys):
     from repro.bench.cli import main
 
     main([
-        "--figure", "14", "--sizes", "2", "4", "--repeats", "1",
-        "--protocols", "STR", "--plot",
+        "figure", "14", "--sizes", "2", "4", "--repeats", "1",
+        "--protocols", "STR", "--plot", "--jobs", "1", "--no-cache",
     ])
     out = capsys.readouterr().out
     assert "S=STR" in out

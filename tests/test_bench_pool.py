@@ -18,7 +18,8 @@ from repro.bench.pool import (
     run_cells,
     source_fingerprint,
 )
-from repro.bench.scale import run_scale, scale_payload, write_scale_json
+from repro.bench.report import write_json
+from repro.bench.scale import run_scale, scale_payload
 from repro.obs import MetricsRegistry
 
 EXECUTIONS = []
@@ -141,8 +142,8 @@ def test_scale_jobs_equivalence_and_byte_identical_json(tmp_path):
     sequential = run_scale(jobs=1, **kwargs)
     parallel = run_scale(jobs=2, **kwargs)
     assert sequential == parallel
-    write_scale_json(str(tmp_path / "seq.json"), sequential, seed=0)
-    write_scale_json(str(tmp_path / "par.json"), parallel, seed=0)
+    write_json(str(tmp_path / "seq.json"), scale_payload(sequential, seed=0))
+    write_json(str(tmp_path / "par.json"), scale_payload(parallel, seed=0))
     assert (
         (tmp_path / "seq.json").read_bytes()
         == (tmp_path / "par.json").read_bytes()

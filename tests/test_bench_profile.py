@@ -12,11 +12,7 @@ import json
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.profiling import (
-    _timed_cell,
-    profile_micro_sweep,
-    wallclock_document,
-)
+from repro.bench.profiling import profile_micro_sweep, wallclock_document
 
 
 def _fake_profile_doc(wall_by_protocol, sims):
@@ -99,7 +95,9 @@ def test_timed_cell_sim_times_match_scale_cell():
     from repro.bench.scale import run_scale_cell
 
     spec = {"protocol": "TGDH", "group_size": 6, "engine": "symbolic"}
-    cell = _timed_cell(dict(spec))
+    cell = profile_micro_sweep(
+        protocols=["TGDH"], size=6, engine="symbolic", with_profiler=False
+    )["cells"]["TGDH"]
     scale = run_scale_cell(dict(spec))
     assert cell["sim"]["join_total_ms"] == scale["join"]["total_ms"]
     assert cell["sim"]["leave_total_ms"] == scale["leave"]["total_ms"]

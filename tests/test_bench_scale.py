@@ -5,17 +5,15 @@ import json
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.harness import (
-    EventMeasurement,
-    ExperimentSpec,
-    _fresh_framework,
-    grow_group,
-    grow_group_batched,
-    measure_event,
-    run_experiment,
-)
-from repro.bench.scale import render_scale_table, run_scale, write_scale_json
-from repro.gcs.topology import lan_testbed
+from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
+from repro.bench.report import write_json
+from repro.bench.scale import render_scale_table, run_scale, scale_payload
+from repro.core.driver import GroupDriver
+
+
+def _driver(protocol):
+    spec = ExperimentSpec(protocol, "join", 1, dh_group="dh-test")
+    return GroupDriver(spec.build_framework())
 
 
 # -- ExperimentSpec -----------------------------------------------------------
@@ -34,24 +32,6 @@ def test_spec_validation():
         )
 
 
-def test_wrapper_matches_spec_path():
-    """measure_event is a thin shim over run_experiment(ExperimentSpec)."""
-    via_wrapper = measure_event(
-        lan_testbed, "STR", 4, "join", dh_group="dh-test", repeats=1
-    )
-    via_spec = run_experiment(
-        ExperimentSpec(
-            protocol="STR",
-            event="join",
-            group_size=4,
-            dh_group="dh-test",
-            topology=lan_testbed,
-            repeats=1,
-        )
-    )
-    assert via_wrapper == via_spec
-
-
 def test_spec_accepts_topology_names():
     spec = ExperimentSpec(
         protocol="BD", event="join", group_size=3, topology="lan",
@@ -66,9 +46,10 @@ def test_spec_accepts_topology_names():
 
 
 def test_measurement_round_trips_through_dict():
-    m = measure_event(
-        lan_testbed, "BD", 3, "join", dh_group="dh-test", repeats=1,
-        engine="symbolic",
+    m = run_experiment(
+        ExperimentSpec(
+            "BD", "join", 3, dh_group="dh-test", repeats=1, engine="symbolic"
+        )
     )
     data = m.to_dict()
     assert data["engine"] == "symbolic"
@@ -84,12 +65,13 @@ def test_measurement_round_trips_through_dict():
 
 @pytest.mark.parametrize("protocol", ["BD", "CKD", "GDH", "STR", "TGDH"])
 def test_batched_growth_matches_sequential_membership(protocol):
-    sequential = _fresh_framework(lan_testbed, protocol, "dh-test", 0)
-    grow_group(sequential, 7)
-    batched = _fresh_framework(lan_testbed, protocol, "dh-test", 0)
-    members = grow_group_batched(batched, 4)
-    members += grow_group_batched(batched, 7, start=4, existing=members)
-    seq_view = sequential.members_of()[0].protocol.view
+    sequential = _driver(protocol)
+    sequential.run(sequential.grow(7))
+    batched = _driver(protocol)
+    batched.grow_batched(4)
+    batched.grow_batched(7)
+    members = batched.members
+    seq_view = sequential.members[0].protocol.view
     bat_view = members[0].protocol.view
     assert set(seq_view.members) == set(bat_view.members)
     # Everyone holds the same key after the batched rekey.
@@ -101,21 +83,24 @@ def test_batched_growth_cuts_event_churn():
     """One rekey per batch instead of one per join: an order of magnitude
     fewer simulator events for the broadcast-heavy protocols, where the
     sequential path's every-join rekey is cubic overall."""
-    sequential = _fresh_framework(lan_testbed, "BD", "dh-test", 0)
-    grow_group(sequential, 24)
-    batched = _fresh_framework(lan_testbed, "BD", "dh-test", 0)
-    grow_group_batched(batched, 24)
+    sequential = _driver("BD")
+    sequential.run(sequential.grow(24))
+    batched = _driver("BD")
+    batched.grow_batched(24)
     assert (
-        batched.world.sim.events_processed
-        < sequential.world.sim.events_processed / 3
+        batched.framework.world.sim.events_processed
+        < sequential.framework.world.sim.events_processed / 3
     )
 
 
 def test_batched_growth_noop_and_bookkeeping():
-    framework = _fresh_framework(lan_testbed, "TGDH", "dh-test", 0)
-    members = grow_group_batched(framework, 3)
-    assert [m.name for m in members] == ["m0", "m1", "m2"]
-    assert grow_group_batched(framework, 3, start=3, existing=members) == []
+    driver = _driver("TGDH")
+    driver.grow_batched(3)
+    assert [m.name for m in driver.members] == ["m0", "m1", "m2"]
+    epochs = len(driver.framework.timeline.epochs)
+    driver.grow_batched(3)  # already there: no joiners, no rekey
+    assert len(driver.members) == 3
+    assert len(driver.framework.timeline.epochs) == epochs
 
 
 # -- the scale benchmark ------------------------------------------------------
@@ -135,8 +120,9 @@ def test_run_scale_tiny(tmp_path):
     for m in measurements:
         assert m.engine == "symbolic"
         assert m.total_ms > m.membership_ms > 0
-    payload = write_scale_json(
-        str(tmp_path / "BENCH_scale.json"), measurements, engine="symbolic"
+    payload = write_json(
+        str(tmp_path / "BENCH_scale.json"),
+        scale_payload(measurements, engine="symbolic"),
     )
     loaded = json.loads((tmp_path / "BENCH_scale.json").read_text())
     assert loaded == payload

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available
 
 FAST = dict(dh_group="dh-test")
 
@@ -29,7 +29,7 @@ def _join_all(framework, members):
         framework.run_until_idle()
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 class TestAllProtocolsOverGcs:
     def test_sequential_joins_reach_shared_key(self, protocol):
         fw = _framework(protocol)
@@ -178,7 +178,7 @@ class TestWan:
         assert 100 < record.membership_elapsed() < 900
 
     def test_wan_all_protocols_converge(self):
-        for protocol in sorted(PROTOCOLS):
+        for protocol in available():
             fw = _framework(protocol, topology=wan_testbed())
             members = fw.spawn_members(4)
             _join_all(fw, members)

@@ -11,7 +11,7 @@ from repro.core import SecureSpreadFramework
 from repro.core.secure_group import _CIPHER_HISTORY
 from repro.gcs.messages import View, ViewEvent
 from repro.gcs.topology import lan_testbed, wan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available
 
 
 def _framework(protocol, topology=None, **kwargs):
@@ -30,7 +30,7 @@ def _settled_group(framework, count):
     return members
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 class TestCascades:
     def test_partition_during_join_agreement(self, protocol):
         fw = _framework(protocol)
@@ -211,7 +211,7 @@ class TestReplayProtection:
         assert victim.protocol.ledger.delta_since(before).is_zero()
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 def test_three_way_partition_and_simultaneous_heal(protocol):
     """Three components heal at once: the merge machinery must fold more
     than two subgroups in a single view (the paper's merge protocols are
@@ -237,7 +237,7 @@ def test_three_way_partition_and_simultaneous_heal(protocol):
     assert merged.pop() not in side_keys
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 def test_deferred_view_superseded_by_cascade_before_flush(protocol):
     """With ``defer_rekey`` set, each new view replaces the stashed one;
     a flush after a cascade must key the *latest* membership, not the

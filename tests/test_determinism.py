@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.protocols import available, get_protocol
@@ -18,12 +18,9 @@ def test_loopback_runs_are_reproducible(protocol):
 
 
 def test_simulated_measurements_are_reproducible():
-    first = measure_event(
-        lan_testbed, "TGDH", 6, "join", dh_group="dh-test", repeats=1, seed=42
-    )
-    second = measure_event(
-        lan_testbed, "TGDH", 6, "join", dh_group="dh-test", repeats=1, seed=42
-    )
+    spec = ExperimentSpec("TGDH", "join", 6, dh_group="dh-test", repeats=1, seed=42)
+    first = run_experiment(spec)
+    second = run_experiment(spec)
     assert first.total_ms == second.total_ms
     assert first.membership_ms == second.membership_ms
 

@@ -9,8 +9,7 @@ representation preserves the algebra, not just the costs.
 
 import pytest
 
-from repro.bench.harness import measure_event
-from repro.gcs.topology import lan_testbed
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.protocols import available, get_protocol
 from repro.protocols.loopback import LoopbackGroup
 
@@ -57,11 +56,11 @@ def test_full_stack_times_identical(protocol):
     bit-identical total and membership times under both engines."""
     results = {}
     for engine in ("real", "symbolic"):
-        join = measure_event(
-            lan_testbed, protocol, 5, "join", repeats=1, engine=engine
-        )
-        leave = measure_event(
-            lan_testbed, protocol, 5, "leave", repeats=1, engine=engine
+        join, leave = (
+            run_experiment(
+                ExperimentSpec(protocol, event, 5, repeats=1, engine=engine)
+            )
+            for event in ("join", "leave")
         )
         results[engine] = (
             join.total_ms,

@@ -23,7 +23,7 @@ from repro.faults import (
 )
 from repro.gcs.daemon import Daemon
 from repro.gcs.topology import lan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available
 
 STALL_MS = 400.0
 
@@ -211,7 +211,7 @@ class TestCrashRestart:
 
 
 class TestStallRecovery:
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", available())
     def test_every_protocol_converges_under_drops(self, protocol):
         # The acceptance bar: under a nonzero drop rate, every protocol
         # reaches a confirmed shared key (stall-restart plus frame

@@ -13,8 +13,8 @@ import collections
 import pytest
 
 from repro.bench import run_chaos_cell
-from repro.bench.harness import grow_group_batched
 from repro.core import SecureSpreadFramework
+from repro.core.driver import GroupDriver
 from repro.faults import LinkFaults
 from repro.gcs import GcsWorld, lan_testbed
 from repro.gcs.daemon import Daemon
@@ -49,16 +49,14 @@ def _epoch_census(monkeypatch, protocol, drop=0.0):
             engine="symbolic",
             stall_timeout_ms=400.0 if drop else None,
         )
-        members = grow_group_batched(framework, GROUP_SIZE - 1)
+        driver = GroupDriver(framework)
+        driver.grow_batched(GROUP_SIZE - 1)
         if drop:
             framework.world.install_link_faults(
                 LinkFaults.uniform(seed=3, drop=drop)
             )
-        joiner = framework.member("x", (GROUP_SIZE - 1) % 13)
-        framework.mark_event()
-        joiner.join()
-        framework.run_until_idle()
-    keys = {member.key_bytes for member in members + [joiner]}
+        driver.run(driver.join((GROUP_SIZE - 1) % 13))
+    keys = {member.key_bytes for member in driver.members}
     assert len(keys) == 1 and None not in keys
     return counts, framework
 

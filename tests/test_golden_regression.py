@@ -9,7 +9,7 @@ here deliberately.
 
 import pytest
 
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.gcs.topology import lan_testbed, wan_testbed
 
 #: (testbed, protocol) -> (total_ms, membership_ms) for a join at n=6,
@@ -28,9 +28,11 @@ _TESTBEDS = {"lan": lan_testbed, "wan": wan_testbed}
 
 @pytest.mark.parametrize("testbed,protocol", sorted(GOLDEN))
 def test_join_timing_matches_golden_value(testbed, protocol):
-    measurement = measure_event(
-        _TESTBEDS[testbed], protocol, 6, "join",
-        dh_group="dh-512", repeats=1, seed=0,
+    measurement = run_experiment(
+        ExperimentSpec(
+            protocol, "join", 6, topology=_TESTBEDS[testbed],
+            dh_group="dh-512", repeats=1, seed=0,
+        )
     )
     expected_total, expected_membership = GOLDEN[(testbed, protocol)]
     assert measurement.total_ms == pytest.approx(expected_total, abs=1e-3)

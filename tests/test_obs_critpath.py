@@ -17,7 +17,7 @@ from repro.obs import (
     render_critical_paths,
     timeline_critical_paths,
 )
-from repro.protocols import PROTOCOLS
+from repro.protocols import available
 
 EVENTS = ("join", "leave")
 
@@ -53,7 +53,7 @@ def _run_event(framework, members, event):
 
 
 @pytest.mark.parametrize("event", EVENTS)
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 def test_sum_is_float_exact_for_every_protocol_and_event(protocol, event):
     framework = _framework(protocol)
     members = _settled_group(framework, 4)
@@ -68,7 +68,7 @@ def test_sum_is_float_exact_for_every_protocol_and_event(protocol, event):
 
 
 @pytest.mark.parametrize("event", EVENTS)
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 def test_chain_is_recorded_not_inferred(protocol, event):
     """Every epoch's chain carries real traced spans, not the untraced
     fallback, and ends in causally linked work at the critical member."""

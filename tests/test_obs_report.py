@@ -9,7 +9,7 @@ seed's (golden) values.
 
 import pytest
 
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.obs import epoch_breakdown, render_report, timeline_breakdowns
@@ -98,8 +98,8 @@ def test_render_report_warns_loudly_about_dropped_spans():
 
 @pytest.mark.parametrize("event", ["join", "leave"])
 def test_measure_event_breakdown_fields(event):
-    measurement = measure_event(
-        lan_testbed, "TGDH", 5, event, repeats=1, breakdown=True
+    measurement = run_experiment(
+        ExperimentSpec("TGDH", event, 5, repeats=1, breakdown=True)
     )
     assert measurement.communication_ms is not None
     assert measurement.computation_ms is not None
@@ -112,24 +112,24 @@ def test_measure_event_breakdown_fields(event):
 
 
 def test_measure_event_without_breakdown_leaves_fields_none():
-    measurement = measure_event(lan_testbed, "TGDH", 4, "join", repeats=1)
+    measurement = run_experiment(ExperimentSpec("TGDH", "join", 4, repeats=1))
     assert measurement.communication_ms is None
     assert measurement.computation_ms is None
 
 
 def test_observability_is_passive_bit_identical_timings():
     """Enabling the flight recorder must not move any measured time."""
-    plain = measure_event(lan_testbed, "BD", 5, "join", repeats=1, seed=0)
-    observed = measure_event(
-        lan_testbed, "BD", 5, "join", repeats=1, seed=0, breakdown=True
+    plain = run_experiment(ExperimentSpec("BD", "join", 5, repeats=1, seed=0))
+    observed = run_experiment(
+        ExperimentSpec("BD", "join", 5, repeats=1, seed=0, breakdown=True)
     )
     assert observed.total_ms == plain.total_ms  # exact, not approx
     assert observed.membership_ms == plain.membership_ms
 
 
 def test_ckd_weighted_leave_breakdown_reconciles():
-    measurement = measure_event(
-        lan_testbed, "CKD", 5, "leave", repeats=1, breakdown=True
+    measurement = run_experiment(
+        ExperimentSpec("CKD", "leave", 5, repeats=1, breakdown=True)
     )
     phase_sum = (
         measurement.membership_ms

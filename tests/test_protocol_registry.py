@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench.cli import build_subcommand_parser
 from repro.protocols import (
-    PROTOCOLS,
     KeyAgreementProtocol,
     TgdhProtocol,
     available,
@@ -85,19 +84,15 @@ def test_unregister_unknown_name_raises():
 
 
 def test_protocols_mapping_iterates_silently():
+    """Enumeration is ``available()``'s job now and stays warning-free;
+    the deprecated ``PROTOCOLS`` mapping view is gone outright."""
+    import repro.protocols
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sorted(PROTOCOLS) == list(available())
-        assert len(PROTOCOLS) == len(available())
-        assert "TGDH" in PROTOCOLS
-
-
-def test_protocols_getitem_warns_deprecation():
-    with pytest.warns(DeprecationWarning, match="get_protocol"):
-        assert PROTOCOLS["TGDH"] is TgdhProtocol
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(KeyError):
-            PROTOCOLS["NOPE"]
+        assert list(available()) == sorted(available())
+        assert "TGDH" in available()
+    assert not hasattr(repro.protocols, "PROTOCOLS")
 
 
 def test_registered_protocol_appears_in_cli_choices():

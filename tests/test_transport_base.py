@@ -113,21 +113,12 @@ class TestConformance:
 
 
 class TestDeprecationShims:
-    def test_world_client_warns_and_forwards(self):
-        world = GcsWorld(lan_testbed())
-        with pytest.warns(DeprecationWarning, match="channel"):
-            client = world.client("legacy", 0)
-        assert client.name == "legacy"
-        assert isinstance(client, GroupChannel)
-
-    def test_framework_topology_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="substrate"):
-            framework = SecureSpreadFramework(topology=lan_testbed())
-        assert isinstance(framework.transport, GcsWorld)
+    """The shims are gone; what they forwarded to is the only spelling."""
 
     def test_framework_rejects_both_forms(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="topology"):
             SecureSpreadFramework(lan_testbed(), topology=lan_testbed())
+        assert not hasattr(GcsWorld, "client")
 
     def test_framework_requires_a_substrate(self):
         with pytest.raises(TypeError, match="substrate"):

@@ -16,7 +16,6 @@ from repro.workload import (
     stream_populations,
     trace_stream,
 )
-from repro.workload.engine import group_converged
 
 
 # -- spec validation and round-trip -----------------------------------------
@@ -217,9 +216,11 @@ def test_groups_keep_distinct_keys():
     engine = WorkloadEngine(_small_spec(groups=3))
     engine.run()
     keys = []
-    for group, roster in engine.rosters.items():
-        assert group_converged(roster), f"group {group} did not converge"
-        keys.append(roster[0].protocol.key)
+    for group, driver in engine.drivers.items():
+        converged = driver.converged_key()
+        assert converged is not None, f"group {group} did not converge"
+        assert driver.members is engine.rosters[group]
+        keys.append(converged[1])
     assert len(set(keys)) == len(keys)
 
 
