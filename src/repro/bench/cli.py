@@ -239,16 +239,6 @@ def _add_testbed_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_crypto_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shard-crypto", dest="shard_crypto", type=int, default=0,
-        metavar="N",
-        help="worker processes for intra-epoch crypto sharding on the "
-        "real engine (default 0: off); results are bit-identical — the "
-        "workers only pre-warm the engine's power cache",
-    )
-
-
 def _add_pool_options(parser: argparse.ArgumentParser) -> None:
     """Sharding/caching flags shared by the grid-shaped subcommands."""
     parser.add_argument(
@@ -348,7 +338,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "rekey-latency percentile table (observability is passive, so "
         "the measured times are unchanged)",
     )
-    _add_shard_crypto_option(scale)
     _add_pool_options(scale)
     scale.set_defaults(engine="symbolic", out="BENCH_scale.json")
 
@@ -471,7 +460,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "exceeds this ratio; values below 1.0 require a speedup over "
         "the committed baseline (CI gates at 0.6)",
     )
-    _add_shard_crypto_option(profile)
     profile.set_defaults(engine="real", out="BENCH_profile.json")
 
     live = sub.add_parser(
@@ -618,7 +606,6 @@ def run_scale_command(args) -> int:
     )
     measurements = run_scale(
         observe=args.observe,
-        shard_jobs=args.shard_crypto,
         **meta,
         **_pool_kwargs(args, metrics),
     )
@@ -744,7 +731,6 @@ def run_profile_command(args) -> int:
         with_profiler=args.with_profiler,
         metrics=metrics,
         progress=_progress,
-        shard_jobs=args.shard_crypto,
     )
     write_json(args.out, profile_doc, sort_keys=True)
     baseline = None

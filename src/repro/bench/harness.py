@@ -35,10 +35,6 @@ class ExperimentSpec:
     :class:`~repro.gcs.topology.Topology`.  ``engine`` is a crypto engine
     spec (``None``/``"real"``/``"symbolic"``/``"real:<backend>"`` or an
     instance, see :func:`repro.crypto.engine.get_engine`).
-    ``shard_jobs`` shards each rekey epoch's member crypto across that
-    many worker processes (real engine only; 0 disables) — a pure
-    wall-clock optimization, bit-identical simulated results (see
-    :mod:`repro.crypto.parallel`).
     """
 
     protocol: str
@@ -50,7 +46,6 @@ class ExperimentSpec:
     seed: int = 0
     breakdown: bool = False
     engine: Union[None, str, CryptoEngine] = None
-    shard_jobs: int = 0
 
     def __post_init__(self):
         if self.event not in ("join", "leave"):
@@ -67,11 +62,6 @@ class ExperimentSpec:
 
     def build_framework(self, observe: Optional[bool] = None) -> SecureSpreadFramework:
         """A fresh framework configured for this cell."""
-        engine = self.engine
-        if self.shard_jobs:
-            from repro.crypto.engine import sharded_engine
-
-            engine = sharded_engine(engine, self.shard_jobs)
         factory = self.topology if callable(self.topology) else TESTBEDS[self.topology]
         return SecureSpreadFramework(
             factory(),
@@ -79,7 +69,7 @@ class ExperimentSpec:
             dh_group=self.dh_group,
             seed=self.seed,
             observe=self.breakdown if observe is None else observe,
-            engine=engine,
+            engine=self.engine,
         )
 
 

@@ -68,7 +68,6 @@ def _timed_cell(
         repeats=1,
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine", PROFILE_ENGINE),
-        shard_jobs=int(spec.get("shard_jobs", 0)),
     )
     phases: Dict[str, float] = {}
 
@@ -133,7 +132,6 @@ def profile_micro_sweep(
     with_profiler: bool = True,
     metrics: Optional[MetricsRegistry] = None,
     progress=None,
-    shard_jobs: int = 0,
 ) -> dict:
     """Run the fixed micro-sweep; return the profile document.
 
@@ -152,8 +150,6 @@ def profile_micro_sweep(
             "dh_group": dh_group,
             "seed": seed,
         }
-        if shard_jobs:
-            spec["shard_jobs"] = shard_jobs
         cell = _timed_cell(spec, metrics=metrics)
         total += cell["wall_s"]
         if with_profiler:
@@ -166,19 +162,16 @@ def profile_micro_sweep(
         cells[protocol] = cell
         if progress is not None:
             progress(f"{protocol} n={size}: {cell['wall_s']:.2f}s wall")
-    doc_spec = {
-        "protocols": list(protocols),
-        "group_size": size,
-        "engine": engine,
-        "topology": topology,
-        "dh_group": dh_group,
-        "seed": seed,
-    }
-    if shard_jobs:
-        doc_spec["shard_jobs"] = shard_jobs
     return {
         "schema": "repro.bench.profile/1",
-        "spec": doc_spec,
+        "spec": {
+            "protocols": list(protocols),
+            "group_size": size,
+            "engine": engine,
+            "topology": topology,
+            "dh_group": dh_group,
+            "seed": seed,
+        },
         "total_wall_s": round(total, 4),
         "cells": cells,
     }

@@ -89,7 +89,6 @@ def run_scale_cell(
         repeats=int(spec.get("repeats", 1)),
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine", "symbolic"),
-        shard_jobs=int(spec.get("shard_jobs", 0)),
     )
     framework = espec.build_framework(observe=observe)
     driver = GroupDriver(
@@ -132,14 +131,8 @@ def scale_cells(
     seed: int = 0,
     observe: bool = False,
     max_events: int = LARGE_RUN_MAX_EVENTS,
-    shard_jobs: int = 0,
 ) -> List[Cell]:
-    """The sweep's cell grid, protocol-major with sizes ascending.
-
-    ``shard_jobs`` enters the spec only when nonzero: sharding is a pure
-    wall-clock optimization (bit-identical results), but the spec is the
-    cache key, so the default grid must keep its existing keys.
-    """
+    """The sweep's cell grid, protocol-major with sizes ascending."""
     cells: List[Cell] = []
     for protocol in protocols:
         for size in sorted(set(sizes)):
@@ -154,8 +147,6 @@ def scale_cells(
                 "observe": observe,
                 "max_events": max_events,
             }
-            if shard_jobs:
-                spec["shard_jobs"] = shard_jobs
 
             def summarize(result, protocol=protocol, size=size):
                 return (
@@ -181,7 +172,7 @@ def run_scale(
     """Join and leave total-elapsed times for every protocol and size.
 
     ``grid`` takes the remaining :func:`scale_cells` keywords (topology,
-    dh_group, engine, repeats, seed, observe, max_events, shard_jobs).
+    dh_group, engine, repeats, seed, observe, max_events).
     Cells are sharded over ``jobs`` worker processes and merged in grid
     order (protocol-major; per size: join then leave), so the output is
     identical for any ``jobs``.  With ``cache_dir`` set, previously

@@ -84,16 +84,6 @@ class SecureSpreadFramework:
         self.timeline = RekeyTimeline()
         self._group_protocols: Dict[str, str] = {}
         self._members: Dict[str, "SecureGroupMember"] = {}
-        # Intra-epoch crypto sharding: when the engine carries a shard
-        # pool, prefetch each broadcast round's exponentiations into the
-        # shared power cache as the simulator activates the delivery
-        # bucket (see repro.crypto.parallel).  Virtual time only — a live
-        # transport has no event buckets to hook.
-        if (
-            getattr(self.engine, "shard_pool", None) is not None
-            and CAP_VIRTUAL_TIME in self.transport.capabilities
-        ):
-            self.transport.hook_delivery_rounds(self._epoch_prefetch)
 
     @property
     def world(self) -> GcsWorld:
@@ -113,51 +103,6 @@ class SecureSpreadFramework:
             "framework.transport (faults/partitions/tracing are "
             "simulator-only)"
         )
-
-    def _epoch_prefetch(self, deliveries) -> None:
-        """Delivery-round hook: precompute a broadcast round's crypto
-        off-process.
-
-        ``deliveries`` are the ``(recipient channels, message)`` fan-outs
-        about to run inline (see :meth:`GcsWorld.hook_delivery_rounds`).
-        Each recipient's protocol describes its expected exponentiations
-        (``receive_plan`` — pure, no state changes), the shard pool
-        evaluates them across worker processes, and the results seed the
-        engine's shared power cache *before* the handlers fire.  Cached
-        powers are pure functions of their keys and the ledger charges
-        every call regardless, so this can never change a simulated
-        time — a wrong plan only wastes background work.
-        """
-        batches: Dict[str, list] = {}
-        members = self._members
-        for recipients, message in deliveries:
-            payload = message.payload
-            if (
-                not isinstance(payload, tuple)
-                or not payload
-                or payload[0] != "key-agreement"
-            ):
-                continue
-            pmsg = payload[1]
-            sender = message.sender
-            for client in recipients:
-                name = client.name
-                if name == sender or name not in members:
-                    continue
-                batches.setdefault(name, []).append(pmsg)
-        if not batches:
-            return
-        pool = self.engine.shard_pool
-        chains: list = []
-        for name, pmsgs in batches.items():
-            try:
-                chains.extend(members[name].protocol.receive_plan(pmsgs))
-            except Exception:
-                # Planning is advisory: a plan that trips over an edge
-                # state must never take the run down with it.
-                pool.plan_errors += 1
-        if chains:
-            pool.warm(self.engine.power_cache, chains)
 
     # -- protocol registry ---------------------------------------------------
 

@@ -89,7 +89,6 @@ class PowerCache:
         self._values: Dict[Tuple[int, int, int], int] = {}
         self.hits = 0
         self.misses = 0
-        self.seeded = 0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -108,24 +107,6 @@ class PowerCache:
             del values[next(iter(values))]
         values[key] = result
         return result
-
-    def seed(self, base: int, exponent: int, modulus: int, value: int) -> None:
-        """Insert a precomputed power (from a shard worker).
-
-        A cached power is a pure function of its key, so a seeded entry
-        is indistinguishable from one computed on a miss — seeding is
-        unconditionally safe, whatever the epoch-plan that produced it
-        guessed.  Existing entries win (they are identical by
-        construction; skipping keeps FIFO age intact).
-        """
-        key = (modulus, base, exponent)
-        values = self._values
-        if key in values:
-            return
-        if len(values) >= self.capacity:
-            del values[next(iter(values))]
-        values[key] = value
-        self.seeded += 1
 
 
 class RealElementContext(GroupElementContext):
@@ -159,9 +140,7 @@ class RealEngine(CryptoEngine):
     everywhere); ``power_cache_size=0`` disables the shared
     exponentiation cache.  ``backend`` selects the bignum arithmetic
     (``None`` → the ``REPRO_BIGNUM`` env var, default ``auto``; see
-    :mod:`repro.crypto.bignum`), and ``shard_jobs`` enables intra-epoch
-    crypto sharding across worker processes (see
-    :mod:`repro.crypto.parallel`).  Results are bit-identical in every
+    :mod:`repro.crypto.bignum`).  Results are bit-identical in every
     combination — :attr:`name` stays ``"real"`` whatever the backend,
     so benchmark artifacts never depend on which arithmetic ran.
     """
@@ -174,7 +153,6 @@ class RealEngine(CryptoEngine):
         window: int = 6,
         power_cache_size: int = 8192,
         backend: BackendSpec = None,
-        shard_jobs: int = 0,
     ):
         self.precompute = precompute
         self.window = window
@@ -184,13 +162,6 @@ class RealEngine(CryptoEngine):
             if power_cache_size
             else None
         )
-        self.shard_pool = None
-        if shard_jobs and self.power_cache is not None:
-            from repro.crypto.parallel import EpochShardPool
-
-            self.shard_pool = EpochShardPool(
-                shard_jobs, backend=self.backend.name
-            )
 
     def context(
         self, group: SchnorrGroup, ledger: Optional[OperationLedger] = None
@@ -282,44 +253,6 @@ _ENGINES: Dict[str, CryptoEngine] = {
 }
 
 EngineSpec = Union[None, str, CryptoEngine]
-
-#: Sharded real-engine instances, keyed by (backend, precompute, window,
-#: capacity, jobs) — an EpochShardPool owns worker processes, so reuse
-#: across cells in one sweep process matters.
-_SHARDED: Dict[Tuple, "RealEngine"] = {}
-
-
-def sharded_engine(which: EngineSpec, jobs: int) -> CryptoEngine:
-    """The engine ``which`` resolves to, with intra-epoch sharding.
-
-    Only the real engine has crypto worth sharding; any other engine
-    (symbolic — or an explicit instance, whose configuration is the
-    caller's business) is returned unchanged.  ``jobs < 1`` disables
-    sharding; ``jobs == 1`` evaluates plans inline (the deterministic
-    reference path).  Instances are cached per configuration so one
-    sweep process reuses one worker pool.
-    """
-    base = get_engine(which)
-    if jobs < 1 or not isinstance(base, RealEngine) or base.shard_pool:
-        return base
-    # NB: an *empty* PowerCache is falsy (it has __len__) — test for None.
-    capacity = (
-        base.power_cache.capacity if base.power_cache is not None else 0
-    )
-    if not capacity:
-        return base  # nowhere to seed results
-    key = (base.backend.name, base.precompute, base.window, capacity, jobs)
-    engine = _SHARDED.get(key)
-    if engine is None:
-        engine = RealEngine(
-            precompute=base.precompute,
-            window=base.window,
-            power_cache_size=capacity,
-            backend=base.backend,
-            shard_jobs=jobs,
-        )
-        _SHARDED[key] = engine
-    return engine
 
 
 def get_engine(which: EngineSpec = None) -> CryptoEngine:

@@ -26,27 +26,6 @@ from repro.crypto.ledger import OperationLedger
 from repro.crypto.rng import DeterministicRandom
 
 
-def sliding_window_pow(
-    base: int,
-    exponent: int,
-    modulus: int,
-    window: int = 4,
-    backend: BackendSpec = None,
-) -> int:
-    """``base^exponent mod modulus`` via a sliding window over odd powers.
-
-    The variable-base complement of
-    :class:`~repro.crypto.fixedbase.FixedBaseTable`: the per-call table
-    holds only the odd powers ``base^1, base^3, …, base^(2^window - 1)``,
-    and runs of zero exponent bits cost squarings alone.  Bit-identical
-    to the built-in ``pow`` (to which negative exponents fall back).
-    """
-    if exponent < 0:
-        chosen = get_backend(backend)
-        return chosen.unwrap(chosen.powmod(base, exponent, modulus))
-    return multi_exp(((base, exponent),), modulus, window=window, backend=backend)
-
-
 def multi_exp(
     pairs: Sequence[Tuple[int, int]],
     modulus: int,

@@ -15,10 +15,10 @@ value-add on top of the transport contract.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.gcs.client import SpreadClient
-from repro.gcs.daemon import Config, Daemon, _fan_out
+from repro.gcs.daemon import Config, Daemon
 from repro.gcs.network import Network
 from repro.gcs.ring import TokenRing
 from repro.gcs.topology import Topology
@@ -98,19 +98,6 @@ class GcsWorld:
             raise RuntimeError(
                 "GcsWorld takes its Observability at construction; build "
                 "the framework with observe=... instead of rebinding"
-            )
-
-    def hook_delivery_rounds(self, callback: Callable) -> None:
-        """Call ``callback(deliveries)`` as the simulator activates each
-        event bucket, with the ``(recipient channels, message)`` pair of
-        every client fan-out in it.  Every event of an activating bucket
-        was scheduled before the drain began, so those are exactly the
-        deliveries about to run inline.  A hook already installed wins."""
-        if self.sim.bucket_hook is None:
-            self.sim.bucket_hook = lambda events: callback(
-                event.args
-                for event in events
-                if event.fn is _fan_out and not event.cancelled
             )
 
     # -- fault injection -----------------------------------------------------

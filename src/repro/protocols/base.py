@@ -123,23 +123,6 @@ class KeyAgreementProtocol(ABC):
     def receive(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         """Process one protocol message of the current epoch, in agreed order."""
 
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List:
-        """The full exponentiations :meth:`receive` is *expected* to
-        perform for ``messages`` (one same-instant delivery batch), as
-        :class:`~repro.crypto.parallel.PowChain` descriptions.
-
-        This is a prefetch hint for the intra-epoch crypto sharder, not
-        part of the protocol: implementations must be pure — no state
-        mutation, no ledger charges, no RNG draws — and may
-        over- or under-approximate freely.  A predicted chain the
-        handler never computes wastes background work; a missed one is
-        computed inline as before.  Either way the simulated results
-        are untouched (cached powers are pure functions of their keys,
-        and the ledger wrappers charge every call regardless).  The
-        default predicts nothing.
-        """
-        return []
-
     def restart(self, view: View) -> List[ProtocolMessage]:
         """Abort a stalled run and begin anew for the same view.
 

@@ -70,53 +70,6 @@ class BdProtocol(KeyAgreementProtocol):
             return []
         raise ValueError(f"unknown BD step {step!r}")
 
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List:
-        """Predict the two per-member full exponentiations.
-
-        A round completes only when the *last* missing broadcast of a
-        same-instant batch lands, so the overlay considers the whole
-        batch: round 1 completing yields ``(z_next / z_prev)^{r_i}``,
-        round 2 completing yields ``z_prev^{(n r_i) mod q}``.  The
-        small-exponent ``weighted_product`` never hits the power cache
-        and is not predicted.
-        """
-        from repro.crypto.parallel import PowChain
-
-        view = self.view
-        if view is None or not self._r:
-            return []
-        members = view.members
-        if self.member not in members:
-            return []
-        z = dict(self._z)
-        xs = set(self._x)
-        saw_z = saw_x = False
-        for message in messages:
-            if message.epoch != view.view_id:
-                continue
-            if message.step == "bd-z":
-                z[message.sender] = message.body["z"]
-                saw_z = True
-            elif message.step == "bd-x":
-                xs.add(message.sender)
-                saw_x = True
-        n = len(members)
-        i = members.index(self.member)
-        prev_z = z.get(members[(i - 1) % n])
-        next_z = z.get(members[(i + 1) % n])
-        p = self.group.p
-        q = self.group.q
-        chains: List[PowChain] = []
-        round1_completes = saw_z and len(z) == n
-        if round1_completes and prev_z is not None and next_z is not None:
-            ratio = next_z * pow(prev_z, -1, p) % p
-            chains.append(PowChain(p, q, self._r, (ratio,)))
-            xs.add(self.member)  # our own X joins the set inline
-        if saw_x and len(xs) == n and prev_z is not None and len(z) == n:
-            exponent = (n % q) * self._r % q
-            chains.append(PowChain(p, q, exponent, (prev_z,)))
-        return chains
-
     def _neighbors(self) -> Dict[str, str]:
         members = self.view.members
         i = members.index(self.member)

@@ -149,39 +149,3 @@ class CkdProtocol(KeyAgreementProtocol):
         exponent = self._pair_exponent(message.sender)
         group_secret = self.ctx.exp(blinded, self.ctx.inv_exponent(exponent))
         self._complete(group_secret)
-
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List:
-        """Predict the broadcast-round exponentiations.
-
-        ``ckd-pub``: each needed member derives the pairwise secret from
-        the controller's public value.  ``ckd-dist``: each member
-        unblinds its table entry with the inverse pair exponent (the
-        pair-exponent hash is pure, so it can run here).
-        """
-        from repro.crypto.parallel import PowChain
-
-        if self.view is None or self._x is None:
-            return []
-        p = self.group.p
-        q = self.group.q
-        chains: List[PowChain] = []
-        for message in messages:
-            if self._stale(message):
-                continue
-            if message.step == "ckd-pub":
-                if (
-                    self.member != self.controller
-                    and self.member in message.body["needed"]
-                ):
-                    chains.append(
-                        PowChain(p, q, self._x, (message.body["y"],))
-                    )
-            elif message.step == "ckd-dist":
-                blinded = message.body["table"].get(self.member)
-                if blinded is None or message.sender not in self._pair:
-                    continue
-                exponent = self._pair_exponent(message.sender)
-                chains.append(
-                    PowChain(p, q, pow(exponent, -1, q), (blinded,))
-                )
-        return chains

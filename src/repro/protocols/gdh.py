@@ -188,39 +188,6 @@ class GdhProtocol(KeyAgreementProtocol):
             raise ValueError(f"unknown GDH step {message.step!r}")
         return handler(message)
 
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List:
-        """Predict the broadcast-round exponentiations.
-
-        ``gdh-keylist``: every member lifts its partial by its own
-        contribution.  ``gdh-upflow``: every non-controller factors its
-        contribution out of the accumulated value.  Token-chain and
-        factor handling draw fresh randoms, so they cannot be predicted.
-        """
-        from repro.crypto.parallel import PowChain
-
-        if self.view is None or not self._r:
-            return []
-        p = self.group.p
-        q = self.group.q
-        chains: List[PowChain] = []
-        for message in messages:
-            if self._stale(message):
-                continue
-            if message.step == "gdh-keylist":
-                if self._r_dirty and self._factored_epoch != self.view.view_id:
-                    continue
-                partial = message.body["partials"].get(self.member)
-                if partial is not None:
-                    chains.append(PowChain(p, q, self._r, (partial,)))
-            elif message.step == "gdh-upflow":
-                chain = message.body["chain"]
-                if chain and self.member != chain[-1]:
-                    inverse = pow(self._r, -1, q)
-                    chains.append(
-                        PowChain(p, q, inverse, (message.body["value"],))
-                    )
-        return chains
-
     def _on_token(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         chain = list(message.body["chain"])
         self._chain = chain

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.parallel import PowChain
 from repro.gcs.messages import View, ViewEvent
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage, classify_event
 
@@ -354,57 +353,3 @@ class StrProtocol(KeyAgreementProtocol):
                 self._complete(self._keys[n])
             return []
         raise ValueError(f"unknown STR step {message.step!r}")
-
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List[PowChain]:
-        """Predict the chain walk a ``str-bkeys`` batch will trigger.
-
-        Pure overlay of the sponsor's broadcast on our cached stack
-        state, mirroring :meth:`_compute_chain` (non-publishing side):
-        derive our own node key from ``bk_{p-1}`` if needed, then lift
-        each higher member's blinded random by the running node key.
-        """
-        if (
-            self.view is None
-            or self._merging
-            or self._session is None
-            or self.key_confirmation
-        ):
-            return []
-        br = dict(self._br)
-        bk = dict(self._bk)
-        order = self._order
-        relevant = False
-        for message in messages:
-            if message.step == "str-bkeys" and not self._stale(message):
-                relevant = True
-                br.update(message.body["br"])
-                bk.update(message.body["bk"])
-                order = list(message.body["order"])
-        if not relevant or self.member not in order:
-            return []
-        p = self.group.p
-        q = self.group.q
-        n = len(order)
-        pos = order.index(self.member) + 1
-        bases: List[int] = []
-        start = max((k for k in self._keys if k >= pos), default=None)
-        if start is None:
-            if pos == 1:
-                start_exponent = self._session
-                start = 1
-            elif (pos - 1) in bk:
-                start_exponent = self._session
-                bases.append(bk[pos - 1])
-                start = pos
-            else:
-                return []
-        else:
-            start_exponent = self._keys[start]
-        for j in range(start + 1, n + 1):
-            member_j = order[j - 1]
-            if member_j not in br:
-                break
-            bases.append(br[member_j])
-        if not bases:
-            return []
-        return [PowChain(p, q, start_exponent, tuple(bases))]

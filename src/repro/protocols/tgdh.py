@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.parallel import PowChain
 from repro.gcs.messages import View, ViewEvent
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage, classify_event
 from repro.protocols.keytree import KeyTree, TreeNode, serialized_members
@@ -365,46 +364,3 @@ class TgdhProtocol(KeyAgreementProtocol):
                 node.bkey = bkey
             return self._advance()
         raise ValueError(f"unknown TGDH step {message.step!r}")
-
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List[PowChain]:
-        """Predict the path-key walk a ``tgdh-bkeys`` batch will trigger.
-
-        Pure overlay of the batch's updates on the current tree: the
-        chain mirrors :meth:`_compute_path_keys` — from the lowest known
-        key on our path, each missing node lifts the sibling's blinded
-        key by the running key (``bkey^(k mod q)``).  Merge rounds and
-        key-confirmation recomputes are not predicted.
-        """
-        if self._tree is None or self._merging or self.key_confirmation:
-            return []
-        updates: Dict[str, int] = {}
-        for message in messages:
-            if message.step == "tgdh-bkeys" and not self._stale(message):
-                updates.update(message.body["updates"])
-        if not updates:
-            return []
-        tree = self._tree
-        p = self.group.p
-        q = self.group.q
-        chains: List[PowChain] = []
-        path = tree.path(self.member)
-        current = path[0]
-        start = current.key
-        bases: List[int] = []
-        for node in path[1:]:
-            if node.key is not None:
-                if bases and start is not None:
-                    chains.append(PowChain(p, q, start, tuple(bases)))
-                bases = []
-                start = node.key
-                current = node
-                continue
-            sibling = node.right if node.left is current else node.left
-            bkey = updates.get(tree.node_id(sibling), sibling.bkey)
-            if bkey is None or start is None:
-                break  # the real walk stops at the first blocked node
-            bases.append(bkey)
-            current = node
-        if bases and start is not None:
-            chains.append(PowChain(p, q, start, tuple(bases)))
-        return chains

@@ -83,15 +83,6 @@ class Simulator:
         #: event graph without touching any scheduling decision.  None
         #: (the default) keeps the hot paths to one attribute test.
         self.cause_hook = None
-        #: optional callable invoked with each bucket (the event list of
-        #: one distinct instant) as it is activated for draining, before
-        #: any of its events fire.  Because same-instant events scheduled
-        #: mid-drain start a *fresh* bucket, every event in an activating
-        #: bucket was scheduled before the drain began — so a hook may
-        #: inspect them to prefetch work (the epoch crypto sharder does),
-        #: but must not schedule, cancel or mutate events.  None (the
-        #: default) keeps bucket activation to one attribute test.
-        self.bucket_hook = None
 
     @property
     def events_processed(self) -> int:
@@ -213,9 +204,6 @@ class Simulator:
             time = heapq.heappop(self._times)
             self._active = self._buckets.pop(time)
             self._active_index = 0
-            hook = self.bucket_hook
-            if hook is not None:
-                hook(self._active)
 
     def _consume(self, event: Event) -> None:
         """Fire ``event`` (the one :meth:`_next_live` just returned)."""

@@ -18,9 +18,10 @@ from repro.crypto.bignum import (
     get_backend,
     gmpy2_available,
 )
+from repro.crypto.engine import get_engine
 from repro.crypto.fixedbase import FixedBaseTable
 from repro.crypto.groups import GROUP_TINY
-from repro.crypto.modmath import batch_exp, multi_exp, sliding_window_pow
+from repro.crypto.modmath import batch_exp, multi_exp
 
 BACKENDS = available_backends()
 
@@ -89,6 +90,13 @@ def test_backend_info_shape(monkeypatch):
     assert info["selected"] == "python"
     assert "python" in info["available"]
     assert info["env"] == "python"
+
+
+def test_get_engine_backend_suffix_is_cached():
+    engine = get_engine("real:python")
+    assert engine is get_engine("real:python")
+    assert engine.name == "real"  # artifacts never record the backend
+    assert engine.backend.name == "python"
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +195,6 @@ def test_batch_exp_matches_pow_loop(backend):
 def test_batch_exp_rejects_negative_exponent(backend):
     with pytest.raises(ValueError):
         batch_exp(7, [3, -1], GROUP_TINY.p, backend=backend)
-
-
-def test_sliding_window_pow_matches_builtin(backend):
-    p = GROUP_TINY.p
-    for exponent in (0, 1, 508, -3):
-        assert sliding_window_pow(4, exponent, p, backend=backend) == pow(
-            4, exponent, p
-        )
 
 
 def test_fixed_base_table_per_backend(backend):

@@ -8,10 +8,12 @@ the real engine, which is what makes the charged ledgers identical.
 
 import pytest
 
+from repro.bench.scale import run_scale_cell
 from repro.crypto.dh import DiffieHellman
 from repro.crypto.engine import (
     REAL_ENGINE,
     SYMBOLIC_ENGINE,
+    PowerCache,
     RealEngine,
     SymbolicEngine,
     get_engine,
@@ -88,6 +90,67 @@ def test_real_engine_precompute_changes_nothing_numerically():
         e = rng.randrange(0, GROUP_512.q)
         assert fast.exp_g(e) == plain.exp_g(e)
     assert ledger_a.snapshot() == ledger_b.snapshot()
+
+
+# -- shared power cache -------------------------------------------------------
+
+
+def test_power_cache_counts_hits_and_matches_pow():
+    group = GROUP_TEST
+    cache = PowerCache(capacity=8)
+    for _ in range(3):
+        assert cache.pow(group.g, 5, group.p) == pow(group.g, 5, group.p)
+    assert cache.pow(group.g, 6, group.p) == pow(group.g, 6, group.p)
+    assert (cache.hits, cache.misses, len(cache)) == (2, 2, 2)
+
+
+def test_power_cache_evicts_oldest_first():
+    p = GROUP_TEST.p
+    cache = PowerCache(capacity=2)
+    for exponent in (1, 2, 3):  # 3 evicts 1
+        cache.pow(7, exponent, p)
+    assert (cache.misses, len(cache)) == (3, 2)
+    cache.pow(7, 3, p)  # newest retained
+    assert (cache.hits, cache.misses) == (1, 3)
+    assert cache.pow(7, 1, p) == pow(7, 1, p)  # oldest recomputed
+    assert (cache.hits, cache.misses, len(cache)) == (1, 4, 2)
+    with pytest.raises(ValueError):
+        PowerCache(capacity=0)
+
+
+def test_real_engine_without_power_cache_agrees():
+    uncached = RealEngine(power_cache_size=0)
+    assert uncached.power_cache is None
+    plain = uncached.context(GROUP_512, OperationLedger())
+    cached = RealEngine().context(GROUP_512, OperationLedger())
+    rng = DeterministicRandom(9)
+    base = plain.exp_g(rng.randrange(1, GROUP_512.q))
+    for _ in range(3):
+        e = rng.randrange(1, GROUP_512.q)
+        assert plain.exp(base, e) == cached.exp(base, e) == cached.exp(base, e)
+
+
+@pytest.mark.parametrize(
+    "protocol, hits, misses",
+    [("TGDH", 206, 65), ("STR", 200, 44)],
+    ids=["TGDH", "STR"],
+)
+def test_power_cache_earns_its_keep_on_tree_protocols(protocol, hits, misses):
+    # The cache exists because tree-protocol members recompute each
+    # other's exponentiations; the counts are a pure function of the
+    # protocol, so they repeat exactly.
+    engine = RealEngine(backend="python")
+    run_scale_cell(
+        {
+            "protocol": protocol,
+            "group_size": 16,
+            "dh_group": "dh-test",
+            "engine": engine,
+        }
+    )
+    cache = engine.power_cache
+    assert (cache.hits, cache.misses) == (hits, misses)
+    assert cache.hits > cache.misses
 
 
 # -- engine dispatch ----------------------------------------------------------
