@@ -34,6 +34,7 @@ from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.faults import LinkFaults
 from repro.gcs.topology import TESTBEDS
+from repro.obs.export import span_record
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import available
 
@@ -127,7 +128,7 @@ def run_chaos_cell(
             seed=sample_seed,
             engine=engine,
             stall_timeout_ms=stall_timeout_ms,
-            trace=trace,
+            observe=trace,
         )
         engine_name = framework.engine.name
         driver = GroupDriver(
@@ -153,15 +154,12 @@ def run_chaos_cell(
         fault_drops += framework.world.network.fault_drops
         fault_retries += framework.world.network.fault_retries
         if trace_events is not None:
-            for event in framework.world.tracer.events:
+            for span in framework.obs.spans.spans:
                 trace_events.append({
                     "protocol": protocol,
                     "drop_rate": rate,
                     "sample": sample,
-                    "time": event.time,
-                    "category": event.category,
-                    "actor": event.actor,
-                    "detail": event.detail,
+                    **span_record(span),
                 })
     cell = ChaosCell(
         protocol=protocol,
@@ -222,8 +220,8 @@ def run_chaos(
     forces the inline uncached path.  Trace events are collected inside
     each cell and appended in grid order, so tracing parallelizes too.
 
-    Pass a list as ``trace_events`` to run with the flat GCS tracer on;
-    every sample's events are appended to it as dicts labeled with the
+    Pass a list as ``trace_events`` to run with observability on; every
+    sample's span records are appended to it as dicts labeled with the
     (protocol, drop rate, sample) cell coordinates.
     """
     cells = [

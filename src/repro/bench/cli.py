@@ -2,7 +2,7 @@
 or stress the stack at scale and under faults.
 
 One subcommand per job, all sharing the same core options
-(``--engine``, ``--seed``, ``-o/--out``, ``--trace``)::
+(``--engine``, ``--seed``, ``-o/--out``)::
 
     python -m repro.bench figure 11              # LAN join, 512 & 1024
     python -m repro.bench figure 14 --repeats 1
@@ -23,8 +23,6 @@ One subcommand per job, all sharing the same core options
     python -m repro.bench load --arrivals poisson diurnal --no-storm
     python -m repro.bench load --replay churn.json --protocols TGDH
     python -m repro.bench compare OLD.json NEW.json   # exact regression gate
-    python -m repro.bench profile                # wall-clock self-profile
-    python -m repro.bench profile --size 64 --protocols BD --no-profiler
     python -m repro.bench live --protocol tgdh -n 8   # real TCP on localhost
 
 ``live`` is the only subcommand that runs on the asyncio transport
@@ -72,13 +70,6 @@ from repro.bench.load import (
 )
 from repro.bench.plot import render_plot
 from repro.bench.pool import DEFAULT_CACHE_DIR, pool_stats
-from repro.bench.profiling import (
-    DEFAULT_BASELINE,
-    PROFILE_SIZE,
-    profile_micro_sweep,
-    render_profile_table,
-    wallclock_document,
-)
 from repro.bench.report import render_series, series_to_csv, write_json
 from repro.bench.scale import (
     SCALE_SIZES,
@@ -181,12 +172,6 @@ def build_common_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "-o", "--out", "--output", dest="out", default=None, metavar="PATH",
         help="output artifact path (each subcommand has its own default)",
-    )
-    common.add_argument(
-        "--trace", dest="trace_log", default=None, metavar="PATH",
-        help="also write the flat simulation event log as JSON lines "
-        "(honored by trace, report and chaos, whose runs are bounded; "
-        "the figure/scale sweeps would overflow any trace)",
     )
     common.add_argument(
         "--transport", choices=("sim", "asyncio"), default="sim",
@@ -365,6 +350,11 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         help="epoch watchdog timeout in virtual ms "
         f"(default {CHAOS_STALL_TIMEOUT_MS:g})",
     )
+    chaos.add_argument(
+        "--trace", dest="trace_log", default=None, metavar="PATH",
+        help="also write every sample's observability span records as "
+        "JSON lines, each labelled with its protocol, drop_rate and sample",
+    )
     _add_pool_options(chaos)
     chaos.set_defaults(engine="symbolic", out="BENCH_chaos.json")
 
@@ -419,48 +409,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     _add_testbed_options(load)
     _add_pool_options(load)
     load.set_defaults(engine="symbolic", out="BENCH_load.json")
-
-    profile = sub.add_parser(
-        "profile", parents=[build_common_parser()],
-        help="self-profiling micro-sweep: wall-clock attribution + "
-        "cProfile hot-function tables over one real-engine join/leave "
-        "cell per protocol, compared against the committed wall-clock "
-        "baseline",
-    )
-    profile.add_argument(
-        "--size", type=int, default=PROFILE_SIZE,
-        help=f"settled group size per cell (default {PROFILE_SIZE}; the "
-        "committed baseline was recorded at the default)",
-    )
-    add_protocol_args(profile)
-    _add_testbed_options(profile)
-    profile.add_argument(
-        "--top", type=int, default=15,
-        help="hot functions per protocol in the profile table (default 15)",
-    )
-    profile.add_argument(
-        "--no-profiler", dest="with_profiler", action="store_false",
-        help="skip the cProfile pass (halves the sweep's wall-clock; "
-        "BENCH_profile.json then carries timings but no hot tables)",
-    )
-    profile.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="PATH",
-        help="recorded pre-optimization sweep to compare wall-clock "
-        f"against (default {DEFAULT_BASELINE}; pass '' to skip)",
-    )
-    profile.add_argument(
-        "--wallclock", default="BENCH_wallclock.json", metavar="PATH",
-        help="where to write the wall-clock comparison artifact "
-        "(default BENCH_wallclock.json)",
-    )
-    profile.add_argument(
-        "--max-wall-regression", dest="max_wall_regression", type=float,
-        default=None, metavar="RATIO",
-        help="fail (exit 1) when current/baseline total wall-clock "
-        "exceeds this ratio; values below 1.0 require a speedup over "
-        "the committed baseline (CI gates at 0.6)",
-    )
-    profile.set_defaults(engine="real", out="BENCH_profile.json")
 
     live = sub.add_parser(
         "live", parents=[build_common_parser()],
@@ -653,7 +601,7 @@ def run_chaos_command(args) -> int:
             for event in trace_events:
                 handle.write(json.dumps(event, sort_keys=True, default=str))
                 handle.write("\n")
-        print(f"wrote {args.trace_log}: {len(trace_events)} trace events")
+        print(f"wrote {args.trace_log}: {len(trace_events)} span records")
     _print_pool_stats(metrics)
     if converged < samples:
         # The chaos acceptance bar is full convergence (the watchdog is
@@ -718,100 +666,6 @@ def run_load_command(args) -> int:
     return 0
 
 
-def run_profile_command(args) -> int:
-    metrics = MetricsRegistry(enabled=True)
-    profile_doc = profile_micro_sweep(
-        protocols=args.protocols,
-        size=args.size,
-        engine=args.engine or "real",
-        topology=args.topology,
-        dh_group=args.dh_group,
-        seed=args.seed,
-        top=args.top,
-        with_profiler=args.with_profiler,
-        metrics=metrics,
-        progress=_progress,
-    )
-    write_json(args.out, profile_doc, sort_keys=True)
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except FileNotFoundError:
-            print(f"note: no baseline at {args.baseline}; "
-                  "writing current numbers only")
-        else:
-            recorded = baseline.get("spec", {})
-
-            def canon(key, value):
-                # 'real:gmpy2' and 'real' are the same engine (the
-                # backend changes wall-clock only), so they compare.
-                if key == "engine" and isinstance(value, str):
-                    return value.split(":", 1)[0]
-                return value
-
-            mismatched = [
-                key for key in ("group_size", "engine", "topology", "dh_group", "seed")
-                if key in recorded
-                and canon(key, recorded[key])
-                != canon(key, profile_doc["spec"][key])
-            ]
-            if mismatched:
-                # Comparing sweeps with different specs would report a
-                # bogus speedup and a guaranteed sim mismatch.
-                print(
-                    f"note: baseline {args.baseline} was recorded with a "
-                    f"different {'/'.join(mismatched)}; skipping comparison"
-                )
-                baseline = None
-    wallclock = wallclock_document(
-        profile_doc, baseline,
-        max_wall_regression=args.max_wall_regression,
-    )
-    write_json(args.wallclock, wallclock, sort_keys=True)
-    print()
-    print(render_profile_table(profile_doc))
-    print(f"\nwrote {args.out}")
-    if baseline is not None:
-        print(
-            f"wrote {args.wallclock}: {wallclock['baseline']['total_wall_s']:.2f}s "
-            f"baseline -> {wallclock['current']['total_wall_s']:.2f}s now "
-            f"({wallclock['speedup']}x), simulated times "
-            + ("identical" if wallclock["sim_identical"] else "DIVERGED")
-        )
-        if not wallclock["sim_identical"]:
-            # Wall-clock is hostbound and only tracked; simulated-time
-            # identity is the hard contract and failing it is an error.
-            print(
-                "error: simulated join/leave times diverge from the "
-                "recorded baseline — a wall-clock optimization changed "
-                "behaviour",
-                file=sys.stderr,
-            )
-            return 1
-        if "wall_ok" in wallclock and not wallclock["wall_ok"]:
-            print(
-                f"error: wall-clock ratio {wallclock['wall_ratio']} "
-                f"exceeds --max-wall-regression "
-                f"{wallclock['max_wall_regression']}",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        print(f"wrote {args.wallclock} (no baseline comparison)")
-        if args.max_wall_regression is not None:
-            # The gate was requested but there is nothing to gate
-            # against; passing silently would mask a misconfigured CI.
-            print(
-                "error: --max-wall-regression needs a comparable "
-                "baseline",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def run_live_command(args) -> int:
     from repro.bench.live import render_live_table, run_live_benchmark
 
@@ -863,7 +717,6 @@ def _run_observed_event(args):
         seed=args.seed,
         observe=True,
         engine=args.engine,
-        trace=bool(args.trace_log),
     )
     driver = GroupDriver(framework)
     driver.run(driver.grow(args.size))
@@ -872,13 +725,6 @@ def _run_observed_event(args):
         f"{args.event} at n={args.size}, {args.protocol}, {args.dh_group}, "
         f"{framework.world.topology.name}"
     )
-
-
-def _dump_gcs_trace(args, framework) -> None:
-    if not args.trace_log:
-        return
-    count = framework.world.tracer.to_jsonl(args.trace_log)
-    print(f"wrote {args.trace_log}: {count} simulation events")
 
 
 def run_trace_command(args) -> int:
@@ -894,7 +740,6 @@ def run_trace_command(args) -> int:
     if args.jsonl:
         lines = framework.obs.to_jsonl(args.jsonl)
         print(f"wrote {args.jsonl}: {lines} JSON lines (spans + metrics)")
-    _dump_gcs_trace(args, framework)
     return 0
 
 
@@ -906,7 +751,6 @@ def run_report_command(args) -> int:
         lines.append("")
         lines.append(render_critical_paths(paths))
     _emit(args, lines)
-    _dump_gcs_trace(args, framework)
     return 0
 
 
@@ -926,7 +770,6 @@ def run_critpath_command(args) -> int:
             f"truncated.  Re-run with a larger span capacity."
         )
     _emit(args, lines)
-    _dump_gcs_trace(args, framework)
     return 0
 
 
@@ -943,12 +786,6 @@ def _validate_transport(args) -> None:
                 f"the asyncio transport only supports "
                 f"{'/'.join(ASYNCIO_SUBCOMMANDS)}; '{args.command}' needs "
                 "the simulator's virtual time (run it with --transport sim)"
-            )
-        if getattr(args, "trace_log", None):
-            raise ValueError(
-                "--trace records the simulated event log; the asyncio "
-                "transport has no simulation to trace — drop --trace or "
-                "use --transport sim"
             )
     elif args.command in ASYNCIO_SUBCOMMANDS:
         raise ValueError(
@@ -969,7 +806,6 @@ COMMANDS = {
     "chaos": run_chaos_command,
     "load": run_load_command,
     "compare": run_compare_command,
-    "profile": run_profile_command,
     "live": run_live_command,
 }
 

@@ -48,7 +48,7 @@ def write_json(path: str, document: dict, sort_keys: bool = False) -> dict:
     """Write one ``BENCH_*.json`` artifact (``indent=2``, trailing newline).
 
     Cell-list payloads keep insertion order so cached and fresh cells
-    serialize alike; the profile/wallclock/live documents sort keys.
+    serialize alike; the live document sorts keys.
     """
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=sort_keys)

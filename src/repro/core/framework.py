@@ -44,7 +44,6 @@ class SecureSpreadFramework:
         seed: int = 0,
         sign_for_real: bool = False,
         rsa_bits: int = 512,
-        trace: bool = False,
         observe: bool = False,
         engine: EngineSpec = None,
         stall_timeout_ms: Optional[float] = None,
@@ -64,9 +63,7 @@ class SecureSpreadFramework:
         self.obs = Observability(enabled=observe, span_capacity=span_capacity)
         if isinstance(substrate, Topology):
             #: the group communication substrate (Transport interface)
-            self.transport: Transport = GcsWorld(
-                substrate, trace=trace, obs=self.obs
-            )
+            self.transport: Transport = GcsWorld(substrate, obs=self.obs)
         else:
             self.transport = substrate
             self.transport.bind(self.obs)

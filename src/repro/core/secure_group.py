@@ -178,7 +178,7 @@ class SecureGroupMember:
 
     # -- view handling ---------------------------------------------------------
 
-    def _on_view(self, _client: SpreadClient, view: View) -> None:
+    def _on_view(self, _client: GroupChannel, view: View) -> None:
         if self.name not in view.members:
             # Our own departure notification: we are out of the group, so
             # stop watching for a stalled rekey we are no longer part of.
@@ -222,7 +222,7 @@ class SecureGroupMember:
 
     # -- protocol message handling ----------------------------------------------
 
-    def _on_message(self, _client: SpreadClient, message: GroupMessage) -> None:
+    def _on_message(self, _client: GroupChannel, message: GroupMessage) -> None:
         payload = message.payload
         kind = payload[0]
         if kind == "key-agreement":

@@ -202,8 +202,8 @@ class OperationLedger:
     def charge_pending(self, cost_model) -> float:
         """Close the window: price, fold, and return the pending work.
 
-        Bit-identical to ``cost_model.time_of(self.delta_since(mark))``
-        for a mark taken at :meth:`begin_charge`: terms accumulate in the
+        Bit-identical to ``cost_model.time_of(self.delta_since(snap))``
+        for a snapshot taken at :meth:`begin_charge`: terms accumulate in the
         exact order ``CostModel.time_of`` uses (exponentiations, then
         small-exponent multiplications, then multiplications — each
         ascending by modulus bits — then signatures, then verifications),
@@ -276,75 +276,8 @@ class OperationLedger:
         """Work recorded since ``earlier`` was snapshotted."""
         return self.snapshot() - earlier
 
-    def mark(self) -> Tuple:
-        """A cheap point-in-time marker for :meth:`charge_since`.
-
-        Plain dict copies — no tuple building or sorting — so marking
-        before and charging after every protocol step stays off the
-        simulator's hot-path profile.  Use :meth:`snapshot` when the
-        delta itself (an :class:`OpCounts`) is needed, e.g. for
-        observability counters.  The hot path proper uses
-        :meth:`begin_charge`/:meth:`charge_pending`, which skip even the
-        dict copies.
-        """
-        self._flush()
-        return (
-            dict(self._exps),
-            dict(self._small_mults),
-            dict(self._mults),
-            self._signatures,
-            self._verifications,
-        )
-
-    def charge_since(self, mark: Tuple, cost_model) -> float:
-        """Virtual milliseconds of the work recorded since ``mark``.
-
-        Bit-identical to ``cost_model.time_of(self.delta_since(snapshot))``
-        for the matching snapshot: terms are accumulated in the exact
-        order ``CostModel.time_of`` uses (exponentiations, small-exponent
-        multiplications, multiplications — each ascending by modulus
-        bits — then signatures, then verifications), and zero deltas are
-        skipped just as ``OpCounts`` merging drops them, so the floating
-        point sums agree to the last bit.
-        """
-        self._flush()
-        exps, small_mults, mults, signatures, verifications = mark
-        model, exp_cost_of, mult_cost_of = self._cost_cache
-        if model is not cost_model:
-            exp_cost_of, mult_cost_of = {}, {}
-            self._cost_cache = (cost_model, exp_cost_of, mult_cost_of)
-        total = 0.0
-        for bits in sorted(self._exps):
-            n = self._exps[bits] - exps.get(bits, 0)
-            if n:
-                cost = exp_cost_of.get(bits)
-                if cost is None:
-                    cost = exp_cost_of[bits] = cost_model.exp_cost(bits)
-                total += n * cost
-        for bits in sorted(self._small_mults):
-            n = self._small_mults[bits] - small_mults.get(bits, 0)
-            if n:
-                cost = mult_cost_of.get(bits)
-                if cost is None:
-                    cost = mult_cost_of[bits] = cost_model.mult_cost(bits)
-                total += n * cost
-        for bits in sorted(self._mults):
-            n = self._mults[bits] - mults.get(bits, 0)
-            if n:
-                cost = mult_cost_of.get(bits)
-                if cost is None:
-                    cost = mult_cost_of[bits] = cost_model.mult_cost(bits)
-                total += n * cost
-        total += (self._signatures - signatures) * cost_model.sign_ms
-        total += (self._verifications - verifications) * cost_model.verify_ms
-        return total
-
     def reset(self) -> None:
-        """Forget all recorded work.
-
-        Marks taken before a reset are invalidated, not rebased: a
-        :meth:`charge_since` across a reset reads the post-reset counts.
-        """
+        """Forget all recorded work."""
         self._exps.clear()
         self._small_mults.clear()
         self._mults.clear()

@@ -137,9 +137,6 @@ class FaultSchedule:
         world = framework.world
         kwargs = event.kwargs
         self.applied.append((world.sim.now, event.action))
-        world.tracer.record(
-            world.sim.now, "fault", "schedule", action=event.action
-        )
         if world.obs.enabled:
             world.obs.instant(
                 "fault", event.action, "schedule", "world", world.sim.now

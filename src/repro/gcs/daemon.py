@@ -237,10 +237,6 @@ class Daemon:
         )
         self._sent.setdefault(config.config_id, {})[seq] = smsg
         now = self.world.sim.now
-        self.world.tracer.record(
-            now, "sequence", f"d{self.daemon_id}", seq=seq, at=sequenced_at,
-            kind=message.kind, group=message.group,
-        )
         if self.world.obs.enabled:
             # This fires at a token-visit event, whose cause is the ring's
             # own machinery; the frames about to go out were caused by the
@@ -260,10 +256,6 @@ class Daemon:
         records = self.groups.get(message.group, {})
         record = records.get(message.target)
         if record is None:
-            self.world.tracer.record(
-                self.world.sim.now, "fifo-drop", f"d{self.daemon_id}",
-                target=message.target,
-            )
             return
         self.world.network.send(
             self.daemon_id,
@@ -362,11 +354,6 @@ class Daemon:
 
     def _deliver(self, smsg: SequencedMessage) -> None:
         message = smsg.message
-        self.world.tracer.record(
-            self.world.sim.now, "deliver", f"d{self.daemon_id}",
-            seq=smsg.seq, config=smsg.config_id, kind=message.kind,
-            group=message.group, sender=message.sender,
-        )
         if self.world.obs.enabled:
             obs = self.world.obs
             obs.counter(
@@ -485,10 +472,6 @@ class Daemon:
         target = others[self._nack_rotation % len(others)]
         self._nack_rotation += 1
         self.retransmit_requests += 1
-        self.world.tracer.record(
-            self.world.sim.now, "nack", f"d{self.daemon_id}",
-            target=target, missing=list(missing),
-        )
         if self.world.obs.enabled:
             self.world.obs.counter(
                 "daemon.nacks", daemon=f"d{self.daemon_id}"
@@ -556,9 +539,6 @@ class Daemon:
         self._nack_armed_for = None
         self._last_propose_token = None
         self._arrival = {}
-        self.world.tracer.record(
-            self.world.sim.now, "crash", f"d{self.daemon_id}"
-        )
 
     def restart(self) -> None:
         """Come back up as a singleton configuration; merging with the
@@ -579,10 +559,6 @@ class Daemon:
         self._sent = {config.config_id: {}}
         self._delivered = 0
         self._round_id += 1
-        self.world.tracer.record(
-            self.world.sim.now, "restart", f"d{self.daemon_id}",
-            config=config.config_id,
-        )
 
     # ------------------------------------------------------------------
     # lightweight (client) membership
@@ -822,10 +798,6 @@ class Daemon:
         self._wake = None
         self._delivered = 0
         self._frozen = False
-        self.world.tracer.record(
-            self.world.sim.now, "install", f"d{self.daemon_id}",
-            config=config.config_id, daemons=config.daemon_ids,
-        )
         if self.world.obs.enabled:
             self.world.obs.instant(
                 "gcs", "config install", f"d{self.daemon_id}",

@@ -11,7 +11,7 @@ Beyond clean partitions, the network accepts a
 :class:`~repro.faults.link.LinkFaults` injector (see
 :meth:`Network.install_faults`): per-link drop/delay/duplicate/reorder
 policies applied to inter-machine frames, charged on the same
-``frames_dropped``/tracer paths as partition losses.  Crashed daemons
+``frames_dropped`` path as partition losses.  Crashed daemons
 (see :meth:`repro.gcs.daemon.Daemon.crash`) are unreachable in both
 directions until restarted.
 """
@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 from repro.gcs.topology import Topology
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 
 class Network:
@@ -33,12 +32,10 @@ class Network:
         self,
         sim: Simulator,
         topology: Topology,
-        tracer: Optional[Tracer] = None,
         obs: Optional[Observability] = None,
     ):
         self.sim = sim
         self.topology = topology
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs or NULL_OBS
         self._daemons: Dict[int, Any] = {}
         self._component_of: Dict[int, int] = {}
@@ -144,15 +141,11 @@ class Network:
         if set(assignment) != set(self._daemons):
             raise ValueError("components must cover all daemons exactly")
         self._component_of = assignment
-        self.tracer.record(
-            self.sim.now, "partition", "network", components=sorted(assignment.items())
-        )
         self._notify_all(detection_delay_ms)
 
     def heal(self, detection_delay_ms: float = 0.0) -> None:
         """Merge all components back into one network."""
         self._component_of = {d: 0 for d in self._daemons}
-        self.tracer.record(self.sim.now, "heal", "network")
         self._notify_all(detection_delay_ms)
 
     def _notify_all(self, delay_ms: float) -> None:
@@ -200,7 +193,6 @@ class Network:
         self.frames_sent += 1
         if not self.reachable(src_id, dst_id):
             self.frames_dropped += 1
-            self.tracer.record(self.sim.now, "drop", f"d{src_id}", dst=dst_id)
             if self.obs.enabled:
                 self.obs.counter(
                     "net.frames_dropped", src=f"d{src_id}", dst=f"d{dst_id}"
@@ -213,9 +205,6 @@ class Network:
             if verdict.drop:
                 self.frames_dropped += 1
                 self.fault_drops += 1
-                self.tracer.record(
-                    self.sim.now, "fault-drop", f"d{src_id}", dst=dst_id
-                )
                 drop_cause = None
                 if self.obs.enabled:
                     self.obs.counter(
@@ -303,7 +292,7 @@ class Network:
         common path (no faults, obs disabled) it instead replicates
         ``send``'s per-destination accounting inline — one ``frames_sent``
         per destination, the same reachability check with the same
-        drop/tracer bookkeeping, the same ``bytes_sent`` and the same
+        drop bookkeeping, the same ``bytes_sent`` and the same
         latency arithmetic term-for-term (the skipped fault delay added
         ``+ 0.0``, which never changes a float) — while sharing one
         immutable frame object and hoisting the per-frame constants out
@@ -340,7 +329,6 @@ class Network:
                 or component_of[dst_id] != src_component
             ):
                 dropped += 1
-                self.tracer.record(now, "drop", f"d{src_id}", dst=dst_id)
                 continue
             sent_bytes += size_bytes
             dst = daemons[dst_id]

@@ -24,7 +24,6 @@ from repro.gcs.ring import TokenRing
 from repro.gcs.topology import Topology
 from repro.obs import Observability
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.transport.base import CAP_FAULTS, CAP_TRACE, CAP_VIRTUAL_TIME
 
 
@@ -37,13 +36,11 @@ class GcsWorld:
     def __init__(
         self,
         topology: Topology,
-        trace: bool = False,
         obs: Optional[Observability] = None,
     ) -> None:
         self.topology = topology
         self.params = topology.params
         self.sim = Simulator()
-        self.tracer = Tracer(enabled=trace)
         self.obs = obs or Observability(enabled=False)
         if self.obs.enabled:
             # Thread causal context along the event graph: scheduling
@@ -51,7 +48,7 @@ class GcsWorld:
             self.sim.cause_hook = self.obs.causality
         for machine in topology.machines:
             machine.obs = self.obs
-        self.network = Network(self.sim, topology, self.tracer, obs=self.obs)
+        self.network = Network(self.sim, topology, obs=self.obs)
         self.daemons: Dict[int, Daemon] = {}
         self.client_directory: Dict[str, Daemon] = {}
         for index, machine in enumerate(topology.machines):

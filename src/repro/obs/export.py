@@ -26,6 +26,22 @@ from repro.obs.spans import Span
 JSONL_SCHEMA_VERSION = 2
 
 
+def span_record(span: Span) -> Dict[str, Any]:
+    """The JSONL record of one span (the shape DESIGN.md documents)."""
+    return {
+        "category": span.category,
+        "name": span.name,
+        "actor": span.actor,
+        "proc": span.proc,
+        "start": span.start,
+        "end": span.end,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "trace_id": span.trace_id,
+        "attrs": span.attrs,
+    }
+
+
 def spans_to_jsonl(spans: Iterable[Span], path: str) -> int:
     """Write a schema header then one JSON object per span.
 
@@ -37,18 +53,10 @@ def spans_to_jsonl(spans: Iterable[Span], path: str) -> int:
             "schema": {"kind": "repro.obs", "version": JSONL_SCHEMA_VERSION},
         }, sort_keys=True) + "\n")
         for span in spans:
-            handle.write(json.dumps({
-                "category": span.category,
-                "name": span.name,
-                "actor": span.actor,
-                "proc": span.proc,
-                "start": span.start,
-                "end": span.end,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "trace_id": span.trace_id,
-                "attrs": span.attrs,
-            }, sort_keys=True, default=str) + "\n")
+            handle.write(
+                json.dumps(span_record(span), sort_keys=True, default=str)
+                + "\n"
+            )
             count += 1
     return count
 

@@ -1,13 +1,11 @@
 """Deterministic discrete-event simulation engine.
 
 Provides the virtual clock and event loop everything else runs on
-(:mod:`repro.sim.engine`), a multi-core CPU contention model that reproduces
-the paper's dual-processor testbed machines (:mod:`repro.sim.cpu`), and
-structured tracing for tests and debugging (:mod:`repro.sim.trace`).
+(:mod:`repro.sim.engine`) and a multi-core CPU contention model that
+reproduces the paper's dual-processor testbed machines (:mod:`repro.sim.cpu`).
 """
 
 from repro.sim.cpu import Machine
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import TraceEvent, Tracer
 
-__all__ = ["Event", "Simulator", "Machine", "TraceEvent", "Tracer"]
+__all__ = ["Event", "Simulator", "Machine"]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.bench.cli import FIGURES, build_subcommand_parser, main
+from repro.bench.cli import COMMANDS, FIGURES, build_subcommand_parser, main
 from repro.gcs.topology import TESTBEDS
 from repro.obs import JSONL_SCHEMA_VERSION, validate_chrome_trace
 
@@ -150,12 +150,6 @@ class TestTransportFlag:
         err = capsys.readouterr().err
         assert "error:" in err and "asyncio" in err
 
-    def test_live_rejects_trace_log(self, capsys):
-        code = main(["live", "--trace", "events.jsonl"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "simulated event log" in err
-
     def test_live_parser_accepts_size_and_daemon_mode(self):
         args = build_subcommand_parser().parse_args(
             ["live", "--protocol", "bd", "-n", "6", "--daemon", "inline"]
@@ -167,6 +161,81 @@ class TestTransportFlag:
     def test_live_rejects_unknown_daemon_mode(self):
         with pytest.raises(SystemExit):
             build_subcommand_parser().parse_args(["live", "--daemon", "nope"])
+
+
+#: the positionals a subcommand needs before argparse looks at its flags
+_POSITIONALS = {"figure": ["14"], "table": ["1"], "compare": ["a.json", "b.json"]}
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    pytest.param(
+        [command, *_POSITIONALS.get(command, []), "--trace", "x.jsonl"],
+        "unrecognized arguments: --trace",
+        id=command,
+    )
+    for command in sorted(COMMANDS) if command != "chaos"
+] + [pytest.param(["profile"], "invalid choice: 'profile'", id="profile")])
+def test_trace_flag_is_chaos_only_and_profile_is_gone(argv, complaint, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
+_CHAOS_TRACE_ARGV = [
+    "chaos", "--protocols", "BD", "--drops", "0", "0.15", "--size", "4",
+    "--repeats", "1", "--no-cache",
+]
+
+
+@pytest.fixture(scope="module")
+def chaos_trace_runs(tmp_path_factory):
+    """The same small chaos sweep three ways: (artifact, trace) paths for
+    ``--trace`` at one job, no ``--trace``, and ``--trace`` at two jobs."""
+    root = tmp_path_factory.mktemp("chaos_trace")
+    runs = {}
+    for name, jobs, traced in (
+        ("traced", "1", True), ("plain", "1", False), ("traced_jobs2", "2", True)
+    ):
+        out, trace = str(root / f"{name}.json"), str(root / f"{name}.jsonl")
+        argv = _CHAOS_TRACE_ARGV + ["--jobs", jobs, "-o", out]
+        assert main(argv + (["--trace", trace] if traced else [])) == 0
+        runs[name] = (out, trace)
+    return runs
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def test_chaos_trace_rows_are_labelled_span_records(chaos_trace_runs):
+    rows = [
+        json.loads(line)
+        for line in _read(chaos_trace_runs["traced"][1]).splitlines()
+    ]
+    assert rows
+    for row in rows:
+        assert row["protocol"] == "BD" and row["sample"] == 0
+        assert row["drop_rate"] in (0.0, 0.15)
+        assert {"category", "name", "actor", "start", "end", "attrs"} <= set(row)
+    rates_with_fault_drops = {
+        row["drop_rate"] for row in rows
+        if row["category"] == "net" and row["name"].startswith("fault-drop")
+    }
+    assert rates_with_fault_drops == {0.15}
+
+
+def test_chaos_trace_leaves_the_artifact_unchanged(chaos_trace_runs):
+    assert _read(chaos_trace_runs["traced"][0]) == _read(
+        chaos_trace_runs["plain"][0]
+    )
+
+
+def test_chaos_trace_rows_do_not_depend_on_jobs(chaos_trace_runs):
+    assert _read(chaos_trace_runs["traced"][1]) == _read(
+        chaos_trace_runs["traced_jobs2"][1]
+    )
 
 
 def test_every_registered_figure_is_well_formed():

@@ -1,8 +1,11 @@
 """Unit-level tests of SecureGroupMember internals."""
 
+import inspect
+import typing
+
 import pytest
 
-from repro.core import SecureSpreadFramework
+from repro.core import SecureSpreadFramework, secure_group
 from repro.core.secure_group import _message_bytes, sorted_repr
 from repro.crypto import rsa
 from repro.gcs.topology import lan_testbed
@@ -13,6 +16,34 @@ def _framework(**kwargs):
     defaults = dict(dh_group="dh-test")
     defaults.update(kwargs)
     return SecureSpreadFramework(lan_testbed(), default_protocol="BD", **defaults)
+
+
+def _defined_functions(module):
+    """Every function the module itself defines: top-level ones and the
+    methods (plain or behind a property) of its own classes."""
+    found = {}
+    for owner in [module] + [
+        cls for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__
+    ]:
+        for name, value in vars(owner).items():
+            value = getattr(value, "fget", value)
+            if (
+                inspect.isfunction(value)
+                and value.__module__ == module.__name__
+            ):
+                found[value.__qualname__] = value
+    return found
+
+
+_SECURE_GROUP_FUNCTIONS = _defined_functions(secure_group)
+
+
+@pytest.mark.parametrize("qualname", sorted(_SECURE_GROUP_FUNCTIONS))
+def test_annotations_resolve(qualname):
+    # An annotation naming something the module never imported only
+    # fails when somebody evaluates it; evaluate them all.
+    typing.get_type_hints(_SECURE_GROUP_FUNCTIONS[qualname])
 
 
 class TestSigning:
