@@ -8,8 +8,8 @@ Runs the same scenario twice:
 2. **live** — :class:`~repro.net.runner.LiveGroupRunner` drives the
    identical scenario over a real :class:`~repro.net.daemon.NetDaemon`
    and TCP sockets, measuring wall-clock time on the same
-   :class:`~repro.core.timing.RekeyTimeline` and the same
-   ``member.rekey_ms`` log-histogram substrate.
+   :class:`~repro.core.timing.RekeyTimeline`, whose per-group
+   ``member.rekey_ms`` log-histogram is the ``rekey_ms`` block.
 
 The two halves land side by side in ``BENCH_live.json`` so the live
 numbers can be sanity-checked against the simulator's virtual-time
@@ -48,7 +48,7 @@ def simulate_prediction(
     spec = ExperimentSpec(
         protocol, "join", size, dh_group, topology, seed=seed, engine=engine
     )
-    framework = spec.build_framework(observe=True)
+    framework = spec.build_framework()
     driver = GroupDriver(framework)
     result = driver.run(driver.join_leave_scenario(size))
     return {"topology": framework.world.topology.name, **result}

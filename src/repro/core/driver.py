@@ -368,8 +368,8 @@ class GroupDriver:
         join = epoch_stats((yield from self.join(size % self.machines)))
         yield from self.restore()
         leave = epoch_stats((yield from self.leave()))
-        rekey = self.framework.obs.log_histogram(
-            "member.rekey_ms", group=self.group_name, protocol=self.protocol
+        rekey = self.framework.timeline.rekey_latency(
+            self.group_name, self.protocol
         )
         return {
             "join": join,

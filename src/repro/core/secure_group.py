@@ -385,10 +385,19 @@ class SecureGroupMember:
         while len(self._ciphers) > _CIPHER_HISTORY:
             oldest = min(self._ciphers)
             del self._ciphers[oldest]
-        self.framework.timeline.record_key(view.view_id, self.name, self.sim.now)
+        # The measurement, taken on every run: when this member held the
+        # key, and how long after it first saw the view.  A restarted
+        # epoch re-installs and is observed again (``record_key`` keeps
+        # only its first instant).
+        now = self.sim.now
+        seen = self._view_seen_at.get(view.view_id, now)
+        elapsed = now - seen
+        timeline = self.framework.timeline
+        timeline.record_key(view.view_id, self.name, now)
+        timeline.rekey_latency(self.group_name, self.protocol.name).observe(elapsed)
         if self.obs.enabled:
-            now = self.sim.now
-            seen = self._view_seen_at.get(view.view_id, now)
+            # The flight recorder's record of the same install; its
+            # ``member.rekey_ms`` instrument takes the same ``elapsed``.
             self.obs.span(
                 "epoch", f"rekey {self.protocol.name}", self.name,
                 self.machine.name, seen, now,
@@ -402,7 +411,6 @@ class SecureGroupMember:
                 epoch=str(view.view_id), member=self.name,
                 protocol=self.protocol.name,
             )
-            elapsed = now - seen
             self.obs.log_histogram(
                 "member.rekey_ms",
                 group=self.group_name, protocol=self.protocol.name,

@@ -8,12 +8,21 @@ notification instants the Secure Spread layer reports and decomposes the
 elapsed time into the membership-service part (view delivery) and the key
 agreement part, which is exactly how Figures 11, 12 and 14 plot their
 "Membership service" baseline against the protocol curves.
+
+The timeline also holds the per-member rekey latency distribution —
+view first seen at a member → that member installs the key — as one
+exact :class:`~repro.obs.histo.LogHistogram` per (group, protocol),
+named ``member.rekey_ms``.  Like the epoch records it is a measurement,
+taken on every run; the opt-in flight recorder (:mod:`repro.obs`) adds
+spans, counters and the time series around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.obs.histo import LogHistogram
 
 
 @dataclass
@@ -56,6 +65,7 @@ class RekeyTimeline:
     def __init__(self) -> None:
         self.epochs: Dict[Tuple[int, int], EpochRecord] = {}
         self._event_pending: Optional[float] = None
+        self._rekey_latency: Dict[Tuple[str, str], LogHistogram] = {}
 
     def mark_event(self, now: float) -> None:
         """The instant a membership event is injected (join call, leave
@@ -77,6 +87,29 @@ class RekeyTimeline:
             record = EpochRecord(epoch=epoch, event_started_at=self._event_pending)
             self.epochs[epoch] = record
         record.key_ready.setdefault(member, now)
+
+    def rekey_latency(self, group: str, protocol: str) -> LogHistogram:
+        """The group's ``member.rekey_ms`` histogram (created on first
+        use).  Members observe every key install into it, the re-install
+        of a restarted epoch included — :meth:`record_key` keeps only an
+        epoch's first install, so the distribution cannot be derived
+        from the :class:`EpochRecord` instants."""
+        key = (group, protocol)
+        histogram = self._rekey_latency.get(key)
+        if histogram is None:
+            histogram = self._rekey_latency[key] = LogHistogram(
+                "member.rekey_ms", (("group", group), ("protocol", protocol))
+            )
+        return histogram
+
+    def rekey_latencies(self) -> List[LogHistogram]:
+        """Every group's latency histogram, in sorted label order."""
+        return [h for _, h in sorted(self._rekey_latency.items())]
+
+    def clear_rekey_latencies(self) -> None:
+        """Forget the latencies observed so far (a workload's growth
+        phase), so the distribution covers only what follows."""
+        self._rekey_latency.clear()
 
     def latest_complete(self) -> EpochRecord:
         """The most recent epoch every member finished."""

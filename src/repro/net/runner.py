@@ -14,7 +14,9 @@ runs on this host.
 spawn (or embed) a daemon, grow a secure group of *n* members by
 sequential joins, measure one join and one leave rekey with real
 wall-clock time on the shared :class:`~repro.core.timing.RekeyTimeline`,
-and report the ``member.rekey_ms`` percentile substrate alongside.
+and report the timeline's ``member.rekey_ms`` percentiles alongside.  The
+flight recorder is off: it would sit on the wall-clock path being
+measured, and the run returns nothing the recorder holds.
 """
 
 from __future__ import annotations
@@ -248,7 +250,6 @@ class LiveGroupRunner:
             default_protocol=self.protocol,
             dh_group=self.dh_group,
             seed=self.seed,
-            observe=True,  # live runs always record rekey_ms percentiles
             engine=self.engine,
         )
         self.framework = framework

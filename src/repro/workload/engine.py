@@ -10,15 +10,17 @@ hundreds of groups multiplex the same daemons instead of piling onto
 machine 0 — the "different groups, different protocols, one framework"
 deployment of the paper, at scale.
 
-Measurement rides the existing observability substrate: each member's
-key install records into the ``member.rekey_ms`` log histogram (only
-epochs of the *sustained* phase — the registry is cleared after growth),
-and the engine merges every group's histogram into one exact
-per-(protocol, arrival) aggregate for p50/p95/p99.  Throughput is
-member-epochs per virtual second over the sustained window;
-``converge_ms`` is the quiet tail between the last injection (churn or
-fault) and the instant the simulator went idle — the time-to-converge
-after the storm.
+Measurement reads the framework's timeline: each member's key install
+is observed into its group's ``member.rekey_ms`` log histogram
+(:meth:`~repro.core.timing.RekeyTimeline.rekey_latency`; only epochs of
+the *sustained* phase — the growth rekeys' latencies are dropped after
+growth), and the engine merges every group's histogram into one exact
+per-(protocol, arrival) aggregate for p50/p95/p99.  The flight recorder
+stays off: a run returns its :class:`WorkloadResult` and nothing the
+recorder would hold.  Throughput is member-epochs per virtual second
+over the sustained window; ``converge_ms`` is the quiet tail between the
+last injection (churn or fault) and the instant the simulator went idle
+— the time-to-converge after the storm.
 
 Everything downstream of the seed is deterministic: same spec, same
 substrate ⇒ a bit-identical :class:`WorkloadResult`.
@@ -123,7 +125,6 @@ class WorkloadEngine:
             default_protocol=spec.protocol,
             dh_group=dh_group,
             seed=spec.seed,
-            observe=True,
             engine=engine,
             stall_timeout_ms=stall_timeout_ms,
         )
@@ -151,8 +152,8 @@ class WorkloadEngine:
 
     def populate(self) -> None:
         """Grow every group to its steady-state size (one batched rekey
-        per group), staggered over the machines, then zero the metrics so
-        percentiles cover only the sustained phase."""
+        per group), staggered over the machines, then forget the growth
+        rekeys' latencies so percentiles cover only the sustained phase."""
         spec = self.spec
         for group in range(spec.groups):
             driver = GroupDriver(
@@ -168,7 +169,7 @@ class WorkloadEngine:
             self.drivers[group] = driver
             self.rosters[group] = driver.members
         self._next_machine = spec.groups * spec.group_size
-        self.framework.obs.metrics.clear()
+        self.framework.timeline.clear_rekey_latencies()
 
     def inject(self) -> int:
         """Schedule the churn stream and the composed fault schedule,
@@ -228,12 +229,11 @@ class WorkloadEngine:
             "load.rekey_ms",
             (("arrival", self.spec.arrival), ("protocol", self.spec.protocol)),
         )
-        for histogram in self.framework.obs.metrics.log_histograms():
-            if histogram.name == "member.rekey_ms":
-                merged.merge(
-                    histogram.buckets, histogram.zero_count, histogram.count,
-                    histogram.total, histogram.min, histogram.max,
-                )
+        for histogram in self.framework.timeline.rekey_latencies():
+            merged.merge(
+                histogram.buckets, histogram.zero_count, histogram.count,
+                histogram.total, histogram.min, histogram.max,
+            )
         return merged
 
     def run(self) -> WorkloadResult:

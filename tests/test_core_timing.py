@@ -111,3 +111,19 @@ def test_key_agreement_elapsed_reconciles_with_span_breakdown():
     assert phases.phase_sum() == pytest.approx(
         record.total_elapsed(), abs=1e-12
     )
+
+
+def test_rekey_latency_is_one_histogram_per_group_in_label_order():
+    timeline = RekeyTimeline()
+    timeline.rekey_latency("g1", "TGDH").observe(4.0)
+    timeline.rekey_latency("g0", "BD").observe(2.0)
+    timeline.rekey_latency("g1", "TGDH").observe(6.0)
+    first, second = timeline.rekey_latencies()
+    assert (first.name, first.labels, first.count) == (
+        "member.rekey_ms", (("group", "g0"), ("protocol", "BD")), 1
+    )
+    assert second.labels == (("group", "g1"), ("protocol", "TGDH"))
+    assert (second.count, second.total, second.max) == (2, 10.0, 6.0)
+    timeline.clear_rekey_latencies()
+    assert timeline.rekey_latencies() == []
+    assert timeline.rekey_latency("g1", "TGDH").count == 0

@@ -244,6 +244,42 @@ class TestStallRecovery:
         assert fw.rekey_restarts > 0
         _one_shared_key(members + [joiner])
 
+    def test_timeline_latency_equals_the_recorders_instrument(self):
+        # The timeline's always-on ``member.rekey_ms`` and the flight
+        # recorder's instrument of the same name are fed from one local
+        # and must never diverge — including for an epoch a restart makes
+        # a member install twice (``record_key`` keeps only the first).
+        fw = _framework("TGDH", stall_timeout_ms=STALL_MS, observe=True)
+        fw.set_group_protocol("side", "BD")
+        for member in fw.spawn_members(3, group_name="side", prefix="s"):
+            member.join()
+            fw.run_until_idle()
+        _settled_group(fw, 5)
+        fw.world.install_link_faults(LinkFaults.uniform(seed=0, drop=0.15))
+        cascaded_churn(
+            joins=[("j0", 5), ("j1", 6)], leaves=["m1"], gap_ms=2.0
+        ).install(fw)
+        fw.run_until_idle()
+        assert fw.rekey_restarts > 0
+        installs = sum(len(m.secure_views) for m in fw._members.values())
+        first_installs = sum(
+            len(record.key_ready) for record in fw.timeline.epochs.values()
+        )
+        assert installs > first_installs  # a re-installed epoch is sampled
+        measured = fw.timeline.rekey_latencies()
+        recorded = [
+            h for h in fw.obs.metrics.log_histograms()
+            if h.name == "member.rekey_ms"
+        ]
+        assert [h.labels for h in measured] == [h.labels for h in recorded] == [
+            (("group", "secure-group"), ("protocol", "TGDH")),
+            (("group", "side"), ("protocol", "BD")),
+        ]
+        for ours, theirs in zip(measured, recorded):
+            for field in ("buckets", "zero_count", "count", "total", "min", "max"):
+                assert getattr(ours, field) == getattr(theirs, field), field
+        assert sum(h.count for h in measured) == installs
+
     def test_clean_run_never_stalls(self):
         fw = _framework("GDH", stall_timeout_ms=STALL_MS)
         members = _settled_group(fw, 5)

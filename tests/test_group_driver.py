@@ -16,9 +16,10 @@ from repro.net import AsyncioTransport, NetDaemon
 from repro.obs import MetricsRegistry
 
 
-def _sim_driver(protocol="TGDH", size=0, **kwargs):
+def _sim_driver(protocol="TGDH", size=0, observe=True, **kwargs):
     framework = SecureSpreadFramework(
-        lan_testbed(), default_protocol=protocol, dh_group="dh-test", observe=True
+        lan_testbed(), default_protocol=protocol, dh_group="dh-test",
+        observe=observe,
     )
     driver = GroupDriver(framework, **kwargs)
     driver.run(driver.grow(size))
@@ -83,6 +84,18 @@ def test_scenario_runs_identically_on_simulator_and_live_daemon():
         assert result["join"]["members"] == 4
         assert result["leave"]["members"] == 2
         assert result["rekey_ms"]["count"] == 1 + 2 + 3 + 4 + 3 + 2
+
+
+def test_scenario_needs_no_flight_recorder():
+    """The scenario reads the timeline's always-on latency histogram, so
+    an unobserved framework reports exactly what an observed one does."""
+    observed, plain = _sim_driver(), _sim_driver(observe=False)
+    expected = observed.run(observed.join_leave_scenario(3))
+    result = plain.run(plain.join_leave_scenario(3))
+    assert not plain.framework.obs.enabled and len(plain.framework.obs.spans) == 0
+    assert result == expected
+    assert result["join"]["members"] == 4 and result["leave"]["members"] == 2
+    assert result["rekey_ms"]["count"] == 1 + 2 + 3 + 4 + 3 + 2
 
 
 # -- (b) the merged convergence predicate ------------------------------------

@@ -224,6 +224,28 @@ def test_groups_keep_distinct_keys():
     assert len(set(keys)) == len(keys)
 
 
+def test_load_cell_records_only_what_it_reports():
+    """Rekey latency is a timeline measurement: the flight recorder stays
+    off, and the timeline holds one sustained-phase histogram per group."""
+    grown = WorkloadEngine(_small_spec(groups=3))
+    grown.populate()
+    # Growth-phase installs are not part of the sustained distribution.
+    assert sum(h.count for h in grown.framework.timeline.rekey_latencies()) == 0
+
+    engine = WorkloadEngine(_small_spec(groups=3))
+    result = engine.run()
+    obs = engine.framework.obs
+    assert obs.enabled is False
+    assert len(obs.spans) == 0
+    assert list(obs.metrics.iter_instruments()) == []
+    latencies = engine.framework.timeline.rekey_latencies()
+    assert [h.labels for h in latencies] == [
+        (("group", f"g{group}"), ("protocol", "TGDH")) for group in range(3)
+    ]
+    assert all(h.name == "member.rekey_ms" for h in latencies)
+    assert sum(h.count for h in latencies) == result.member_epochs > 0
+
+
 def test_faults_compose_with_churn():
     spec = _small_spec(
         protocol="GDH",
