@@ -146,9 +146,7 @@ class SecureGroupMember:
     @property
     def key_bytes(self) -> Optional[bytes]:
         """The current epoch's raw key material (None while rekeying)."""
-        if self._current_epoch is None:
-            return None
-        if self.protocol.key_epoch != self._current_epoch:
+        if not self.is_secure:
             return None
         return self.protocol.key.to_bytes(
             (self.protocol.key.bit_length() + 7) // 8 or 1, "big"
@@ -157,7 +155,10 @@ class SecureGroupMember:
     @property
     def is_secure(self) -> bool:
         """True when the member holds the key for the current view."""
-        return self.key_bytes is not None
+        return (
+            self._current_epoch is not None
+            and self.protocol.key_epoch == self._current_epoch
+        )
 
     # -- secure data --------------------------------------------------------
 

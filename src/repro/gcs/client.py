@@ -21,8 +21,10 @@ class SpreadClient:
     """One client process connected to a local daemon.
 
     Callbacks (``on_message``, ``on_view``) receive ``(client, item)`` and
-    run inside the simulation.  Delivered items are also appended to
-    :attr:`received` / :attr:`views` for test assertions.
+    run inside the simulation.  Every view is also appended to
+    :attr:`views`; :attr:`received` is the mailbox of a client nobody
+    listens to — messages accumulate there only while ``on_message`` is
+    unset.
     """
 
     def __init__(self, name: str, daemon) -> None:
@@ -110,12 +112,13 @@ class SpreadClient:
     def _on_message(self, message: GroupMessage) -> None:
         if not self.connected:
             return
-        self.received.append(message)
         if self.world.obs.enabled:
             self.world.obs.counter(
                 "client.messages_delivered", client=self.name
             ).inc()
-        if self.on_message is not None:
+        if self.on_message is None:
+            self.received.append(message)
+        else:
             self.on_message(self, message)
 
     def _on_view(self, view: View) -> None:

@@ -6,29 +6,29 @@ and exposes the same API the simulated
 ``join``/``leave``/``multicast``/``unicast``/``disconnect`` plus
 ``on_message``/``on_view`` listener callbacks receiving ``(client,
 item)`` — so :class:`~repro.core.secure_group.SecureGroupMember` drives
-it unchanged.  The synchronous calls merely enqueue frames; a writer
-task flushes them in order, a reader task turns inbound frames back into
+it unchanged.  The client is an :class:`asyncio.Protocol`: the
+synchronous calls write their frame straight to the socket's transport,
+``data_received`` turns inbound bytes back into
 :class:`~repro.gcs.messages.GroupMessage` / :class:`~repro.gcs.messages.
-View` objects, and a heartbeat task keeps the daemon's failure detector
-quiet.  All callbacks run on the event loop thread, exactly as the
-simulator runs them on the simulation "thread".
+View` objects as they arrive, and a heartbeat timer keeps the daemon's
+failure detector quiet.  All callbacks run on the event loop thread,
+exactly as the simulator runs them on the simulation "thread".
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from typing import Any, Callable, List, Optional
 
 from repro.gcs.messages import GroupMessage, Service, View, ViewEvent
 from repro.net.wire import (
     WIRE_VERSION,
+    FrameDecoder,
     FrameType,
     WireError,
     decode_payload,
     encode_payload,
     pack_frame,
-    read_frame,
 )
 from repro.transport.base import (
     validate_group_name,
@@ -40,8 +40,12 @@ from repro.transport.base import (
 DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 
 
-class NetClient:
-    """One live client process connected to a daemon over TCP."""
+class NetClient(asyncio.Protocol):
+    """One live client process connected to a daemon over TCP.
+
+    :attr:`received` is the mailbox of a channel nobody listens to:
+    deliveries accumulate there only while ``on_message`` is unset.
+    """
 
     def __init__(
         self,
@@ -61,10 +65,12 @@ class NetClient:
         self.connected = False
         self.config_id = None
         self.error: Optional[str] = None
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._outbox: asyncio.Queue = asyncio.Queue()
-        self._tasks: List[asyncio.Task] = []
+        self._transport: Optional[asyncio.Transport] = None
+        self._decoder = FrameDecoder()
+        #: pending while ``connect`` awaits the daemon's reply to HELLO
+        self._handshake: Optional[asyncio.Future] = None
+        self._lost: Optional[asyncio.Future] = None
+        self._heartbeat: Optional[asyncio.TimerHandle] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -72,46 +78,26 @@ class NetClient:
         """Open the socket and complete the HELLO/WELCOME handshake."""
         if self.connected:
             raise RuntimeError(f"client {self.name!r} is already connected")
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        self._writer.write(
-            pack_frame(
-                FrameType.HELLO, {"name": self.name, "version": WIRE_VERSION}
-            )
-        )
-        await self._writer.drain()
-        ftype, body = await read_frame(self._reader)
-        if ftype is FrameType.ERROR:
-            self._writer.close()
-            raise ConnectionError(
-                f"daemon rejected {self.name!r}: {body.get('error')}"
-            )
-        if ftype is not FrameType.WELCOME:
-            self._writer.close()
-            raise WireError(f"expected WELCOME, got {ftype.name}")
-        self.config_id = body.get("config_id")
-        self.connected = True
-        self._tasks = [
-            asyncio.ensure_future(self._run_writer()),
-            asyncio.ensure_future(self._run_reader()),
-            asyncio.ensure_future(self._run_heartbeat()),
-        ]
+        loop = asyncio.get_running_loop()
+        self._handshake = handshake = loop.create_future()
+        self._lost = loop.create_future()
+        try:
+            await loop.create_connection(lambda: self, self.host, self.port)
+            await handshake
+        finally:
+            self._handshake = None
+        self._heartbeat = loop.call_later(self.heartbeat_interval_s, self._beat)
 
     async def aclose(self) -> None:
-        """Tear down tasks and the socket (idempotent)."""
+        """Tear down the heartbeat and the socket (idempotent)."""
         self.connected = False
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._tasks = []
-        if self._writer is not None:
-            self._writer.close()
-            with contextlib.suppress(Exception):
-                await self._writer.wait_closed()
-            self._writer = None
+        if self._heartbeat is not None:
+            self._heartbeat.cancel()
+            self._heartbeat = None
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+            await self._lost
 
     # -- membership (synchronous GroupChannel surface) ---------------------
 
@@ -129,9 +115,8 @@ class NetClient:
 
     def disconnect(self) -> None:
         """Orderly goodbye: the daemon converts it to leaves everywhere."""
-        self._require_connected()
+        self._send(FrameType.BYE, {})
         self.connected = False
-        self._send(FrameType.BYE, {}, force=True)
 
     # -- messaging ---------------------------------------------------------
 
@@ -169,45 +154,62 @@ class NetClient:
             group, payload, service=Service.FIFO, size_bytes=size_bytes, target=target
         )
 
-    # -- background tasks --------------------------------------------------
+    # -- asyncio.Protocol callbacks ----------------------------------------
 
-    async def _run_writer(self) -> None:
-        try:
-            while True:
-                frame = await self._outbox.get()
-                self._writer.write(frame)
-                await self._writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            self.connected = False
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        transport.write(
+            pack_frame(
+                FrameType.HELLO, {"name": self.name, "version": WIRE_VERSION}
+            )
+        )
 
-    async def _run_reader(self) -> None:
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                ftype, body = await read_frame(self._reader)
-                if ftype is FrameType.DELIVER:
+            for ftype, body in self._decoder.feed(data):
+                if ftype is FrameType.ERROR:
+                    self._drop(body.get("error"))
+                    return
+                if self._handshake is not None:
+                    if ftype is not FrameType.WELCOME:
+                        raise WireError(f"expected WELCOME, got {ftype.name}")
+                    self.config_id = body.get("config_id")
+                    self.connected = True
+                    self._handshake.set_result(None)
+                    self._handshake = None
+                elif ftype is FrameType.DELIVER:
                     self._on_deliver(body)
                 elif ftype is FrameType.VIEW:
                     self._on_view_frame(body)
-                elif ftype is FrameType.PING:
-                    pass
-                elif ftype is FrameType.ERROR:
-                    self.error = body.get("error")
-                    self.connected = False
-                    return
-                else:
+                elif ftype is not FrameType.PING:
                     raise WireError(f"unexpected {ftype.name} from daemon")
-        except (asyncio.IncompleteReadError, ConnectionError):
-            self.connected = False  # daemon went away
-        except asyncio.CancelledError:
-            raise
+        except WireError as error:
+            self._drop(str(error))
 
-    async def _run_heartbeat(self) -> None:
-        while True:
-            await asyncio.sleep(self.heartbeat_interval_s)
-            if not self.connected:
-                return
-            loop_now = asyncio.get_event_loop().time()
-            self._send(FrameType.PING, {"t": loop_now}, force=True)
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.connected = False  # the daemon went away, or we hung up
+        if self._handshake is not None:
+            self._drop("connection closed during the handshake")
+        self._lost.set_result(None)
+
+    def _drop(self, error: Optional[str]) -> None:
+        """The daemon refused us or broke protocol: record why and hang
+        up; a ``connect`` still waiting raises :class:`ConnectionError`."""
+        self.error = error
+        self.connected = False
+        self._transport.close()
+        if self._handshake is not None:
+            self._handshake.set_exception(
+                ConnectionError(f"daemon rejected {self.name!r}: {error}")
+            )
+            self._handshake = None
+
+    def _beat(self) -> None:
+        if not self.connected:
+            return
+        loop = asyncio.get_running_loop()
+        self._send(FrameType.PING, {"t": loop.time()})
+        self._heartbeat = loop.call_later(self.heartbeat_interval_s, self._beat)
 
     # -- delivery ----------------------------------------------------------
 
@@ -221,8 +223,9 @@ class NetClient:
             size_bytes=body.get("size_bytes", 0),
             target=body.get("target"),
         )
-        self.received.append(message)
-        if self.on_message is not None:
+        if self.on_message is None:
+            self.received.append(message)
+        else:
             self.on_message(self, message)
 
     def _on_view_frame(self, body: dict) -> None:
@@ -240,10 +243,9 @@ class NetClient:
 
     # -- internals ---------------------------------------------------------
 
-    def _send(self, ftype: FrameType, body: dict, force: bool = False) -> None:
-        if not force:
-            self._require_connected()
-        self._outbox.put_nowait(pack_frame(ftype, body))
+    def _send(self, ftype: FrameType, body: dict) -> None:
+        self._require_connected()
+        self._transport.write(pack_frame(ftype, body))
 
     def _require_connected(self) -> None:
         if not self.connected:

@@ -8,18 +8,29 @@ provides the transport contract over the wire protocol of
   daemon validates the name (same boundary rules as the simulator) and
   rejects duplicates with an ERROR frame before any group state changes;
 * **join/leave/multicast services** — membership events and Agreed
-  multicasts consume slots of one global sequence; because a single
-  asyncio task routes every inbound frame atomically (no await between
-  sequencing and enqueueing to recipients), all members observe the same
-  total order, which is exactly the guarantee the simulator's token ring
-  provides;
+  multicasts consume slots of one global sequence.  Each connection is
+  an :class:`asyncio.Protocol` whose ``data_received`` parses and routes
+  every complete frame synchronously: there is no await (no other
+  callback can run) between taking a sequence slot and appending the
+  frame to every recipient's batch, and a batch reaches its socket in
+  append order, so all members observe the same total order — exactly
+  the guarantee the simulator's token ring provides;
+* **one write per recipient per loop turn** — frames routed to a session
+  in one turn of the event loop leave as a single ``transport.write``;
+  the socket's own write buffer is the only outbound queue, so memory
+  follows what is in flight;
+* **slow consumers are evicted** — a session whose unsent bytes pass
+  :data:`SLOW_CONSUMER_BYTES` is aborted and counted in
+  :attr:`NetDaemon.evicted`; the rest of its groups see ordinary LEAVE
+  views, which the key agreement layer already handles;
 * **view installation** — every membership change broadcasts a
   :class:`~repro.gcs.messages.View` (join-age member ordering, the same
   ``(config_id, seq)`` view ids) to all members plus the leaver;
 * **failure suspicion** — clients heartbeat with PING frames; a sweeper
-  drops any client silent past the suspicion timeout, converting the
-  suspected crash into leaves, which is the single-daemon analogue of
-  Spread's failure detector turning a member crash into a leave (§5).
+  drops any connection silent past the suspicion timeout — a client
+  (converting the suspected crash into leaves, the single-daemon
+  analogue of Spread's failure detector turning a member crash into a
+  leave, §5) or a socket that never completed its HELLO.
 
 Run standalone with ``python -m repro.net.daemon [--port N]``; it prints
 ``LISTENING <port>`` once bound so a parent process can scrape the port.
@@ -31,16 +42,17 @@ import argparse
 import asyncio
 import contextlib
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.gcs.messages import Service
 from repro.net.views import MembershipTable
 from repro.net.wire import (
+    MAX_FRAME_BYTES,
     WIRE_VERSION,
+    FrameDecoder,
     FrameType,
     WireError,
     pack_frame,
-    read_frame,
 )
 from repro.transport.base import (
     validate_group_name,
@@ -51,21 +63,77 @@ from repro.transport.base import (
 #: default client-silence window before the daemon suspects a crash
 DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
 
+#: the slow-consumer bound: a session whose unsent bytes pass this is
+#: evicted (its socket's write buffer is the only outbound queue there is)
+SLOW_CONSUMER_BYTES = 4 * MAX_FRAME_BYTES
 
-class _Session:
-    """One connected client: its socket, outbound queue and liveness."""
 
-    def __init__(self, name: str, writer: asyncio.StreamWriter, now: float):
-        self.name = name
-        self.writer = writer
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        self.last_seen = now
-        self.writer_task: Optional[asyncio.Task] = None
+class _Session(asyncio.Protocol):
+    """One client connection: inbound frames are parsed and routed as the
+    bytes arrive, outbound ones are batched into one write per loop turn."""
+
+    def __init__(self, daemon: "NetDaemon") -> None:
+        self.daemon = daemon
+        #: set by a valid HELLO; ``None`` while the handshake is outstanding
+        self.name: Optional[str] = None
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = FrameDecoder()
+        self.batch: List[bytes] = []
+        self.last_seen = 0.0
         self.closed = False
 
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(high=SLOW_CONSUMER_BYTES)
+        self.last_seen = self.daemon._loop.time()
+        self.daemon._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        daemon = self.daemon
+        now = daemon._loop.time()
+        try:
+            for ftype, body in self.decoder.feed(data):
+                self.last_seen = now
+                if self.name is None:
+                    daemon._on_hello(self, ftype, body)
+                elif ftype is FrameType.MULTICAST:
+                    daemon._on_multicast(self, body)
+                elif ftype is FrameType.JOIN:
+                    daemon._on_join(self, body)
+                elif ftype is FrameType.LEAVE:
+                    daemon._on_leave(self, body)
+                elif ftype is FrameType.PING:
+                    pass  # liveness already refreshed above
+                elif ftype is FrameType.BYE:
+                    daemon._close_session(self)
+                    return
+                else:
+                    raise WireError(f"unexpected {ftype.name} after handshake")
+        except (WireError, ValueError) as error:
+            self.send(pack_frame(FrameType.ERROR, {"error": str(error)}))
+            daemon._close_session(self)
+
     def send(self, frame: bytes) -> None:
-        if not self.closed:
-            self.outbox.put_nowait(frame)
+        """Add a frame to this loop turn's write."""
+        if self.closed:
+            return
+        if not self.batch:
+            self.daemon._flush_soon(self)
+        self.batch.append(frame)
+
+    def flush(self) -> None:
+        if self.batch:
+            self.transport.write(b"".join(self.batch))
+            self.batch.clear()
+
+    def pause_writing(self) -> None:
+        # The write buffer passed SLOW_CONSUMER_BYTES: the peer is not
+        # reading.  Evict it rather than queue for it without limit.
+        self.daemon.evicted += 1
+        self.daemon._close_session(self, abort=True)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.daemon._close_session(self, abort=True)
 
 
 class NetDaemon:
@@ -85,6 +153,12 @@ class NetDaemon:
         self.messages_routed = 0
         self.views_emitted = 0
         self.suspected = 0
+        self.evicted = 0
+        #: every open connection, handshaken (also in ``sessions``) or not
+        self._connections: Set[_Session] = set()
+        #: sessions holding a batch for the flush queued on the loop
+        self._unflushed: List[_Session] = []
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweeper: Optional[asyncio.Task] = None
 
@@ -98,8 +172,9 @@ class NetDaemon:
 
     async def start(self) -> int:
         """Bind and start serving; returns the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Session(self), self.host, self._requested_port
         )
         self._sweeper = asyncio.ensure_future(self._sweep_heartbeats())
         return self.port
@@ -115,8 +190,11 @@ class NetDaemon:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._sweeper
             self._sweeper = None
-        for session in list(self.sessions.values()):
-            await self._close_session(session)
+        for session in list(self._connections):
+            self._close_session(session)
+            # whatever the socket did not take at once is dropped: a peer
+            # that is not reading must not hold shutdown up
+            session.transport.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -124,112 +202,55 @@ class NetDaemon:
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session: Optional[_Session] = None
-        try:
-            session = await self._handshake(reader, writer)
-            if session is None:
-                return
-            while True:
-                ftype, body = await read_frame(reader)
-                session.last_seen = asyncio.get_event_loop().time()
-                if ftype is FrameType.MULTICAST:
-                    self._on_multicast(session, body)
-                elif ftype is FrameType.JOIN:
-                    self._on_join(session, body)
-                elif ftype is FrameType.LEAVE:
-                    self._on_leave(session, body)
-                elif ftype is FrameType.PING:
-                    pass  # liveness already refreshed above
-                elif ftype is FrameType.BYE:
-                    return
-                else:
-                    raise WireError(f"unexpected {ftype.name} after handshake")
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            WireError,
-            ValueError,
-        ) as error:
-            if session is not None and not isinstance(
-                error, (asyncio.IncompleteReadError, ConnectionError)
-            ):
-                session.send(pack_frame(FrameType.ERROR, {"error": str(error)}))
-        finally:
-            if session is not None:
-                await self._close_session(session)
-            else:
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Optional[_Session]:
-        """Validate the HELLO; returns the session or None after ERROR."""
-        ftype, body = await read_frame(reader)
-        error = None
-        name = body.get("name")
+    def _on_hello(self, session: _Session, ftype: FrameType, body: dict) -> None:
+        """Validate a connection's first frame; any failure raises, and
+        the session is closed after an ERROR frame like any other."""
         if ftype is not FrameType.HELLO:
-            error = f"first frame must be HELLO, got {ftype.name}"
-        elif body.get("version") != WIRE_VERSION:
-            error = (
+            raise WireError(f"first frame must be HELLO, got {ftype.name}")
+        if body.get("version") != WIRE_VERSION:
+            raise WireError(
                 f"wire version mismatch: daemon speaks {WIRE_VERSION}, "
                 f"client sent {body.get('version')!r}"
             )
-        else:
-            try:
-                validate_member_name(name)
-            except ValueError as exc:
-                error = str(exc)
-            else:
-                if name in self.sessions:
-                    error = f"client name {name!r} already in use"
-        if error is not None:
-            writer.write(pack_frame(FrameType.ERROR, {"error": error}))
-            with contextlib.suppress(Exception):
-                await writer.drain()
-            writer.close()
-            return None
-        session = _Session(name, writer, asyncio.get_event_loop().time())
+        name = validate_member_name(body.get("name"))
+        if name in self.sessions:
+            raise WireError(f"client name {name!r} already in use")
+        session.name = name
         self.sessions[name] = session
-        session.writer_task = asyncio.ensure_future(self._drain_outbox(session))
         session.send(
             pack_frame(
                 FrameType.WELCOME,
                 {"config_id": self.table.config_id, "version": WIRE_VERSION},
             )
         )
-        return session
 
-    async def _drain_outbox(self, session: _Session) -> None:
-        """The session's single writer: serializes all outbound frames."""
-        try:
-            while True:
-                frame = await session.outbox.get()
-                session.writer.write(frame)
-                await session.writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+    def _flush_soon(self, session: _Session) -> None:
+        if not self._unflushed:
+            self._loop.call_soon(self._flush)
+        self._unflushed.append(session)
 
-    async def _close_session(self, session: _Session) -> None:
-        if session.closed:
-            return
-        session.closed = True
-        self.sessions.pop(session.name, None)
-        self._emit_views(self.table.disconnect(session.name))
-        if session.writer_task is not None:
-            # Let queued frames flush briefly, then stop the writer.
-            with contextlib.suppress(asyncio.TimeoutError, asyncio.CancelledError):
-                await asyncio.wait_for(session.outbox.join(), timeout=0)
-            session.writer_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await session.writer_task
-        session.writer.close()
-        with contextlib.suppress(Exception):
-            await session.writer.wait_closed()
+    def _flush(self) -> None:
+        """One write per session with frames pending, once per loop turn."""
+        sessions, self._unflushed = self._unflushed, []
+        for session in sessions:
+            session.flush()
+
+    def _close_session(self, session: _Session, abort: bool = False) -> None:
+        """Forget a connection; the groups it was in see ordinary LEAVE
+        views.  A graceful close first writes the pending batch (an ERROR
+        frame, a leaver's last VIEW); ``abort`` drops whatever is unsent."""
+        if not session.closed:
+            session.closed = True
+            self._connections.discard(session)
+            if self.sessions.get(session.name) is session:
+                del self.sessions[session.name]
+                self._emit_views(self.table.disconnect(session.name))
+        if abort:
+            session.batch.clear()
+            session.transport.abort()
+        else:
+            session.flush()
+            session.transport.close()
 
     # -- membership --------------------------------------------------------
 
@@ -285,7 +306,7 @@ class NetDaemon:
         # same), so the sender is deliberately not checked here.
         members = self.table.members(group)
         # Consume one slot of the global order for Agreed traffic.  The
-        # whole routing below is synchronous, so every recipient's outbox
+        # whole routing below is synchronous, so every recipient's batch
         # observes the same sequence — the total-order guarantee.
         if service is Service.AGREED:
             self.table.next_seq()
@@ -316,15 +337,17 @@ class NetDaemon:
     # -- failure suspicion -------------------------------------------------
 
     async def _sweep_heartbeats(self) -> None:
-        """Drop clients silent past the timeout (suspected crashed)."""
+        """Drop connections silent past the timeout: a client suspected
+        crashed, or a socket that never completed its HELLO."""
         interval = max(self.heartbeat_timeout_s / 4.0, 0.05)
         while True:
             await asyncio.sleep(interval)
-            now = asyncio.get_event_loop().time()
-            for session in list(self.sessions.values()):
+            now = self._loop.time()
+            for session in list(self._connections):
                 if now - session.last_seen > self.heartbeat_timeout_s:
-                    self.suspected += 1
-                    await self._close_session(session)
+                    if session.name is not None:
+                        self.suspected += 1
+                    self._close_session(session, abort=True)
 
 
 async def _amain(args) -> int:

@@ -1,11 +1,13 @@
 """Daemon-side group membership state, mirroring the simulator's semantics.
 
-The live daemon keeps the same replicated-state shape as
-:class:`repro.gcs.daemon.Daemon`: per group, a map of member records with
-a *birth* stamp — ``(config_id, seq)`` of the join message — so views
-list members in join-age order (oldest first) exactly as the simulated
-substrate and the paper's protocols (CKD's oldest-member controller,
-GDH's newest-member token target) require.
+The live daemon keeps the same membership semantics as
+:class:`repro.gcs.daemon.Daemon`: views list members in join-age order
+(oldest first) exactly as the simulated substrate and the paper's
+protocols (CKD's oldest-member controller, GDH's newest-member token
+target) require.  The simulator orders by each member's *birth* stamp,
+``(config_id, seq)`` of its join message; here births come from one
+increasing counter, so a group's dict insertion order already *is*
+join-age order — nothing is stamped and nothing is ever sorted.
 
 A single daemon is one configuration, so ``config_id`` is fixed at
 ``(1, 0)`` and every membership event consumes one global sequence
@@ -20,30 +22,20 @@ from typing import Dict, List, Optional, Tuple
 from repro.gcs.messages import View, ViewEvent
 
 
-class _Record:
-    __slots__ = ("name", "birth")
-
-    def __init__(self, name: str, birth: Tuple) -> None:
-        self.name = name
-        self.birth = birth
-
-
 class MembershipTable:
     """All groups' membership as the daemon's single configuration sees it."""
 
     def __init__(self, config_id: Tuple[int, int] = (1, 0)) -> None:
         self.config_id = config_id
         self._seq = 0
-        # group -> member name -> record
-        self._groups: Dict[str, Dict[str, _Record]] = {}
+        # group -> its members in join order (a dict as an ordered set)
+        self._groups: Dict[str, Dict[str, None]] = {}
 
     # -- queries -----------------------------------------------------------
 
     def members(self, group: str) -> Tuple[str, ...]:
         """Members of ``group`` ordered by join age (oldest first)."""
-        records = self._groups.get(group, {})
-        ordered = sorted(records.values(), key=lambda r: (r.birth, r.name))
-        return tuple(r.name for r in ordered)
+        return tuple(self._groups.get(group, ()))
 
     def groups_of(self, member: str) -> List[str]:
         return [g for g, records in self._groups.items() if member in records]
@@ -61,7 +53,7 @@ class MembershipTable:
         if member in records:
             return None  # duplicate join, ignore (same as the simulator)
         seq = self.next_seq()
-        records[member] = _Record(member, (self.config_id, seq))
+        records[member] = None
         return View(
             view_id=(self.config_id, seq),
             group=group,

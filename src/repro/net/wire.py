@@ -19,6 +19,11 @@ a daemon to untrusted networks.
 Frame sizes are bounded (:data:`MAX_FRAME_BYTES`) and validated on both
 ends, so a corrupt or hostile length prefix fails fast with
 :class:`WireError` instead of an unbounded allocation.
+
+Two readers share one set of checks: :class:`FrameDecoder` is fed
+whatever bytes a socket callback hands over (the daemon and the client
+library), :func:`read_frame` awaits one frame from a stream (tests,
+probes, raw-socket handshakes).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import asyncio
 import pickle
 import struct
 from enum import IntEnum
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 #: bump when the frame layout or the handshake changes incompatibly
 WIRE_VERSION = 1
@@ -68,6 +73,9 @@ class FrameType(IntEnum):
     ERROR = 10
 
 
+_FRAME_TYPES = {int(ftype): ftype for ftype in FrameType}
+
+
 def pack_frame(ftype: FrameType, body: Dict[str, Any]) -> bytes:
     """Serialize one frame, length prefix included."""
     blob = pickle.dumps(body, protocol=4)
@@ -79,27 +87,69 @@ def pack_frame(ftype: FrameType, body: Dict[str, Any]) -> bytes:
     return _LENGTH.pack(length) + bytes((int(ftype),)) + blob
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Tuple[FrameType, Dict[str, Any]]:
-    """Read one frame; raises :class:`WireError` on malformed input and
-    :class:`asyncio.IncompleteReadError` on EOF mid-frame."""
-    header = await reader.readexactly(4)
-    (length,) = _LENGTH.unpack(header)
+def _frame_length(buffer: bytes, offset: int = 0) -> int:
+    """The validated length prefix at ``buffer[offset:offset + 4]``."""
+    (length,) = _LENGTH.unpack_from(buffer, offset)
     if not 1 <= length <= MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} out of bounds")
-    blob = await reader.readexactly(length)
+    return length
+
+
+def _decode_frame(
+    buffer: bytes, start: int, stop: int
+) -> Tuple[FrameType, Dict[str, Any]]:
+    """Decode the type byte and pickled dict body in ``buffer[start:stop]``."""
+    ftype = _FRAME_TYPES.get(buffer[start])
+    if ftype is None:
+        raise WireError(f"unknown frame type {buffer[start]}")
     try:
-        ftype = FrameType(blob[0])
-    except ValueError:
-        raise WireError(f"unknown frame type {blob[0]}") from None
-    try:
-        body = pickle.loads(blob[1:])
+        body = pickle.loads(buffer[start + 1 : stop])
     except Exception as error:  # pickle raises many concrete types
         raise WireError(f"undecodable {ftype.name} body: {error}") from error
     if not isinstance(body, dict):
         raise WireError(f"{ftype.name} body must be a dict, got {type(body)}")
     return ftype, body
+
+
+async def read_frame(
+    reader: asyncio.StreamReader,
+) -> Tuple[FrameType, Dict[str, Any]]:
+    """Read one frame; raises :class:`WireError` on malformed input and
+    :class:`asyncio.IncompleteReadError` on EOF mid-frame.
+
+    The streams-API reader, for tests, probes and raw-socket handshakes;
+    the daemon and the client library decode with :class:`FrameDecoder`.
+    """
+    length = _frame_length(await reader.readexactly(4))
+    return _decode_frame(await reader.readexactly(length), 0, length)
+
+
+class FrameDecoder:
+    """Incremental decoder for one connection's inbound byte stream.
+
+    ``feed(data)`` yields every frame that ``data`` completes, in order,
+    and keeps a truncated tail for the next call; the frame checks are
+    :func:`read_frame`'s.  It is a generator so that the frames ahead of
+    a malformed one are still handled before :class:`WireError` surfaces:
+    iterate it to the end (or abandon the connection).
+    """
+
+    def __init__(self) -> None:
+        self._tail = b""
+
+    def feed(self, data: bytes) -> Iterator[Tuple[FrameType, Dict[str, Any]]]:
+        if self._tail:
+            data = self._tail + data
+        offset, end = 0, len(data)
+        try:
+            while end - offset >= 4:
+                stop = offset + 4 + _frame_length(data, offset)
+                if stop > end:
+                    break
+                yield _decode_frame(data, offset + 4, stop)
+                offset = stop
+        finally:
+            self._tail = data[offset:]
 
 
 def encode_payload(payload: Any) -> bytes:

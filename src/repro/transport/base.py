@@ -127,8 +127,11 @@ class GroupChannel(Protocol):
 
     Channels deliver :class:`~repro.gcs.messages.GroupMessage` and
     :class:`~repro.gcs.messages.View` objects through the ``on_message``
-    and ``on_view`` callbacks (each called with ``(channel, item)``), and
-    additionally append them to ``received`` / ``views`` for assertions.
+    and ``on_view`` callbacks (each called with ``(channel, item)``).
+    Every view is also appended to ``views``.  ``received`` is the
+    mailbox of a channel with no listener: messages accumulate there, in
+    delivery order, only while ``on_message`` is ``None`` — a channel
+    that is listened to retains nothing it has delivered.
     """
 
     name: str

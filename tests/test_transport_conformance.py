@@ -260,3 +260,29 @@ class TestAgreedOrder:
             assert all(entry[0] != "msg" for entry in outsider.log)
 
         run_scenario(substrate_cls, scenario)
+
+
+@pytest.mark.parametrize("substrate_cls", SUBSTRATES, ids=lambda s: s.kind)
+class TestMailbox:
+    """``received`` is the mailbox of a channel nobody listens to."""
+
+    def test_listener_retains_nothing_mailbox_keeps_delivery_order(
+        self, substrate_cls
+    ):
+        async def scenario(s):
+            listener = await s.channel("listener")
+            mailbox = await s.channel("mailbox", 1)
+            mailbox.on_message = None
+            for client in (listener, mailbox):
+                client.join(GROUP)
+                await s.settle()
+            for index in range(20):
+                (listener, mailbox)[index % 2].multicast(GROUP, index)
+                if index % 5 == 4:
+                    await s.settle()
+            delivered = [e[2] for e in listener.log if e[0] == "msg"]
+            assert sorted(delivered) == list(range(20))
+            assert listener.received == []
+            assert [m.payload for m in mailbox.received] == delivered
+
+        run_scenario(substrate_cls, scenario)
