@@ -52,6 +52,11 @@ class ExperimentSpec:
             raise ValueError("event must be 'join' or 'leave'")
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
+        if self.event == "leave" and self.group_size < 2:
+            raise ValueError(
+                "a leave needs group_size of at least 2 (the last member's "
+                "leave empties the group)"
+            )
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if isinstance(self.topology, str) and self.topology not in TESTBEDS:

@@ -66,8 +66,10 @@ def run_scale_cell(
     """One (protocol, group size) cell: measured join and leave.
 
     A fresh framework is grown batched straight to ``group_size``, then
-    a join and a leave are measured ``repeats`` times each (size-
-    restoring, join samples first).  Returns
+    a join and a leave are measured ``repeats`` times each, alternating
+    join first.  An unmeasured restore puts the size back before every
+    measurement but the first; nothing reads the group after the last
+    one, so it is not restored.  Returns
     ``{"join": EventMeasurement dict, "leave": EventMeasurement dict}``
     — JSON-ready, so the cell can cross process boundaries and live in
     the result cache.
@@ -97,17 +99,18 @@ def run_scale_cell(
     driver.grow_batched(size)
     samples = {"join": [], "leave": []}
     ops = {"join": OpCounts(), "leave": OpCounts()}
-    for _ in range(espec.repeats):
-        for event, inject in (("join", driver.join), ("leave", driver.leave)):
-            before = driver.ledger_totals()
-            record = driver.run(inject())
-            ops[event] = ops[event] + (driver.ledger_totals() - before)
-            # No phase attribution (driver.sample): an observed cell must
-            # serialize byte-identically to an unobserved one.
-            samples[event].append(
-                Sample(record.total_elapsed(), record.membership_elapsed())
-            )
+    for index in range(2 * espec.repeats):
+        event = ("join", "leave")[index % 2]
+        if index:
             driver.run(driver.restore())  # unmeasured
+        before = driver.ledger_totals()
+        record = driver.run(driver.join() if event == "join" else driver.leave())
+        ops[event] = ops[event] + (driver.ledger_totals() - before)
+        # No phase attribution (driver.sample): an observed cell must
+        # serialize byte-identically to an unobserved one.
+        samples[event].append(
+            Sample(record.total_elapsed(), record.membership_elapsed())
+        )
     registry.histogram(
         "bench.cell.sim_ms", kind="scale", protocol=espec.protocol
     ).observe(sum(sum(s.total_ms for s in samples[e]) for e in ("join", "leave")))

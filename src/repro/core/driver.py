@@ -299,7 +299,16 @@ class GroupDriver:
 
     def leave(self, slot: Optional[int] = None):
         """Inject one measured leave of roster slot ``slot`` (default: the
-        §6.1.2 middle member); returns its completed epoch record."""
+        §6.1.2 middle member); returns its completed epoch record.
+
+        The last member cannot leave: an emptied group rekeys nobody, so
+        there would be no epoch of its own to report.
+        """
+        if len(self.members) < 2:
+            raise ValueError(
+                f"cannot measure a leave from a group of {len(self.members)} "
+                "member(s): the last member's leave empties the group"
+            )
         if slot is None:
             slot = len(self.members) // 2
         victim = self.members.pop(slot)

@@ -180,8 +180,9 @@ class SecureGroupMember:
     # -- view handling ---------------------------------------------------------
 
     def _on_view(self, _client: GroupChannel, view: View) -> None:
-        if self.name not in view.members:
-            # Our own departure notification: we are out of the group, so
+        if self.name in view.left:
+            # Our own departure notification — the only view either
+            # transport sends a non-member: we are out of the group, so
             # stop watching for a stalled rekey we are no longer part of.
             self._watchdog_token += 1
             return

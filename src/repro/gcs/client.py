@@ -21,10 +21,9 @@ class SpreadClient:
     """One client process connected to a local daemon.
 
     Callbacks (``on_message``, ``on_view``) receive ``(client, item)`` and
-    run inside the simulation.  Every view is also appended to
-    :attr:`views`; :attr:`received` is the mailbox of a client nobody
-    listens to — messages accumulate there only while ``on_message`` is
-    unset.
+    run inside the simulation.  :attr:`received` and :attr:`views` are the
+    mailboxes of a client nobody listens to: messages accumulate there
+    only while ``on_message`` is unset, views only while ``on_view`` is.
     """
 
     def __init__(self, name: str, daemon) -> None:
@@ -124,12 +123,13 @@ class SpreadClient:
     def _on_view(self, view: View) -> None:
         if not self.connected:
             return
-        self.views.append(view)
         if self.world.obs.enabled:
             self.world.obs.counter(
                 "client.views_delivered", client=self.name
             ).inc()
-        if self.on_view is not None:
+        if self.on_view is None:
+            self.views.append(view)
+        else:
             self.on_view(self, view)
 
     # -- internals ---------------------------------------------------------

@@ -92,7 +92,13 @@ class Daemon:
         self.machine = machine
         self.world = world
         self.clients: Dict[str, Any] = {}
-        # group name -> member name -> record (replicated state)
+        # group name -> member name -> record (replicated state).  Each
+        # group's dict is kept in join-age order, ``(birth, name)``: a join
+        # appends (its birth is the newest — sequence numbers grow within
+        # a configuration, and a configuration's number exceeds every one
+        # its members came from), a leave deletes, and a configuration
+        # install rebuilds each group once in sorted order.  A view's
+        # member list is therefore just the dict's keys.
         self.groups: Dict[str, Dict[str, MemberRecord]] = {}
         self.config: Optional[Config] = None
         self._recv: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
@@ -392,11 +398,13 @@ class Daemon:
         # same firing time, consecutive seqs, so nothing could interleave
         # between them — and each client still drops the message itself
         # if it disconnected before the IPC delay elapsed.
-        recipients = [
-            client for name, client in self.clients.items() if name in records
+        handlers = [
+            client._on_message
+            for name, client in self.clients.items()
+            if name in records
         ]
-        if recipients:
-            self.world.sim.schedule(delay, _fan_out, recipients, message)
+        if handlers:
+            self.world.sim.schedule(delay, _fan_out, handlers, message)
 
     def _deliver_fifo(self, message: GroupMessage) -> None:
         if self._crashed:
@@ -594,12 +602,13 @@ class Daemon:
         self._emit_view(view, also_to=tuple(left))
 
     def _ordered_members(self, group: str) -> Tuple[str, ...]:
-        records = self.groups.get(group, {})
-        ordered = sorted(records.values(), key=lambda r: (r.birth, r.name))
-        return tuple(r.name for r in ordered)
+        """The group's members in join-age order (see ``self.groups``)."""
+        return tuple(self.groups.get(group, ()))
 
     def _emit_view(self, view: View, also_to: Tuple[str, ...] = ()) -> None:
-        params = self.world.params
+        """Hand ``view`` to every local client in the group plus
+        ``also_to`` (a leaver learning it is out), in one event — the
+        same-instant argument as :meth:`_deliver_data`'s fan-out."""
         obs = self.world.obs if self.world.obs.enabled else None
         prior = None
         if obs is not None:
@@ -613,17 +622,18 @@ class Daemon:
                 epoch=view.view_id, members=len(view.members),
             )
             obs.causality.adopt(node)
-        wanted = set(view.members)
-        wanted.update(also_to)
-        recipients = [
-            client
+        records = self.groups.get(view.group, {})
+        handlers = [
+            client._on_view
             for name, client in self.clients.items()
-            if name in wanted
+            if name in records or name in also_to
         ]
-        for client in recipients:
+        if handlers:
+            params = self.world.params
             self.world.sim.schedule(
                 params.ipc_ms + params.client_processing_ms,
-                client._on_view,
+                _fan_out,
+                handlers,
                 view,
             )
         if obs is not None:
@@ -779,7 +789,9 @@ class Daemon:
         allowed = set(config.daemon_ids)
         self.groups = {
             group: {
-                name: rec for name, rec in records.items() if rec.daemon_id in allowed
+                rec.name: rec
+                for rec in sorted(records.values(), key=lambda r: (r.birth, r.name))
+                if rec.daemon_id in allowed
             }
             for group, records in merged.items()
         }
@@ -848,10 +860,11 @@ class Daemon:
             self.submit(message)
 
 
-def _fan_out(clients, message: GroupMessage) -> None:
-    """Deliver one message to several co-located clients in one event."""
-    for client in clients:
-        client._on_message(message)
+def _fan_out(handlers, item) -> None:
+    """Deliver one message or view to several co-located clients in one
+    event."""
+    for handler in handlers:
+        handler(item)
 
 
 def _reconstruct_groups(

@@ -43,8 +43,9 @@ DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 class NetClient(asyncio.Protocol):
     """One live client process connected to a daemon over TCP.
 
-    :attr:`received` is the mailbox of a channel nobody listens to:
-    deliveries accumulate there only while ``on_message`` is unset.
+    :attr:`received` and :attr:`views` are the mailboxes of a channel
+    nobody listens to: deliveries accumulate there only while
+    ``on_message`` is unset, views only while ``on_view`` is.
     """
 
     def __init__(
@@ -237,8 +238,9 @@ class NetClient(asyncio.Protocol):
             joined=tuple(body.get("joined", ())),
             left=tuple(body.get("left", ())),
         )
-        self.views.append(view)
-        if self.on_view is not None:
+        if self.on_view is None:
+            self.views.append(view)
+        else:
             self.on_view(self, view)
 
     # -- internals ---------------------------------------------------------

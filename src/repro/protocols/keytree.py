@@ -283,6 +283,16 @@ class KeyTree:
         leaf = self.leaf_of(member)
         self._invalidate_up(leaf.parent)
 
+    def release(self) -> None:
+        """Cut every up-link of a tree its owner has discarded.
+
+        Parent↔child links make every tree a reference cycle, which only
+        a full collector pass frees; without the up-links the tree is
+        freed by reference counting as soon as the last owner drops it.
+        """
+        for node in self._all_nodes():
+            node.parent = None
+
     def _invalidate_up(self, node: Optional[TreeNode]) -> None:
         while node is not None:
             if not node.is_leaf:

@@ -88,14 +88,21 @@ class TgdhProtocol(KeyAgreementProtocol):
         # machinery reassembles the group tree deterministically.
         self.key_epoch = None
         self._session = self.ctx.random_exponent(self.rng)
-        self._tree = KeyTree.singleton(self.member, key=self._session)
+        self._replace_tree(KeyTree.singleton(self.member, key=self._session))
         return self.start(view)
 
     def _bootstrap(self) -> List[ProtocolMessage]:
         self._session = self.ctx.random_exponent(self.rng)
-        self._tree = KeyTree.singleton(self.member, key=self._session)
+        self._replace_tree(KeyTree.singleton(self.member, key=self._session))
         self._complete(self._session)
         return []
+
+    def _replace_tree(self, tree: KeyTree) -> None:
+        """Adopt ``tree`` as our replica; the one it replaces shares no
+        node with it and is released (see :meth:`KeyTree.release`)."""
+        if self._tree is not None:
+            self._tree.release()
+        self._tree = tree
 
     # -- additive: join and merge ----------------------------------------
 
@@ -113,7 +120,9 @@ class TgdhProtocol(KeyAgreementProtocol):
             live = have_tree and set(self._tree.members()) <= joined_set
             if not live:
                 self._session = self.ctx.random_exponent(self.rng)
-                self._tree = KeyTree.singleton(self.member, key=self._session)
+                self._replace_tree(
+                    KeyTree.singleton(self.member, key=self._session)
+                )
             stale = [m for m in self._tree.members() if m not in members_set]
         else:
             # Base side: the tree must cover exactly the non-joined members.
@@ -180,7 +189,7 @@ class TgdhProtocol(KeyAgreementProtocol):
         intermediates = []
         for other in trees[1:]:
             intermediates.append(base.insert_tree(other))
-        self._tree = base
+        self._replace_tree(base)
         # The sponsors of the update round: the rightmost member under
         # each merge point ("the rightmost member of the subtree rooted at
         # the merge point becomes the sponsor", Figure 4).

@@ -128,10 +128,14 @@ class GroupChannel(Protocol):
     Channels deliver :class:`~repro.gcs.messages.GroupMessage` and
     :class:`~repro.gcs.messages.View` objects through the ``on_message``
     and ``on_view`` callbacks (each called with ``(channel, item)``).
-    Every view is also appended to ``views``.  ``received`` is the
-    mailbox of a channel with no listener: messages accumulate there, in
-    delivery order, only while ``on_message`` is ``None`` — a channel
-    that is listened to retains nothing it has delivered.
+    ``received`` and ``views`` are the mailboxes of a channel with no
+    listener: messages accumulate in ``received``, in delivery order,
+    only while ``on_message`` is ``None``, and views in ``views`` only
+    while ``on_view`` is ``None`` — a channel that is listened to retains
+    nothing it has delivered.
+
+    A channel is sent only the views of groups it belongs to, plus the
+    view of its own departure (the leaver is named in ``view.left``).
     """
 
     name: str

@@ -8,7 +8,9 @@ the real engine, which is what makes the charged ledgers identical.
 
 import pytest
 
+from repro.bench.harness import ExperimentSpec
 from repro.bench.scale import run_scale_cell
+from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
 from repro.crypto.dh import DiffieHellman
 from repro.crypto.engine import (
     REAL_ENGINE,
@@ -131,11 +133,13 @@ def test_real_engine_without_power_cache_agrees():
 
 
 @pytest.mark.parametrize(
-    "protocol, hits, misses",
-    [("TGDH", 206, 65), ("STR", 200, 44)],
+    "protocol, hits, misses, with_trailing_restore",
+    [("TGDH", 150, 54, (206, 65)), ("STR", 173, 40, (200, 44))],
     ids=["TGDH", "STR"],
 )
-def test_power_cache_earns_its_keep_on_tree_protocols(protocol, hits, misses):
+def test_power_cache_earns_its_keep_on_tree_protocols(
+    protocol, hits, misses, with_trailing_restore
+):
     # The cache exists because tree-protocol members recompute each
     # other's exponentiations; the counts are a pure function of the
     # protocol, so they repeat exactly.
@@ -151,6 +155,21 @@ def test_power_cache_earns_its_keep_on_tree_protocols(protocol, hits, misses):
     cache = engine.power_cache
     assert (cache.hits, cache.misses) == (hits, misses)
     assert cache.hits > cache.misses
+    # Derivation: the cell is grow, join, restore, leave — and nothing
+    # after.  Driving that by hand gives the same counts; the restore that
+    # once followed the last leave brings them to what the cell counted
+    # while it still ran one, so the difference is exactly its traffic.
+    hand = RealEngine(backend="python")
+    spec = ExperimentSpec(protocol, "join", 16, dh_group="dh-test", engine=hand)
+    driver = GroupDriver(spec.build_framework(), max_events=LARGE_RUN_MAX_EVENTS)
+    driver.grow_batched(16)
+    for step in (driver.join, driver.restore, driver.leave):
+        driver.run(step())
+    assert (hand.power_cache.hits, hand.power_cache.misses) == (hits, misses)
+    driver.run(driver.restore())
+    assert (
+        hand.power_cache.hits, hand.power_cache.misses
+    ) == with_trailing_restore
 
 
 # -- engine dispatch ----------------------------------------------------------

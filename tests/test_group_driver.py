@@ -7,10 +7,12 @@ import dataclasses
 import pytest
 
 from repro.bench import run_chaos_cell, run_figure_cell, run_scale_cell
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.harness import ExperimentSpec, averaged, run_experiment
 from repro.bench.live import simulate_prediction
+from repro.bench.scale import _ops_dict
 from repro.core import SecureSpreadFramework
-from repro.core.driver import GroupDriver
+from repro.core.driver import GroupDriver, Sample
+from repro.crypto.ledger import OpCounts
 from repro.gcs.topology import lan_testbed
 from repro.net import AsyncioTransport, NetDaemon
 from repro.obs import MetricsRegistry
@@ -191,13 +193,75 @@ def test_scale_chaos_and_live_prediction_placement(created):
     grown = [("m0", 0), ("m1", 1), ("m2", 2)]
     common = {"protocol": "STR", "group_size": 3, "dh_group": "dh-test"}
     run_scale_cell(dict(common))
-    assert created == grown + [("x1", 4), ("m1'", 1)]
+    # The leave is the cell's last measurement: its victim m1 is never
+    # re-admitted, so no m1' is created.
+    assert created == grown + [("x1", 4)]
+    del created[:]
+    run_scale_cell(dict(common, repeats=2))
+    assert created == grown + [("x1", 4), ("m1'", 1), ("x2", 5)]
     del created[:]
     run_chaos_cell(dict(common, drop_rate=0.0, repeats=1))
     assert created == grown + [("x1", 3)]
     del created[:]
     simulate_prediction("STR", 3, dh_group="dh-test")
     assert created == grown + [("x1", 3)]
+
+
+def test_scale_cell_restores_between_measurements_only():
+    """A repeats=2 cell equals the hand-driven sequence grow, join,
+    restore, leave, restore, join, restore, leave — a restore before every
+    measurement but the first, none after the last."""
+    cell = run_scale_cell(
+        {"protocol": "TGDH", "group_size": 5, "dh_group": "dh-test", "repeats": 2}
+    )
+    espec = ExperimentSpec(
+        "TGDH", "join", 5, dh_group="dh-test", repeats=2, engine="symbolic"
+    )
+    framework = espec.build_framework()
+    driver = GroupDriver(framework)
+    driver.grow_batched(5)
+    samples = {"join": [], "leave": []}
+    ops = {"join": OpCounts(), "leave": OpCounts()}
+    for index, event in enumerate(("join", "leave", "join", "leave")):
+        if index:
+            driver.run(driver.restore())
+        before = driver.ledger_totals()
+        record = driver.run(driver.join() if event == "join" else driver.leave())
+        ops[event] = ops[event] + (driver.ledger_totals() - before)
+        samples[event].append(
+            Sample(record.total_elapsed(), record.membership_elapsed())
+        )
+    # m2 left and came back as m2', who was the second leave's victim.
+    assert [m.name for m in driver.members] == ["m0", "m1", "m3", "m4"]
+    assert cell == {
+        event: averaged(
+            espec, framework, event, 5, samples[event], _ops_dict(ops[event])
+        ).to_dict()
+        for event in ("join", "leave")
+    }
+
+
+def test_a_leave_never_empties_the_group():
+    """The last member's leave has no epoch of its own to report, so every
+    cell type refuses it up front instead of reporting another epoch."""
+    with pytest.raises(ValueError, match="last member"):
+        run_scale_cell({"protocol": "BD", "group_size": 1, "dh_group": "dh-test"})
+    with pytest.raises(ValueError, match="at least 2"):
+        run_figure_cell({
+            "topology": "lan", "protocol": "BD", "event": "leave",
+            "dh_group": "dh-test", "sizes": [1], "repeats": 1,
+        })
+    with pytest.raises(ValueError, match="last member"):
+        run_figure_cell({
+            "topology": "lan", "protocol": "BD", "event": "leave",
+            "dh_group": "dh-test", "sizes": [1, 2], "repeats": 1,
+        })
+    with pytest.raises(ValueError, match="at least 2"):
+        ExperimentSpec("BD", "leave", 1)
+    driver = _sim_driver("BD", 1, observe=False)
+    with pytest.raises(ValueError, match="last member"):
+        driver.run(driver.leave())
+    assert [m.name for m in driver.members] == ["m0"]
 
 
 # -- (d) CKD's 1/n controller-leave weighting --------------------------------

@@ -1,9 +1,11 @@
 """TGDH specifics: sponsors, rounds, logarithmic costs, partitions."""
 
+import gc
 import math
 
-
+from repro.bench.scale import run_scale_cell
 from repro.protocols import TgdhProtocol
+from repro.protocols.keytree import TreeNode
 from repro.protocols.loopback import build_group
 
 
@@ -117,3 +119,25 @@ def test_join_sponsor_refreshes_session_random():
     before = loop.protocols[sponsor]._session
     loop.join("x")
     assert loop.protocols[sponsor]._session != before
+
+
+def _tree_nodes():
+    return sum(1 for obj in gc.get_objects() if type(obj) is TreeNode)
+
+
+def test_replaced_trees_are_freed_without_the_cyclic_collector():
+    """A key tree a member replaces is freed by reference counting: with
+    the collector off, an n=32 scale cell leaves behind at most one tree
+    per member — not one per epoch each member ever keyed."""
+    n = 32
+    members = n + 1  # the grown group plus the measured joiner
+    gc.collect()
+    gc.disable()
+    try:
+        before = _tree_nodes()
+        run_scale_cell({"protocol": "TGDH", "group_size": n, "dh_group": "dh-test"})
+        left = _tree_nodes() - before
+    finally:
+        gc.enable()
+        gc.collect()
+    assert 0 < left <= members * (2 * n - 1)

@@ -85,14 +85,17 @@ class LiveSubstrate:
 
 
 def _attach_log(client):
-    """One merged, ordered log of everything the channel delivered."""
+    """One merged, ordered log of everything the channel delivered.  The
+    channel is listened to, so it retains no views of its own."""
     client.log = []
-    client.on_view = lambda c, view: c.log.append(
-        ("view", view.event.value, view.members)
-    )
+    client.on_view = lambda c, view: c.log.append(("view", view))
     client.on_message = lambda c, msg: c.log.append(
         ("msg", msg.sender, msg.payload)
     )
+
+
+def _views(client):
+    return [entry[1] for entry in client.log if entry[0] == "view"]
 
 
 SUBSTRATES = [SimSubstrate, LiveSubstrate]
@@ -119,9 +122,9 @@ class TestMembership:
             await s.settle()
             bob.join(GROUP)
             await s.settle()
-            assert alice.views[-1].members == ("alice", "bob")
-            assert bob.views[-1].members == ("alice", "bob")
-            assert alice.views[-1].joined == ("bob",)
+            assert _views(alice)[-1].members == ("alice", "bob")
+            assert _views(bob)[-1].members == ("alice", "bob")
+            assert _views(alice)[-1].joined == ("bob",)
 
         run_scenario(substrate_cls, scenario)
 
@@ -134,7 +137,7 @@ class TestMembership:
                 client.join(GROUP)
                 await s.settle()
                 clients.append(client)
-            final = clients[0].views[-1]
+            final = _views(clients[0])[-1]
             assert final.members == ("c3", "c1", "c2")
 
         run_scenario(substrate_cls, scenario)
@@ -150,10 +153,10 @@ class TestMembership:
             alice, bob, carol = clients
             bob.leave(GROUP)
             await s.settle()
-            assert alice.views[-1].members == ("alice", "carol")
-            assert alice.views[-1].left == ("bob",)
+            assert _views(alice)[-1].members == ("alice", "carol")
+            assert _views(alice)[-1].left == ("bob",)
             # The leaver still learns it is out.
-            assert bob.views[-1].members == ("alice", "carol")
+            assert _views(bob)[-1].members == ("alice", "carol")
 
         run_scenario(substrate_cls, scenario)
 
@@ -166,7 +169,7 @@ class TestMembership:
                 await s.settle()
             bob.disconnect()
             await s.settle()
-            assert alice.views[-1].members == ("alice",)
+            assert _views(alice)[-1].members == ("alice",)
             with pytest.raises(RuntimeError):
                 bob.multicast(GROUP, "zombie")
 
@@ -264,7 +267,8 @@ class TestAgreedOrder:
 
 @pytest.mark.parametrize("substrate_cls", SUBSTRATES, ids=lambda s: s.kind)
 class TestMailbox:
-    """``received`` is the mailbox of a channel nobody listens to."""
+    """``received`` and ``views`` are the mailboxes of a channel nobody
+    listens to."""
 
     def test_listener_retains_nothing_mailbox_keeps_delivery_order(
         self, substrate_cls
@@ -272,7 +276,7 @@ class TestMailbox:
         async def scenario(s):
             listener = await s.channel("listener")
             mailbox = await s.channel("mailbox", 1)
-            mailbox.on_message = None
+            mailbox.on_message = mailbox.on_view = None
             for client in (listener, mailbox):
                 client.join(GROUP)
                 await s.settle()
@@ -280,9 +284,20 @@ class TestMailbox:
                 (listener, mailbox)[index % 2].multicast(GROUP, index)
                 if index % 5 == 4:
                     await s.settle()
+            passer = await s.channel("passer", 2)
+            passer.join(GROUP)
+            await s.settle()
+            passer.leave(GROUP)
+            await s.settle()
             delivered = [e[2] for e in listener.log if e[0] == "msg"]
             assert sorted(delivered) == list(range(20))
-            assert listener.received == []
+            assert listener.received == [] and listener.views == []
             assert [m.payload for m in mailbox.received] == delivered
+            # The mailbox saw every view from its own join on, in order.
+            heard = _views(listener)
+            assert [v.event.value for v in heard] == [
+                "join", "join", "join", "leave",
+            ]
+            assert mailbox.views == heard[1:]
 
         run_scenario(substrate_cls, scenario)
