@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
+from repro.gcs.daemon import arrive
 from repro.gcs.topology import Topology
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import Simulator
@@ -297,6 +298,13 @@ class Network:
         ``+ 0.0``, which never changes a float) — while sharing one
         immutable frame object and hoisting the per-frame constants out
         of the loop.  Delivery times are bit-identical by construction.
+
+        It also schedules one event per distinct arrival time, not one per
+        destination: :func:`~repro.gcs.daemon.arrive` hands the frame to
+        that instant's daemons in destination order.  The per-destination
+        events it replaces were scheduled back to back in this loop, so
+        those landing together were consecutive at their instant and
+        nothing could fire between them.
         """
         daemons = self._daemons
         if self.faults is not None or self.obs.enabled:
@@ -318,8 +326,8 @@ class Network:
         src_machine = daemons[src_id].machine
         one_way_ms = self.topology.one_way_ms
         pre_ms = self.topology.params.msg_processing_ms + extra_delay_ms
-        schedule = self.sim.schedule
         now = self.sim.now
+        landing: Dict[float, List[Any]] = {}
         sent = dropped = sent_bytes = 0
         for dst_id in dst_ids:
             sent += 1
@@ -333,10 +341,19 @@ class Network:
             sent_bytes += size_bytes
             dst = daemons[dst_id]
             latency = one_way_ms(src_machine, dst.machine, size_bytes) + pre_ms
-            schedule(latency, dst._on_frame, smsg)
+            # the float ``schedule(latency, ...)`` would have fired at
+            at = now + latency
+            group = landing.get(at)
+            if group is None:
+                landing[at] = [dst]
+            else:
+                group.append(dst)
         self.frames_sent += sent
         self.frames_dropped += dropped
         self.bytes_sent += sent_bytes
+        schedule_at = self.sim.schedule_at
+        for at, group in landing.items():
+            schedule_at(at, arrive, group, smsg)
 
     def _retry_send(
         self, src_id, dst_id, size_bytes, fn, args, control, attempt

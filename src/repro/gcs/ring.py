@@ -9,10 +9,27 @@ for the token (on average half a ring rotation), and "simultaneous"
 broadcasts from different members serialize on token visits — in *ring*
 order, so one sweep services every daemon with pending messages.
 
-While work is pending the token hops from daemon to daemon as discrete
-events; when a full rotation finds nothing to sequence, the token *parks*
-and its position is thereafter tracked arithmetically, preserving exactly
-the arrival times a continuously rotating token would have.
+The token is in one of three states, and only work costs an event:
+
+* **active** — requests are pending, or a rotation has not yet been
+  quiet.  The token has exactly one scheduled event, aimed at its next
+  visit that does something: the first daemon with pending requests or,
+  with none pending, the *park point* (the visit that completes a full
+  quiet rotation).  A request for a daemon the token reaches sooner
+  re-aims it.
+* **coasting** — between the aimed event and the last visit, the token's
+  idle visits are not events.  They are replayed arithmetically, in hop
+  order with the same float additions a hop-by-hop token makes, when the
+  aimed event fires or a request arrives (a request first replays the
+  visits strictly before now).  Every sequencing time is therefore the
+  one a token that hopped as discrete events would give.  The one
+  ordering choice the replay makes: a request at the very instant the
+  token reaches its daemon is served by that visit.
+* **parked** — a full rotation found nothing to sequence.  The park
+  event still fires (it advances the clock exactly as far as the hopping
+  token's last idle visit did, so later events keep their token phase);
+  after it the position is tracked by arithmetic alone until the next
+  request.
 
 A message sequenced by daemon *s* becomes deliverable at daemon *d* only
 once the token has swept from *s* to *d* (the ordering-settlement
@@ -26,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gcs.topology import Topology
 from repro.sim.cpu import Machine
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 #: Callback type: receives [(seq, sequenced_at_ms), ...] for its burst.
 SequenceCallback = Callable[[List[Tuple[int, float]]], None]
@@ -74,14 +91,19 @@ class TokenRing:
                 i = nxt
                 nxt = (i + 1) % n
             self._distance_ms.append(row)
-        # Parked-token state: it was at position ``_pos`` at time ``_time``
-        # and has been rotating freely since.
+        # Token state.  Parked: it was at position ``_pos`` at time
+        # ``_time`` and has been rotating freely since.  Active: its next
+        # visit not yet replayed is to ``_pos`` at ``_time``, after
+        # ``_idle_hops`` consecutive quiet visits.
         self._pos = 0
         self._time = 0.0
         self._next_seq = 1
         self._active = False
         self._pending: Dict[int, List[Tuple[int, SequenceCallback]]] = {}
         self._idle_hops = 0
+        #: the active token's one scheduled event (see :meth:`_aim`)
+        self._aimed: Optional[Event] = None
+        self._in_visit = False
 
     # -- static geometry ---------------------------------------------------
 
@@ -115,23 +137,50 @@ class TokenRing:
             self._time += self._hop_ms[self._pos]
             self._pos = (self._pos + 1) % len(self._machines)
 
-    def arrival_at(self, index: int, now: float) -> float:
-        """When a free-rotating token next reaches ``index`` at/after ``now``.
+    # -- active-token arithmetic ---------------------------------------------
 
-        Only meaningful while the token is parked (used by tests and
-        latency estimation); while active the hop events govern arrivals.
+    def _coast(self, before: float) -> None:
+        """Replay the idle visits the active token makes before ``before``.
+
+        Each replayed visit is what a hop event did at a daemon with
+        nothing pending: count one more quiet visit and move one hop on.
+        ``before`` is never later than the aimed event, which is no later
+        than the next visit with work or the park point, so every visit
+        replayed here is idle and none of them parks the token.
         """
-        if len(self._machines) == 1:
-            return max(self._time, now)
-        self._advance_to(now)
-        t = self._time
-        pos = self._pos
-        while pos != index:
-            t += self._hop_ms[pos]
-            pos = (pos + 1) % len(self._machines)
-        if t < now:
-            t += self.cycle_ms
-        return t
+        hop_ms = self._hop_ms
+        n = len(hop_ms)
+        pos, t, idle = self._pos, self._time, self._idle_hops
+        while t < before:
+            idle += 1
+            t += hop_ms[pos]
+            pos = (pos + 1) % n
+        self._pos, self._time, self._idle_hops = pos, t, idle
+
+    def _aim(self) -> None:
+        """Point the token's one event at its next visit that does work.
+
+        That is the first daemon with pending requests or, with none
+        pending, the park point (the visit completing a quiet rotation).
+        An event already aimed no later than that is kept; a later one is
+        cancelled and re-aimed.
+        """
+        pending = self._pending
+        hop_ms = self._hop_ms
+        n = len(hop_ms)
+        pos, t, idle = self._pos, self._time, self._idle_hops
+        while pos not in pending:
+            idle += 1
+            if not pending and idle >= n:
+                break
+            t += hop_ms[pos]
+            pos = (pos + 1) % n
+        aimed = self._aimed
+        if aimed is not None:
+            if aimed.time <= t:
+                return
+            aimed.cancel()
+        self._aimed = self._sim.schedule_at(t, self._visit)
 
     # -- sequencing ----------------------------------------------------------
 
@@ -140,7 +189,8 @@ class TokenRing:
 
         The callback fires when the token next visits ``index`` — requests
         across daemons are serviced in ring order, one sweep per rotation,
-        exactly like a physical token.
+        exactly like a physical token.  A request made at the very instant
+        the token reaches ``index`` is served by that visit.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -148,9 +198,13 @@ class TokenRing:
             raise IndexError(f"no daemon at ring position {index}")
         if self._sim is None:
             raise RuntimeError("this ring was built without a simulator")
+        if self._active and not self._in_visit:
+            self._coast(self._sim.now)
         self._pending.setdefault(index, []).append((count, callback))
         if not self._active:
             self._activate()
+        elif not self._in_visit:
+            self._aim()
 
     def _activate(self) -> None:
         now = self._sim.now
@@ -162,10 +216,12 @@ class TokenRing:
             self._time = max(self._time, now)  # single-daemon rings
         self._active = True
         self._idle_hops = 0
-        self._sim.schedule_at(self._time, self._visit)
+        self._aim()
 
     def _visit(self) -> None:
-        """The token arrives at ``self._pos``: service its queue, hop on."""
+        """The aimed event: coast up to now, service the queue, re-aim."""
+        self._aimed = None
+        self._coast(self._sim.now)
         index = self._pos
         queue = self._pending.pop(index, [])
         # Flow control: at most ``token_window`` messages per visit; the
@@ -184,6 +240,9 @@ class TokenRing:
         t = self._time
         if burst:
             self._idle_hops = 0
+            # Requests the callbacks make join the queue; they are aimed
+            # for once this visit has moved the token on.
+            self._in_visit = True
             for count, callback in burst:
                 assignments = []
                 for _ in range(count):
@@ -191,6 +250,7 @@ class TokenRing:
                     assignments.append((self._next_seq, t))
                     self._next_seq += 1
                 callback(assignments)
+            self._in_visit = False
         else:
             self._idle_hops += 1
         if not self._pending and self._idle_hops >= len(self._machines):
@@ -200,4 +260,4 @@ class TokenRing:
             return
         self._time = t + self._hop_ms[index]
         self._pos = (index + 1) % len(self._machines)
-        self._sim.schedule_at(self._time, self._visit)
+        self._aim()

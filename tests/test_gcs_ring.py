@@ -1,9 +1,10 @@
 """Tests for the token-ring sequencer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gcs.ring import TokenRing
-from repro.gcs.topology import lan_testbed, wan_testbed
+from repro.gcs.topology import GcsParams, lan_testbed, wan_testbed
 from repro.sim.engine import Simulator
 
 
@@ -170,3 +171,151 @@ def test_oversized_single_burst_not_starved():
     got = _request(sim, ring, 0, count=5)
     sim.run_until_idle()
     assert [s for s, _ in got] == [1, 2, 3, 4, 5]
+
+
+# -- the coasting token against a hop-by-hop oracle ---------------------------
+
+
+class HopByHopRing(TokenRing):
+    """The reference token: one simulator event per hop while active.
+
+    Geometry and the parked arithmetic are the real ring's; requests,
+    activation and visits are the straightforward discrete-event token
+    that :class:`TokenRing` replays arithmetically.
+    """
+
+    def request(self, index, count, callback):
+        self._pending.setdefault(index, []).append((count, callback))
+        if not self._active:
+            self._activate()
+
+    def _activate(self):
+        now = self._sim.now
+        self._advance_to(now)
+        if self._time < now:
+            self._time += self._hop_ms[self._pos]
+            self._pos = (self._pos + 1) % len(self._machines)
+            self._time = max(self._time, now)
+        self._active = True
+        self._idle_hops = 0
+        self._sim.schedule_at(self._time, self._visit)
+
+    def _visit(self):
+        index = self._pos
+        queue = self._pending.pop(index, [])
+        window = max(self._params.token_window, 1)
+        burst, leftover, taken = [], [], 0
+        for count, callback in queue:
+            if taken + count <= window or not burst:
+                burst.append((count, callback))
+                taken += count
+            else:
+                leftover.append((count, callback))
+        if leftover:
+            self._pending[index] = leftover
+        t = self._time
+        if burst:
+            self._idle_hops = 0
+            for count, callback in burst:
+                assignments = []
+                for _ in range(count):
+                    t += self._params.msg_processing_ms
+                    assignments.append((self._next_seq, t))
+                    self._next_seq += 1
+                callback(assignments)
+        else:
+            self._idle_hops += 1
+        if not self._pending and self._idle_hops >= len(self._machines):
+            self._active = False
+            self._time = t
+            return
+        self._time = t + self._hop_ms[index]
+        self._pos = (index + 1) % len(self._machines)
+        self._sim.schedule_at(self._time, self._visit)
+
+
+def _replay(ring_class, testbed, window, requests):
+    """Run ``requests`` on a fresh ring; return every request's
+    assignments, the final token state and the final clock."""
+    sim = Simulator()
+    topo = testbed(GcsParams(token_window=window))
+    ring = ring_class(topo, topo.machines, sim)
+    # Off the hop lattice: a tick is an irregular fraction of a rotation.
+    quantum = ring.cycle_ms / 17.3
+    got = {}
+
+    def record(key):
+        # what was assigned, and the instant the callback ran
+        return lambda assignments: got.setdefault(key, []).append(
+            (assignments, sim.now)
+        )
+
+    def submit(key, index, count, chain):
+        def served(assignments):
+            record(key)(assignments)
+            if chain is not None:
+                ring.request(chain, 1, record((key, "chain")))
+
+        ring.request(index, count, served)
+
+    for key, (tick, index, count, chain) in enumerate(requests):
+        sim.schedule_at((tick + 0.371) * quantum, submit, key, index, count, chain)
+    sim.run_until_idle()
+    return got, (ring._pos, ring._time, ring._active), sim.now
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    testbed=st.sampled_from([lan_testbed, wan_testbed]),
+    window=st.integers(1, 4),
+    requests=st.lists(
+        st.tuples(
+            st.integers(0, 120),
+            st.integers(0, 12),
+            st.integers(1, 4),
+            st.none() | st.integers(0, 12),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_coasting_ring_matches_hop_by_hop_token(testbed, window, requests):
+    """Every ``(seq, time)`` assignment, the instant its callback runs and
+    the final token state are the hop-by-hop token's, bit for bit —
+    including requests made from inside a visit's callback and the clock
+    the park event leaves."""
+    assert _replay(TokenRing, testbed, window, requests) == _replay(
+        HopByHopRing, testbed, window, requests
+    )
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+def test_request_at_the_token_arrival_instant_is_served_by_that_visit(late):
+    """The tie rule.  The token serves daemon 0 at t=0 and then coasts
+    past idle daemons; a request for daemon 3 landing at the exact float
+    instant the token reaches it is served by that visit, whether the
+    request was scheduled before the token started (``early``) or after
+    the token left daemon 2 (``late``, which a hop-by-hop token would
+    order behind its own visit event and serve a rotation later)."""
+    sim, ring = _ring()
+    topo = lan_testbed()
+    params = topo.params
+    machines = topo.machines
+    first = _request(sim, ring, 0)
+    # the token's arrival at daemon 3, with the hops' own float additions
+    arrivals = [params.msg_processing_ms]
+    for i in range(3):
+        hop = topo.one_way_ms(machines[i], machines[i + 1]) + params.hop_processing_ms
+        arrivals.append(arrivals[-1] + hop)
+    at = arrivals[3]
+    tied = []
+    if late:
+        sim.schedule_at(
+            (arrivals[2] + at) / 2,
+            lambda: sim.schedule_at(at, ring.request, 3, 1, tied.extend),
+        )
+    else:
+        sim.schedule_at(at, ring.request, 3, 1, tied.extend)
+    sim.run_until_idle()
+    assert first == [(1, params.msg_processing_ms)]
+    assert tied == [(2, at + params.msg_processing_ms)]

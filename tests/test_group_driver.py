@@ -181,11 +181,13 @@ def test_figure_cell_join_placement(created):
 
 def test_figure_cell_ckd_leave_placement(created):
     # n=2: victim m1 -> m1' in place; controller m0 -> m0' goes last.
-    # n=3 on [m1', m0', m2]: victim m0' -> m0'' in place; controller m1'.
+    # n=3 on [m1', m0', m2]: victim m0' -> m0'' in place; controller m1'
+    # leaves last.  That leave is the cell's last measurement, so m1' is
+    # never re-admitted and no m1'' is created.
     _figure("CKD", "leave", repeats=1)
     assert created == [
         ("m0", 0), ("m1", 1), ("m1'", 1), ("m0'", 0),
-        ("m2", 2), ("m0''", 0), ("m1''", 1),
+        ("m2", 2), ("m0''", 0),
     ]
 
 
