@@ -79,20 +79,18 @@ class Topology:
         self.name = name
         self.machines = machines
         self.params = params
-        self._site_latency = dict(site_latency_ms)
-        for (a, b), lat in list(self._site_latency.items()):
-            self._site_latency[(b, a)] = lat
-        self._intra = intra_site_latency_ms
-        self._local = same_machine_latency_ms
-        self._lan_bw = lan_bytes_per_ms
-        self._wan_bw = wan_bytes_per_ms
+        # Links are immutable and there are only a few kinds of them, so
+        # each is built once here rather than per machine pair or frame.
+        self._site_links = {
+            key: Link(lat, wan_bytes_per_ms)
+            for (a, b), lat in site_latency_ms.items()
+            for key in ((a, b), (b, a))
+        }
+        self._intra_link = Link(intra_site_latency_ms, lan_bytes_per_ms)
+        self._local_link = Link(same_machine_latency_ms, lan_bytes_per_ms)
         self._by_name = {m.name: m for m in machines}
         if len(self._by_name) != len(machines):
             raise ValueError("machine names must be unique")
-        # Links are immutable and the pair set is tiny compared to the
-        # number of frames sent over them; memoize successes only, so an
-        # unconfigured pair still raises on every lookup.
-        self._link_cache: Dict[Tuple[str, str], Link] = {}
 
     def machine(self, name: str) -> Machine:
         """Look up a machine by name."""
@@ -109,20 +107,14 @@ class Topology:
 
     def link(self, src: Machine, dst: Machine) -> Link:
         """One-way link characteristics between two machines."""
-        cache_key = (src.name, dst.name)
-        cached = self._link_cache.get(cache_key)
-        if cached is not None:
-            return cached
         if src is dst:
-            link = Link(self._local, self._lan_bw)
-        elif src.site == dst.site:
-            link = Link(self._intra, self._lan_bw)
-        else:
-            key = (src.site, dst.site)
-            if key not in self._site_latency:
-                raise KeyError(f"no latency configured between {key}")
-            link = Link(self._site_latency[key], self._wan_bw)
-        self._link_cache[cache_key] = link
+            return self._local_link
+        if src.site == dst.site:
+            return self._intra_link
+        key = (src.site, dst.site)
+        link = self._site_links.get(key)
+        if link is None:
+            raise KeyError(f"no latency configured between {key}")
         return link
 
     def one_way_ms(self, src: Machine, dst: Machine, size_bytes: int = 0) -> float:
