@@ -7,7 +7,11 @@ does all its arithmetic through.  Two implementations exist:
 :class:`RealEngine`
     Today's from-scratch big-integer path, unchanged semantics, plus
     fixed-base windowed precomputation for ``g^e`` (bit-identical values,
-    measurably faster wall-clock).
+    measurably faster wall-clock).  Because the simulator runs every
+    member in one process, the engine also remembers the discrete log of
+    each element it made: an exponentiation of such a base is then one
+    more fixed-base lookup, ``b^e = g^(x·e mod q)`` for ``x = dlog(b)``,
+    instead of a full square-and-multiply ladder.
 
 :class:`SymbolicEngine`
     Group elements are represented by their *discrete logarithms* modulo
@@ -29,12 +33,23 @@ through the protocol never enter the cost computation, and control flow
 depends only on membership views, message arrival and the (untouched)
 deterministic RNG streams.  Same operations recorded, same costs charged,
 same event schedule — the same simulated milliseconds, by construction.
+
+Why the real engine's discrete-log path is exact: ``g`` has prime order
+``q``, so ``g^a = g^b`` exactly when ``a ≡ b (mod q)``.  For a base
+``b = g^x``, ``pow(b, e, p) = g^(x·e) = g^(x·e mod q)`` for every integer
+``e`` — negative exponents and exponents ``≥ q`` included — and the
+fixed-base table returns that value bit for bit.  The trust boundary is
+what goes into the map: only logs this process computed itself
+(``g → 1``, ``exp_g``, table-served ``exp``, and products and inverses
+of known elements).  An element from anywhere else — a peer in another
+process, a value built outside the engine, an entry the bounded map has
+evicted — is simply unknown and takes the plain ``pow`` path.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.crypto.bignum import BackendSpec, BignumBackend, get_backend
 from repro.crypto.fixedbase import FixedBaseTable
@@ -62,6 +77,11 @@ class CryptoEngine(ABC):
 #: build once per process.
 _TABLE_CACHE: Dict[Tuple[int, int, int, str], FixedBaseTable] = {}
 
+#: Bound on each real engine's per-group element → discrete-log map,
+#: with FIFO eviction like :class:`PowerCache`.  An evicted element is
+#: just unknown again: its next exponentiation takes the ``pow`` path.
+DLOG_MAP_SIZE = 1 << 16
+
 
 class PowerCache:
     """A bounded FIFO cache of ``pow(base, exponent, p)`` results.
@@ -79,6 +99,12 @@ class PowerCache:
 
     Insertion-ordered dict + FIFO eviction keeps the footprint bounded
     without per-hit bookkeeping (an LRU would reorder on every hit).
+
+    The cache is consulted before the real context's discrete-log path:
+    a hit is one dict lookup, which no table beats.  ``miss`` computes
+    what the cache lacks (the backend's ``powmod`` when omitted); the
+    real context passes its table-or-``pow`` routine, so the lookups,
+    hits and misses are the same whichever way a miss is computed.
     """
 
     def __init__(self, capacity: int = 8192, backend: BackendSpec = None):
@@ -93,15 +119,24 @@ class PowerCache:
     def __len__(self) -> int:
         return len(self._values)
 
-    def pow(self, base: int, exponent: int, modulus: int) -> int:
+    def pow(
+        self,
+        base: int,
+        exponent: int,
+        modulus: int,
+        miss: Optional[Callable[[int, int], int]] = None,
+    ) -> int:
         key = (modulus, base, exponent)
         result = self._values.get(key)
         if result is not None:
             self.hits += 1
             return result
         self.misses += 1
-        backend = self.backend
-        result = backend.unwrap(backend.powmod(base, exponent, modulus))
+        if miss is None:
+            backend = self.backend
+            result = backend.unwrap(backend.powmod(base, exponent, modulus))
+        else:
+            result = miss(base, exponent)
         values = self._values
         if len(values) >= self.capacity:
             del values[next(iter(values))]
@@ -111,8 +146,18 @@ class PowerCache:
 
 class RealElementContext(GroupElementContext):
     """Real arithmetic, with repeated exponentiations served from a
-    :class:`PowerCache` (accounting in the inherited wrappers is
-    untouched — the cache can never change a charged cost)."""
+    :class:`PowerCache` and the rest, where possible, from the
+    generator's fixed-base table.
+
+    ``dlogs`` is the engine's shared element → discrete-log map for this
+    group (``None`` without a fixed-base table).  ``exp_g``, a
+    table-served ``exp``, and ``mul`` / ``inv_element`` of known
+    operands record their result's log; a ``PowerCache`` miss on a known
+    base ``b = g^x`` is then ``g^(x·e mod q)`` from the table, and an
+    unknown base goes through the backend's ``powmod`` as before.
+    Accounting in the inherited wrappers is untouched — neither the
+    cache nor the table can change a charged cost.
+    """
 
     def __init__(
         self,
@@ -121,23 +166,74 @@ class RealElementContext(GroupElementContext):
         fixed_base: Optional[FixedBaseTable] = None,
         power_cache: Optional[PowerCache] = None,
         backend: BackendSpec = None,
+        dlogs: Optional[Dict[int, int]] = None,
     ):
         super().__init__(group, ledger, fixed_base=fixed_base, backend=backend)
         self._power_cache = power_cache
+        self._dlogs = dlogs
+
+    def _learn(self, element: int, dlog: int) -> None:
+        dlogs = self._dlogs
+        dlogs.setdefault(element, dlog)
+        if len(dlogs) > DLOG_MAP_SIZE:
+            del dlogs[next(iter(dlogs))]
 
     def _raw_exp(self, base: int, exponent: int) -> int:
         cache = self._power_cache
         if cache is None:
-            backend = self._backend
-            return backend.unwrap(backend.powmod(base, exponent, self.group.p))
-        return cache.pow(base, exponent, self.group.p)
+            return self._exp_miss(base, exponent)
+        return cache.pow(base, exponent, self.group.p, self._exp_miss)
+
+    def _exp_miss(self, base: int, exponent: int) -> int:
+        dlogs = self._dlogs
+        if dlogs is not None:
+            x = dlogs.get(base)
+            if x is not None:
+                dlog = x * exponent % self.group.q
+                result = self._fixed_base.pow(dlog)
+                self._learn(result, dlog)
+                return result
+        backend = self._backend
+        return backend.unwrap(backend.powmod(base, exponent, self.group.p))
+
+    def _raw_exp_g(self, exponent: int) -> int:
+        result = super()._raw_exp_g(exponent)
+        if self._dlogs is not None:
+            self._learn(result, exponent % self.group.q)
+        return result
+
+    def _raw_mul(self, a: int, b: int) -> int:
+        result = super()._raw_mul(a, b)
+        dlogs = self._dlogs
+        if dlogs is not None:
+            x, y = dlogs.get(a), dlogs.get(b)
+            if x is not None and y is not None:
+                self._learn(result, (x + y) % self.group.q)
+        return result
+
+    def _raw_inv_element(self, a: int) -> int:
+        result = super()._raw_inv_element(a)
+        dlogs = self._dlogs
+        if dlogs is not None:
+            x = dlogs.get(a)
+            if x is not None:
+                self._learn(result, -x % self.group.q)
+        return result
 
 
 class RealEngine(CryptoEngine):
     """The real big-integer path, with fixed-base precomputation.
 
-    ``precompute=False`` disables the windowed tables (plain ``pow``
-    everywhere); ``power_cache_size=0`` disables the shared
+    With a fixed-base table (the default), the engine also keeps one
+    bounded map per group from element to discrete log mod ``q``,
+    seeded with ``g → 1`` and shared by every context it creates, so a
+    member can exponentiate another member's element through the table.
+    The map holds only logs this process computed (see the module
+    docstring for why the values stay exact); at most
+    :data:`DLOG_MAP_SIZE` entries per group, oldest evicted first.
+
+    ``precompute=False`` disables the windowed tables and the map (plain
+    ``pow`` everywhere); ``power_cache_size=0`` disables the shared
     exponentiation cache.  ``backend`` selects the bignum arithmetic
     (``None`` → the ``REPRO_BIGNUM`` env var, default ``auto``; see
     :mod:`repro.crypto.bignum`).  Results are bit-identical in every
@@ -162,17 +258,22 @@ class RealEngine(CryptoEngine):
             if power_cache_size
             else None
         )
+        self._dlog_maps: Dict[Tuple[int, int], Dict[int, int]] = {}
 
     def context(
         self, group: SchnorrGroup, ledger: Optional[OperationLedger] = None
     ) -> GroupElementContext:
-        fixed_base = self._table_for(group) if self.precompute else None
+        fixed_base = dlogs = None
+        if self.precompute:
+            fixed_base = self._table_for(group)
+            dlogs = self._dlog_maps.setdefault((group.p, group.g), {group.g: 1})
         return RealElementContext(
             group,
             ledger,
             fixed_base=fixed_base,
             power_cache=self.power_cache,
             backend=self.backend,
+            dlogs=dlogs,
         )
 
     def _table_for(self, group: SchnorrGroup) -> FixedBaseTable:

@@ -277,20 +277,24 @@ class GroupElementContext:
         square-and-multiply ladder.  Any other shape goes through
         :func:`multi_exp` (Straus), which shares one square ladder
         across all factors.  Both are ordinary modular arithmetic, so
-        the result is bit-identical to the factor-by-factor loop.
+        the result is bit-identical to the factor-by-factor loop.  The
+        prefix loop multiplies through the backend directly, not
+        :meth:`_raw_mul`, so an engine hook on products (the real
+        engine's discrete-log map) never sees the intermediate values.
         """
         m = len(pairs)
         if m == 0:
             return start
         if all(weight == m - j for j, (_, weight) in enumerate(pairs)):
+            backend = self._backend
+            mulmod = backend.mulmod
+            p = self.group.p
             result = start
             prefix = None
             for factor, _ in pairs:
-                prefix = (
-                    factor if prefix is None else self._raw_mul(prefix, factor)
-                )
-                result = self._raw_mul(result, prefix)
-            return result
+                prefix = factor if prefix is None else mulmod(prefix, factor, p)
+                result = mulmod(result, prefix, p)
+            return backend.unwrap(result)
         return self._raw_mul(
             start, multi_exp(pairs, self.group.p, backend=self._backend)
         )

@@ -6,11 +6,15 @@ bignum arithmetic runs; the recorded-operation wrappers are shared with
 the real engine, which is what makes the charged ledgers identical.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import ExperimentSpec
 from repro.bench.scale import run_scale_cell
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
+from repro.crypto import engine as engine_module
 from repro.crypto.dh import DiffieHellman
 from repro.crypto.engine import (
     REAL_ENGINE,
@@ -24,6 +28,7 @@ from repro.crypto.fixedbase import FixedBaseTable
 from repro.crypto.groups import GROUP_512, GROUP_TEST
 from repro.crypto.ledger import OperationLedger
 from repro.crypto.rng import DeterministicRandom
+from repro.protocols import available
 
 
 # -- fixed-base precomputation ------------------------------------------------
@@ -170,6 +175,132 @@ def test_power_cache_earns_its_keep_on_tree_protocols(
     assert (
         hand.power_cache.hits, hand.power_cache.misses
     ) == with_trailing_restore
+
+
+# -- discrete-log path --------------------------------------------------------
+
+# e = k·q + r: negative exponents, exponents >= q and q itself all occur.
+_EXPONENT = st.tuples(st.integers(-2, 2), st.integers(-2, 1 << 170))
+# Steps pick operands counting back from the newest element.
+_INDEX = st.integers(0, 7)
+_STEP = st.one_of(
+    st.tuples(st.just("exp_g"), _EXPONENT),
+    st.tuples(st.just("exp"), _INDEX, _EXPONENT),
+    st.tuples(st.just("mul"), _INDEX, _INDEX),
+    st.tuples(st.just("inv"), _INDEX),
+    st.tuples(
+        st.just("weighted"),
+        _INDEX,
+        st.lists(st.tuples(_INDEX, st.integers(0, 9)), max_size=5),
+        st.booleans(),
+    ),
+    # Elements the engine never made: a power of g from an exponent it
+    # never saw, and an arbitrary residue (almost surely off the subgroup).
+    st.tuples(st.just("foreign"), _EXPONENT),
+    st.tuples(st.just("residue"), st.integers(min_value=2)),
+)
+
+
+_ONE_RULE_EACH = [  # a learned log, then an exponentiation that uses it
+    [("exp_g", (1, 5)), ("exp", 0, (-1, 7))],
+    [("exp", 0, (0, 3)), ("exp", 0, (2, -2))],
+    [("exp_g", (0, 9)), ("mul", 0, 1), ("exp", 0, (0, 11))],
+    [("exp_g", (0, 9)), ("inv", 0), ("exp", 0, (0, 11))],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    group=st.sampled_from([GROUP_TEST, GROUP_512]),
+    bound=st.sampled_from([engine_module.DLOG_MAP_SIZE] * 2 + [1, 3]),
+    program=st.lists(_STEP, min_size=1, max_size=30),
+)
+def test_discrete_log_path_matches_plain_pow(group, bound, program):
+    _check_against_plain_pow(group, bound, program)
+
+
+@pytest.mark.parametrize(
+    "program", _ONE_RULE_EACH, ids=["exp_g", "exp", "mul", "inv_element"]
+)
+def test_each_learned_log_serves_an_exact_exponentiation(program):
+    _check_against_plain_pow(GROUP_512, engine_module.DLOG_MAP_SIZE, program)
+
+
+def _check_against_plain_pow(group, bound, program):
+    p, q = group.p, group.q
+    ledger_fast, ledger_plain = OperationLedger(), OperationLedger()
+    engine = RealEngine()
+    with mock.patch.object(engine_module, "DLOG_MAP_SIZE", bound):
+        fast = engine.context(group, ledger_fast)
+        plain = RealEngine(precompute=False, power_cache_size=0).context(
+            group, ledger_plain
+        )
+        pool = [group.g]
+
+        def pick(index):
+            return pool[-1 - index % len(pool)]
+
+        for step in program:
+            op, args = step[0], step[1:]
+            if op in ("exp_g", "foreign"):
+                k, r = args[0]
+                e = k * q + r
+                if op == "foreign":
+                    pool.append(pow(group.g, e, p))
+                    continue
+                values = fast.exp_g(e), plain.exp_g(e)
+            elif op == "exp":
+                k, r = args[1]
+                base, e = pick(args[0]), k * q + r
+                values = fast.exp(base, e), plain.exp(base, e)
+            elif op == "mul":
+                a, b = pick(args[0]), pick(args[1])
+                values = fast.mul(a, b), plain.mul(a, b)
+            elif op == "inv":
+                a = pick(args[0])
+                values = fast.inv_element(a), plain.inv_element(a)
+            elif op == "weighted":
+                start, raw, descending = pick(args[0]), args[1], args[2]
+                pairs = [
+                    (pick(i), len(raw) - j if descending else w)
+                    for j, (i, w) in enumerate(raw)
+                ]
+                values = (
+                    fast.weighted_product(start, pairs),
+                    plain.weighted_product(start, pairs),
+                )
+            else:  # residue
+                pool.append(2 + args[0] % (p - 3))
+                continue
+            assert values[0] == values[1]
+            assert type(values[0]) is int
+            pool.append(values[0])
+        assert len(engine._dlog_maps[(p, group.g)]) <= bound
+    assert ledger_fast.snapshot() == ledger_plain.snapshot()
+
+
+@pytest.mark.parametrize("protocol", available())
+def test_every_power_cache_miss_takes_the_table(protocol, monkeypatch):
+    # One process holds every member, so every base a member exponentiates
+    # was made here: no exponentiation reaches the backend's ``powmod``.
+    engine = RealEngine(backend="python")
+    calls = []
+    powmod = engine.backend.powmod
+    monkeypatch.setattr(
+        engine.backend,
+        "powmod",
+        lambda *args: calls.append(args) or powmod(*args),
+    )
+    run_scale_cell(
+        {
+            "protocol": protocol,
+            "group_size": 16,
+            "dh_group": "dh-test",
+            "engine": engine,
+        }
+    )
+    assert engine.power_cache.misses > 0
+    assert calls == []
 
 
 # -- engine dispatch ----------------------------------------------------------

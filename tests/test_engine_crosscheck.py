@@ -10,6 +10,7 @@ representation preserves the algebra, not just the costs.
 import pytest
 
 from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.crypto.engine import RealEngine
 from repro.protocols import available, get_protocol
 from repro.protocols.loopback import LoopbackGroup
 
@@ -18,26 +19,33 @@ ALL_PROTOCOLS = available()
 
 def _churn(protocol, engine):
     """Joins to n=8, a leave, a partition and a merge; returns per-event
-    (op_counts, rounds) plus the final group for key checks."""
+    (op_counts, rounds), every member's key after every event, and the
+    final group for key checks."""
     loop = LoopbackGroup(get_protocol(protocol), engine=engine)
-    trail = []
+    trail, keys = [], []
+
+    def record(*sides):
+        for side in sides:
+            stats = side.last_stats
+            trail.append((stats.op_counts, stats.rounds))
+            keys.append({m: proto.key for m, proto in side.protocols.items()})
+
     for i in range(8):
-        stats = loop.join(f"m{i}")
-        trail.append((stats.op_counts, stats.rounds))
-    stats = loop.leave("m3")
-    trail.append((stats.op_counts, stats.rounds))
+        loop.join(f"m{i}")
+        record(loop)
+    loop.leave("m3")
+    record(loop)
     other = loop.partition(["m5", "m6"])
-    trail.append((loop.last_stats.op_counts, loop.last_stats.rounds))
-    trail.append((other.last_stats.op_counts, other.last_stats.rounds))
-    stats = loop.merge(other)
-    trail.append((stats.op_counts, stats.rounds))
-    return trail, loop
+    record(loop, other)
+    loop.merge(other)
+    record(loop)
+    return trail, keys, loop
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_ledgers_identical_and_keys_agree_across_churn(protocol):
-    real_trail, real_loop = _churn(protocol, "real")
-    symbolic_trail, symbolic_loop = _churn(protocol, "symbolic")
+    real_trail, _, real_loop = _churn(protocol, "real")
+    symbolic_trail, _, symbolic_loop = _churn(protocol, "symbolic")
     assert len(real_trail) == len(symbolic_trail)
     for (real_counts, real_rounds), (sym_counts, sym_rounds) in zip(
         real_trail, symbolic_trail
@@ -48,6 +56,18 @@ def test_ledgers_identical_and_keys_agree_across_churn(protocol):
     assert real_loop.shared_key() is not None
     assert symbolic_loop.shared_key() is not None
     assert real_loop.members() == symbolic_loop.members()
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_discrete_log_path_is_bit_identical_to_plain_pow(protocol):
+    """The real engine's table-served exponentiations change nothing: the
+    same ops, rounds and every member's key after every event as the
+    plain-``pow`` reference engine (no tables, no cache, no map)."""
+    plain = RealEngine(precompute=False, power_cache_size=0)
+    real_trail, real_keys, _ = _churn(protocol, "real")
+    plain_trail, plain_keys, _ = _churn(protocol, plain)
+    assert real_trail == plain_trail
+    assert real_keys == plain_keys
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
