@@ -11,7 +11,9 @@ does all its arithmetic through.  Two implementations exist:
     member in one process, the engine also remembers the discrete log of
     each element it made: an exponentiation of such a base is then one
     more fixed-base lookup, ``b^e = g^(x·e mod q)`` for ``x = dlog(b)``,
-    instead of a full square-and-multiply ladder.
+    instead of a full square-and-multiply ladder — and it remembers the
+    element of each log, so a power another member already reached
+    through a different ``(base, exponent)`` pair costs no ladder at all.
 
 :class:`SymbolicEngine`
     Group elements are represented by their *discrete logarithms* modulo
@@ -38,12 +40,16 @@ Why the real engine's discrete-log path is exact: ``g`` has prime order
 ``q``, so ``g^a = g^b`` exactly when ``a ≡ b (mod q)``.  For a base
 ``b = g^x``, ``pow(b, e, p) = g^(x·e) = g^(x·e mod q)`` for every integer
 ``e`` — negative exponents and exponents ``≥ q`` included — and the
-fixed-base table returns that value bit for bit.  The trust boundary is
-what goes into the map: only logs this process computed itself
-(``g → 1``, ``exp_g``, table-served ``exp``, and products and inverses
-of known elements).  An element from anywhere else — a peer in another
-process, a value built outside the engine, an entry the bounded map has
-evicted — is simply unknown and takes the plain ``pow`` path.
+fixed-base table returns that value bit for bit.  The reverse map
+stores the same pairs keyed the other way, so each of its entries is
+``g^d mod p`` for its key ``d`` exactly, and returning it for a
+requested ``g^d`` is the same value the table would compute.  The trust
+boundary is what goes into the maps: only pairs this process computed
+itself (``g ↔ 1``, ``exp_g``, table-served ``exp``, and products and
+inverses of known elements).  An element from anywhere else — a peer in
+another process, a value built outside the engine, an entry a bounded
+map has evicted — is simply unknown: as a base it takes the plain
+``pow`` path, and as a result it is recomputed by the table.
 """
 
 from __future__ import annotations
@@ -77,9 +83,10 @@ class CryptoEngine(ABC):
 #: build once per process.
 _TABLE_CACHE: Dict[Tuple[int, int, int, str], FixedBaseTable] = {}
 
-#: Bound on each real engine's per-group element → discrete-log map,
-#: with FIFO eviction like :class:`PowerCache`.  An evicted element is
-#: just unknown again: its next exponentiation takes the ``pow`` path.
+#: Bound on each of a real engine's two per-group discrete-log maps,
+#: with FIFO eviction like :class:`PowerCache`.  An evicted entry is just
+#: unknown again: its element's next exponentiation takes the ``pow``
+#: path, and its log's next power is computed by the table.
 DLOG_MAP_SIZE = 1 << 16
 
 
@@ -146,17 +153,21 @@ class PowerCache:
 
 class RealElementContext(GroupElementContext):
     """Real arithmetic, with repeated exponentiations served from a
-    :class:`PowerCache` and the rest, where possible, from the
-    generator's fixed-base table.
+    :class:`PowerCache` and the rest, where possible, from the engine's
+    discrete-log maps and the generator's fixed-base table.
 
-    ``dlogs`` is the engine's shared element → discrete-log map for this
-    group (``None`` without a fixed-base table).  ``exp_g``, a
-    table-served ``exp``, and ``mul`` / ``inv_element`` of known
-    operands record their result's log; a ``PowerCache`` miss on a known
-    base ``b = g^x`` is then ``g^(x·e mod q)`` from the table, and an
-    unknown base goes through the backend's ``powmod`` as before.
-    Accounting in the inherited wrappers is untouched — neither the
-    cache nor the table can change a charged cost.
+    ``dlogs`` (element → discrete log mod ``q``) and ``powers`` (discrete
+    log → element) are the engine's two shared maps for this group
+    (``None`` without a fixed-base table).  ``exp_g``, a table-served
+    ``exp``, and ``mul`` / ``inv_element`` of known operands record
+    their result in both.  A ``PowerCache`` miss on a known base
+    ``b = g^x`` needs ``g^d`` for ``d = x·e mod q``, and ``exp_g(e)``
+    needs it for ``d = e mod q``: an element already made for that ``d``
+    — by any member, through any ``(base, exponent)`` pair — is returned
+    as is, and only a new ``d`` takes a table exponentiation.  An unknown
+    base goes through the backend's ``powmod`` as before.  Accounting in
+    the inherited wrappers is untouched — neither the cache nor the maps
+    can change a charged cost.
     """
 
     def __init__(
@@ -167,16 +178,29 @@ class RealElementContext(GroupElementContext):
         power_cache: Optional[PowerCache] = None,
         backend: BackendSpec = None,
         dlogs: Optional[Dict[int, int]] = None,
+        powers: Optional[Dict[int, int]] = None,
     ):
         super().__init__(group, ledger, fixed_base=fixed_base, backend=backend)
         self._power_cache = power_cache
         self._dlogs = dlogs
+        self._powers = powers
 
     def _learn(self, element: int, dlog: int) -> None:
-        dlogs = self._dlogs
+        dlogs, powers = self._dlogs, self._powers
         dlogs.setdefault(element, dlog)
+        powers.setdefault(dlog, element)
         if len(dlogs) > DLOG_MAP_SIZE:
             del dlogs[next(iter(dlogs))]
+        if len(powers) > DLOG_MAP_SIZE:
+            del powers[next(iter(powers))]
+
+    def _power_of_g(self, dlog: int) -> int:
+        """``g^dlog`` for a reduced ``dlog``: a known element, else the table."""
+        result = self._powers.get(dlog)
+        if result is None:
+            result = self._fixed_base.pow(dlog)
+            self._learn(result, dlog)
+        return result
 
     def _raw_exp(self, base: int, exponent: int) -> int:
         cache = self._power_cache
@@ -189,18 +213,14 @@ class RealElementContext(GroupElementContext):
         if dlogs is not None:
             x = dlogs.get(base)
             if x is not None:
-                dlog = x * exponent % self.group.q
-                result = self._fixed_base.pow(dlog)
-                self._learn(result, dlog)
-                return result
+                return self._power_of_g(x * exponent % self.group.q)
         backend = self._backend
         return backend.unwrap(backend.powmod(base, exponent, self.group.p))
 
     def _raw_exp_g(self, exponent: int) -> int:
-        result = super()._raw_exp_g(exponent)
-        if self._dlogs is not None:
-            self._learn(result, exponent % self.group.q)
-        return result
+        if self._powers is None:
+            return super()._raw_exp_g(exponent)
+        return self._power_of_g(exponent % self.group.q)
 
     def _raw_mul(self, a: int, b: int) -> int:
         result = super()._raw_mul(a, b)
@@ -224,15 +244,17 @@ class RealElementContext(GroupElementContext):
 class RealEngine(CryptoEngine):
     """The real big-integer path, with fixed-base precomputation.
 
-    With a fixed-base table (the default), the engine also keeps one
-    bounded map per group from element to discrete log mod ``q``,
-    seeded with ``g → 1`` and shared by every context it creates, so a
-    member can exponentiate another member's element through the table.
-    The map holds only logs this process computed (see the module
-    docstring for why the values stay exact); at most
-    :data:`DLOG_MAP_SIZE` entries per group, oldest evicted first.
+    With a fixed-base table (the default), the engine also keeps two
+    bounded maps per group, shared by every context it creates: element
+    → discrete log mod ``q`` (seeded ``g → 1``), so a member can
+    exponentiate another member's element through the table, and
+    discrete log → element (seeded ``1 → g``), so an element any member
+    already made is never exponentiated again.  The maps hold only pairs
+    this process computed (see the module docstring for why they stay
+    exact); at most :data:`DLOG_MAP_SIZE` entries each, oldest evicted
+    first.
 
-    ``precompute=False`` disables the windowed tables and the map (plain
+    ``precompute=False`` disables the windowed tables and the maps (plain
     ``pow`` everywhere); ``power_cache_size=0`` disables the shared
     exponentiation cache.  ``backend`` selects the bignum arithmetic
     (``None`` → the ``REPRO_BIGNUM`` env var, default ``auto``; see
@@ -258,15 +280,18 @@ class RealEngine(CryptoEngine):
             if power_cache_size
             else None
         )
-        self._dlog_maps: Dict[Tuple[int, int], Dict[int, int]] = {}
+        #: per group: (element → dlog, dlog → element)
+        self._dlog_maps: Dict[Tuple[int, int], Tuple[dict, dict]] = {}
 
     def context(
         self, group: SchnorrGroup, ledger: Optional[OperationLedger] = None
     ) -> GroupElementContext:
-        fixed_base = dlogs = None
+        fixed_base = dlogs = powers = None
         if self.precompute:
             fixed_base = self._table_for(group)
-            dlogs = self._dlog_maps.setdefault((group.p, group.g), {group.g: 1})
+            dlogs, powers = self._dlog_maps.setdefault(
+                (group.p, group.g), ({group.g: 1}, {1: group.g})
+            )
         return RealElementContext(
             group,
             ledger,
@@ -274,6 +299,7 @@ class RealEngine(CryptoEngine):
             power_cache=self.power_cache,
             backend=self.backend,
             dlogs=dlogs,
+            powers=powers,
         )
 
     def _table_for(self, group: SchnorrGroup) -> FixedBaseTable:

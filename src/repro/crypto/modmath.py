@@ -280,7 +280,7 @@ class GroupElementContext:
         the result is bit-identical to the factor-by-factor loop.  The
         prefix loop multiplies through the backend directly, not
         :meth:`_raw_mul`, so an engine hook on products (the real
-        engine's discrete-log map) never sees the intermediate values.
+        engine's discrete-log maps) never sees the intermediate values.
         """
         m = len(pairs)
         if m == 0:

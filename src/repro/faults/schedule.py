@@ -16,6 +16,7 @@ and the coordinator dying at the worst moment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,8 +50,8 @@ class FaultEvent:
                 f"unknown fault action {self.action!r}; "
                 f"choose from {sorted(ACTIONS)}"
             )
-        if self.at_ms < 0:
-            raise ValueError("at_ms must be non-negative")
+        if not 0 <= self.at_ms < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"at_ms must be finite and non-negative, not {self.at_ms}")
         allowed = set(ACTIONS[self.action])
         for key, _ in self.args:
             if key not in allowed:

@@ -65,8 +65,8 @@ class ChurnEvent:
                 f"unknown churn action {self.action!r}; "
                 f"choose from {list(CHURN_ACTIONS)}"
             )
-        if self.at_ms < 0:
-            raise ValueError("at_ms must be non-negative")
+        if not 0 <= self.at_ms < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"at_ms must be finite and non-negative, not {self.at_ms}")
         if self.group < 0:
             raise ValueError("group must be a non-negative index")
 

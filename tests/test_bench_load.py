@@ -133,6 +133,19 @@ def test_cli_replay_rejects_unknown_action(tmp_path, capsys):
     assert "unknown churn action" in capsys.readouterr().err
 
 
+def test_cli_replay_rejects_nan_time(tmp_path, capsys):
+    # Python's json reads NaN; such an entry must not reach the clock.
+    bad = tmp_path / "bad.json"
+    bad.write_text('[{"at_ms": NaN, "group": 0, "action": "join"}]')
+    code = main([
+        "load", "--replay", str(bad), "--protocols", "TGDH",
+        "-o", str(tmp_path / "out.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "at_ms must be finite" in err
+
+
 def test_cli_rejects_unknown_protocol(capsys):
     with pytest.raises(SystemExit):
         main(["load", "--protocols", "NOPE"])

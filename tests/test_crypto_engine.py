@@ -198,6 +198,8 @@ _STEP = st.one_of(
     # never saw, and an arbitrary residue (almost surely off the subgroup).
     st.tuples(st.just("foreign"), _EXPONENT),
     st.tuples(st.just("residue"), st.integers(min_value=2)),
+    # One power of g reached three ways: (g^x)^y, (g^y)^x and g^(x·y).
+    st.tuples(st.just("cross"), _EXPONENT, _EXPONENT),
 )
 
 
@@ -206,6 +208,7 @@ _ONE_RULE_EACH = [  # a learned log, then an exponentiation that uses it
     [("exp", 0, (0, 3)), ("exp", 0, (2, -2))],
     [("exp_g", (0, 9)), ("mul", 0, 1), ("exp", 0, (0, 11))],
     [("exp_g", (0, 9)), ("inv", 0), ("exp", 0, (0, 11))],
+    [("cross", (0, 6), (1, -4))],
 ]
 
 
@@ -220,7 +223,9 @@ def test_discrete_log_path_matches_plain_pow(group, bound, program):
 
 
 @pytest.mark.parametrize(
-    "program", _ONE_RULE_EACH, ids=["exp_g", "exp", "mul", "inv_element"]
+    "program",
+    _ONE_RULE_EACH,
+    ids=["exp_g", "exp", "mul", "inv_element", "one_power_three_ways"],
 )
 def test_each_learned_log_serves_an_exact_exponentiation(program):
     _check_against_plain_pow(GROUP_512, engine_module.DLOG_MAP_SIZE, program)
@@ -240,9 +245,22 @@ def _check_against_plain_pow(group, bound, program):
         def pick(index):
             return pool[-1 - index % len(pool)]
 
+        def check(values):
+            assert values[0] == values[1]
+            assert type(values[0]) is int
+            pool.append(values[0])
+            return values[0]
+
         for step in program:
             op, args = step[0], step[1:]
-            if op in ("exp_g", "foreign"):
+            if op == "cross":
+                x, y = (k * q + r for k, r in args)
+                gx = check((fast.exp_g(x), plain.exp_g(x)))
+                gy = check((fast.exp_g(y), plain.exp_g(y)))
+                check((fast.exp(gx, y), plain.exp(gx, y)))
+                check((fast.exp(gy, x), plain.exp(gy, x)))
+                values = fast.exp_g(x * y), plain.exp_g(x * y)
+            elif op in ("exp_g", "foreign"):
                 k, r = args[0]
                 e = k * q + r
                 if op == "foreign":
@@ -272,10 +290,12 @@ def _check_against_plain_pow(group, bound, program):
             else:  # residue
                 pool.append(2 + args[0] % (p - 3))
                 continue
-            assert values[0] == values[1]
-            assert type(values[0]) is int
-            pool.append(values[0])
-        assert len(engine._dlog_maps[(p, group.g)]) <= bound
+            check(values)
+        dlogs, powers = engine._dlog_maps[(p, group.g)]
+        assert len(dlogs) <= bound and len(powers) <= bound
+    # Every pair either map holds is exact: element == g^dlog mod p.
+    assert all(pow(group.g, d, p) == element for element, d in dlogs.items())
+    assert all(pow(group.g, d, p) == element for d, element in powers.items())
     assert ledger_fast.snapshot() == ledger_plain.snapshot()
 
 
@@ -301,6 +321,36 @@ def test_every_power_cache_miss_takes_the_table(protocol, monkeypatch):
     )
     assert engine.power_cache.misses > 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "protocol, table_pows",
+    [("BD", 192), ("CKD", 97), ("GDH", 109), ("STR", 77), ("TGDH", 70)],
+    ids=["BD", "CKD", "GDH", "STR", "TGDH"],
+)
+def test_each_distinct_power_of_g_is_computed_once(protocol, table_pows, monkeypatch):
+    # Members reach one power of g through different (base, exponent)
+    # pairs — both children of a TGDH node, CKD's controller and member —
+    # which PowerCache cannot match but the log → element map can.  Only
+    # a log no member has reached yet costs a table exponentiation.
+    engine = RealEngine(backend="python")
+    calls = []
+    table_pow = FixedBaseTable.pow
+    monkeypatch.setattr(
+        FixedBaseTable,
+        "pow",
+        lambda table, e: calls.append(e) or table_pow(table, e),
+    )
+    run_scale_cell(
+        {
+            "protocol": protocol,
+            "group_size": 16,
+            "dh_group": "dh-test",
+            "engine": engine,
+        }
+    )
+    assert len(calls) == table_pows
+    assert len(set(calls)) == len(calls)
 
 
 # -- engine dispatch ----------------------------------------------------------

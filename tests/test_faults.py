@@ -307,6 +307,12 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             FaultEvent(0.0, "crash", (("component", 1),))
 
+    @pytest.mark.parametrize("at_ms", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, at_ms):
+        # NaN passes ``at_ms < 0``; on the clock it would fire mid-run.
+        with pytest.raises(ValueError, match="finite"):
+            FaultEvent(at_ms, "heal")
+
     def test_spec_roundtrip(self):
         schedule = (
             FaultSchedule()

@@ -1,7 +1,7 @@
 """Tests for the discrete-event engine."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -197,3 +197,183 @@ def test_delivery_order_is_sorted_for_any_delays(delays):
         sim.schedule(d, lambda t=d: fired.append(t))
     sim.run_until_idle()
     assert fired == sorted(fired)
+
+
+# -- the heap against a sorted-list reference model ---------------------------
+
+
+class _ModelEvent:
+    def __init__(self, time, seq, fn, args, owner):
+        self.time, self.seq, self.fn, self.args = time, seq, fn, args
+        self.cancelled = False
+        self.owner = owner
+
+    def cancel(self):
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self.owner is not None:
+            self.owner.note_cancelled()
+
+
+class _ModelSimulator:
+    """The simulator's contract on a plain sorted list, for comparison:
+    fire in (time, seq) order, drop cancelled entries only when they
+    reach the head, and compact under the same threshold."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self.seq = 0
+        self.events_processed = 0
+
+    @property
+    def pending(self):
+        return len(self.queue)
+
+    @property
+    def active_pending(self):
+        return sum(not e.cancelled for e in self.queue)
+
+    def note_cancelled(self):
+        cancelled = len(self.queue) - self.active_pending
+        if cancelled >= Simulator._COMPACT_MIN and cancelled * 2 > len(self.queue):
+            self.queue = [e for e in self.queue if not e.cancelled]
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, time, fn, *args):
+        event = _ModelEvent(time, self.seq, fn, args, self)
+        self.seq += 1
+        self.queue.append(event)
+        self.queue.sort(key=lambda e: (e.time, e.seq))
+        return event
+
+    def _peek(self):
+        while self.queue and self.queue[0].cancelled:
+            self.queue.pop(0).owner = None
+        return self.queue[0] if self.queue else None
+
+    def _fire(self, event):
+        self.queue.pop(0).owner = None
+        self.now = event.time
+        self.events_processed += 1
+        event.fn(*event.args)
+
+    def step(self):
+        event = self._peek()
+        if event is not None:
+            self._fire(event)
+        return event is not None
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while max_events is None or fired < max_events:
+            event = self._peek()
+            if event is None or (until is not None and event.time > until):
+                break
+            self._fire(event)
+            fired += 1
+        if until is not None and until > self.now:
+            self.now = until
+
+    def run_until_idle(self, max_events=1_000_000):
+        fired = 0
+        while self.step():
+            fired += 1
+            if fired >= max_events and self.active_pending > 0:
+                raise RuntimeError("livelock")
+
+
+class _Harness:
+    """Drives one simulator (real or model) through a program; callbacks
+    log their label and the clock, then run their own nested action."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.handles = []
+        self.log = []
+
+    def schedule(self, time, action):
+        label = len(self.handles)
+        self.handles.append(self.sim.schedule_at(time, self.fire, label, action))
+
+    def fire(self, label, action):
+        self.log.append((label, self.sim.now))
+        self.act(action)
+
+    def act(self, action):
+        if action is None:
+            return
+        if action[0] == "cancel":
+            if self.handles:
+                self.handles[action[1] % len(self.handles)].cancel()
+        elif action[0] == "burst":
+            # Enough cancels to cross the compaction threshold.
+            count, delay = action[1], action[2]
+            start = len(self.handles)
+            for i in range(count):
+                self.schedule(self.sim.now + delay + i % 3, None)
+            for handle in self.handles[start:][: count * 3 // 4]:
+                handle.cancel()
+        else:  # ("schedule", delay, nested action)
+            self.schedule(self.sim.now + action[1], action[2])
+
+    def apply(self, op):
+        sim = self.sim
+        kind = op[0]
+        if kind == "schedule":
+            self.schedule(sim.now + op[1], op[2])
+        elif kind in ("cancel", "burst"):
+            self.act(op)
+        elif kind == "run_until":
+            sim.run(until=sim.now + op[1])
+        elif kind == "run_max":
+            sim.run(max_events=op[1])
+        elif kind == "step":
+            return sim.step()
+        else:  # ("idle", max_events)
+            try:
+                sim.run_until_idle(max_events=op[1])
+            except RuntimeError:
+                return "livelock"
+        return None
+
+    def observe(self):
+        sim = self.sim
+        return (
+            list(self.log),
+            sim.now,
+            sim.pending,
+            sim.active_pending,
+            sim.events_processed,
+        )
+
+
+_DELAY = st.sampled_from([0, 0, 1, 1, 2, 3.5, 10])
+_BURST = st.tuples(st.just("burst"), st.integers(60, 160), _DELAY)
+_LEAF = st.one_of(st.none(), st.tuples(st.just("cancel"), st.integers(0, 200)), _BURST)
+_ACTION = st.recursive(
+    _LEAF,
+    lambda inner: st.tuples(st.just("schedule"), _DELAY, inner),
+    max_leaves=3,
+)
+_OP = st.one_of(
+    st.tuples(st.just("schedule"), _DELAY, _ACTION),
+    st.tuples(st.just("cancel"), st.integers(0, 200)),
+    _BURST,
+    st.tuples(st.just("run_until"), _DELAY),
+    st.tuples(st.just("run_max"), st.integers(0, 5)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("idle"), st.sampled_from([3, 1_000_000])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OP, max_size=40))
+def test_simulator_matches_sorted_list_model(program):
+    real, model = _Harness(Simulator()), _Harness(_ModelSimulator())
+    for op in program:
+        assert real.apply(op) == model.apply(op)
+        assert real.observe() == model.observe()

@@ -80,6 +80,12 @@ def test_spec_rejects_unknown_churn_action():
         )
 
 
+@pytest.mark.parametrize("at_ms", [float("nan"), float("inf"), -1.0])
+def test_churn_event_rejects_non_finite_or_negative_time(at_ms):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ChurnEvent(at_ms, 0, "join")
+
+
 def test_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown workload spec keys"):
         WorkloadSpec.from_spec({"protocol": "TGDH", "colour": "red"})
