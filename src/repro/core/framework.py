@@ -124,9 +124,10 @@ class SecureSpreadFramework:
         self, name: str, machine_index: int, group_name: str = "secure-group"
     ) -> "SecureGroupMember":
         """Create a member process on a machine (it has not joined yet)."""
-        from repro.core.secure_group import SecureGroupMember
+        from repro.core.secure_group import ObservedMember, SecureGroupMember
 
-        member = SecureGroupMember(self, name, machine_index, group_name)
+        cls = ObservedMember if self.obs.enabled else SecureGroupMember
+        member = cls(self, name, machine_index, group_name)
         self._members[name] = member
         return member
 

@@ -63,6 +63,9 @@ class SecureGroupMember:
         )
         self.machine_index = machine_index
         self.machine = framework.transport.machine(machine_index)
+        #: books a charged step's CPU work (``Machine.submit``'s
+        #: signature); :class:`ObservedMember` rebinds it to record spans
+        self._submit = self.machine.submit
         self.client.on_view = self._on_view
         self.client.on_message = self._on_message
         protocol_cls = framework.protocol_class(group_name)
@@ -73,18 +76,20 @@ class SecureGroupMember:
         self.protocol.obs = framework.obs
         self._view_seen_at: Dict[Tuple[int, int], float] = {}
         self._key_slot = machine_index % 64
-        self._verifier = RsaVerifier(self.protocol.ledger)
         self._cpu_tail = 0.0
-        # Hot-path caches: all three are set once on the framework/
-        # transport and never reassigned, and the message handler runs
-        # O(n²) times per rekey — the attribute chains show up in profiles.
+        # Hot-path caches: all four are set once on the framework,
+        # transport or protocol and never reassigned, and the message
+        # handler runs O(n²) times per rekey — the attribute chains show
+        # up in profiles.
         self._sim = framework.transport.scheduler
         self._cost_model = framework.cost_model
+        self._ledger = self.protocol.ledger
         self._sign_for_real = framework.sign_for_real
-        # Cause of this member's most recent CPU span (None when obs is
-        # off or nothing ran yet): the parent for work serialized behind
-        # our own CPU tail, and for the transmit/install events that fire
-        # when that tail completes.
+        self._verifier = RsaVerifier(self._ledger)
+        # Cause of this member's most recent CPU span (None unless an
+        # ObservedMember recorded one): the parent for work serialized
+        # behind our own CPU tail, and for the transmit/install events
+        # that fire when that tail completes.
         self._last_cpu_span: Optional[Tuple[int, int]] = None
         self._ciphers: Dict[Tuple[int, int], GroupCipher] = {}
         self._current_epoch: Optional[Tuple[int, int]] = None
@@ -125,7 +130,7 @@ class SecureGroupMember:
 
     @cached_property
     def _signer(self) -> RsaSigner:
-        return RsaSigner(self._keypair, self.protocol.ledger)
+        return RsaSigner(self._keypair, self._ledger)
 
     # -- membership -------------------------------------------------------
 
@@ -215,10 +220,7 @@ class SecureGroupMember:
         self._attempt = 0
         self._attempt_epoch = view.view_id
         self._early = []
-        outputs = self._charged(
-            lambda: self.protocol.start(view),
-            label=f"{self.protocol.name}.start",
-        )
+        outputs = self._charged("start", self.protocol.start, view)
         self._after_protocol_step(view, outputs)
         self._arm_watchdog(view)
 
@@ -252,46 +254,28 @@ class SecureGroupMember:
             # else: a straggler of an aborted attempt — discard.
             return
 
-        if not self.obs.enabled:
-            # Inlined ``_charged`` (its unobserved branch, kept in sync):
-            # this handler runs once per (broadcast, receiver) pair —
-            # O(n²) per rekey — and the closure + dispatch layers of the
-            # generic path are measurable at n=1024.
-            ledger = self.protocol.ledger
-            ledger.begin_charge()
-            if not self._sign_for_real:
-                ledger.record_verification()
-                outputs = self.protocol.receive(pmsg)
-            elif self._verify(sender, pmsg, signature):
-                outputs = self.protocol.receive(pmsg)
-            else:
-                outputs = []
-            cost = ledger.charge_pending(self._cost_model)
-            sim = self._sim
-            tail = self._cpu_tail
-            now = sim.now
-            self._cpu_tail = self.machine.submit(
-                sim, cost, not_before=tail if tail > now else now, span=None,
-            )
-        else:
-
-            def work():
-                if not self._verify(sender, pmsg, signature):
-                    return []
-                return self.protocol.receive(pmsg)
-
-            outputs = self._charged(
-                work, label=f"{self.protocol.name}.{pmsg.step}"
-            )
+        outputs = self._charged(
+            pmsg.step, self._receive, (sender, pmsg, signature)
+        )
         view = self.protocol.view
         if view is not None:
             self._after_protocol_step(view, outputs)
 
-    def _verify(self, sender: str, pmsg: ProtocolMessage, signature) -> bool:
-        """Verify the sender's signature (always charged; optionally real)."""
+    def _receive(
+        self, signed: Tuple[str, ProtocolMessage, object]
+    ) -> List[ProtocolMessage]:
+        """Verify the sender's signature (always charged; real only with
+        ``sign_for_real``), then hand the message to the protocol."""
+        sender, pmsg, signature = signed
         if not self._sign_for_real:
-            self.protocol.ledger.record_verification()
-            return True
+            self._ledger.record_verification()
+        elif not self._verify(sender, pmsg, signature):
+            return []
+        return self.protocol.receive(pmsg)
+
+    def _verify(self, sender: str, pmsg: ProtocolMessage, signature) -> bool:
+        """Check the sender's RSA signature for real (the verifier charges
+        the ledger one verification)."""
         public = self.framework.public_key_of(sender)
         return self._verifier.verify(public, _message_bytes(pmsg), signature)
 
@@ -299,13 +283,12 @@ class SecureGroupMember:
         self, view: View, outputs: List[ProtocolMessage]
     ) -> None:
         sim = self._sim
-        obs_on = self.obs.enabled
         for pmsg in outputs:
             # Signing advances our CPU timeline; the message leaves only
             # once the signature is paid for.  The attempt is captured now:
             # a restart arriving before the CPU frees up must not relabel
             # (and thereby resurrect) a message of the aborted run.
-            signature = self._sign(pmsg)
+            signature = self._charged(None, self._sign, pmsg)
             tail = self._cpu_tail
             now = sim.now
             event = sim.schedule_at(
@@ -315,7 +298,7 @@ class SecureGroupMember:
                 signature,
                 self._attempt,
             )
-            if obs_on and self._last_cpu_span is not None:
+            if self._last_cpu_span is not None:
                 # The send fires when the signing batch completes; that
                 # span, not the handler that scheduled us, is its cause.
                 event.cause = self._last_cpu_span
@@ -325,39 +308,16 @@ class SecureGroupMember:
             event = sim.schedule_at(
                 tail if tail > now else now, self._install_epoch, view
             )
-            if obs_on and self._last_cpu_span is not None:
+            if self._last_cpu_span is not None:
                 event.cause = self._last_cpu_span
 
     def _sign(self, pmsg: ProtocolMessage):
-        span = None
-        before = None
-        if self.obs.enabled:
-            span = (
-                "crypto", f"sign {pmsg.protocol}.{pmsg.step}", self.name,
-                {"epoch": str(pmsg.epoch), "step": pmsg.step, "phase": "sign"},
-            )
-            before = self.protocol.ledger.snapshot()
-        if not self.framework.sign_for_real:
-            self.protocol.ledger.record_signature()
-            signature = None
-        else:
-            signature = self._signer.sign(_message_bytes(pmsg))
-        if before is not None:
-            record_op_counts(
-                self.obs.metrics,
-                self.protocol.ledger.delta_since(before),
-                member=self.name,
-                epoch=str(pmsg.epoch),
-            )
-        # Re-charge the CPU for the signature itself.
-        cost = self.framework.cost_model.sign_ms
-        self._cpu_tail = self.machine.submit(
-            self.sim, cost, not_before=self._cpu_tail, span=span,
-            chain=self._last_cpu_span,
-        )
-        if span is not None:
-            self._last_cpu_span = self.obs.causality.last_cpu_span
-        return signature
+        """Sign an outgoing message (always charged; real only with
+        ``sign_for_real``)."""
+        if not self._sign_for_real:
+            self._ledger.record_signature()
+            return None
+        return self._signer.sign(_message_bytes(pmsg))
 
     def _transmit(self, pmsg: ProtocolMessage, signature, attempt: int = 0) -> None:
         if not self.client.connected:
@@ -512,10 +472,7 @@ class SecureGroupMember:
         if self._current_epoch == view_id:
             self._current_epoch = None
             self._ciphers.pop(view_id, None)
-        outputs = self._charged(
-            lambda: self.protocol.restart(view),
-            label=f"{self.protocol.name}.restart",
-        )
+        outputs = self._charged("restart", self.protocol.restart, view)
         self._after_protocol_step(view, outputs)
         self._arm_watchdog(view)
         # Release any messages of this attempt that raced ahead of the
@@ -527,64 +484,67 @@ class SecureGroupMember:
 
     # -- CPU charging -----------------------------------------------------------
 
-    def _charged(
-        self, work: Callable[[], List[ProtocolMessage]], label: str = "work"
-    ):
-        """Run protocol work, charging its ledger delta to our machine.
+    def _charged(self, step: Optional[str], work: Callable, arg):
+        """Run ``work(arg)`` and book its ledger delta as CPU work.
 
-        The results are computed eagerly (the math is exact), but the
-        member's CPU timeline advances by the modelled cost, and anything
-        it emits is released only when the virtual CPU work completes.
-
-        With observability enabled, the charged interval is recorded as a
-        ``crypto`` span named ``label`` and the ledger delta is bridged
-        into per-member, per-epoch operation counters.
-
-        The unobserved path prices the step straight off the ledger's
-        pending-record window (``begin_charge``/``charge_pending``)
-        instead of building two :class:`~repro.crypto.ledger.OpCounts`
-        snapshots and subtracting them; the cost comes out bit-identical
-        (see ``charge_pending``), and this is the single hottest call in
-        a large-n sweep.
+        Every protocol step (``start``, ``restart``, the receive of a
+        message of step ``step``) and every signature (``step`` None)
+        runs through here.  The results are computed eagerly (the math is
+        exact), but the member's CPU timeline advances by the modelled
+        cost, and anything the step emits is released only when that
+        virtual CPU work completes.  The cost is the ledger's charge
+        window, which is ``time_of`` of the step's snapshot delta to the
+        bit; a signature alone prices to exactly ``sign_ms``.
         """
-        if not self.obs.enabled:
-            ledger = self.protocol.ledger
-            ledger.begin_charge()
-            outputs = work()
-            cost = ledger.charge_pending(self._cost_model)
-            sim = self._sim
-            tail = self._cpu_tail
-            now = sim.now
-            self._cpu_tail = self.machine.submit(
-                sim, cost, not_before=tail if tail > now else now, span=None,
-            )
-            return outputs
-        before = self.protocol.ledger.snapshot()
-        outputs = work()
-        delta = self.protocol.ledger.delta_since(before)
-        cost = self.framework.cost_model.time_of(delta)
-        span = None
-        if self.obs.enabled:
-            view = self.protocol.view
+        ledger = self._ledger
+        ledger.begin_charge()
+        result = work(arg)
+        cost = ledger.charge_pending(self._cost_model)
+        self._cpu_tail = self._submit(self._sim, cost, not_before=self._cpu_tail)
+        return result
+
+
+class ObservedMember(SecureGroupMember):
+    """A member under an enabled flight recorder (the framework builds
+    one instead of a plain member when observability is on).
+
+    Same charged steps; each CPU booking also becomes a ``crypto`` span
+    parented behind the member's previous one, and each step's ledger
+    delta is bridged into per-member, per-epoch operation counters.
+    """
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._submit = self._submit_span
+
+    def _charged(self, step: Optional[str], work: Callable, arg):
+        self._booking = (step, arg, self._ledger.snapshot())
+        return super()._charged(step, work, arg)
+
+    def _submit_span(self, sim, cost: float, not_before: float) -> float:
+        # Runs after the step, so a ``start`` is labelled with its epoch.
+        step, pmsg, before = self._booking
+        protocol = self.protocol
+        if step is None:  # the signature of ``pmsg``
+            epoch, step, phase = str(pmsg.epoch), pmsg.step, "sign"
+            name = f"sign {pmsg.protocol}.{step}"
+        else:
+            view = protocol.view
             epoch = str(view.view_id) if view is not None else "?"
-            step = label.split(".", 1)[-1]
-            span = (
-                "crypto", label, self.name,
-                {
-                    "epoch": epoch, "step": step,
-                    "phase": self.protocol.phase_of(step),
-                },
-            )
-            record_op_counts(
-                self.obs.metrics, delta, member=self.name, epoch=epoch
-            )
-        self._cpu_tail = self.machine.submit(
-            self.sim, cost, not_before=max(self._cpu_tail, self.sim.now),
-            span=span, chain=self._last_cpu_span,
+            name, phase = f"{protocol.name}.{step}", protocol.phase_of(step)
+        record_op_counts(
+            self.obs.metrics, self._ledger.delta_since(before),
+            member=self.name, epoch=epoch,
         )
-        if span is not None:
-            self._last_cpu_span = self.obs.causality.last_cpu_span
-        return outputs
+        finish = self.machine.submit(
+            sim, cost, not_before=not_before, chain=self._last_cpu_span,
+            span=(
+                "crypto", name, self.name,
+                {"epoch": epoch, "step": step, "phase": phase},
+            ),
+        )
+        self._last_cpu_span = self.obs.causality.last_cpu_span
+        return finish
 
 
 def _message_bytes(pmsg: ProtocolMessage) -> bytes:

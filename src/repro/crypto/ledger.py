@@ -98,6 +98,22 @@ def _merge(
     return tuple(sorted((bits, n) for bits, n in merged.items() if n))
 
 
+def _fold(pending, totals, cost_of, price, total: float) -> float:
+    """Fold one kind's pending counts into ``totals`` and add their cost
+    to ``total``, term by term in ascending modulus bits (``cost_of``
+    memoizes ``price`` per bits)."""
+    for bits in sorted(pending) if len(pending) > 1 else pending:
+        n = pending[bits]
+        totals[bits] = totals.get(bits, 0) + n
+        if n:
+            cost = cost_of.get(bits)
+            if cost is None:
+                cost = cost_of[bits] = price(bits)
+            total += n * cost
+    pending.clear()
+    return total
+
+
 #: square-and-multiply multiplication counts per small exponent — a pure
 #: function of the exponent, shared by every ledger (BD alone asks for
 #: weights 1..n−1 once per member per rekey).
@@ -191,13 +207,18 @@ class OperationLedger:
         """Open a charge window: whatever is recorded until the matching
         :meth:`charge_pending` call is priced by it.
 
-        Folds any records made outside a window (e.g. signatures charged
-        separately) so they cannot leak into this window's bill.  Windows
-        do not nest — the caller (``SecureGroupMember._charged``) runs
-        one synchronous protocol step per window and nothing inside a
-        step re-enters the charging layer.
+        Folds any records made outside a window so they cannot leak into
+        this window's bill.  A member's ledger has none: every protocol
+        step and every signature it makes is recorded inside one window
+        of ``SecureGroupMember._charged``.  Windows do not nest — each
+        runs one synchronous step, and nothing inside a step re-enters
+        the charging layer.
         """
-        self._flush()
+        if (
+            self._p_exps or self._p_small_mults or self._p_mults
+            or self._p_signatures or self._p_verifications
+        ):
+            self._flush()
 
     def charge_pending(self, cost_model) -> float:
         """Close the window: price, fold, and return the pending work.
@@ -208,49 +229,29 @@ class OperationLedger:
         small-exponent multiplications, then multiplications — each
         ascending by modulus bits — then signatures, then verifications),
         and zero counts are skipped just as ``OpCounts`` merging drops
-        them, so the floating-point sums agree to the last bit.
+        them, so the floating-point sums agree to the last bit.  A
+        hypothesis test over mixed programs and every cost model holds
+        it to that.
         """
         model, exp_cost_of, mult_cost_of = self._cost_cache
         if model is not cost_model:
             exp_cost_of, mult_cost_of = {}, {}
             self._cost_cache = (cost_model, exp_cost_of, mult_cost_of)
         total = 0.0
-        p_exps = self._p_exps
-        if p_exps:
-            exps = self._exps
-            for bits in sorted(p_exps) if len(p_exps) > 1 else p_exps:
-                n = p_exps[bits]
-                exps[bits] = exps.get(bits, 0) + n
-                if n:
-                    cost = exp_cost_of.get(bits)
-                    if cost is None:
-                        cost = exp_cost_of[bits] = cost_model.exp_cost(bits)
-                    total += n * cost
-            p_exps.clear()
-        p_small = self._p_small_mults
-        if p_small:
-            small = self._small_mults
-            for bits in sorted(p_small) if len(p_small) > 1 else p_small:
-                n = p_small[bits]
-                small[bits] = small.get(bits, 0) + n
-                if n:
-                    cost = mult_cost_of.get(bits)
-                    if cost is None:
-                        cost = mult_cost_of[bits] = cost_model.mult_cost(bits)
-                    total += n * cost
-            p_small.clear()
-        p_mults = self._p_mults
-        if p_mults:
-            mults = self._mults
-            for bits in sorted(p_mults) if len(p_mults) > 1 else p_mults:
-                n = p_mults[bits]
-                mults[bits] = mults.get(bits, 0) + n
-                if n:
-                    cost = mult_cost_of.get(bits)
-                    if cost is None:
-                        cost = mult_cost_of[bits] = cost_model.mult_cost(bits)
-                    total += n * cost
-            p_mults.clear()
+        if self._p_exps:
+            total = _fold(
+                self._p_exps, self._exps, exp_cost_of, cost_model.exp_cost, total
+            )
+        if self._p_small_mults:
+            total = _fold(
+                self._p_small_mults, self._small_mults, mult_cost_of,
+                cost_model.mult_cost, total,
+            )
+        if self._p_mults:
+            total = _fold(
+                self._p_mults, self._mults, mult_cost_of, cost_model.mult_cost,
+                total,
+            )
         if self._p_signatures:
             total += self._p_signatures * cost_model.sign_ms
             self._signatures += self._p_signatures

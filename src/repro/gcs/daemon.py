@@ -278,8 +278,8 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def _on_frame(self, smsg: SequencedMessage) -> None:
-        """One frame arrives on its own (a NACK-served retransmit, or any
-        frame while faults or observability are on)."""
+        """One frame arrives on its own: a NACK-served retransmit, or an
+        origin's retry of a frame lost to a link fault."""
         if self._accept_frame(smsg):
             self.world.sim.schedule(0, self._try_deliver, smsg.config_id)
 

@@ -191,89 +191,14 @@ class Network:
         Frames lost to a partition or crash are never retried — that loss
         is the configuration change's to resolve.
         """
-        self.frames_sent += 1
-        if not self.reachable(src_id, dst_id):
-            self.frames_dropped += 1
-            if self.obs.enabled:
-                self.obs.counter(
-                    "net.frames_dropped", src=f"d{src_id}", dst=f"d{dst_id}"
-                ).inc()
-            return None
-        fault_delay_ms = 0.0
-        duplicate_delay_ms = None
-        if self.faults is not None and src_id != dst_id:
-            verdict = self.faults.apply(src_id, dst_id, control=control)
-            if verdict.drop:
-                self.frames_dropped += 1
-                self.fault_drops += 1
-                drop_cause = None
-                if self.obs.enabled:
-                    self.obs.counter(
-                        "net.fault_drops", src=f"d{src_id}", dst=f"d{dst_id}"
-                    ).inc()
-                    # The drop joins the DAG so a retried frame's spans
-                    # parent under the loss that caused the retry.
-                    drop_cause = self.obs.caused_instant(
-                        "net", f"fault-drop d{src_id}->d{dst_id}",
-                        f"d{src_id}", self._daemons[src_id].machine.name,
-                        self.sim.now, dst=dst_id, attempt=_attempt,
-                    )
-                if (
-                    retry_faults
-                    and _attempt < self.topology.params.retransmit_retries
-                ):
-                    self.fault_retries += 1
-                    retry_event = self.sim.schedule(
-                        self.topology.params.retransmit_timeout_ms,
-                        self._retry_send,
-                        src_id,
-                        dst_id,
-                        size_bytes,
-                        fn,
-                        args,
-                        control,
-                        _attempt + 1,
-                    )
-                    if drop_cause is not None:
-                        retry_event.cause = drop_cause
-                return None
-            fault_delay_ms = verdict.extra_delay_ms
-            duplicate_delay_ms = verdict.duplicate_delay_ms
-        self.bytes_sent += size_bytes
-        src = self._daemons[src_id].machine
-        dst = self._daemons[dst_id].machine
-        latency = self.topology.one_way_ms(src, dst, size_bytes)
-        latency += self.topology.params.msg_processing_ms + extra_delay_ms
-        latency += fault_delay_ms
-        event = self.sim.schedule(latency, fn, *args)
-        duplicate_event = None
-        if duplicate_delay_ms is not None:
-            self.fault_duplicates += 1
-            duplicate_event = self.sim.schedule(
-                latency + duplicate_delay_ms, fn, *args
-            )
-        if self.obs.enabled:
-            link = dict(src=f"d{src_id}", dst=f"d{dst_id}")
-            self.obs.counter("net.frames", **link).inc()
-            self.obs.counter("net.bytes", **link).inc(size_bytes)
-            self.obs.histogram("net.latency_ms", **link).observe(latency)
-            cause = self.obs.caused_span(
-                "net",
-                f"frame d{src_id}->d{dst_id}",
-                f"d{src_id}",
-                src.name,
-                self.sim.now,
-                event.time,
-                dst=dst_id,
-                bytes=size_bytes,
-            )
-            if cause is not None:
-                # Delivery (and any fault duplicate) was caused by the
-                # frame in flight, not by the sender's ambient context.
-                event.cause = cause
-                if duplicate_event is not None:
-                    duplicate_event.cause = cause
-        return event.time
+        landing = self._route(
+            src_id, (dst_id,), size_bytes, extra_delay_ms, control,
+            fn, args, retry_faults, _attempt,
+        )
+        for at, cause in landing:
+            # caused by the frame in flight, not the sender's context
+            self.sim.schedule_at(at, fn, *args).cause = cause
+        return next(iter(landing))[0] if landing else None
 
     def broadcast_frame(
         self,
@@ -286,48 +211,57 @@ class Network:
     ) -> None:
         """Fan one sequenced frame out to every daemon in ``dst_ids``.
 
-        Semantically identical to calling :meth:`send` once per
-        destination with that daemon's ``_on_frame`` as the callback and
-        ``retry_faults=True`` — which is exactly what this method does
-        whenever fault injection or observability is active.  On the
-        common path (no faults, obs disabled) it instead replicates
-        ``send``'s per-destination accounting inline — one ``frames_sent``
-        per destination, the same reachability check with the same
-        drop bookkeeping, the same ``bytes_sent`` and the same
-        latency arithmetic term-for-term (the skipped fault delay added
-        ``+ 0.0``, which never changes a float) — while sharing one
-        immutable frame object and hoisting the per-frame constants out
-        of the loop.  Delivery times are bit-identical by construction.
+        Each destination is routed as :meth:`send` with
+        ``retry_faults=True`` routes a frame, and the landings are grouped
+        by instant into one :func:`~repro.gcs.daemon.arrive` event each,
+        which hands the frame to that instant's daemons in destination
+        order.  That is exact: per-landing events would have been
+        scheduled back to back, so those sharing an instant were
+        consecutive there.  A dropped frame's retry only re-sends, later,
+        so it commutes with any landing at its instant.  Under the
+        recorder, landings are grouped by instant and frame span, and
+        each group's event carries its span's cause: every daemon
+        accepts, and scans, in the context of the frame that reached it.
+        """
+        landing = self._route(
+            src_id, dst_ids, size_bytes, extra_delay_ms, False,
+            None, (smsg,), True, 0,
+        )
+        schedule_at = self.sim.schedule_at
+        for (at, cause), group in landing.items():
+            schedule_at(at, arrive, group, smsg).cause = cause
 
-        It also schedules one event per distinct arrival time, not one per
-        destination: :func:`~repro.gcs.daemon.arrive` hands the frame to
-        that instant's daemons in destination order.  The per-destination
-        events it replaces were scheduled back to back in this loop, so
-        those landing together were consecutive at their instant and
-        nothing could fire between them.
+    def _route(
+        self, src_id, dst_ids, size_bytes, extra_delay_ms, control,
+        fn, args, retry, attempt,
+    ) -> Dict[Any, List[Any]]:
+        """Route one frame to each of ``dst_ids``, in order: a
+        ``frames_sent``, the reachability check, then with faults
+        installed the link-fault verdict, then with the flight recorder
+        on the frame's counters and span.
+
+        Returns the landing daemons grouped by ``(instant, frame span
+        cause)`` — the cause is None unless the recorder is on — in order
+        of first landing: each delivery, then its fault duplicate.  With
+        ``retry``, a frame lost to a link fault is re-sent by the origin
+        after the retransmission timeout, up to the topology's retry cap,
+        to ``fn(*args)`` (the destination's ``_on_frame`` when ``fn`` is
+        None).
         """
         daemons = self._daemons
-        if self.faults is not None or self.obs.enabled:
-            for dst_id in dst_ids:
-                self.send(
-                    src_id,
-                    dst_id,
-                    size_bytes,
-                    daemons[dst_id]._on_frame,
-                    smsg,
-                    extra_delay_ms=extra_delay_ms,
-                    retry_faults=True,
-                )
-            return
+        faults = self.faults
+        obs = self.obs
+        observed = obs.enabled
         crashed = self._crashed
         component_of = self._component_of
         src_unreachable = src_id in crashed
         src_component = component_of[src_id]
         src_machine = daemons[src_id].machine
         one_way_ms = self.topology.one_way_ms
-        pre_ms = self.topology.params.msg_processing_ms + extra_delay_ms
+        params = self.topology.params
+        pre_ms = params.msg_processing_ms + extra_delay_ms
         now = self.sim.now
-        landing: Dict[float, List[Any]] = {}
+        landing: Dict[Any, List[Any]] = {}
         sent = dropped = sent_bytes = 0
         for dst_id in dst_ids:
             sent += 1
@@ -337,23 +271,69 @@ class Network:
                 or component_of[dst_id] != src_component
             ):
                 dropped += 1
+                if observed:
+                    obs.counter(
+                        "net.frames_dropped", src=f"d{src_id}", dst=f"d{dst_id}"
+                    ).inc()
                 continue
-            sent_bytes += size_bytes
             dst = daemons[dst_id]
             latency = one_way_ms(src_machine, dst.machine, size_bytes) + pre_ms
-            # the float ``schedule(latency, ...)`` would have fired at
+            duplicate_ms = None
+            if faults is not None and dst_id != src_id:
+                verdict = faults.apply(src_id, dst_id, control=control)
+                if verdict.drop:
+                    dropped += 1
+                    self.fault_drops += 1
+                    drop_cause = None
+                    if observed:
+                        obs.counter(
+                            "net.fault_drops", src=f"d{src_id}", dst=f"d{dst_id}"
+                        ).inc()
+                        # The drop joins the DAG so a retried frame's spans
+                        # parent under the loss that caused the retry.
+                        drop_cause = obs.caused_instant(
+                            "net", f"fault-drop d{src_id}->d{dst_id}",
+                            f"d{src_id}", src_machine.name, now,
+                            dst=dst_id, attempt=attempt,
+                        )
+                    if retry and attempt < params.retransmit_retries:
+                        self.fault_retries += 1
+                        retry_event = self.sim.schedule(
+                            params.retransmit_timeout_ms, self._retry_send,
+                            src_id, dst_id, size_bytes, fn or dst._on_frame,
+                            args, control, attempt + 1,
+                        )
+                        if drop_cause is not None:
+                            retry_event.cause = drop_cause
+                    continue
+                latency += verdict.extra_delay_ms
+                duplicate_ms = verdict.duplicate_delay_ms
+            sent_bytes += size_bytes
             at = now + latency
-            group = landing.get(at)
+            cause = None
+            if observed:
+                link = dict(src=f"d{src_id}", dst=f"d{dst_id}")
+                obs.counter("net.frames", **link).inc()
+                obs.counter("net.bytes", **link).inc(size_bytes)
+                obs.histogram("net.latency_ms", **link).observe(latency)
+                cause = obs.caused_span(
+                    "net", f"frame d{src_id}->d{dst_id}", f"d{src_id}",
+                    src_machine.name, now, at, dst=dst_id, bytes=size_bytes,
+                )
+            key = (at, cause)
+            group = landing.get(key)
             if group is None:
-                landing[at] = [dst]
+                landing[key] = [dst]
             else:
                 group.append(dst)
+            if duplicate_ms is not None:
+                self.fault_duplicates += 1
+                again = now + (latency + duplicate_ms)
+                landing.setdefault((again, cause), []).append(dst)
         self.frames_sent += sent
         self.frames_dropped += dropped
         self.bytes_sent += sent_bytes
-        schedule_at = self.sim.schedule_at
-        for at, group in landing.items():
-            schedule_at(at, arrive, group, smsg)
+        return landing
 
     def _retry_send(
         self, src_id, dst_id, size_bytes, fn, args, control, attempt

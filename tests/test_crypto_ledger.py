@@ -1,7 +1,13 @@
 """Tests for operation accounting (OperationLedger / OpCounts)."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.crypto.costmodel import (
+    CostModel,
+    expensive_signatures,
+    free_crypto,
+    pentium3_666,
+)
 from repro.crypto.ledger import OpCounts, OperationLedger
 
 
@@ -93,3 +99,64 @@ def test_mult_count_tracks_plain_multiplications():
     assert snap.mult_count(512) == 7
     assert snap.mult_count(160) == 2
     assert snap.mult_count() == 9
+
+
+# -- the charge window ------------------------------------------------------
+#
+# ``begin_charge``/``charge_pending`` price a protocol step off the
+# pending records alone.  They must agree to the last bit with pricing a
+# full snapshot delta, for every cost model, including when records were
+# made between windows (``begin_charge`` folds those first).
+
+# Every shipped model, plus one whose costs round in every sum, so a
+# term taken out of order shows in the last bit.
+_COST_MODELS = [
+    pentium3_666(), free_crypto(), expensive_signatures(),
+    CostModel("rounding", {512: 0.1, 1024: 0.7}, sign_ms=0.3, verify_ms=0.1),
+]
+_BITS = st.sampled_from([160, 512, 768, 1024, 2048])
+_RECORD = st.one_of(
+    st.tuples(st.just("exp"), _BITS, st.integers(1, 40)),
+    st.tuples(st.just("small"), _BITS, st.integers(0, 5000)),
+    st.tuples(st.just("mult"), _BITS, st.integers(1, 40)),
+    st.tuples(st.just("sign"), st.just(0), st.integers(1, 3)),
+    st.tuples(st.just("verify"), st.just(0), st.integers(1, 30)),
+)
+_WINDOW = st.tuples(
+    st.sampled_from(range(len(_COST_MODELS))),
+    st.lists(_RECORD, max_size=4),  # recorded before the window opens
+    st.lists(_RECORD, max_size=12),  # recorded inside the window
+)
+
+
+def _record(ledger, op, bits, n):
+    if op == "exp":
+        ledger.record_exponentiation(bits, n)
+    elif op == "small":
+        ledger.record_small_exponentiation(bits, n)
+    elif op == "mult":
+        ledger.record_multiplication(bits, n)
+    elif op == "sign":
+        ledger.record_signature(n)
+    else:
+        ledger.record_verification(n)
+
+
+@settings(max_examples=300)
+@given(st.lists(_WINDOW, min_size=1, max_size=8))
+def test_charge_window_is_time_of_delta_bit_for_bit(windows):
+    charged = OperationLedger()  # priced through the window
+    twin = OperationLedger()  # priced from snapshots
+    for model_index, between, inside in windows:
+        model = _COST_MODELS[model_index]
+        for record in between:
+            _record(charged, *record)
+            _record(twin, *record)
+        charged.begin_charge()
+        before = twin.snapshot()
+        for record in inside:
+            _record(charged, *record)
+            _record(twin, *record)
+        cost = charged.charge_pending(model)
+        assert cost == model.time_of(twin.delta_since(before))
+        assert charged.snapshot() == twin.snapshot()
