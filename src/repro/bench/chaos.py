@@ -33,10 +33,11 @@ from repro.bench.pool import Cell, register_runner, run_cells
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.faults import LinkFaults
-from repro.gcs.topology import TESTBEDS
+from repro.gcs.topology import resolve_testbed
 from repro.obs.export import span_record
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import available
+from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS
 
 #: Drop rates swept by default.  0.0 is the inertness control.
 CHAOS_DROP_RATES = (0.0, 0.05, 0.15)
@@ -44,11 +45,6 @@ CHAOS_DROP_RATES = (0.0, 0.05, 0.15)
 #: Every registered protocol (the paper's five, plus any plug-ins
 #: registered before this module is imported).
 CHAOS_PROTOCOLS = available()
-
-#: Epoch watchdog timeout used for chaos runs, virtual ms.  Comfortably
-#: above a clean LAN rekey (tens of ms) so the watchdog only fires on
-#: genuinely lost progress, far below the livelock guard.
-CHAOS_STALL_TIMEOUT_MS = 400.0
 
 #: Event budget per sample.  A faulty rekey retries and restarts, but a
 #: sample that needs more than this is reported as non-converged rather
@@ -110,7 +106,7 @@ def run_chaos_cell(
     seed = int(spec.get("seed", 0))
     engine = spec.get("engine", "symbolic")
     stall_timeout_ms = float(
-        spec.get("stall_timeout_ms", CHAOS_STALL_TIMEOUT_MS)
+        spec.get("stall_timeout_ms", DEFAULT_STALL_TIMEOUT_MS)
     )
     max_events = int(spec.get("max_events", CHAOS_MAX_EVENTS))
     trace = bool(spec.get("trace", False))
@@ -122,7 +118,7 @@ def run_chaos_cell(
     for sample in range(repeats):
         sample_seed = seed + sample
         framework = SecureSpreadFramework(
-            TESTBEDS[topology](),
+            resolve_testbed(topology),
             default_protocol=protocol,
             dh_group=spec.get("dh_group", "dh-512"),
             seed=sample_seed,
@@ -175,9 +171,6 @@ def run_chaos_cell(
         time_to_key_ms=sum(times) / len(times) if times else None,
         engine=engine_name,
     )
-    registry.histogram(
-        "bench.cell.sim_ms", kind="chaos", protocol=protocol
-    ).observe(sum(times))
     return {"cell": cell.to_dict(), "trace_events": trace_events}
 
 
@@ -202,7 +195,7 @@ def run_chaos(
     engine="symbolic",
     repeats: int = 2,
     seed: int = 0,
-    stall_timeout_ms: float = CHAOS_STALL_TIMEOUT_MS,
+    stall_timeout_ms: float = DEFAULT_STALL_TIMEOUT_MS,
     max_events: int = CHAOS_MAX_EVENTS,
     progress: Optional[Callable[[str], None]] = None,
     trace_events: Optional[List[dict]] = None,
@@ -259,14 +252,6 @@ def run_chaos(
         if trace_events is not None and result.get("trace_events"):
             trace_events.extend(result["trace_events"])
     return out
-
-
-def chaos_payload(cells: Sequence[ChaosCell], **meta) -> dict:
-    """The BENCH_chaos.json payload: run metadata + serialized cells."""
-    payload = {"benchmark": "chaos"}
-    payload.update(meta)
-    payload["cells"] = [cell.to_dict() for cell in cells]
-    return payload
 
 
 def render_chaos_table(cells: Sequence[ChaosCell]) -> str:

@@ -25,12 +25,12 @@ One subcommand per job, all sharing the same core options
     python -m repro.bench compare OLD.json NEW.json   # exact regression gate
     python -m repro.bench live --protocol tgdh -n 8   # real TCP on localhost
 
-``live`` is the only subcommand that runs on the asyncio transport
-(``--transport asyncio``, its default): a real daemon process and one
-TCP client per member on localhost, measuring wall-clock rekey latency
-next to the simulator's virtual-time prediction in ``BENCH_live.json``.
-Every other subcommand is simulator-only (``--transport sim``): fault
-injection, tracing and virtual time have no live equivalent.
+The subcommand picks the substrate.  ``live`` is the only one that
+runs on the asyncio transport: a real daemon process and one TCP client
+per member on localhost, measuring wall-clock rekey latency next to the
+simulator's virtual-time prediction in ``BENCH_live.json``.  Every other
+subcommand runs on the simulator: fault injection, tracing and virtual
+time have no live equivalent.
 
 The grid-shaped subcommands (``figure``, ``scale``, ``chaos``, ``load``)
 all take
@@ -50,13 +50,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.table1 import render_table1
-from repro.bench.chaos import (
-    CHAOS_DROP_RATES,
-    CHAOS_STALL_TIMEOUT_MS,
-    chaos_payload,
-    render_chaos_table,
-    run_chaos,
-)
+from repro.bench.chaos import CHAOS_DROP_RATES, render_chaos_table, run_chaos
 from repro.bench.compare import compare_files
 from repro.bench.load import (
     LOAD_ARRIVALS,
@@ -64,25 +58,20 @@ from repro.bench.load import (
     LOAD_GROUP_SIZE,
     LOAD_GROUPS,
     LOAD_RATE_HZ,
-    load_payload,
+    describe_unkeyed,
+    load_cells_grid,
     render_load_table,
-    run_load,
 )
 from repro.bench.plot import render_plot
-from repro.bench.pool import DEFAULT_CACHE_DIR, pool_stats
-from repro.bench.report import render_series, series_to_csv, write_json
-from repro.bench.scale import (
-    SCALE_SIZES,
-    render_scale_table,
-    run_scale,
-    scale_payload,
-)
+from repro.bench.pool import DEFAULT_CACHE_DIR, pool_stats, run_cells
+from repro.bench.report import artifact, render_series, series_to_csv, write_json
+from repro.bench.scale import SCALE_SIZES, render_scale_table, run_scale
 from repro.bench.series import DEFAULT_SIZES, sweep_group_sizes
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
-from repro.gcs.topology import TESTBEDS
+from repro.gcs.topology import TESTBEDS, resolve_testbed
 from repro.protocols import available
-from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS
+from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS, WorkloadResult
 from repro.obs import (
     MetricsRegistry,
     render_critical_paths,
@@ -91,13 +80,6 @@ from repro.obs import (
     timeline_critical_paths,
     validate_chrome_trace,
 )
-
-TOPOLOGIES = TESTBEDS
-
-#: subcommands that can run on the asyncio transport; everything else
-#: needs virtual time, fault injection or tracing — simulator add-ons
-#: the live backend deliberately does not provide
-ASYNCIO_SUBCOMMANDS = ("live",)
 
 #: figure number -> list of (title, testbed name, event, dh group)
 FIGURES = {
@@ -173,12 +155,6 @@ def build_common_parser() -> argparse.ArgumentParser:
         "-o", "--out", "--output", dest="out", default=None, metavar="PATH",
         help="output artifact path (each subcommand has its own default)",
     )
-    common.add_argument(
-        "--transport", choices=("sim", "asyncio"), default="sim",
-        help="substrate to run on: the simulated world (default) or the "
-        "live asyncio backend over TCP (only the 'live' subcommand; "
-        "faults, tracing and virtual-time sweeps are simulator-only)",
-    )
     return common
 
 
@@ -216,7 +192,7 @@ def _add_event_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_testbed_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--topology", choices=sorted(TOPOLOGIES), default="lan",
+        "--topology", choices=sorted(TESTBEDS), default="lan",
         help="testbed to simulate (default lan)",
     )
     parser.add_argument(
@@ -338,7 +314,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     )
     add_protocol_args(chaos)
     chaos.add_argument(
-        "--size", type=int, default=6,
+        "--size", dest="group_size", metavar="SIZE", type=int, default=6,
         help="settled group size before the faulty join (default 6)",
     )
     _add_testbed_options(chaos)
@@ -346,9 +322,9 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=2, help="samples per cell"
     )
     chaos.add_argument(
-        "--stall-timeout-ms", type=float, default=CHAOS_STALL_TIMEOUT_MS,
+        "--stall-timeout-ms", type=float, default=DEFAULT_STALL_TIMEOUT_MS,
         help="epoch watchdog timeout in virtual ms "
-        f"(default {CHAOS_STALL_TIMEOUT_MS:g})",
+        f"(default {DEFAULT_STALL_TIMEOUT_MS:g})",
     )
     chaos.add_argument(
         "--trace", dest="trace_log", default=None, metavar="PATH",
@@ -380,7 +356,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         help=f"settled members per group (default {LOAD_GROUP_SIZE})",
     )
     load.add_argument(
-        "--rate", type=float, default=LOAD_RATE_HZ, metavar="HZ",
+        "--rate", dest="rate_hz", metavar="HZ", type=float, default=LOAD_RATE_HZ,
         help=f"churn events per second across all groups "
         f"(default {LOAD_RATE_HZ:g})",
     )
@@ -442,7 +418,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=60.0, metavar="SECONDS",
         help="hard limit for each settle phase (default 60)",
     )
-    live.set_defaults(transport="asyncio", out="BENCH_live.json")
+    live.set_defaults(out="BENCH_live.json")
 
     compare = sub.add_parser(
         "compare",
@@ -541,79 +517,82 @@ def run_table(args) -> int:
     return 0
 
 
-def run_scale_command(args) -> int:
+def _options(args, *names: str) -> dict:
+    """The named parsed options, in order: an artifact's run metadata."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _sweep(args, benchmark: str, meta: dict, key: str, run):
+    """Run one pooled sweep — ``run(**pool)`` with the command line's pool
+    arguments — and write its rows to ``--out`` as the ``benchmark``
+    artifact; returns the rows and the pool's registry."""
     metrics = MetricsRegistry(enabled=True)
+    rows = run(**_pool_kwargs(args, metrics))
+    write_json(args.out, artifact(benchmark, meta, key, rows))
+    return rows, metrics
+
+
+def _report(args, metrics, table: str, summary: str, shortfall=None) -> int:
+    """Print a pooled sweep's table, "wrote" line and pool stats; exit 1
+    with ``shortfall`` as the error when the sweep fell short of full
+    convergence — the watchdog is supposed to recover every rekey, so
+    that is a failure, not a statistic to print and forget."""
+    print()
+    print(table)
+    print(f"\nwrote {args.out}: {summary}")
+    _print_pool_stats(metrics)
+    if shortfall:
+        print(f"error: {shortfall}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def run_scale_command(args) -> int:
     meta = dict(
         sizes=sorted(set(args.sizes)),
-        protocols=list(args.protocols),
-        engine=args.engine,
-        topology=args.topology,
-        dh_group=args.dh_group,
-        repeats=args.repeats,
-        seed=args.seed,
+        **_options(
+            args, "protocols", "engine", "topology", "dh_group", "repeats", "seed"
+        ),
     )
-    measurements = run_scale(
-        observe=args.observe,
-        **meta,
-        **_pool_kwargs(args, metrics),
+    rows, metrics = _sweep(
+        args, "scale", meta, "measurements",
+        lambda **pool: run_scale(observe=args.observe, **meta, **pool),
     )
-    write_json(args.out, scale_payload(measurements, **meta))
-    print()
-    print(render_scale_table(measurements))
+    table = render_scale_table(rows)
     if args.observe:
-        print()
-        print(render_percentiles(
+        table += "\n\n" + render_percentiles(
             metrics.log_histograms(), "Rekey latency percentiles (ms)"
-        ))
-    print(f"\nwrote {args.out}: {len(measurements)} measurements")
-    _print_pool_stats(metrics)
-    return 0
+        )
+    return _report(args, metrics, table, f"{len(rows)} measurements")
 
 
 def run_chaos_command(args) -> int:
     trace_events: Optional[List[dict]] = [] if args.trace_log else None
-    metrics = MetricsRegistry(enabled=True)
-    meta = dict(
-        protocols=list(args.protocols),
-        group_size=args.size,
-        engine=args.engine,
-        topology=args.topology,
-        dh_group=args.dh_group,
-        repeats=args.repeats,
-        seed=args.seed,
-        stall_timeout_ms=args.stall_timeout_ms,
+    meta = _options(
+        args, "protocols", "group_size", "engine", "topology", "dh_group",
+        "repeats", "seed", "stall_timeout_ms",
     )
-    cells = run_chaos(
-        drop_rates=args.drops,
-        trace_events=trace_events,
-        **meta,
-        **_pool_kwargs(args, metrics),
+    cells, metrics = _sweep(
+        args, "chaos", {"drops": args.drops, **meta}, "cells",
+        lambda **pool: run_chaos(
+            drop_rates=args.drops, trace_events=trace_events, **meta, **pool
+        ),
     )
-    write_json(args.out, chaos_payload(cells, drops=list(args.drops), **meta))
-    print()
-    print(render_chaos_table(cells))
     converged = sum(cell.converged for cell in cells)
     samples = sum(cell.samples for cell in cells)
-    print(f"\nwrote {args.out}: {len(cells)} cells, "
-          f"{converged}/{samples} samples converged")
+    summary = f"{len(cells)} cells, {converged}/{samples} samples converged"
     if trace_events is not None:
         with open(args.trace_log, "w", encoding="utf-8") as handle:
             for event in trace_events:
-                handle.write(json.dumps(event, sort_keys=True, default=str))
-                handle.write("\n")
-        print(f"wrote {args.trace_log}: {len(trace_events)} span records")
-    _print_pool_stats(metrics)
+                handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
+        summary += f"\nwrote {args.trace_log}: {len(trace_events)} span records"
+    shortfall = None
     if converged < samples:
-        # The chaos acceptance bar is full convergence (the watchdog is
-        # supposed to recover every rekey); a sweep below it is a failure,
-        # not a statistic to print and forget.
-        print(
-            f"error: {samples - converged} of {samples} samples did not "
-            "converge on a shared key",
-            file=sys.stderr,
+        shortfall = (
+            f"{samples - converged} of {samples} samples did not converge "
+            "on a shared key"
         )
-        return 1
-    return 0
+    return _report(args, metrics, render_chaos_table(cells), summary, shortfall)
 
 
 def run_load_command(args) -> int:
@@ -631,39 +610,35 @@ def run_load_command(args) -> int:
             )
         trace = recorded  # validated by WorkloadSpec at grid build time
         arrivals = ["trace"]
-    metrics = MetricsRegistry(enabled=True)
     meta = dict(
-        protocols=list(args.protocols),
+        protocols=args.protocols,
         arrivals=arrivals,
-        groups=args.groups,
-        group_size=args.group_size,
-        rate_hz=args.rate,
-        duration_ms=args.duration_ms,
-        storm=args.storm,
-        engine=args.engine,
-        topology=args.topology,
-        dh_group=args.dh_group,
-        seed=args.seed,
-        stall_timeout_ms=args.stall_timeout_ms,
+        **_options(
+            args, "groups", "group_size", "rate_hz", "duration_ms", "storm",
+            "engine", "topology", "dh_group", "seed", "stall_timeout_ms",
+        ),
     )
-    results = run_load(trace=trace, **meta, **_pool_kwargs(args, metrics))
-    write_json(args.out, load_payload(results, **meta))
-    print()
-    print(render_load_table(results))
-    converged = sum(1 for cell in results if cell.converged)
-    print(f"\nwrote {args.out}: {len(results)} cells, "
-          f"{converged}/{len(results)} fully converged")
-    _print_pool_stats(metrics)
-    if converged < len(results):
-        # Same acceptance bar as chaos: the watchdog is supposed to
-        # recover every group, so a cell below it is a failure.
-        print(
-            f"error: {len(results) - converged} of {len(results)} cells "
-            "did not converge every group on a shared key",
-            file=sys.stderr,
+    results: List[dict] = []  # the raw cells, for their unkeyed groups
+
+    def run(**pool):
+        results.extend(run_cells(load_cells_grid(trace=trace, **meta), **pool))
+        return [WorkloadResult.from_dict(result["cell"]) for result in results]
+
+    cells, metrics = _sweep(args, "load", meta, "cells", run)
+    converged = sum(cell.converged for cell in cells)
+    summary = f"{len(cells)} cells, {converged}/{len(cells)} fully converged"
+    shortfall = None
+    if converged < len(cells):
+        shortfall = (
+            f"{len(cells) - converged} of {len(cells)} cells did not converge "
+            "every group on a shared key: unkeyed " + "; ".join(
+                f"{cell.protocol} {cell.arrival} "
+                + describe_unkeyed(result["unkeyed"])
+                for cell, result in zip(cells, results)
+                if result["unkeyed"]
+            )
         )
-        return 1
-    return 0
+    return _report(args, metrics, render_load_table(cells), summary, shortfall)
 
 
 def run_live_command(args) -> int:
@@ -711,7 +686,7 @@ def _run_observed_event(args):
     """Grow a group and run one observed membership event; returns the
     framework and the event's one-line title."""
     framework = SecureSpreadFramework(
-        TOPOLOGIES[args.topology](),
+        resolve_testbed(args.topology),
         default_protocol=args.protocol,
         dh_group=args.dh_group,
         seed=args.seed,
@@ -773,28 +748,6 @@ def run_critpath_command(args) -> int:
     return 0
 
 
-def _validate_transport(args) -> None:
-    """Reject option combinations the chosen substrate cannot honor.
-
-    ``compare`` has no ``--transport`` flag at all (it never runs a
-    substrate), hence the ``getattr`` default.
-    """
-    transport = getattr(args, "transport", "sim")
-    if transport == "asyncio":
-        if args.command not in ASYNCIO_SUBCOMMANDS:
-            raise ValueError(
-                f"the asyncio transport only supports "
-                f"{'/'.join(ASYNCIO_SUBCOMMANDS)}; '{args.command}' needs "
-                "the simulator's virtual time (run it with --transport sim)"
-            )
-    elif args.command in ASYNCIO_SUBCOMMANDS:
-        raise ValueError(
-            f"'{args.command}' runs on the live asyncio backend; "
-            "--transport sim has no real sockets to measure (drop the "
-            "--transport override)"
-        )
-
-
 #: subcommand name -> body; the single dispatch table
 COMMANDS = {
     "figure": run_figures,
@@ -819,7 +772,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     args = build_subcommand_parser().parse_args(argv)
     try:
-        _validate_transport(args)
         return COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, RuntimeError, AssertionError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -37,7 +37,7 @@ IDENTITY_FIELDS = (
 META_FIELDS = ("benchmark", "engine", "seed", "repeats")
 
 
-def load_payload(path: str) -> dict:
+def read_payload(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -180,8 +180,8 @@ def compare_files(
 ) -> List[str]:
     """:func:`compare_payloads` over two files on disk."""
     return compare_payloads(
-        load_payload(old_path),
-        load_payload(new_path),
+        read_payload(old_path),
+        read_payload(new_path),
         tolerance=tolerance,
         relative=relative,
     )

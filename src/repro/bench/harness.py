@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 from repro.core.driver import GroupDriver, Sample
 from repro.core.framework import SecureSpreadFramework
 from repro.crypto.engine import CryptoEngine
-from repro.gcs.topology import TESTBEDS, Topology
+from repro.gcs.topology import Topology, resolve_testbed
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,13 @@ class ExperimentSpec:
             )
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if isinstance(self.topology, str) and self.topology not in TESTBEDS:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; "
-                f"choose from {sorted(TESTBEDS)} or pass a factory"
-            )
+        if isinstance(self.topology, str):
+            resolve_testbed(self.topology)  # an unknown name fails here
 
     def build_framework(self, observe: Optional[bool] = None) -> SecureSpreadFramework:
         """A fresh framework configured for this cell."""
-        factory = self.topology if callable(self.topology) else TESTBEDS[self.topology]
         return SecureSpreadFramework(
-            factory(),
+            resolve_testbed(self.topology),
             default_protocol=self.protocol,
             dh_group=self.dh_group,
             seed=self.seed,

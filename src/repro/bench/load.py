@@ -33,8 +33,8 @@ from repro.faults.schedule import partition_storm
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.engine import (
     DEFAULT_STALL_TIMEOUT_MS,
+    WorkloadEngine,
     WorkloadResult,
-    run_workload,
 )
 from repro.workload.spec import WorkloadSpec
 
@@ -86,34 +86,51 @@ def run_load_cell(
     ``spec["workload"]`` is a :meth:`WorkloadSpec.to_spec` dict — the
     exact serialized scenario, so the cell is reproducible from its spec
     alone and the pool's content-addressed cache key covers everything
-    that matters.  Returns ``{"cell": WorkloadResult dict}``.
+    that matters.  Returns ``{"cell": WorkloadResult dict, "unkeyed":
+    [...]}``, the second being :meth:`WorkloadEngine.unkeyed` — empty
+    exactly when every group converged.
     """
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
-    workload = WorkloadSpec.from_spec(spec["workload"])
     stall = spec.get("stall_timeout_ms", DEFAULT_STALL_TIMEOUT_MS)
-    result = run_workload(
-        workload,
+    engine = WorkloadEngine(
+        WorkloadSpec.from_spec(spec["workload"]),
         topology=spec.get("topology", "lan"),
         dh_group=spec.get("dh_group", "dh-512"),
         engine=spec.get("engine", "symbolic"),
         stall_timeout_ms=None if stall is None else float(stall),
         max_events=int(spec.get("max_events", LOAD_MAX_EVENTS)),
-        metrics=registry,
     )
-    registry.histogram(
-        "bench.cell.sim_ms", kind="load", protocol=workload.protocol
-    ).observe(result.makespan_ms)
-    return {"cell": result.to_dict()}
+    if metrics is not None:
+        engine.metrics = metrics
+    result = engine.run()
+    return {"cell": result.to_dict(), "unkeyed": engine.unkeyed()}
+
+
+def describe_unkeyed(unkeyed: Sequence[dict]) -> str:
+    """:func:`run_load_cell`'s ``unkeyed`` list as one line: each group,
+    its newest view, and every member's installed epoch and key
+    fingerprint (``-`` for none)."""
+    return "; ".join(
+        f"{group['group']} at view {group['view'] or '-'} ["
+        + ", ".join(
+            f"{m['name']} epoch {m['epoch'] or '-'} key {m['key'] or '-'}"
+            for m in group["members"]
+        )
+        + "]"
+        for group in unkeyed
+    )
 
 
 def _load_summary(result: dict) -> str:
     cell = WorkloadResult.from_dict(result["cell"])
-    return (
+    line = (
         f"{cell.protocol} {cell.arrival}: "
         f"{cell.converged_groups}/{cell.groups} converged, "
         f"p50={cell.rekey_p50_ms:.1f} ms, "
         f"{cell.throughput_eps:.1f} epochs/s"
     )
+    if result["unkeyed"]:
+        line += f"; unkeyed {describe_unkeyed(result['unkeyed'])}"
+    return line
 
 
 def load_cells_grid(
@@ -200,14 +217,6 @@ def run_load(
         progress=progress,
     )
     return [WorkloadResult.from_dict(result["cell"]) for result in results]
-
-
-def load_payload(results: Sequence[WorkloadResult], **meta) -> dict:
-    """The BENCH_load.json payload: run metadata + serialized cells."""
-    payload = {"benchmark": "load"}
-    payload.update(meta)
-    payload["cells"] = [result.to_dict() for result in results]
-    return payload
 
 
 def render_load_table(results: Sequence[WorkloadResult]) -> str:

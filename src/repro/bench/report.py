@@ -1,11 +1,11 @@
 """Rendering of figure series as terminal tables and CSV, and the one
-JSON artifact writer."""
+JSON artifact envelope and writer."""
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.bench.series import FigureSeries
 
@@ -42,6 +42,13 @@ def series_to_csv(series: FigureSeries, path: str) -> None:
             row += [f"{series.curves[p][index]:.3f}" for p in protocols]
             row.append(f"{series.membership[index]:.3f}")
             handle.write(",".join(row) + "\n")
+
+
+def artifact(benchmark: str, meta: dict, key: str, rows: Sequence) -> dict:
+    """A ``BENCH_<benchmark>.json`` envelope: the benchmark name, the run
+    metadata in ``meta``'s order, then each row's ``to_dict()`` under
+    ``key`` (``measurements`` or ``cells``)."""
+    return {"benchmark": benchmark, **meta, key: [r.to_dict() for r in rows]}
 
 
 def write_json(path: str, document: dict, sort_keys: bool = False) -> dict:

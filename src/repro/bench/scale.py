@@ -79,7 +79,6 @@ def run_scale_cell(
     histograms) into the caller's registry; observability is passive, so
     the measured times are identical either way.
     """
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     size = int(spec["group_size"])
     observe = bool(spec.get("observe", False))
     espec = ExperimentSpec(
@@ -111,11 +110,8 @@ def run_scale_cell(
         samples[event].append(
             Sample(record.total_elapsed(), record.membership_elapsed())
         )
-    registry.histogram(
-        "bench.cell.sim_ms", kind="scale", protocol=espec.protocol
-    ).observe(sum(sum(s.total_ms for s in samples[e]) for e in ("join", "leave")))
-    if observe:
-        registry.merge_snapshot(framework.obs.metrics.snapshot())
+    if observe and metrics is not None:
+        metrics.merge_snapshot(framework.obs.metrics.snapshot())
     return {
         event: averaged(
             espec, framework, event, size, samples[event], _ops_dict(ops[event])
@@ -196,16 +192,6 @@ def run_scale(
         measurements.append(EventMeasurement.from_dict(result["join"]))
         measurements.append(EventMeasurement.from_dict(result["leave"]))
     return measurements
-
-
-def scale_payload(
-    measurements: Sequence[EventMeasurement], **meta
-) -> dict:
-    """The BENCH_scale.json payload: run metadata + serialized cells."""
-    payload = {"benchmark": "scale"}
-    payload.update(meta)
-    payload["measurements"] = [m.to_dict() for m in measurements]
-    return payload
 
 
 def render_scale_table(measurements: Sequence[EventMeasurement]) -> str:

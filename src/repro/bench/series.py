@@ -180,7 +180,6 @@ def run_figure_cell(
     or shipped to worker processes.  Returns
     ``{"measurements": [EventMeasurement dict, ...]}`` in size order.
     """
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     measurements = measure_protocol_curve(
         spec["topology"],
         spec["protocol"],
@@ -191,9 +190,6 @@ def run_figure_cell(
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine"),
     )
-    registry.histogram(
-        "bench.cell.sim_ms", kind="figure", protocol=spec["protocol"]
-    ).observe(sum(m.total_ms for m in measurements))
     return {"measurements": [m.to_dict() for m in measurements]}
 
 

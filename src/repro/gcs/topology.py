@@ -17,7 +17,7 @@ client-daemon IPC and per-message daemon processing.  The two testbeds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.sim.cpu import Machine
 
@@ -194,3 +194,16 @@ TESTBEDS = {
     "wan": wan_testbed,
     "medium-wan": medium_wan_testbed,
 }
+
+
+def resolve_testbed(topology: Union[str, Callable[[], Topology]]) -> Topology:
+    """A fresh testbed: ``topology`` is a :data:`TESTBEDS` name or a
+    zero-argument factory returning a :class:`Topology`."""
+    if callable(topology):
+        return topology()
+    if topology not in TESTBEDS:
+        raise ValueError(
+            f"unknown topology {topology!r}; "
+            f"choose from {sorted(TESTBEDS)} or pass a factory"
+        )
+    return TESTBEDS[topology]()

@@ -28,20 +28,22 @@ substrate ⇒ a bit-identical :class:`WorkloadResult`.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
 from repro.core.framework import SecureSpreadFramework
-from repro.gcs.topology import TESTBEDS, Topology
+from repro.gcs.topology import Topology, resolve_testbed
 from repro.obs.histo import LogHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.spec import WorkloadSpec
 
-#: Epoch-watchdog timeout armed by default for every workload run (same
-#: value as the chaos benchmark: comfortably above a clean rekey, far
-#: below the livelock guard).  Sustained churn stalls rekeys even on a
+#: Epoch-watchdog timeout, virtual ms, armed by default for every
+#: workload run and every chaos sample: comfortably above a clean LAN
+#: rekey (tens of ms), so it fires only on lost progress, and far below
+#: the livelock guard.  Sustained churn stalls rekeys even on a
 #: fault-free network — cascaded events interrupt agreements mid-flight
 #: — so unlike single-event benchmarks the watchdog is not optional here.
 DEFAULT_STALL_TIMEOUT_MS = 400.0
@@ -111,17 +113,10 @@ class WorkloadEngine:
         stall_timeout_ms: Optional[float] = DEFAULT_STALL_TIMEOUT_MS,
         max_events: int = LARGE_RUN_MAX_EVENTS,
     ):
-        if isinstance(topology, str):
-            if topology not in TESTBEDS:
-                raise ValueError(
-                    f"unknown topology {topology!r}; "
-                    f"choose from {sorted(TESTBEDS)}"
-                )
-            topology = TESTBEDS[topology]
         self.spec = spec
         self.max_events = int(max_events)
         self.framework = SecureSpreadFramework(
-            topology(),
+            resolve_testbed(topology),
             default_protocol=spec.protocol,
             dh_group=dh_group,
             seed=spec.seed,
@@ -282,6 +277,34 @@ class WorkloadEngine:
             converged_groups=converged_groups,
         )
 
+    def unkeyed(self) -> List[dict]:
+        """The end-of-run check, by name: every group without a confirmed
+        shared key, with its newest view id and its members, each with
+        the epoch it last installed and a short fingerprint of its key
+        (``None`` while it holds none) — never the key itself.  View ids
+        are rendered as strings, so the detail is JSON-ready."""
+        detail = []
+        for group, driver in self.drivers.items():
+            if driver.converged_key() is not None:
+                continue
+            views = [m.protocol.view.view_id for m in driver.members if m.protocol.view]
+            detail.append({
+                "group": self.group_name(group),
+                "view": str(max(views)) if views else None,
+                "members": [_member_state(member) for member in driver.members],
+            })
+        return detail
+
+
+def _member_state(member) -> dict:
+    installed = member.secure_views[-1].view_id if member.secure_views else None
+    key = member.key_bytes
+    return {
+        "name": member.name,
+        "epoch": None if installed is None else str(installed),
+        "key": None if key is None else hashlib.sha256(key).hexdigest()[:8],
+    }
+
 
 def run_workload(
     spec: WorkloadSpec,
@@ -292,14 +315,8 @@ def run_workload(
     max_events: int = LARGE_RUN_MAX_EVENTS,
     metrics=None,
 ) -> WorkloadResult:
-    """Run one spec and return its result.
-
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is passed, the
-    merged sustained-phase rekey histogram is folded into it as
-    ``load.rekey_ms{arrival=...,protocol=...}`` — the benchmark pool's
-    worker-snapshot path, which is how ``bench load`` prints one exact
-    percentile table across all shards.
-    """
+    """Run one spec and return its result; a tripped livelock guard is
+    counted on ``metrics`` when one is passed."""
     driver = WorkloadEngine(
         spec,
         topology=topology,
@@ -310,17 +327,4 @@ def run_workload(
     )
     if metrics is not None:
         driver.metrics = metrics
-    result = driver.run()
-    if metrics is not None and metrics.enabled:
-        merged = driver.merged_histogram()
-        metrics.log_histogram(
-            "load.rekey_ms", arrival=spec.arrival, protocol=spec.protocol
-        ).merge(
-            merged.buckets, merged.zero_count, merged.count,
-            merged.total, merged.min, merged.max,
-        )
-        metrics.counter(
-            "bench.load.member_epochs",
-            arrival=spec.arrival, protocol=spec.protocol,
-        ).inc(merged.count)
-    return result
+    return driver.run()

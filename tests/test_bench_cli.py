@@ -123,32 +123,31 @@ def test_subcommand_rejects_unknown_protocol():
 
 
 class TestTransportFlag:
-    """`--transport` selects the substrate; incompatible combinations are
-    rejected up front with an explanation, not a deep stack trace."""
+    """The subcommand picks the substrate: ``live`` runs on the asyncio
+    transport and every other subcommand on the simulator, so no
+    subcommand takes a ``--transport`` flag that could contradict it."""
 
-    def test_default_transport_is_sim(self):
-        args = build_subcommand_parser().parse_args(["scale", "--sizes", "4"])
-        assert args.transport == "sim"
+    @staticmethod
+    def _rejected(argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
-    def test_live_defaults_to_asyncio_and_live_json(self):
+    def test_sim_only_subcommand_rejects_asyncio(self, capsys):
+        for command in sorted(set(COMMANDS) - {"live"}):
+            argv = [command, *_POSITIONALS.get(command, [])]
+            self._rejected(argv + ["--transport", "asyncio"], capsys)
+
+    def test_live_rejects_sim_transport(self, capsys):
+        self._rejected(["live", "--transport", "sim"], capsys)
+
+    def test_live_defaults_to_live_json(self):
         args = build_subcommand_parser().parse_args(
             ["live", "--protocol", "tgdh"]
         )
-        assert args.transport == "asyncio"
         assert args.protocol == "TGDH"
         assert args.out == "BENCH_live.json"
-
-    def test_sim_only_subcommand_rejects_asyncio(self, capsys):
-        code = main(["scale", "--sizes", "4", "--transport", "asyncio"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "virtual time" in err
-
-    def test_live_rejects_sim_transport(self, capsys):
-        code = main(["live", "--transport", "sim"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "asyncio" in err
 
     def test_live_parser_accepts_size_and_daemon_mode(self):
         args = build_subcommand_parser().parse_args(

@@ -7,13 +7,13 @@ import pytest
 from repro.bench.cli import main
 from repro.bench.load import (
     load_cells_grid,
-    load_payload,
     render_load_table,
     run_load,
     run_load_cell,
     storm_faults,
 )
 from repro.bench.pool import canonical_json, cell_key
+from repro.bench.report import artifact
 from repro.obs.metrics import MetricsRegistry
 from repro.workload import WorkloadResult
 
@@ -34,10 +34,7 @@ def test_runner_returns_json_ready_result():
     parsed = WorkloadResult.from_dict(result["cell"])
     assert parsed.converged
     assert parsed.protocol == "TGDH" and parsed.arrival == "poisson"
-    # The merged sustained-phase histogram lands in the registry, which
-    # is how the pool aggregates percentiles across worker shards.
-    names = {h.name for h in metrics.log_histograms()}
-    assert "load.rekey_ms" in names
+    assert result["unkeyed"] == []
 
 
 def test_grid_shares_one_seed_and_orders_protocol_major():
@@ -79,8 +76,8 @@ def test_run_load_matches_any_jobs_count():
     parallel = run_load(jobs=2, **kwargs)
     as_dicts = [r.to_dict() for r in sequential]
     assert as_dicts == [r.to_dict() for r in parallel]
-    assert canonical_json(load_payload(sequential)) == canonical_json(
-        load_payload(parallel)
+    assert canonical_json(artifact("load", {}, "cells", sequential)) == (
+        canonical_json(artifact("load", {}, "cells", parallel))
     )
     assert all(r.converged for r in sequential)
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.bench import run_chaos_cell, run_figure_cell, run_load_cell, run_scale_cell
 from repro.bench.cli import main
 from repro.bench.compare import compare_payloads
 from repro.bench.pool import (
@@ -18,9 +19,10 @@ from repro.bench.pool import (
     run_cells,
     source_fingerprint,
 )
-from repro.bench.report import write_json
-from repro.bench.scale import run_scale, scale_payload
+from repro.bench.report import artifact, write_json
+from repro.bench.scale import run_scale
 from repro.obs import MetricsRegistry
+from repro.workload import WorkloadSpec
 
 EXECUTIONS = []
 
@@ -54,6 +56,17 @@ def test_jobs_one_runs_inline_and_in_order():
     assert [r["index"] for r in results] == list(range(4))
     # Inline execution: the cells ran in this process, in input order.
     assert EXECUTIONS == list(range(4))
+
+
+@pytest.mark.parametrize("runner, spec", [
+    (run_figure_cell, {"protocol": "BD", "event": "join", "sizes": [3], "repeats": 1}),
+    (run_scale_cell, {"protocol": "BD", "group_size": 3}),
+    (run_chaos_cell, {"protocol": "BD", "drop_rate": 0.0, "repeats": 1}),
+    (run_load_cell, {"workload": WorkloadSpec("BD", groups=1, group_size=2).to_spec()}),
+], ids=["figure", "scale", "chaos", "load"])
+def test_every_runner_rejects_an_unknown_testbed_by_name(runner, spec):
+    with pytest.raises(ValueError, match=r"unknown topology 'metro'; choose from \["):
+        runner({**spec, "topology": "metro"})
 
 
 def test_unknown_kind_raises():
@@ -142,8 +155,15 @@ def test_scale_jobs_equivalence_and_byte_identical_json(tmp_path):
     sequential = run_scale(jobs=1, **kwargs)
     parallel = run_scale(jobs=2, **kwargs)
     assert sequential == parallel
-    write_json(str(tmp_path / "seq.json"), scale_payload(sequential, seed=0))
-    write_json(str(tmp_path / "par.json"), scale_payload(parallel, seed=0))
+    meta = {"seed": 0}
+    write_json(
+        str(tmp_path / "seq.json"),
+        artifact("scale", meta, "measurements", sequential),
+    )
+    write_json(
+        str(tmp_path / "par.json"),
+        artifact("scale", meta, "measurements", parallel),
+    )
     assert (
         (tmp_path / "seq.json").read_bytes()
         == (tmp_path / "par.json").read_bytes()
@@ -159,10 +179,8 @@ def test_scale_jobs_equivalence_and_byte_identical_json(tmp_path):
 
 
 def _payload(total=33.0, exps=15):
-    return scale_payload(
-        [],
-        seed=0,
-        engine="symbolic",
+    return artifact(
+        "scale", {"seed": 0, "engine": "symbolic"}, "measurements", []
     ) | {
         "measurements": [
             {

@@ -6,8 +6,8 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
-from repro.bench.report import write_json
-from repro.bench.scale import render_scale_table, run_scale, scale_payload
+from repro.bench.report import artifact, write_json
+from repro.bench.scale import render_scale_table, run_scale
 from repro.core.driver import GroupDriver
 
 
@@ -122,7 +122,7 @@ def test_run_scale_tiny(tmp_path):
         assert m.total_ms > m.membership_ms > 0
     payload = write_json(
         str(tmp_path / "BENCH_scale.json"),
-        scale_payload(measurements, engine="symbolic"),
+        artifact("scale", {"engine": "symbolic"}, "measurements", measurements),
     )
     loaded = json.loads((tmp_path / "BENCH_scale.json").read_text())
     assert loaded == payload

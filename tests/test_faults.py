@@ -9,7 +9,8 @@ shared key for every protocol under nonzero drop rates.
 
 import pytest
 
-from repro.bench.chaos import run_chaos, chaos_payload
+from repro.bench.chaos import run_chaos
+from repro.bench.report import artifact
 from repro.core import SecureSpreadFramework
 from repro.faults import (
     FaultEvent,
@@ -398,7 +399,7 @@ class TestChaosBench:
             protocols=("TGDH",), drop_rates=(0.1,), group_size=3,
             dh_group="dh-test", repeats=1,
         )
-        payload = chaos_payload(cells, seed=0)
+        payload = artifact("chaos", {"seed": 0}, "cells", cells)
         assert payload["benchmark"] == "chaos"
         (cell,) = payload["cells"]
         assert cell["protocol"] == "TGDH"

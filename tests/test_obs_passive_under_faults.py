@@ -13,7 +13,7 @@ import collections
 import pytest
 
 from repro.bench import run_chaos_cell
-from repro.bench.chaos import CHAOS_STALL_TIMEOUT_MS
+from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS
 from repro.core import SecureSpreadFramework
 from repro.core.driver import GroupDriver
 from repro.faults import LinkFaults
@@ -70,7 +70,7 @@ _CHAIN = [
 def test_flight_recorder_records_a_faulted_join_as_before():
     framework = SecureSpreadFramework(
         lan_testbed(), default_protocol="TGDH", engine="symbolic",
-        stall_timeout_ms=CHAOS_STALL_TIMEOUT_MS, observe=True,
+        stall_timeout_ms=DEFAULT_STALL_TIMEOUT_MS, observe=True,
     )
     driver = GroupDriver(framework)
     driver.run(driver.grow(8))
