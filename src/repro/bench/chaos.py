@@ -117,7 +117,7 @@ def run_chaos_cell(
     engine_name = str(engine)
     for sample in range(repeats):
         sample_seed = seed + sample
-        framework = SecureSpreadFramework(
+        with SecureSpreadFramework(
             resolve_testbed(topology),
             default_protocol=protocol,
             dh_group=spec.get("dh_group", "dh-512"),
@@ -125,38 +125,38 @@ def run_chaos_cell(
             engine=engine,
             stall_timeout_ms=stall_timeout_ms,
             observe=trace,
-        )
-        engine_name = framework.engine.name
-        driver = GroupDriver(
-            framework, max_events=max_events, metrics=registry, kind="chaos"
-        )
-        driver.run(driver.grow(group_size))
-        if rate > 0.0:
-            framework.world.install_link_faults(
-                LinkFaults.uniform(seed=sample_seed, drop=rate)
+        ) as framework:
+            engine_name = framework.engine.name
+            driver = GroupDriver(
+                framework, max_events=max_events, metrics=registry, kind="chaos"
             )
-        # A tripped livelock guard is counted on the registry and the
-        # sample reported as non-converged; the sweep keeps going.
-        driver.run(driver.join(group_size % driver.machines))
-        outcome = driver.converged_key()
-        if outcome is not None:
-            converged += 1
-            view_id, _key = outcome
-            record = framework.timeline.epochs.get(view_id)
-            if record is not None and record.complete():
-                times.append(record.total_elapsed())
-        stalls += framework.rekey_stalls
-        restarts += framework.rekey_restarts
-        fault_drops += framework.world.network.fault_drops
-        fault_retries += framework.world.network.fault_retries
-        if trace_events is not None:
-            for span in framework.obs.spans.spans:
-                trace_events.append({
-                    "protocol": protocol,
-                    "drop_rate": rate,
-                    "sample": sample,
-                    **span_record(span),
-                })
+            driver.run(driver.grow(group_size))
+            if rate > 0.0:
+                framework.world.install_link_faults(
+                    LinkFaults.uniform(seed=sample_seed, drop=rate)
+                )
+            # A tripped livelock guard is counted on the registry and the
+            # sample reported as non-converged; the sweep keeps going.
+            driver.run(driver.join(group_size % driver.machines))
+            outcome = driver.converged_key()
+            if outcome is not None:
+                converged += 1
+                view_id, _key = outcome
+                record = framework.timeline.epochs.get(view_id)
+                if record is not None and record.complete():
+                    times.append(record.total_elapsed())
+            stalls += framework.rekey_stalls
+            restarts += framework.rekey_restarts
+            fault_drops += framework.world.network.fault_drops
+            fault_retries += framework.world.network.fault_retries
+            if trace_events is not None:
+                for span in framework.obs.spans.spans:
+                    trace_events.append({
+                        "protocol": protocol,
+                        "drop_rate": rate,
+                        "sample": sample,
+                        **span_record(span),
+                    })
     cell = ChaosCell(
         protocol=protocol,
         drop_rate=rate,

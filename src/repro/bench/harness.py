@@ -178,5 +178,5 @@ def run_experiment(spec: ExperimentSpec) -> EventMeasurement:
     Observability is passive, so the timing numbers are identical either
     way.
     """
-    driver = GroupDriver(spec.build_framework())
-    return measure_settled(spec, driver, spec.group_size)
+    with spec.build_framework() as framework:
+        return measure_settled(spec, GroupDriver(framework), spec.group_size)

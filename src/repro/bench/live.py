@@ -48,10 +48,10 @@ def simulate_prediction(
     spec = ExperimentSpec(
         protocol, "join", size, dh_group, topology, seed=seed, engine=engine
     )
-    framework = spec.build_framework()
-    driver = GroupDriver(framework)
-    result = driver.run(driver.join_leave_scenario(size))
-    return {"topology": framework.world.topology.name, **result}
+    with spec.build_framework() as framework:
+        driver = GroupDriver(framework)
+        result = driver.run(driver.join_leave_scenario(size))
+        return {"topology": framework.world.topology.name, **result}
 
 
 def run_live_benchmark(

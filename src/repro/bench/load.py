@@ -101,8 +101,9 @@ def run_load_cell(
     )
     if metrics is not None:
         engine.metrics = metrics
-    result = engine.run()
-    return {"cell": result.to_dict(), "unkeyed": engine.unkeyed()}
+    with engine.framework:
+        result = engine.run()
+        return {"cell": result.to_dict(), "unkeyed": engine.unkeyed()}
 
 
 def describe_unkeyed(unkeyed: Sequence[dict]) -> str:

@@ -91,33 +91,32 @@ def run_scale_cell(
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine", "symbolic"),
     )
-    framework = espec.build_framework(observe=observe)
-    driver = GroupDriver(
-        framework, max_events=int(spec.get("max_events", LARGE_RUN_MAX_EVENTS))
-    )
-    driver.grow_batched(size)
-    samples = {"join": [], "leave": []}
-    ops = {"join": OpCounts(), "leave": OpCounts()}
-    for index in range(2 * espec.repeats):
-        event = ("join", "leave")[index % 2]
-        if index:
-            driver.run(driver.restore())  # unmeasured
-        before = driver.ledger_totals()
-        record = driver.run(driver.join() if event == "join" else driver.leave())
-        ops[event] = ops[event] + (driver.ledger_totals() - before)
-        # No phase attribution (driver.sample): an observed cell must
-        # serialize byte-identically to an unobserved one.
-        samples[event].append(
-            Sample(record.total_elapsed(), record.membership_elapsed())
-        )
-    if observe and metrics is not None:
-        metrics.merge_snapshot(framework.obs.metrics.snapshot())
-    return {
-        event: averaged(
-            espec, framework, event, size, samples[event], _ops_dict(ops[event])
-        ).to_dict()
-        for event in ("join", "leave")
-    }
+    with espec.build_framework(observe=observe) as framework:
+        max_events = int(spec.get("max_events", LARGE_RUN_MAX_EVENTS))
+        driver = GroupDriver(framework, max_events=max_events)
+        driver.grow_batched(size)
+        samples = {"join": [], "leave": []}
+        ops = {"join": OpCounts(), "leave": OpCounts()}
+        for index in range(2 * espec.repeats):
+            event = ("join", "leave")[index % 2]
+            if index:
+                driver.run(driver.restore())  # unmeasured
+            before = driver.ledger_totals()
+            record = driver.run(driver.join() if event == "join" else driver.leave())
+            ops[event] = ops[event] + (driver.ledger_totals() - before)
+            # No phase attribution (driver.sample): an observed cell must
+            # serialize byte-identically to an unobserved one.
+            samples[event].append(
+                Sample(record.total_elapsed(), record.membership_elapsed())
+            )
+        if observe and metrics is not None:
+            metrics.merge_snapshot(framework.obs.metrics.snapshot())
+        return {
+            event: averaged(
+                espec, framework, event, size, samples[event], _ops_dict(ops[event])
+            ).to_dict()
+            for event in ("join", "leave")
+        }
 
 
 def scale_cells(

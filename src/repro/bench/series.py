@@ -161,13 +161,14 @@ def measure_protocol_curve(
         seed=seed,
         engine=engine,
     )
-    driver = GroupDriver(spec.build_framework())
-    curve = []
-    for index, size in enumerate(sizes):
-        if index:
-            driver.run(driver.restore())  # unmeasured
-        curve.append(measure_settled(spec, driver, size))
-    return curve
+    with spec.build_framework() as framework:
+        driver = GroupDriver(framework)
+        curve = []
+        for index, size in enumerate(sizes):
+            if index:
+                driver.run(driver.restore())  # unmeasured
+            curve.append(measure_settled(spec, driver, size))
+        return curve
 
 
 @register_runner("figure")

@@ -185,6 +185,24 @@ class SecureSpreadFramework:
             )
             causality.adopt((span_id, trace))
 
+    # -- lifetime -----------------------------------------------------------------
+
+    def close(self) -> None:
+        """Cut the cycles tying members, channels, daemons and key trees
+        together, so reference counting frees a finished simulated run.
+        Call it after the last read.  Idempotent; simulator only."""
+        for member in self._members.values():
+            member.client.on_message = member.client.on_view = None
+            member.protocol.release()
+        self._members.clear()
+        self.world.close()
+
+    def __enter__(self) -> "SecureSpreadFramework":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- running ----------------------------------------------------------------
 
     def run_until_idle(self, max_events: int = 2_000_000) -> None:

@@ -515,13 +515,15 @@ class ObservedMember(SecureGroupMember):
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self._submit = self._submit_span
+        # Unshadow the span-recording method below: an instance-held
+        # bound method would make every observed member a reference cycle.
+        del self._submit
 
     def _charged(self, step: Optional[str], work: Callable, arg):
         self._booking = (step, arg, self._ledger.snapshot())
         return super()._charged(step, work, arg)
 
-    def _submit_span(self, sim, cost: float, not_before: float) -> float:
+    def _submit(self, sim, cost: float, not_before: float) -> float:
         # Runs after the step, so a ``start`` is labelled with its epoch.
         step, pmsg, before = self._booking
         protocol = self.protocol

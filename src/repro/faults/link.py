@@ -105,11 +105,8 @@ class LinkFaults:
         self._rng = DeterministicRandom(seed).fork("link-faults")
         self.default_policy = default or NO_FAULTS
         self._overrides: Dict[Tuple[int, int], LinkPolicy] = {}
-        # tallies, for tests and the chaos benchmark
-        self.frames_seen = 0
+        #: frames this injector dropped
         self.drops = 0
-        self.duplicates = 0
-        self.delayed = 0
 
     @classmethod
     def uniform(cls, seed: int = 0, **policy_fields) -> "LinkFaults":
@@ -147,7 +144,6 @@ class LinkFaults:
         policy = self.policy_for(src, dst)
         if policy.is_noop or (control and not policy.affect_control):
             return FaultVerdict()
-        self.frames_seen += 1
         if policy.drop and self._rng.uniform(0.0, 1.0) < policy.drop:
             self.drops += 1
             return FaultVerdict(drop=True)
@@ -158,10 +154,7 @@ class LinkFaults:
             extra += policy.reorder_delay_ms
         duplicate_delay = None
         if policy.duplicate and self._rng.uniform(0.0, 1.0) < policy.duplicate:
-            self.duplicates += 1
             duplicate_delay = max(policy.reorder_delay_ms, 0.1)
-        if extra:
-            self.delayed += 1
         return FaultVerdict(False, extra, duplicate_delay)
 
     def scaled(self, factor: float) -> "LinkFaults":

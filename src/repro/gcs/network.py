@@ -43,7 +43,6 @@ class Network:
         self._crashed: Set[int] = set()
         #: optional :class:`repro.faults.link.LinkFaults` injector
         self.faults = None
-        self.frames_sent = 0
         self.frames_dropped = 0
         self.fault_drops = 0
         self.fault_duplicates = 0
@@ -86,6 +85,10 @@ class Network:
     def daemon_ids(self) -> List[int]:
         return sorted(self._daemons)
 
+    def close(self) -> None:
+        """Forget every daemon (the end of the world's lifetime)."""
+        self._daemons.clear()
+
     # -- fault injection ---------------------------------------------------
 
     def install_faults(self, faults) -> None:
@@ -99,10 +102,6 @@ class Network:
     def note_restart(self, daemon_id: int) -> None:
         """Mark a crashed daemon as running again."""
         self._crashed.discard(daemon_id)
-
-    @property
-    def crashed_ids(self) -> Set[int]:
-        return set(self._crashed)
 
     # -- reachability ----------------------------------------------------
 
@@ -235,10 +234,10 @@ class Network:
         self, src_id, dst_ids, size_bytes, extra_delay_ms, control,
         fn, args, retry, attempt,
     ) -> Dict[Any, List[Any]]:
-        """Route one frame to each of ``dst_ids``, in order: a
-        ``frames_sent``, the reachability check, then with faults
-        installed the link-fault verdict, then with the flight recorder
-        on the frame's counters and span.
+        """Route one frame to each of ``dst_ids``, in order: the
+        reachability check, then with faults installed the link-fault
+        verdict, then with the flight recorder on the frame's counters
+        and span.
 
         Returns the landing daemons grouped by ``(instant, frame span
         cause)`` — the cause is None unless the recorder is on — in order
@@ -262,9 +261,8 @@ class Network:
         pre_ms = params.msg_processing_ms + extra_delay_ms
         now = self.sim.now
         landing: Dict[Any, List[Any]] = {}
-        sent = dropped = sent_bytes = 0
+        dropped = sent_bytes = 0
         for dst_id in dst_ids:
-            sent += 1
             if (
                 src_unreachable
                 or dst_id in crashed
@@ -330,7 +328,6 @@ class Network:
                 self.fault_duplicates += 1
                 again = now + (latency + duplicate_ms)
                 landing.setdefault((again, cause), []).append(dst)
-        self.frames_sent += sent
         self.frames_dropped += dropped
         self.bytes_sent += sent_bytes
         return landing

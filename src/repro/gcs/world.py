@@ -99,8 +99,11 @@ class GcsWorld:
 
     # -- fault injection -----------------------------------------------------
 
-    def default_detection_ms(self) -> float:
-        """Failure-detector latency: a few bootstrap ring cycles."""
+    def _detection_ms(self, override: Optional[float]) -> float:
+        """Failure-detector latency: ``override`` when given, else a few
+        bootstrap ring cycles."""
+        if override is not None:
+            return override
         return self.params.failure_detection_cycles * self._bootstrap_cycle_ms
 
     def partition(
@@ -109,21 +112,11 @@ class GcsWorld:
         detection_delay_ms: Optional[float] = None,
     ) -> None:
         """Partition the network into components of machine indices."""
-        delay = (
-            self.default_detection_ms()
-            if detection_delay_ms is None
-            else detection_delay_ms
-        )
-        self.network.set_partition(components, delay)
+        self.network.set_partition(components, self._detection_ms(detection_delay_ms))
 
     def heal(self, detection_delay_ms: Optional[float] = None) -> None:
         """Heal all partitions (a network merge event)."""
-        delay = (
-            self.default_detection_ms()
-            if detection_delay_ms is None
-            else detection_delay_ms
-        )
-        self.network.heal(delay)
+        self.network.heal(self._detection_ms(detection_delay_ms))
 
     def isolate_machine(
         self, machine_index: int, detection_delay_ms: Optional[float] = None
@@ -146,11 +139,7 @@ class GcsWorld:
         """Crash a machine's daemon: its volatile state and clients are
         lost, and the survivors reconfigure once their failure detectors
         notice."""
-        delay = (
-            self.default_detection_ms()
-            if detection_delay_ms is None
-            else detection_delay_ms
-        )
+        delay = self._detection_ms(detection_delay_ms)
         # Capture the peer set before the network marks the daemon dead.
         peers = self.network.component_of(machine_index) - {machine_index}
         self.daemons[machine_index].crash()
@@ -163,11 +152,7 @@ class GcsWorld:
         """Restart a crashed daemon as a singleton configuration; it then
         merges back with its component through an ordinary heavyweight
         membership event."""
-        delay = (
-            self.default_detection_ms()
-            if detection_delay_ms is None
-            else detection_delay_ms
-        )
+        delay = self._detection_ms(detection_delay_ms)
         self.network.note_restart(machine_index)
         self.daemons[machine_index].restart()
         self.network.notify_peers(self.network.component_of(machine_index), delay)
@@ -179,6 +164,15 @@ class GcsWorld:
         if daemon is None:
             raise KeyError(f"no connected client named {name!r}")
         daemon.clients[name].disconnect()
+
+    def close(self) -> None:
+        """Drop every daemon, client and queued event (the end of a run)."""
+        for daemon in self.daemons.values():
+            daemon.clients.clear()
+        self.daemons.clear()
+        self.client_directory.clear()
+        self.network.close()
+        self.sim.clear()
 
     # -- running ---------------------------------------------------------
 

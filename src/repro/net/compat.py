@@ -12,9 +12,6 @@ work.  On the live asyncio backend both map onto the event loop:
   already *spent* real CPU time by the time it charges its modeled cost,
   so ``submit`` performs no queueing — it returns ``max(now,
   not_before)`` and fires completion callbacks on the next loop tick.
-  Modeled costs are still accumulated in :attr:`WallMachine.
-  total_work_ms` so a live run can report how much CPU the cost model
-  *predicted* alongside what the wall clock actually measured.
 """
 
 from __future__ import annotations
@@ -100,17 +97,8 @@ class WallScheduler:
 class WallMachine:
     """A live host: CPU charging is a pass-through (see module docstring)."""
 
-    def __init__(
-        self, name: str, site: str = "live", cores: int = 0, speed: float = 1.0
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.site = site
-        self.cores = cores
-        self.speed = speed
-        #: modeled work charged so far — the cost model's *prediction*,
-        #: not measured CPU time
-        self.total_work_ms = 0.0
-        self.obs = None
 
     def submit(
         self,
@@ -131,21 +119,10 @@ class WallMachine:
         """
         if work_ms < 0:
             raise ValueError("work_ms must be non-negative")
-        self.total_work_ms += work_ms
         finish = max(sim.now, not_before)
         if fn is not None:
             sim.schedule_at(finish, fn, *args)
         return finish
 
-    def busy_until(self, sim: WallScheduler) -> float:
-        """A live machine is never booked ahead: work starts now."""
-        return sim.now
-
-    def utilization_horizon(self) -> float:
-        return 0.0
-
-    def reset(self) -> None:
-        self.total_work_ms = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WallMachine({self.name!r}, site={self.site!r})"
+        return f"WallMachine({self.name!r})"

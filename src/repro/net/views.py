@@ -37,9 +37,6 @@ class MembershipTable:
         """Members of ``group`` ordered by join age (oldest first)."""
         return tuple(self._groups.get(group, ()))
 
-    def groups_of(self, member: str) -> List[str]:
-        return [g for g, records in self._groups.items() if member in records]
-
     def next_seq(self) -> int:
         """Consume one slot of the daemon's global total order."""
         self._seq += 1

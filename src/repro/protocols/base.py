@@ -138,6 +138,9 @@ class KeyAgreementProtocol(ABC):
         self.key_epoch = None
         return self.start(view)
 
+    def release(self) -> None:
+        """Drop what would outlive a closed framework as a reference cycle."""
+
     # -- shared helpers ---------------------------------------------------
 
     @property

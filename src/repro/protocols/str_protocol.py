@@ -230,6 +230,9 @@ class StrProtocol(KeyAgreementProtocol):
             }
         else:
             self._keys = {}
+        # Dead until the next start(): nothing reads them once stacked.
+        self._collected = {}
+        self._covered = set()
         self._merging = False
         return self._advance(sponsor_position=base_size)
 

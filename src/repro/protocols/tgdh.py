@@ -97,12 +97,15 @@ class TgdhProtocol(KeyAgreementProtocol):
         self._complete(self._session)
         return []
 
-    def _replace_tree(self, tree: KeyTree) -> None:
+    def _replace_tree(self, tree: Optional[KeyTree]) -> None:
         """Adopt ``tree`` as our replica; the one it replaces shares no
         node with it and is released (see :meth:`KeyTree.release`)."""
         if self._tree is not None:
             self._tree.release()
         self._tree = tree
+
+    def release(self) -> None:
+        self._replace_tree(None)
 
     # -- additive: join and merge ----------------------------------------
 
@@ -190,6 +193,9 @@ class TgdhProtocol(KeyAgreementProtocol):
         for other in trees[1:]:
             intermediates.append(base.insert_tree(other))
         self._replace_tree(base)
+        # Dead until the next start(): nothing reads them once merged.
+        self._collected = {}
+        self._covered = set()
         # The sponsors of the update round: the rightmost member under
         # each merge point ("the rightmost member of the subtree rooted at
         # the merge point becomes the sponsor", Figure 4).

@@ -109,6 +109,13 @@ class Simulator:
         heapq.heapify(heap)
         self._cancelled_in_queue = 0
 
+    def clear(self) -> None:
+        """Drop every queued event unfired (cancelling one later is a no-op)."""
+        for entry in self._heap:
+            entry[2]._owner = None
+        self._heap.clear()
+        self._cancelled_in_queue = 0
+
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ms from now."""
         if delay < 0:

@@ -327,4 +327,5 @@ def run_workload(
     )
     if metrics is not None:
         driver.metrics = metrics
-    return driver.run()
+    with driver.framework:
+        return driver.run()

@@ -126,11 +126,11 @@ def _tree_nodes():
 
 
 def test_replaced_trees_are_freed_without_the_cyclic_collector():
-    """A key tree a member replaces is freed by reference counting: with
-    the collector off, an n=32 scale cell leaves behind at most one tree
-    per member — not one per epoch each member ever keyed."""
+    """Every key tree is freed by reference counting: one a member
+    replaces as soon as it is replaced, and the live ones when the cell's
+    framework closes.  With the collector off, an n=32 scale cell leaves
+    no tree node behind."""
     n = 32
-    members = n + 1  # the grown group plus the measured joiner
     gc.collect()
     gc.disable()
     try:
@@ -140,4 +140,4 @@ def test_replaced_trees_are_freed_without_the_cyclic_collector():
     finally:
         gc.enable()
         gc.collect()
-    assert 0 < left <= members * (2 * n - 1)
+    assert left == 0

@@ -174,6 +174,21 @@ def test_cancelled_head_popped_by_run_keeps_count():
     assert sim.pending == 1
 
 
+def test_clear_drops_queued_events_unfired():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1, fired.append, 1)
+    second = sim.schedule(2, fired.append, 2)
+    second.cancel()
+    sim.clear()
+    assert sim.pending == 0 and sim.active_pending == 0
+    first.cancel()  # dropped by clear: must not corrupt the counter
+    assert sim.active_pending == 0
+    sim.schedule(3, fired.append, 3)
+    sim.run_until_idle()
+    assert fired == [3]
+
+
 def test_lazy_compaction_shrinks_the_heap():
     sim = Simulator()
     events = [sim.schedule(i + 1, lambda: None) for i in range(200)]
