@@ -97,9 +97,11 @@ class SecureGroupMember:
         #: callbacks for applications
         self.on_secure_view: Optional[Callable[["SecureGroupMember", View, bytes], None]] = None
         self.on_secure_message: Optional[Callable[["SecureGroupMember", str, bytes], None]] = None
-        #: delivered plaintexts, for tests and examples
+        #: the mailbox: delivered plaintexts, kept only while
+        #: ``on_secure_message`` is unset (the channels' rule)
         self.inbox: List[Tuple[str, bytes]] = []
-        self.secure_views: List[View] = []
+        #: the view of the last key this member installed
+        self.installed_view: Optional[View] = None
         #: when True, membership views are stashed instead of triggering a
         #: rekey; :meth:`flush_deferred` later runs one key agreement for
         #: the settled membership (the batched-growth fast path — growing
@@ -141,12 +143,6 @@ class SecureGroupMember:
     def leave(self) -> None:
         """Leave the secure group."""
         self.client.leave(self.group_name)
-
-    @property
-    def sim(self):
-        """The transport's scheduler (virtual time on the simulator,
-        wall-clock milliseconds on the asyncio backend)."""
-        return self._sim
 
     @property
     def key_bytes(self) -> Optional[bytes]:
@@ -214,9 +210,9 @@ class SecureGroupMember:
 
     def _begin_epoch(self, view: View) -> None:
         self.framework.timeline.record_view(
-            view.view_id, self.name, self.sim.now, view.members
+            view.view_id, self.name, self._sim.now, view.members
         )
-        self._view_seen_at.setdefault(view.view_id, self.sim.now)
+        self._view_seen_at.setdefault(view.view_id, self._sim.now)
         self._attempt = 0
         self._attempt_epoch = view.view_id
         self._early = []
@@ -351,7 +347,7 @@ class SecureGroupMember:
         # key, and how long after it first saw the view.  A restarted
         # epoch re-installs and is observed again (``record_key`` keeps
         # only its first instant).
-        now = self.sim.now
+        now = self._sim.now
         seen = self._view_seen_at.get(view.view_id, now)
         elapsed = now - seen
         timeline = self.framework.timeline
@@ -383,7 +379,7 @@ class SecureGroupMember:
             ).record(now, elapsed)
         while len(self._view_seen_at) > _CIPHER_HISTORY:
             del self._view_seen_at[min(self._view_seen_at)]
-        self.secure_views.append(view)
+        self.installed_view = view
         if self.on_secure_view is not None:
             self.on_secure_view(self, view, self.key_bytes)
         queued, self._outbound_queue = self._outbound_queue, []
@@ -401,8 +397,9 @@ class SecureGroupMember:
             # has since replaced; the sender will requeue under the new key.
             self.dropped_ciphertexts += 1
             return
-        self.inbox.append((sealed.sender, plaintext))
-        if self.on_secure_message is not None:
+        if self.on_secure_message is None:
+            self.inbox.append((sealed.sender, plaintext))
+        else:
             self.on_secure_message(self, sealed.sender, plaintext)
 
     # -- rekey stall recovery ----------------------------------------------
@@ -421,7 +418,7 @@ class SecureGroupMember:
             return
         self._watchdog_token += 1
         token = (view.view_id, self._attempt, self._watchdog_token)
-        self.sim.schedule(timeout, self._watchdog_fire, token)
+        self._sim.schedule(timeout, self._watchdog_fire, token)
 
     def _watchdog_fire(self, token) -> None:
         view_id, attempt, wd_token = token
@@ -445,7 +442,7 @@ class SecureGroupMember:
             self.obs.counter("core.rekey_stalls", member=self.name).inc()
             self.obs.instant(
                 "epoch", "rekey stall", self.name, self.machine.name,
-                self.sim.now, epoch=str(view_id), attempt=attempt,
+                self._sim.now, epoch=str(view_id), attempt=attempt,
             )
         self.client.multicast(
             self.group_name,

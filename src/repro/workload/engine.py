@@ -297,7 +297,7 @@ class WorkloadEngine:
 
 
 def _member_state(member) -> dict:
-    installed = member.secure_views[-1].view_id if member.secure_views else None
+    installed = member.installed_view.view_id if member.installed_view else None
     key = member.key_bytes
     return {
         "name": member.name,

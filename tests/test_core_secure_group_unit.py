@@ -165,11 +165,13 @@ class TestStateGuards:
     def test_secure_views_recorded_in_order(self):
         fw = _framework()
         members = fw.spawn_members(3)
+        heard = []
+        members[0].on_secure_view = lambda m, view, key: heard.append(view)
         for member in members:
             member.join()
             fw.run_until_idle()
-        sizes = [len(v.members) for v in members[0].secure_views]
-        assert sizes == sorted(sizes)
+        assert [len(v.members) for v in heard] == [1, 2, 3]
+        assert members[0].installed_view is heard[-1]
 
     def test_unknown_payload_kind_raises(self):
         fw = _framework()

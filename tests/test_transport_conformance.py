@@ -10,15 +10,24 @@ Channels record a single merged event log per client (views and
 messages interleaved in delivery order), so cross-substrate assertions
 compare the one thing the contract promises: what each member observed,
 in order.
+
+One layer up, a secure-group member on either substrate follows the
+same rules: its ``inbox`` is a mailbox, and what it holds is bounded by
+its current view, not by the events its group has been through.
 """
 
 import asyncio
+import gc
 
 import pytest
 
+from repro.core import SecureSpreadFramework
+from repro.core.driver import GroupDriver
 from repro.gcs import GcsWorld, lan_testbed
+from repro.gcs.messages import View
 from repro.net.daemon import NetDaemon
 from repro.net.client import NetClient
+from repro.net.runner import AsyncioTransport
 
 GROUP = "conformance"
 
@@ -40,6 +49,16 @@ class SimSubstrate:
     async def settle(self):
         self.world.run_until_idle()
 
+    def transport(self):
+        return self.world
+
+    async def drive(self, driver, steps):
+        return driver.run(steps)
+
+    async def until(self, condition):
+        self.world.run_until_idle()
+        assert condition()
+
     async def stop(self):
         pass
 
@@ -53,6 +72,7 @@ class LiveSubstrate:
         self.daemon = NetDaemon()
         self.port = await self.daemon.start()
         self.clients = []
+        self.transports = []
         return self
 
     async def channel(self, name, machine_index=0):
@@ -78,9 +98,26 @@ class LiveSubstrate:
                 last = seen
         raise TimeoutError("live substrate did not quiesce within 4s")
 
+    def transport(self):
+        transport = AsyncioTransport(port=self.port, heartbeat_interval_s=0.2)
+        self.transports.append(transport)
+        return transport
+
+    async def drive(self, driver, steps):
+        return await driver.arun(steps)
+
+    async def until(self, condition):
+        for _ in range(400):  # bounded: 400 * 10ms = 4s hard cap
+            if condition():
+                return
+            await asyncio.sleep(0.01)
+        raise TimeoutError("live substrate did not reach the condition in 4s")
+
     async def stop(self):
-        for client in self.clients:
-            await client.aclose()
+        for channel in self.clients + [
+            c for transport in self.transports for c in transport.channels
+        ]:
+            await channel.aclose()
         await self.daemon.stop()
 
 
@@ -299,5 +336,75 @@ class TestMailbox:
                 "join", "join", "join", "leave",
             ]
             assert mailbox.views == heard[1:]
+
+        run_scenario(substrate_cls, scenario)
+
+
+def _secure_group(s):
+    """A secure-group driver on the substrate (symbolic crypto, so the
+    run costs what the transport costs)."""
+    framework = SecureSpreadFramework(
+        s.transport(), default_protocol="TGDH", dh_group="dh-test",
+        engine="symbolic",
+    )
+    return GroupDriver(framework, timeout_s=10.0)
+
+
+def _live_views():
+    gc.collect()
+    return sum(isinstance(obj, View) for obj in gc.get_objects())
+
+
+def _churn(driver, cycles):
+    """``cycles`` times: a fresh member joins, then leaves — two
+    membership events and one departed member per cycle."""
+    for _ in range(cycles):
+        yield from driver.join()
+        yield from driver.restore()
+
+
+@pytest.mark.parametrize("substrate_cls", SUBSTRATES, ids=lambda s: s.kind)
+class TestSecureMember:
+    """A secure member follows its channel's rules: ``inbox`` is a
+    mailbox, and what it holds is bounded by its current view."""
+
+    def test_listener_inbox_stays_empty_mailbox_keeps_delivery_order(
+        self, substrate_cls
+    ):
+        async def scenario(s):
+            driver = _secure_group(s)
+            await s.drive(driver, driver.grow(3))
+            listener, mailbox, _ = driver.members
+            heard = []
+            listener.on_secure_message = lambda m, sender, text: heard.append(
+                (sender, text)
+            )
+            for index in range(9):
+                driver.members[index % 3].send_secure(b"%d" % index)
+            await s.until(lambda: len(mailbox.inbox) == 9 and len(heard) == 9)
+            assert listener.inbox == []
+            assert mailbox.inbox == heard
+            assert sorted(text for _, text in heard) == [
+                b"%d" % index for index in range(9)
+            ]
+
+        run_scenario(substrate_cls, scenario)
+
+    def test_views_held_grow_with_departed_members_not_with_events(
+        self, substrate_cls
+    ):
+        # k cycles, then 3k more (4k in all).  A member holds the view it
+        # last keyed, so the 3k departed members account for the growth;
+        # a member that kept every view it ever keyed would add about one
+        # view per current member per event (~160 here, against <= 30).
+        async def scenario(s):
+            k = 5
+            driver = _secure_group(s)
+            await s.drive(driver, driver.grow(5))
+            await s.drive(driver, _churn(driver, k))
+            before = _live_views()
+            await s.drive(driver, _churn(driver, 3 * k))
+            departed = 3 * k
+            assert _live_views() - before <= 2 * departed
 
         run_scenario(substrate_cls, scenario)

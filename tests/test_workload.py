@@ -230,6 +230,25 @@ def test_groups_keep_distinct_keys():
     assert len(set(keys)) == len(keys)
 
 
+def test_unkeyed_names_the_installed_view_after_a_restart_rollback():
+    """A coordinated restart rolls back an epoch every member installed:
+    the group holds no key, and each member still reports the view it
+    last keyed."""
+    engine = WorkloadEngine(_small_spec(groups=1))
+    assert engine.run().converged
+    (driver,) = engine.drivers.values()
+    view_id = driver.members[0].protocol.view.view_id
+    for member in driver.members:
+        member._handle_rekey_restart(view_id, member._attempt + 1)
+    members = [
+        {"name": member.name, "epoch": str(view_id), "key": None}
+        for member in driver.members
+    ]
+    assert engine.unkeyed() == [
+        {"group": engine.group_name(0), "view": str(view_id), "members": members}
+    ]
+
+
 def test_load_cell_records_only_what_it_reports():
     """Rekey latency is a timeline measurement: the flight recorder stays
     off, and the timeline holds one sustained-phase histogram per group."""
