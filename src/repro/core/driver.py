@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional
 from repro.core.framework import SecureSpreadFramework
 from repro.core.timing import EpochRecord
 from repro.crypto.ledger import OpCounts
-from repro.gcs.messages import View, ViewEvent
+from repro.gcs.membership import reconfiguration_view
 from repro.obs.report import epoch_breakdown
 from repro.transport.base import CAP_VIRTUAL_TIME
 
@@ -231,9 +231,10 @@ class GroupDriver:
         :meth:`grow` re-runs a full key agreement after every join —
         O(n²) event churn that dominates large-n setup.  Here every
         member defers rekeying while all joins flow through the
-        membership service, then one synthetic merge view (newcomers =
-        everything beyond the settled base) drives a single agreement
-        over the final membership.  The resulting membership view is
+        membership service, then one synthetic merge view (the shared
+        reconfiguration rule, with the settled base as the only side, so
+        the joiners are the newcomers) drives a single agreement over the
+        final membership.  The resulting membership view is
         asserted identical to what sequential growth settles on.
         """
         base_names = {member.name for member in self.members}
@@ -256,15 +257,17 @@ class GroupDriver:
             raise AssertionError(
                 "batched growth did not settle on the expected membership"
             )
-        joined = tuple(name for name in final.members if name not in base_names)
-        rekey_view = View(
-            view_id=final.view_id,
-            group=final.group,
-            members=final.members,
-            event=ViewEvent.MERGE if len(joined) > 1 else ViewEvent.JOIN,
-            joined=joined,
-            left=(),
-        )
+        # One joiner: the final view already is its JOIN.
+        rekey_view = final
+        if len(joiners) > 1:
+            base = tuple(name for name in final.members if name in base_names)
+            rekey_view = reconfiguration_view(
+                final.group,
+                final.view_id,
+                base,
+                final.members,
+                dict.fromkeys(base, "base").get,
+            )
         for member in everyone:
             member.defer_rekey = False
             member._deferred_view = None

@@ -20,13 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.gcs.messages import (
-    GroupMessage,
-    SequencedMessage,
-    Service,
-    View,
-    ViewEvent,
-)
+from repro.gcs.membership import MemberRecord, MembershipTable
+from repro.gcs.messages import GroupMessage, SequencedMessage, Service, View, ViewEvent
 from repro.gcs.ring import TokenRing
 from repro.transport.base import (
     validate_group_name,
@@ -36,19 +31,6 @@ from repro.transport.base import (
 
 #: Wire size of configuration-change control frames.
 _CONTROL_FRAME_BYTES = 256
-
-
-@dataclass(frozen=True)
-class MemberRecord:
-    """One group member as replicated at every daemon.
-
-    ``birth`` — (config_id, sequence number of the join message) — gives the
-    globally consistent join-age order that views expose.
-    """
-
-    name: str
-    daemon_id: int
-    birth: Tuple[int, int]
 
 
 @dataclass
@@ -81,7 +63,7 @@ class _AcceptState:
     config_id: Tuple[int, int]
     delivered: int
     undelivered: Dict[int, SequencedMessage]
-    groups: Dict[str, Dict[str, MemberRecord]]
+    table: MembershipTable
 
 
 class Daemon:
@@ -92,14 +74,11 @@ class Daemon:
         self.machine = machine
         self.world = world
         self.clients: Dict[str, Any] = {}
-        # group name -> member name -> record (replicated state).  Each
-        # group's dict is kept in join-age order, ``(birth, name)``: a join
-        # appends (its birth is the newest — sequence numbers grow within
-        # a configuration, and a configuration's number exceeds every one
-        # its members came from), a leave deletes, and a configuration
-        # install rebuilds each group once in sorted order.  A view's
-        # member list is therefore just the dict's keys.
-        self.groups: Dict[str, Dict[str, MemberRecord]] = {}
+        # Replicated group state.  A join's birth is ``(config_id, seq)``
+        # of its message — the newest, since sequence numbers grow within
+        # a configuration and a configuration's number exceeds every one
+        # its members came from — so appending keeps join-age order.
+        self.table = MembershipTable()
         self.config: Optional[Config] = None
         self._recv: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
         # Messages this daemon sequenced itself, kept until delivered so a
@@ -174,7 +153,7 @@ class Daemon:
 
     def disconnect(self, client) -> None:
         """Detach a client; it implicitly leaves all its groups."""
-        for group, records in list(self.groups.items()):
+        for group, records in list(self.table.groups.items()):
             if client.name in records:
                 self.submit(
                     GroupMessage(
@@ -261,8 +240,7 @@ class Daemon:
     def _send_fifo(self, message: GroupMessage) -> None:
         if message.target is None:
             raise ValueError("FIFO messages require a target member")
-        records = self.groups.get(message.group, {})
-        record = records.get(message.target)
+        record = self.table.groups.get(message.group, {}).get(message.target)
         if record is None:
             return
         self.world.network.send(
@@ -396,7 +374,7 @@ class Daemon:
             self._deliver_data(message)
 
     def _deliver_data(self, message: GroupMessage) -> None:
-        records = self.groups.get(message.group, {})
+        records = self.table.groups.get(message.group, {})
         params = self.world.params
         delay = params.ipc_ms + params.client_processing_ms
         if message.target is not None:
@@ -423,8 +401,7 @@ class Daemon:
         client = self.clients.get(message.target)
         if client is None:
             return
-        records = self.groups.get(message.group, {})
-        if message.target not in records:
+        if message.target not in self.table.groups.get(message.group, {}):
             return
         params = self.world.params
         self.world.sim.schedule(
@@ -545,7 +522,7 @@ class Daemon:
         if self.config is not None:
             self._last_config_number = self.config.config_id[0]
         self.config = None
-        self.groups = {}
+        self.table = MembershipTable()
         self._recv = {}
         self._sent = {}
         self._history = {}
@@ -584,41 +561,23 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def _apply_membership(self, smsg: SequencedMessage) -> None:
+        if not _apply(self.table, smsg):
+            return  # duplicate join or leave, ignore
         message = smsg.message
-        records = self.groups.setdefault(message.group, {})
-        if message.kind == "join":
-            if message.sender in records:
-                return  # duplicate join, ignore
-            records[message.sender] = MemberRecord(
-                name=message.sender,
-                daemon_id=message.payload["daemon_id"],
-                birth=(smsg.config_id, smsg.seq),
-            )
-            event = ViewEvent.JOIN
-            joined, left = (message.sender,), ()
-        else:
-            if message.sender not in records:
-                return  # duplicate leave, ignore
-            del records[message.sender]
-            event = ViewEvent.LEAVE
-            joined, left = (), (message.sender,)
+        records = self.table.groups[message.group]
+        left = () if message.kind == "join" else (message.sender,)
         if not self.world.obs.enabled and not any(
             name in records or name in left for name in self.clients
         ):
             return  # no local client hears this view
-        view = View(
-            view_id=(smsg.config_id, smsg.seq),
-            group=message.group,
-            members=self._ordered_members(message.group),
-            event=event,
-            joined=joined,
+        view = self.table.view(
+            message.group,
+            ViewEvent.LEAVE if left else ViewEvent.JOIN,
+            joined=() if left else (message.sender,),
             left=left,
+            view_id=(smsg.config_id, smsg.seq),
         )
-        self._emit_view(view, also_to=tuple(left))
-
-    def _ordered_members(self, group: str) -> Tuple[str, ...]:
-        """The group's members in join-age order (see ``self.groups``)."""
-        return tuple(self.groups.get(group, ()))
+        self._emit_view(view, also_to=left)
 
     def _emit_view(self, view: View, also_to: Tuple[str, ...] = ()) -> None:
         """Hand ``view`` to every local client in the group plus
@@ -637,7 +596,7 @@ class Daemon:
                 epoch=view.view_id, members=len(view.members),
             )
             obs.causality.adopt(node)
-        records = self.groups.get(view.group, {})
+        records = self.table.groups.get(view.group, {})
         handlers = [
             client._on_view
             for name, client in self.clients.items()
@@ -708,7 +667,7 @@ class Daemon:
             config_id=config_id,
             delivered=self._delivered,
             undelivered=undelivered,
-            groups={g: dict(r) for g, r in self.groups.items()},
+            table=self.table.copy(),
         )
         self.world.network.send(
             self.daemon_id,
@@ -780,7 +739,7 @@ class Daemon:
         if round_token != self._last_propose_token:
             return  # a newer configuration change superseded this round
         old_membership = {
-            group: self._ordered_members(group) for group in self.groups
+            group: self.table.members(group) for group in self.table.groups
         }
         # 1. Flush: deliver the surviving component's union of undelivered
         #    messages for our old configuration, in sequence order,
@@ -791,25 +750,22 @@ class Daemon:
                 continue
             self._delivered = seq
             self._deliver(own_union[seq])
-        # 2. Reconstruct every responder's post-flush group state and merge.
+        # 2. Reconstruct every responder's post-flush group state and merge,
+        #    keeping each member's earliest record.
         merged: Dict[str, Dict[str, MemberRecord]] = {}
         for state in states.values():
-            reconstructed = _reconstruct_groups(state, union)
-            for group, records in reconstructed.items():
+            for group, records in _reconstruct_groups(state, union).groups.items():
                 bucket = merged.setdefault(group, {})
                 for name, record in records.items():
                     existing = bucket.get(name)
                     if existing is None or record.birth < existing.birth:
                         bucket[name] = record
         allowed = set(config.daemon_ids)
-        self.groups = {
-            group: {
-                rec.name: rec
-                for rec in sorted(records.values(), key=lambda r: (r.birth, r.name))
-                if rec.daemon_id in allowed
-            }
-            for group, records in merged.items()
-        }
+        self.table = MembershipTable()
+        for group, records in merged.items():
+            self.table.place(
+                group, (r for r in records.values() if r.daemon_id in allowed)
+            )
         # 3. Install the new configuration.
         self.config = config
         self._recv.setdefault(config.config_id, {})
@@ -831,41 +787,19 @@ class Daemon:
                 self.machine.name, self.world.sim.now,
                 config=config.config_id, daemons=len(config.daemon_ids),
             )
-        # 4. Emit partition/merge views for groups whose membership changed.
-        #    For merges, ``joined`` is *canonical*: the members outside the
-        #    component of the group's oldest member — the set every key
-        #    agreement protocol treats as "the newcomers", identical at all
-        #    members regardless of which side of the merge they were on.
-        component_tag = {
-            daemon_id: state.config_id for daemon_id, state in states.items()
-        }
-        for group in sorted(set(old_membership) | set(self.groups)):
-            old = old_membership.get(group, ())
-            new = self._ordered_members(group)
-            if old == new:
-                continue
-            records = self.groups.get(group, {})
-            perspective_joined = tuple(m for m in new if m not in old)
-            left = tuple(m for m in old if m not in new)
-            if perspective_joined and new:
-                oldest_tag = component_tag.get(records[new[0]].daemon_id)
-                joined = tuple(
-                    m
-                    for m in new
-                    if component_tag.get(records[m].daemon_id) != oldest_tag
-                )
-            else:
-                joined = perspective_joined
-            event = ViewEvent.MERGE if joined else ViewEvent.PARTITION
-            view = View(
+        # 4. Emit partition/merge views for groups whose membership changed;
+        #    a member's side is the old configuration its daemon came from.
+        component = {daemon_id: state.config_id for daemon_id, state in states.items()}
+        for group in sorted(set(old_membership) | set(self.table.groups)):
+            records = self.table.groups.get(group, {})
+            view = self.table.reconfigured(
+                group,
+                old_membership.get(group, ()),
+                lambda member: component[records[member].daemon_id],
                 view_id=(config.config_id, 0),
-                group=group,
-                members=new,
-                event=event,
-                joined=joined,
-                left=left,
             )
-            self._emit_view(view)
+            if view is not None:
+                self._emit_view(view)
         # 5. Deliver any frames of the new configuration that raced ahead of
         #    the install, then release sends queued while frozen.
         self._deliver_soon = config.config_id
@@ -902,30 +836,34 @@ def _fan_out(handlers, item) -> None:
         handler(item)
 
 
+def _apply(table: MembershipTable, smsg: SequencedMessage) -> bool:
+    """Apply one sequenced message to ``table``; False if it changed no
+    roster (a duplicate join or leave, or data)."""
+    message = smsg.message
+    if message.kind == "join":
+        return table.add(
+            message.group,
+            message.sender,
+            message.payload["daemon_id"],
+            (smsg.config_id, smsg.seq),
+        )
+    if message.kind in ("leave", "disconnect"):
+        return table.remove(message.group, message.sender)
+    return False
+
+
 def _reconstruct_groups(
     state: _AcceptState, union: Dict[Tuple[int, int], Dict[int, SequencedMessage]]
-) -> Dict[str, Dict[str, MemberRecord]]:
-    """Apply the flush union's membership messages to a reported state.
+) -> MembershipTable:
+    """A reported state after the flush union's membership messages.
 
-    This mirrors exactly what the reporting daemon does locally during its
-    own flush, so every installer computes identical group states.
+    The replay goes through :func:`_apply`, exactly what the reporting
+    daemon does locally during its own flush, so every installer computes
+    identical group states.
     """
-    groups = {g: dict(r) for g, r in state.groups.items()}
+    table = state.table.copy()
     bucket = union.get(state.config_id, {})
     for seq in sorted(bucket):
-        if seq <= state.delivered:
-            continue
-        smsg = bucket[seq]
-        message = smsg.message
-        if message.kind == "join":
-            records = groups.setdefault(message.group, {})
-            if message.sender not in records:
-                records[message.sender] = MemberRecord(
-                    name=message.sender,
-                    daemon_id=message.payload["daemon_id"],
-                    birth=(smsg.config_id, smsg.seq),
-                )
-        elif message.kind in ("leave", "disconnect"):
-            records = groups.get(message.group, {})
-            records.pop(message.sender, None)
-    return groups
+        if seq > state.delivered:
+            _apply(table, bucket[seq])
+    return table

@@ -23,9 +23,12 @@ provides the transport contract over the wire protocol of
   :data:`SLOW_CONSUMER_BYTES` is aborted and counted in
   :attr:`NetDaemon.evicted`; the rest of its groups see ordinary LEAVE
   views, which the key agreement layer already handles;
-* **view installation** — every membership change broadcasts a
-  :class:`~repro.gcs.messages.View` (join-age member ordering, the same
-  ``(config_id, seq)`` view ids) to all members plus the leaver;
+* **view installation** — membership lives in the simulator's own
+  :class:`~repro.gcs.membership.MembershipTable`, one configuration
+  ``(1, 0)`` whose sequence every join, leave and Agreed multicast
+  consumes, so views list members in the same join-age order under
+  totally ordered ``(config_id, seq)`` ids; each one goes to its members
+  and to those it names as left;
 * **failure suspicion** — clients heartbeat with PING frames; a sweeper
   drops any connection silent past the suspicion timeout — a client
   (converting the suspected crash into leaves, the single-daemon
@@ -44,8 +47,8 @@ import contextlib
 import sys
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.gcs.membership import MembershipTable
 from repro.gcs.messages import Service
-from repro.net.views import MembershipTable
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -260,12 +263,11 @@ class NetDaemon:
 
     def _on_leave(self, session: _Session, body: dict) -> None:
         group = validate_group_name(body.get("group"))
-        view = self.table.leave(group, session.name)
-        self._emit_views([view], also_to=(session.name,))
+        self._emit_views([self.table.leave(group, session.name)])
 
-    def _emit_views(self, views: List, also_to: Sequence[str] = ()) -> None:
-        """Broadcast each view to its members plus ``also_to`` (the leaver
-        still learns it is out, mirroring the simulator)."""
+    def _emit_views(self, views: List) -> None:
+        """Broadcast each view to its members and to those it names as
+        left (a leaver still learns it is out, mirroring the simulator)."""
         for view in views:
             if view is None:
                 continue
@@ -283,7 +285,6 @@ class NetDaemon:
             )
             wanted = set(view.members)
             wanted.update(view.left)
-            wanted.update(also_to)
             for name in wanted:
                 session = self.sessions.get(name)
                 if session is not None:

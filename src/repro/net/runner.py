@@ -108,11 +108,6 @@ class AsyncioTransport:
 
     # -- lifecycle helpers -------------------------------------------------
 
-    async def connect_all(self) -> None:
-        for client in self.channels:
-            if not client.connected:
-                await client.connect()
-
     async def aclose(self) -> None:
         for client in self.channels:
             await client.aclose()

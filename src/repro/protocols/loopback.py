@@ -18,7 +18,6 @@ communication system.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -26,6 +25,7 @@ from repro.crypto.engine import EngineSpec, get_engine
 from repro.crypto.groups import GROUP_TEST, SchnorrGroup
 from repro.crypto.ledger import OpCounts
 from repro.crypto.rng import DeterministicRandom
+from repro.gcs.membership import MembershipTable
 from repro.gcs.messages import View, ViewEvent
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage
 
@@ -65,7 +65,12 @@ class RunStats:
 
 
 class LoopbackGroup:
-    """A group of protocol instances driven over an in-memory transport."""
+    """A group of protocol instances driven over an in-memory transport.
+
+    Membership lives in a :class:`~repro.gcs.membership.MembershipTable`,
+    one group per side: the sides of a partition share the table, so join
+    ages and view ids stay comparable when they merge again.
+    """
 
     def __init__(
         self,
@@ -73,9 +78,6 @@ class LoopbackGroup:
         group: SchnorrGroup = GROUP_TEST,
         seed: int = 0,
         engine: EngineSpec = None,
-        _births: Optional[Dict[str, int]] = None,
-        _birth_counter: Optional[itertools.count] = None,
-        _view_counter: Optional[itertools.count] = None,
     ):
         self.protocol_cls = protocol_cls
         self.group = group
@@ -83,36 +85,30 @@ class LoopbackGroup:
         self.engine = get_engine(engine)
         self.protocols: Dict[str, KeyAgreementProtocol] = {}
         self.departed: Dict[str, KeyAgreementProtocol] = {}
-        self._births = _births if _births is not None else {}
-        self._birth_counter = _birth_counter or itertools.count(1)
-        self._view_counter = _view_counter or itertools.count(1)
+        self._table = MembershipTable(config_id=1)
+        self._name = "loopback"
         self.last_stats: Optional[RunStats] = None
 
     # -- membership operations ---------------------------------------------
 
     def members(self) -> Tuple[str, ...]:
         """Current members ordered by join age (oldest first)."""
-        return tuple(sorted(self.protocols, key=lambda m: self._births[m]))
+        return self._table.members(self._name)
 
     def join(self, name: str) -> RunStats:
         """One member joins (the paper's join event)."""
-        if name in self.protocols:
-            raise ValueError(f"{name} is already a member")
+        self._check([name], present=False)
         rng = DeterministicRandom(self.seed)
         self.protocols[name] = self.departed.pop(
             name, None
         ) or self.protocol_cls(name, self.group, rng, engine=self.engine)
-        self._births.setdefault(name, next(self._birth_counter))
-        view = self._view(ViewEvent.JOIN, joined=(name,))
-        return self._drive(view)
+        return self._drive(self._table.join(self._name, name))
 
     def leave(self, name: str) -> RunStats:
         """One member leaves (the paper's leave event)."""
-        if name not in self.protocols:
-            raise ValueError(f"{name} is not a member")
+        self._check([name], present=True)
         self.departed[name] = self.protocols.pop(name)
-        view = self._view(ViewEvent.LEAVE, left=(name,))
-        return self._drive(view)
+        return self._drive(self._table.leave(self._name, name))
 
     def partition(self, minority: List[str]) -> "LoopbackGroup":
         """Split ``minority`` off into its own live subgroup.
@@ -120,29 +116,23 @@ class LoopbackGroup:
         Both sides re-key independently; the returned subgroup can later be
         folded back with :meth:`merge`.
         """
-        missing = [m for m in minority if m not in self.protocols]
-        if missing:
-            raise ValueError(f"not members: {missing}")
+        self._check(minority, present=True)
         if len(minority) >= len(self.protocols):
             raise ValueError("partition must leave a surviving majority side")
         other = LoopbackGroup(
-            self.protocol_cls,
-            self.group,
-            self.seed,
-            engine=self.engine,
-            _births=self._births,
-            _birth_counter=self._birth_counter,
-            _view_counter=self._view_counter,
+            self.protocol_cls, self.group, self.seed, engine=self.engine
         )
+        other._table, other._name = self._table, f"{self._name}/{minority[0]}"
         for name in minority:
             other.protocols[name] = self.protocols.pop(name)
-        majority_view = self._view(ViewEvent.PARTITION, left=tuple(minority))
-        self._drive(majority_view)
-        minority_view = other._view(
-            ViewEvent.PARTITION,
-            left=tuple(m for m in self.protocols),
-        )
-        other._drive(minority_view)
+        old = self.members()
+        records = self._table.groups[self._name].values()
+        for side in (self, other):
+            self._table.place(
+                side._name, (r for r in records if r.name in side.protocols)
+            )
+        self._drive(self._table.reconfigured(self._name, old))
+        other._drive(self._table.reconfigured(other._name, old))
         return other
 
     def merge(self, other: "LoopbackGroup") -> RunStats:
@@ -153,42 +143,41 @@ class LoopbackGroup:
         """
         if other.protocol_cls is not self.protocol_cls:
             raise ValueError("cannot merge groups running different protocols")
-        all_members = list(self.protocols) + list(other.protocols)
-        oldest = min(all_members, key=lambda m: self._births[m])
-        base_side = self if oldest in self.protocols else other
-        joined = tuple(
-            sorted(
-                (m for m in all_members if m not in base_side.protocols),
-                key=lambda m: self._births[m],
-            )
-        )
+        if other._table is not self._table or not other.protocols:
+            raise ValueError("can only merge a side partitioned off this group")
+        old = self.members()
+        groups = self._table.groups
+        merged = [*groups[self._name].values(), *groups.pop(other._name).values()]
+        self._table.place(self._name, merged)
+        view = self._table.reconfigured(self._name, old, self.protocols.__contains__)
         self.protocols.update(other.protocols)
         other.protocols = {}
-        view = self._view(ViewEvent.MERGE, joined=joined)
         return self._drive(view)
 
     def mass_join(self, names: List[str]) -> RunStats:
         """Several fresh members join at once (merge of newcomers)."""
+        self._check(names, present=False)
         rng = DeterministicRandom(self.seed)
         for name in names:
-            if name in self.protocols:
-                raise ValueError(f"{name} is already a member")
             self.protocols[name] = self.protocol_cls(
                 name, self.group, rng, engine=self.engine
             )
-            self._births.setdefault(name, next(self._birth_counter))
-        event = ViewEvent.MERGE if len(names) > 1 else ViewEvent.JOIN
-        view = self._view(event, joined=tuple(names))
-        return self._drive(view)
+        if len(names) == 1:
+            return self._drive(self._table.join(self._name, names[0]))
+        old = self.members()
+        for name in names:
+            self._table.add(self._name, name)
+        side = dict.fromkeys(old, "old").get  # the joiners have no side
+        return self._drive(self._table.reconfigured(self._name, old, side))
 
     def mass_leave(self, names: List[str]) -> RunStats:
         """Several members leave at once (the paper's partition event)."""
+        self._check(names, present=True)
+        old = self.members()
         for name in names:
-            if name not in self.protocols:
-                raise ValueError(f"{name} is not a member")
             self.departed[name] = self.protocols.pop(name)
-        view = self._view(ViewEvent.PARTITION, left=tuple(names))
-        return self._drive(view)
+            self._table.remove(self._name, name)
+        return self._drive(self._table.reconfigured(self._name, old))
 
     # -- key accessors --------------------------------------------------------
 
@@ -201,20 +190,15 @@ class LoopbackGroup:
 
     # -- internals -----------------------------------------------------------
 
-    def _view(
-        self,
-        event: ViewEvent,
-        joined: Tuple[str, ...] = (),
-        left: Tuple[str, ...] = (),
-    ) -> View:
-        return View(
-            view_id=(1, next(self._view_counter)),
-            group="loopback",
-            members=self.members(),
-            event=event,
-            joined=joined,
-            left=left,
-        )
+    def _check(self, names: List[str], present: bool) -> None:
+        """Reject a batch before anything moves: an empty one, a repeated
+        name, or a name that is (``present=False``) or is not (``True``) a
+        member."""
+        if not names or len(set(names)) != len(names):
+            raise ValueError(f"need distinct names, got {names}")
+        wrong = [name for name in names if (name in self.protocols) != present]
+        if wrong:
+            raise ValueError(f"{'not' if present else 'already'} members: {wrong}")
 
     def _drive(self, view: View) -> RunStats:
         before = {

@@ -4,7 +4,8 @@ canonical merge views, and edge paths a black-box test rarely hits."""
 import pytest
 
 from repro.gcs import GcsWorld, ViewEvent, lan_testbed
-from repro.gcs.daemon import MemberRecord, _reconstruct_groups, _AcceptState
+from repro.gcs.daemon import _reconstruct_groups, _AcceptState
+from repro.gcs.membership import MembershipTable
 from repro.gcs.messages import GroupMessage, SequencedMessage
 
 
@@ -32,46 +33,48 @@ class TestReconstruction:
             ),
         )
 
-    def _state(self, groups, delivered=0, config=(1, 0)):
+    def _state(self, members=(), delivered=0, config=(1, 0)):
+        """A reported state whose group "g" holds ``members`` (name, seq)."""
+        table = MembershipTable()
+        for name, seq in members:
+            table.add("g", name, 0, ((1, 0), seq))
         return _AcceptState(
             daemon_id=0,
             config_id=config,
             delivered=delivered,
             undelivered={},
-            groups=groups,
+            table=table,
         )
 
     def test_applies_pending_joins(self):
-        state = self._state({"g": {}})
+        state = self._state()
         union = {(1, 0): {5: self._smsg(5, "join", "alice")}}
-        groups = _reconstruct_groups(state, union)
+        groups = _reconstruct_groups(state, union).groups
         assert "alice" in groups["g"]
         assert groups["g"]["alice"].birth == ((1, 0), 5)
 
     def test_applies_pending_leaves(self):
-        record = MemberRecord("bob", 0, ((1, 0), 1))
-        state = self._state({"g": {"bob": record}})
+        state = self._state([("bob", 1)])
         union = {(1, 0): {3: self._smsg(3, "leave", "bob")}}
-        groups = _reconstruct_groups(state, union)
-        assert "bob" not in groups["g"]
+        table = _reconstruct_groups(state, union)
+        assert "bob" not in table.members("g")
+        assert state.table.members("g") == ("bob",)  # replayed on a copy
 
     def test_skips_already_delivered(self):
-        state = self._state({"g": {}}, delivered=7)
+        state = self._state(delivered=7)
         union = {(1, 0): {5: self._smsg(5, "join", "alice")}}
-        groups = _reconstruct_groups(state, union)
-        assert "alice" not in groups["g"]
+        assert "alice" not in _reconstruct_groups(state, union).members("g")
 
     def test_join_is_idempotent(self):
-        record = MemberRecord("alice", 0, ((1, 0), 2))
-        state = self._state({"g": {"alice": record}})
+        state = self._state([("alice", 2)])
         union = {(1, 0): {4: self._smsg(4, "join", "alice")}}
-        groups = _reconstruct_groups(state, union)
+        groups = _reconstruct_groups(state, union).groups
         assert groups["g"]["alice"].birth == ((1, 0), 2)  # original kept
 
     def test_ignores_other_configs(self):
-        state = self._state({"g": {}}, config=(2, 1))
+        state = self._state(config=(2, 1))
         union = {(1, 0): {5: self._smsg(5, "join", "alice")}}
-        assert "alice" not in _reconstruct_groups(state, union).get("g", {})
+        assert "alice" not in _reconstruct_groups(state, union).members("g")
 
 
 class TestFreezing:

@@ -123,7 +123,7 @@ def _check_emitted_views(world):
     for daemon in world.daemons.values():
 
         def checking(view, also_to=(), daemon=daemon, emit=daemon._emit_view):
-            records = daemon.groups.get(view.group, {})
+            records = daemon.table.groups.get(view.group, {})
             assert view.members == tuple(records) == _join_age(records)
             emitted.append(view)
             emit(view, also_to)
@@ -208,6 +208,6 @@ def test_daemon_records_stay_in_join_age_order(script, data):
             crashed.discard(revived)
         world.run_until_idle()
         for daemon in world.daemons.values():
-            for records in daemon.groups.values():
+            for records in daemon.table.groups.values():
                 assert tuple(records) == _join_age(records)
     assert emitted

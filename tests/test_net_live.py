@@ -1,8 +1,8 @@
 """Tests for the asyncio backend: wire framing, daemon state, live rekey.
 
 The full secure-group loopback smokes are ``slow``-marked (they run the
-real crypto engine against wall-clock time); the framing, membership and
-handshake tests are tier-1.
+real crypto engine against wall-clock time); the framing and handshake
+tests are tier-1.
 """
 
 import asyncio
@@ -19,7 +19,6 @@ from repro.gcs.messages import ViewEvent
 from repro.net.client import NetClient
 from repro.net.daemon import SLOW_CONSUMER_BYTES, NetDaemon
 from repro.net.runner import LiveGroupRunner, run_live
-from repro.net.views import MembershipTable
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -155,55 +154,6 @@ class TestFrameDecoder:
         assert next(frames) == (FrameType.PING, {"t": 1})
         with pytest.raises(WireError, match=match):
             next(frames)
-
-
-class TestMembershipTable:
-    def test_join_age_ordering(self):
-        table = MembershipTable()
-        table.join("g", "c")
-        table.join("g", "a")
-        table.join("g", "b")
-        assert table.members("g") == ("c", "a", "b")
-
-    def test_leave_then_rejoin_goes_last(self):
-        table = MembershipTable()
-        for name in ("c", "a", "b"):
-            table.join("g", name)
-        table.leave("g", "c")
-        view = table.join("g", "c")
-        assert view.members == table.members("g") == ("a", "b", "c")
-
-    def test_duplicate_join_is_none(self):
-        table = MembershipTable()
-        assert table.join("g", "a") is not None
-        assert table.join("g", "a") is None
-
-    def test_leave_view_and_absent_leave(self):
-        table = MembershipTable()
-        table.join("g", "a")
-        table.join("g", "b")
-        view = table.leave("g", "a")
-        assert view.members == ("b",)
-        assert view.left == ("a",)
-        assert view.event is ViewEvent.LEAVE
-        assert table.leave("g", "zz") is None
-
-    def test_view_ids_totally_ordered(self):
-        table = MembershipTable()
-        first = table.join("g", "a")
-        second = table.join("h", "a")
-        third = table.leave("g", "a")
-        assert first.view_id < second.view_id < third.view_id
-
-    def test_disconnect_leaves_every_group(self):
-        table = MembershipTable()
-        table.join("g", "a")
-        table.join("h", "a")
-        table.join("g", "b")
-        views = table.disconnect("a")
-        assert {view.group for view in views} == {"g", "h"}
-        assert table.members("g") == ("b",)
-        assert table.members("h") == ()
 
 
 class TestHandshake:

@@ -217,6 +217,26 @@ class TestLoopbackValidation:
         with pytest.raises(ValueError):
             loop.partition(["m0", "m1", "m2"])
 
+    @pytest.mark.parametrize(
+        "op,batch",
+        [
+            ("mass_leave", ["m1", "m1"]),
+            ("mass_join", ["x", "x"]),
+            ("partition", ["m1", "m1"]),
+        ],
+    )
+    def test_repeated_name_rejects_the_whole_batch(self, op, batch):
+        loop = build_group(get_protocol("TGDH"), 5)
+        key = loop.shared_key()
+        with pytest.raises(ValueError):
+            getattr(loop, op)(batch)
+        assert loop.members() == ("m0", "m1", "m2", "m3", "m4")
+        assert set(loop.protocols) == set(loop.members())
+        assert not loop.departed
+        assert loop.shared_key() == key
+        loop.join("y")  # the group still keys
+        assert loop.shared_key() != key
+
     def test_merge_requires_same_protocol(self):
         a = build_group(get_protocol("BD"), 3)
         b = build_group(get_protocol("STR"), 2, prefix="s")
