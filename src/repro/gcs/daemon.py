@@ -17,7 +17,7 @@ received, preserving view synchrony for surviving members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.gcs.membership import MemberRecord, MembershipTable
@@ -66,6 +66,23 @@ class _AcceptState:
     table: MembershipTable
 
 
+@dataclass
+class _Freeze:
+    """A configuration change in progress at one daemon: the freeze phase.
+
+    A reachability change or a propose opens it; the install (or a crash)
+    closes it.  While it is open nothing is sequenced: Agreed sends, and
+    requests whose token arrives meanwhile, wait in ``queue`` until the
+    install submits them in the new configuration.
+    """
+
+    queue: List[GroupMessage] = field(default_factory=list)
+    #: the propose round this daemon answered last; only its install counts
+    token: Optional[Tuple[int, int]] = None
+    #: as coordinator, the states gathered for this daemon's own round
+    accepts: Dict[int, _AcceptState] = field(default_factory=dict)
+
+
 class Daemon:
     """One Spread daemon on one machine."""
 
@@ -79,16 +96,40 @@ class Daemon:
         # a configuration and a configuration's number exceeds every one
         # its members came from — so appending keeps join-age order.
         self.table = MembershipTable()
-        self.config: Optional[Config] = None
-        self._recv: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
+        self._enter(None)
+        self._freeze: Optional[_Freeze] = None
+        self._round_id = 0  # numbers the propose rounds this daemon leads
+        self._crashed = False
+        self._last_config_number = 0
+        self._nack_rotation = 0
+        self.retransmit_requests = 0
+        self.retransmits_served = 0
+
+    def _enter(self, config: Optional[Config]) -> None:
+        """Make ``config`` current with the per-configuration delivery
+        state every configuration starts with; ``None`` (construction, a
+        crash) wipes it.  Frames of ``config`` that raced ahead of its
+        install are kept, with their arrival causes.
+        """
+        self.config = config
+        # Arrived frames not yet delivered, per configuration, and the
+        # causal provenance of each one's first arrival, keyed (config_id,
+        # seq).  The zero-delay delivery scan dedupes across frames, so the
+        # scan event's own cause names only the *first* frame of the
+        # instant; ``_arrival`` lets each delivered message adopt the cause
+        # of the frame that actually carried it.
+        if config is None:
+            self._recv, self._arrival = {}, {}
+        else:
+            cid = config.config_id
+            self._recv = {cid: self._recv.get(cid, {})}
+            self._arrival = {k: c for k, c in self._arrival.items() if k[0] == cid}
         # Messages this daemon sequenced itself, kept until delivered so a
         # configuration change can flush in-flight sends (view synchrony).
         self._sent: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
         self._delivered = 0
-        self._frozen = False
         # Delivery scans are scheduled in proportion to frames delivered,
-        # not frames arrived, through two dedupe keys (both cleared by
-        # crash() and re-initialised by a configuration install):
+        # not frames arrived, through two dedupe keys:
         #
         # * ``_deliver_soon`` — config id with a zero-delay _try_deliver
         #   already queued: one arrival scan per instant.  Frames landing
@@ -107,28 +148,10 @@ class Daemon:
         #   gap logic only runs when the head is *missing*.
         self._deliver_soon: Optional[Tuple[int, int]] = None
         self._wake: Optional[Tuple[Tuple[int, int], float]] = None
-        self._send_queue: List[GroupMessage] = []
-        # configuration-change state
-        self._reachable: FrozenSet[int] = frozenset()
-        self._round_id = 0
-        self._accepts: Dict[int, _AcceptState] = {}
-        self._last_propose_token: Optional[Tuple[int, int]] = None
-        # crash / restart state
-        self._crashed = False
-        self._last_config_number = 0
         # retransmission: delivered-message history (to serve peers' NACKs)
         # and the gap timer currently armed, keyed (config_id, next_needed)
         self._history: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
         self._nack_armed_for: Optional[Tuple[Tuple[int, int], int]] = None
-        self._nack_rotation = 0
-        self.retransmit_requests = 0
-        self.retransmits_served = 0
-        # Causal provenance of the first arrival of each frame, keyed
-        # (config_id, seq).  The zero-delay delivery scan dedupes across
-        # frames, so the scan event's own cause names only the *first*
-        # frame of the instant; this map lets each delivered message
-        # adopt the cause of the frame that actually carried it.
-        self._arrival: Dict[Tuple[Any, int], Any] = {}
 
     # ------------------------------------------------------------------
     # bootstrap / client connections
@@ -136,10 +159,7 @@ class Daemon:
 
     def install_initial(self, config: Config) -> None:
         """Install the bootstrap configuration (all daemons, fresh ring)."""
-        self.config = config
-        self._reachable = frozenset(config.daemon_ids)
-        self._recv[config.config_id] = {}
-        self._delivered = 0
+        self._enter(config)
 
     def connect(self, client) -> None:
         """Attach a local client process."""
@@ -187,8 +207,8 @@ class Daemon:
             # original sender-side cause, not the resubmit context.
             message.cause = self.world.obs.causality.current
         if message.service is Service.AGREED:
-            if self._frozen:
-                self._send_queue.append(message)
+            if self._freeze is not None:
+                self._freeze.queue.append(message)
             else:
                 self._sequence_and_disseminate(message)
         elif message.service is Service.FIFO:
@@ -209,9 +229,10 @@ class Daemon:
         """The token reached us: stamp the message and disseminate it."""
         if self._crashed:
             return
-        if self.config is None or self.config.config_id != config.config_id:
-            # The configuration changed while we waited for the token;
-            # resubmit so the message is sequenced in the new one.
+        if self._freeze is not None or self.config.config_id != config.config_id:
+            # Nothing is sequenced in a frozen or replaced configuration:
+            # submit parks the message until the install, or sequences it
+            # in the configuration that replaced this one.
             self.submit(message)
             return
         ((seq, sequenced_at),) = assignments
@@ -521,20 +542,9 @@ class Daemon:
             client._on_crashed()
         if self.config is not None:
             self._last_config_number = self.config.config_id[0]
-        self.config = None
         self.table = MembershipTable()
-        self._recv = {}
-        self._sent = {}
-        self._history = {}
-        self._delivered = 0
-        self._frozen = False
-        self._deliver_soon = None
-        self._wake = None
-        self._send_queue = []
-        self._accepts = {}
-        self._nack_armed_for = None
-        self._last_propose_token = None
-        self._arrival = {}
+        self._freeze = None
+        self._enter(None)
 
     def restart(self) -> None:
         """Come back up as a singleton configuration; merging with the
@@ -544,16 +554,13 @@ class Daemon:
             raise RuntimeError(f"daemon d{self.daemon_id} is not crashed")
         self._crashed = False
         ring = TokenRing(self.world.topology, [self.machine], self.world.sim)
-        config = Config(
-            config_id=(self._last_config_number + 1, self.daemon_id),
-            daemon_ids=(self.daemon_id,),
-            ring=ring,
+        self._enter(
+            Config(
+                config_id=(self._last_config_number + 1, self.daemon_id),
+                daemon_ids=(self.daemon_id,),
+                ring=ring,
+            )
         )
-        self.config = config
-        self._reachable = frozenset({self.daemon_id})
-        self._recv = {config.config_id: {}}
-        self._sent = {config.config_id: {}}
-        self._delivered = 0
         self._round_id += 1
 
     # ------------------------------------------------------------------
@@ -632,9 +639,8 @@ class Daemon:
                 self.machine.name, self.world.sim.now,
                 reachable=sorted(reachable),
             )
-        self._frozen = True
-        self._reachable = reachable
-        self._accepts = {}
+        phase = self._freeze = self._freeze or _Freeze()
+        phase.accepts = {}
         self._round_id += 1
         if self.daemon_id == min(reachable):
             round_token = (self.daemon_id, self._round_id)
@@ -655,8 +661,8 @@ class Daemon:
     ) -> None:
         if self._crashed:
             return
-        self._frozen = True
-        self._last_propose_token = round_token
+        phase = self._freeze = self._freeze or _Freeze()
+        phase.token = round_token
         config_id = self.config.config_id
         undelivered = dict(self._recv.get(config_id, {}))
         for seq, smsg in self._sent.get(config_id, {}).items():
@@ -686,18 +692,19 @@ class Daemon:
         state: _AcceptState,
         members: FrozenSet[int],
     ) -> None:
-        if self._crashed:
+        phase = self._freeze
+        if self._crashed or phase is None:
             return
         if round_token != (self.daemon_id, self._round_id):
             return  # stale round
-        self._accepts[state.daemon_id] = state
-        if set(self._accepts) != set(members):
+        phase.accepts[state.daemon_id] = state
+        if set(phase.accepts) != set(members):
             return
         # All accepts in: build the new configuration.  The id pairs a
         # monotonically growing number with the coordinator id so that two
         # components of a partition can never install the same config id
         # (their flush epochs must stay distinguishable).
-        states = dict(self._accepts)
+        states = dict(phase.accepts)
         new_config_id = (
             max(s.config_id[0] for s in states.values()) + 1,
             self.daemon_id,
@@ -734,9 +741,8 @@ class Daemon:
         union: Dict[Tuple[int, int], Dict[int, SequencedMessage]],
         states: Dict[int, _AcceptState],
     ) -> None:
-        if self._crashed:
-            return
-        if round_token != self._last_propose_token:
+        phase = self._freeze
+        if self._crashed or phase is None or round_token != phase.token:
             return  # a newer configuration change superseded this round
         old_membership = {
             group: self.table.members(group) for group in self.table.groups
@@ -766,21 +772,9 @@ class Daemon:
             self.table.place(
                 group, (r for r in records.values() if r.daemon_id in allowed)
             )
-        # 3. Install the new configuration.
-        self.config = config
-        self._recv.setdefault(config.config_id, {})
-        self._recv = {config.config_id: self._recv[config.config_id]}
-        self._sent = {config.config_id: {}}
-        self._history = {}
-        self._arrival = {
-            key: cause
-            for key, cause in self._arrival.items()
-            if key[0] == config.config_id
-        }
-        self._nack_armed_for = None
-        self._wake = None
-        self._delivered = 0
-        self._frozen = False
+        # 3. Install the new configuration and thaw.
+        self._enter(config)
+        self._freeze = None
         if self.world.obs.enabled:
             self.world.obs.instant(
                 "gcs", "config install", f"d{self.daemon_id}",
@@ -804,8 +798,7 @@ class Daemon:
         #    the install, then release sends queued while frozen.
         self._deliver_soon = config.config_id
         self.world.sim.schedule(0, self._try_deliver, config.config_id)
-        queued, self._send_queue = self._send_queue, []
-        for message in queued:
+        for message in phase.queue:
             self.submit(message)
 
 

@@ -255,11 +255,12 @@ class StrProtocol(KeyAgreementProtocol):
         return self._advance(sponsor_position=sponsor_position)
 
     def _apply_removal(self, doomed: List[str]) -> int:
-        """Remove members; return the sponsor position (new numbering)."""
-        if not doomed:
-            return 1
+        """Remove members; return the sponsor position (new numbering).
+        No leaver in this stack means every leaver sat above its top."""
         doomed_set = set(doomed)
-        lowest_removed = min(self._order.index(m) for m in doomed)
+        lowest_removed = min(
+            (self._order.index(m) for m in doomed), default=len(self._order)
+        )
         survivors_below = [
             m for m in self._order[:lowest_removed] if m not in doomed_set
         ]

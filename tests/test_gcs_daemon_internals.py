@@ -96,6 +96,38 @@ class TestFreezing:
         world.run_until_idle()
         assert any(m.payload == "racing" for m in b.received)
 
+    def test_token_inside_the_freeze_sequences_nothing(self):
+        """A join and a data message wait for d3's token when the network
+        splits, and the token reaches d3 after its propose and before the
+        install.  Stamped there, they would miss the accept snapshot and
+        be dropped by the install; instead both go out in the new
+        configuration."""
+        world, clients = _world_with_group(["a", "b", "c", "d"])
+        joiner = world.channel("j", 3)
+        daemon = world.daemons[3]
+        steps = []
+        for name in ("_on_propose", "_on_sequenced", "_on_install"):
+            method = getattr(daemon, name)
+            setattr(daemon, name, lambda *a, m=method, n=name: steps.append(n) or m(*a))
+
+        def send():
+            joiner.join("g")
+            clients[3].multicast("g", "in-window")
+
+        world.sim.schedule(0.8, send)
+        side = [0, 1, 2, 3]
+        world.sim.schedule(0.8, world.partition, [side, list(range(4, 13))], 0.1)
+        world.run_until_idle()
+        # the setup hits the window: both tokens between propose and install
+        window = steps[steps.index("_on_propose") : steps.index("_on_install")]
+        assert window.count("_on_sequenced") == 2
+        for client in clients + [joiner]:
+            assert client.views[-1].members == ("a", "b", "c", "d", "j")
+        for index in side:
+            assert "j" in world.daemons[index].table.members("g")
+        for client in clients:
+            assert any(m.payload == "in-window" for m in client.received)
+
 
 class TestCanonicalMergeViews:
     def test_joined_is_identical_on_both_sides(self):

@@ -2,6 +2,8 @@
 
 
 from repro.crypto.groups import GROUP_TEST
+from repro.crypto.rng import DeterministicRandom
+from repro.gcs.messages import View, ViewEvent
 from repro.protocols import StrProtocol
 from repro.protocols.loopback import build_group
 
@@ -131,3 +133,44 @@ def test_blinded_keys_match_chain():
             published = proto._bk.get(pos)
             if published is not None:
                 assert published == pow(g, key % q, p)
+
+
+def test_leave_of_an_interrupted_joiner_has_one_sponsor(monkeypatch):
+    """A join of ``c1`` is cut short after only the old top stacked it;
+    then a LEAVE view removes ``c1``.  The members that never stacked it
+    find no leaver in their stacks, and must still pick the top as the
+    one sponsor: two sponsors draw two session randoms, two keys."""
+    loop = build_group(StrProtocol, 4)
+    protocols = dict(loop.protocols)
+    protocols["c1"] = StrProtocol("c1", GROUP_TEST, DeterministicRandom(1))
+    members = loop.members()
+    join = View((1, 10), "g", members + ("c1",), ViewEvent.JOIN, joined=("c1",))
+    sent = {name: protocols[name].start(join) for name in join.members}
+    (joiner_tree,) = sent["c1"]
+    protocols["m3"].receive(joiner_tree)  # only the old top stacks c1
+    assert protocols["m3"]._order[-1] == "c1"
+    assert protocols["m0"]._order[-1] == "m3"
+
+    leave = View((1, 11), "g", members, ViewEvent.LEAVE, left=("c1",))
+    installed = {name: [] for name in members}
+    complete = StrProtocol._complete
+
+    def recording(self, key):
+        installed[self.member].append(key)
+        complete(self, key)
+
+    monkeypatch.setattr(StrProtocol, "_complete", recording)
+    log, outbox = [], [m for name in members for m in protocols[name].start(leave)]
+    while outbox:  # agreed order, in rounds
+        log.extend(outbox)
+        outbox = [
+            reply
+            for message in outbox
+            for name in members
+            if name != message.sender
+            for reply in protocols[name].receive(message)
+        ]
+    assert [m.sender for m in log if m.step == "str-bkeys"] == ["m3"]
+    assert all(len(keys) == 1 for keys in installed.values()), installed
+    assert len({keys[0] for keys in installed.values()}) == 1
+    assert all(protocols[name].done_for(leave) for name in members)
