@@ -13,6 +13,9 @@ loopback harness for tests, Secure Spread for simulations) feeds it:
 and collects the messages each call returns.  When
 :attr:`KeyAgreementProtocol.key_epoch` equals the current view id, the
 member holds the fresh group key in :attr:`KeyAgreementProtocol.key`.
+
+:class:`TreeProtocol` is the merge skeleton the two key-tree protocols,
+TGDH and STR, share.
 """
 
 from __future__ import annotations
@@ -202,3 +205,197 @@ class KeyAgreementProtocol(ABC):
                 "protocol.bytes", protocol=self.name, member=self.member
             ).inc(message.size_bytes)
         return message
+
+
+class KeyConfirmationError(Exception):
+    """A published blinded key does not match the locally computed key."""
+
+
+class TreeProtocol(KeyAgreementProtocol):
+    """The merge skeleton of the key-tree protocols (paper §4.3-4.4).
+
+    STR's stack is the fully imbalanced case of TGDH's key tree, and both
+    merge the same way (Figures 4 and 8): the topmost member of each
+    component broadcasts it (round 1), and every member folds the
+    components once they cover the view.  This class owns that skeleton:
+    the singleton bootstrap, the additive path (join and merge, and a
+    subtractive view a cascade sent into the merge), the subtractive path,
+    :meth:`restart` from singletons, component collection, the fold guard
+    and the step dispatch.  A subclass keeps only its key structure, behind
+    the abstract hooks at the end of this class.
+
+    ``key_confirmation=True`` enables the behaviour §5 describes in the
+    original Cliques implementation: every member re-computes each blinded
+    key the sponsor published and checks it against its own keys ("a form
+    of key confirmation").  It costs one extra exponentiation per tree
+    level (STR: per position) per member; the paper's measurements (and
+    our default) use the optimized variant without it.
+    """
+
+    #: the component broadcast of a merge and the blinded-key update
+    TREE_STEP = BKEYS_STEP = "?"
+
+    def __init__(
+        self, member, group, rng, ledger=None, engine=None, key_confirmation=False
+    ):
+        super().__init__(member, group, rng, ledger, engine=engine)
+        self.key_confirmation = key_confirmation
+        self._session: Optional[int] = None
+        self._collected: Dict[Tuple[str, ...], Dict[str, Any]] = {}
+        self._covered: set = set()
+        self._merging = False
+
+    def start(self, view: View) -> List[ProtocolMessage]:
+        self._begin_epoch(view)
+        self._collected = {}
+        self._covered = set()
+        self._merging = False
+        if len(view.members) == 1:
+            self._reset_singleton()
+            self._complete(self._session)
+            return []
+        if classify_event(view) in (ViewEvent.JOIN, ViewEvent.MERGE):
+            return self._start_additive(view)
+        members_set = set(view.members)
+        if not members_set <= set(self._roster()):
+            # A cascaded event interrupted a merge: our component does not
+            # cover the new membership.  Recover by re-merging the
+            # components (each member's state is consistent within its
+            # component, so the merge machinery reassembles the group).
+            return self._start_additive(view)
+        return self._start_subtractive(
+            [m for m in self._roster() if m not in members_set]
+        )
+
+    def restart(self, view: View) -> List[ProtocolMessage]:
+        # An aborted run can leave components half-merged, and
+        # *differently* so at different members (and a re-run of the
+        # additive path could read blinded keys that were trimmed away).
+        # Re-form from singletons: every member sponsors its own
+        # one-member component and the merge rebuilds the group
+        # deterministically.
+        self.key_epoch = None
+        self._reset_singleton()
+        return self.start(view)
+
+    # -- additive: join and merge ----------------------------------------
+
+    def _start_additive(self, view: View) -> List[ProtocolMessage]:
+        self._merging = True
+        members_set = set(view.members)
+        joined_set = set(view.joined)
+        if self.member in joined_set:
+            # Merging side.  Keep our component only if it is *live* — all
+            # its members merge alongside us (roster ⊆ joined).  A stale
+            # component from a previous tenure is discarded.
+            roster = self._roster()
+            if self.member not in roster or not set(roster) <= joined_set:
+                self._reset_singleton()
+            stale = [m for m in self._roster() if m not in members_set]
+        else:
+            # Base side: the component must cover exactly the non-joined
+            # members.
+            stale = [
+                m
+                for m in self._roster()
+                if m != self.member and (m not in members_set or m in joined_set)
+            ]
+        if stale:
+            self._apply_removal(stale)
+        if self._roster()[-1] != self.member:
+            return []
+        # Component sponsor: refresh and broadcast the component (round 1).
+        message = self._component()
+        if message is None:
+            return []
+        self._register(message.body)
+        return [message, *self._maybe_fold()]
+
+    def _register(self, component: Dict[str, Any]) -> None:
+        members = self._members_of(component)
+        self._covered.update(members)
+        self._collected[tuple(sorted(members))] = component
+
+    def _maybe_fold(self) -> List[ProtocolMessage]:
+        # Cheap-first coverage test: the length compare is O(1) per
+        # message; the full set equality runs only once, when the counts
+        # finally line up.
+        if len(self._covered) != len(self.view.members) or self._covered != set(
+            self.view.members
+        ):
+            return []
+        # The collected components must partition the membership.  A
+        # cascade can leave them *overlapping* (a member's stale singleton
+        # alongside a full component that also contains it); folding that
+        # would place a member twice.  Every member sees the same Agreed
+        # broadcasts, so all of them detect the overlap and stall
+        # identically — the epoch watchdog then drives a coordinated
+        # restart from singletons, which always partitions cleanly.
+        if sum(len(members) for members in self._collected) != len(
+            self.view.members
+        ):
+            return []
+        # Deterministic fold: largest component first, ties by member names.
+        components = [
+            component
+            for _, component in sorted(
+                self._collected.items(), key=lambda kv: (-len(kv[0]), kv[0])
+            )
+        ]
+        # Dead until the next start(): nothing reads them once folded.
+        self._collected = {}
+        self._covered = set()
+        self._merging = False
+        return self._fold(components)
+
+    # -- message handling ---------------------------------------------------
+
+    def receive(self, message: ProtocolMessage) -> List[ProtocolMessage]:
+        if self._stale(message):
+            return []
+        if message.step == self.TREE_STEP:
+            if not self._merging:
+                return []
+            self._register(message.body)
+            return self._maybe_fold()
+        if message.step == self.BKEYS_STEP:
+            # Agreed order delivers every component of an epoch before any
+            # of its blinded keys, so an update that finds us still merging
+            # follows a fold the guard refused: this attempt cannot finish.
+            return [] if self._merging else self._on_bkeys(message)
+        raise ValueError(f"unknown {self.name} step {message.step!r}")
+
+    # -- the key structure ----------------------------------------------------
+
+    @abstractmethod
+    def _roster(self) -> List[str]:
+        """Our component's members, bottom (left) to top (right)."""
+
+    @abstractmethod
+    def _reset_singleton(self) -> None:
+        """Draw a fresh session random; become a one-member component."""
+
+    @abstractmethod
+    def _apply_removal(self, doomed: List[str]):
+        """Remove ``doomed`` from our component."""
+
+    @abstractmethod
+    def _component(self) -> Optional[ProtocolMessage]:
+        """As the component's sponsor, refresh and return its broadcast."""
+
+    @abstractmethod
+    def _members_of(self, component: Dict[str, Any]) -> List[str]:
+        """The members a component broadcast's body carries."""
+
+    @abstractmethod
+    def _fold(self, components: List[Dict[str, Any]]) -> List[ProtocolMessage]:
+        """Merge the components (largest first) and advance the keys."""
+
+    @abstractmethod
+    def _start_subtractive(self, doomed: List[str]) -> List[ProtocolMessage]:
+        """Remove ``doomed`` (a leave or partition); start the sponsors'
+        round."""
+
+    @abstractmethod
+    def _on_bkeys(self, message: ProtocolMessage) -> List[ProtocolMessage]:
+        """Apply a blinded-key update of the current epoch."""

@@ -18,150 +18,42 @@ keeps *join* cost constant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.gcs.messages import View, ViewEvent
-from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage, classify_event
-
-
-class KeyConfirmationError(Exception):
-    """A published blinded key does not match the locally computed key."""
+from repro.protocols.base import KeyConfirmationError, ProtocolMessage, TreeProtocol
 
 
-class StrProtocol(KeyAgreementProtocol):
-    """One member's STR instance.
-
-    ``key_confirmation=True`` enables §5's un-optimized variant: members
-    re-compute the blinded keys the sponsor published and verify them
-    against their own chain, at one extra exponentiation per position.
-    """
+class StrProtocol(TreeProtocol):
+    """One member's STR instance: the stack behind the shared merge
+    skeleton."""
 
     name = "STR"
-    STEP_PHASES = {"str-tree": "tree-sync", "str-bkeys": "bkey-broadcast"}
+    TREE_STEP, BKEYS_STEP = "str-tree", "str-bkeys"
+    STEP_PHASES = {TREE_STEP: "tree-sync", BKEYS_STEP: "bkey-broadcast"}
 
-    def __init__(
-        self, member, group, rng, ledger=None, engine=None, key_confirmation=False
-    ):
-        super().__init__(member, group, rng, ledger, engine=engine)
-        self.key_confirmation = key_confirmation
-        self._session: Optional[int] = None
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._order: List[str] = []  # positions 1..n, bottom to top
         self._br: Dict[str, int] = {}  # blinded session randoms by member
         self._bk: Dict[int, int] = {}  # published blinded node keys by position
         self._keys: Dict[int, int] = {}  # locally known node keys by position
-        self._collected: Dict[Tuple[str, ...], dict] = {}
-        self._covered: set = set()
-        self._merging = False
 
-    # ------------------------------------------------------------------
+    def _roster(self) -> List[str]:
+        return self._order
 
-    def start(self, view: View) -> List[ProtocolMessage]:
-        self._begin_epoch(view)
-        self._collected = {}
-        self._covered = set()
-        self._merging = False
-        if len(view.members) == 1:
-            return self._bootstrap()
-        if classify_event(view) in (ViewEvent.JOIN, ViewEvent.MERGE):
-            return self._start_additive(view)
-        if self.member not in self._order or not set(view.members) <= set(
-            self._order
-        ):
-            # A cascaded event interrupted a merge: our stack does not
-            # cover the new membership.  Recover by re-stacking the
-            # component stacks through the merge machinery.
-            return self._start_additive(view)
-        return self._start_subtractive(view)
-
-    def restart(self, view: View) -> List[ProtocolMessage]:
-        # An aborted run can leave stacks half-stacked (some members
-        # merged the component stacks, others did not), and a re-run of
-        # the additive path would read blinded node keys that were
-        # trimmed away.  Re-form from singletons: every member sponsors
-        # its own one-member stack and the merge machinery rebuilds the
-        # group stack deterministically.
-        self.key_epoch = None
+    def _reset_singleton(self) -> None:
         self._session = self.ctx.random_exponent(self.rng)
         blinded = self.ctx.exp_g(self._session)
         self._order = [self.member]
         self._br = {self.member: blinded}
         self._bk = {1: blinded}
         self._keys = {1: self._session}
-        return self.start(view)
-
-    def _bootstrap(self) -> List[ProtocolMessage]:
-        self._session = self.ctx.random_exponent(self.rng)
-        blinded = self.ctx.exp_g(self._session)
-        self._order = [self.member]
-        self._br = {self.member: blinded}
-        self._bk = {1: blinded}
-        self._keys = {1: self._session}
-        self._complete(self._session)
-        return []
 
     # -- additive: join and merge ----------------------------------------
 
-    def _start_additive(self, view: View) -> List[ProtocolMessage]:
-        self._merging = True
-        members_set = set(view.members)
-        joined_set = set(view.joined)
-        have_order = self.member in self._order
-        if self.member in joined_set:
-            # Merging side: keep our subgroup stack only if it is live
-            # (all its members merge alongside us); discard stale state
-            # from a previous tenure.
-            live = have_order and set(self._order) <= joined_set
-            if not live:
-                self._session = self.ctx.random_exponent(self.rng)
-                blinded = self.ctx.exp_g(self._session)
-                self._order = [self.member]
-                self._br = {self.member: blinded}
-                self._bk = {1: blinded}
-                self._keys = {1: self._session}
-            stale = [m for m in self._order if m not in members_set]
-        else:
-            # Base side: the stack must cover exactly the non-joined members.
-            stale = [
-                m
-                for m in self._order
-                if m != self.member
-                and (m not in members_set or m in joined_set)
-            ]
-        if stale:
-            self._apply_removal(stale)
-        messages: List[ProtocolMessage] = []
-        if self._order[-1] == self.member:
-            # Component sponsor (topmost member): refresh the session
-            # random, recompute the top key, broadcast the component tree.
-            if not self._refresh_top():
-                # A cascade superseded the epoch whose broadcast would
-                # have published the chain below us; the component cannot
-                # be extended.  Stay silent — coverage never completes
-                # and the stall watchdog re-forms from singleton stacks.
-                return messages
-            component = {
-                "order": list(self._order),
-                "br": dict(self._br),
-                "bk": dict(self._bk),
-            }
-            self._register_component(component)
-            messages.append(
-                self._message(
-                    "str-tree",
-                    component,
-                    element_count=len(self._br) + len(self._bk),
-                )
-            )
-            messages.extend(self._maybe_stack())
-        return messages
-
-    def _refresh_top(self) -> bool:
-        """Round 1: the component sponsor refreshes its session random.
-
-        Returns False when the top key is uncomputable because a cascaded
-        event trimmed the stack and superseded the epoch that would have
-        re-published the blinded keys below us.
-        """
+    def _component(self) -> Optional[ProtocolMessage]:
+        # The topmost member refreshes its session random, recomputes the
+        # top key, and broadcasts the component stack.
         position = len(self._order)
         self._session = self.ctx.random_exponent(self.rng)
         self._br[self.member] = self.ctx.exp_g(self._session)
@@ -171,38 +63,26 @@ class StrProtocol(KeyAgreementProtocol):
         elif (position - 1) in self._bk:
             top_key = self.ctx.exp(self._bk[position - 1], self._session)
             self._bk[position] = self.ctx.exp_g(top_key % self.group.q)
-        elif (position - 1) in self._keys:
-            # k_p = g^{r_p · k_{p-1}} works from either factor; fall back
-            # to our cached node key when bk_{p-1} was never published.
-            top_key = self.ctx.exp(
-                self._br[self.member], self._keys[position - 1] % self.group.q
-            )
-            self._bk[position] = self.ctx.exp_g(top_key % self.group.q)
         else:
-            return False
-        self._keys = {
-            pos: key for pos, key in self._keys.items() if pos < position
-        }
-        self._keys[position] = top_key
-        return True
+            # A cascade trimmed the stack and superseded the epoch whose
+            # broadcast would have published bk_{p-1}; we hold no node key
+            # below our own position, so the component cannot be extended.
+            # Stay silent — coverage never completes and the stall
+            # watchdog re-forms from singleton stacks.
+            return None
+        # We never hold a node key below our own position, so the top key
+        # is the only one left.
+        self._keys = {position: top_key}
+        return self._message(
+            self.TREE_STEP,
+            {"order": list(self._order), "br": dict(self._br), "bk": dict(self._bk)},
+            element_count=len(self._br) + len(self._bk),
+        )
 
-    def _register_component(self, component: dict) -> None:
-        self._covered.update(component["order"])
-        self._collected[tuple(sorted(component["order"]))] = component
+    def _members_of(self, component: dict) -> List[str]:
+        return component["order"]
 
-    def _maybe_stack(self) -> List[ProtocolMessage]:
-        # Cheap-first coverage test, as in TGDH's fold: O(1) per message,
-        # full equality only when the counts line up.
-        if len(self._covered) != len(self.view.members) or self._covered != set(
-            self.view.members
-        ):
-            return []
-        components = [
-            comp
-            for _, comp in sorted(
-                self._collected.items(), key=lambda kv: (-len(kv[0]), kv[0])
-            )
-        ]
+    def _fold(self, components: List[dict]) -> List[ProtocolMessage]:
         base = components[0]
         base_size = len(base["order"])
         old_position = (
@@ -230,17 +110,11 @@ class StrProtocol(KeyAgreementProtocol):
             }
         else:
             self._keys = {}
-        # Dead until the next start(): nothing reads them once stacked.
-        self._collected = {}
-        self._covered = set()
-        self._merging = False
         return self._advance(sponsor_position=base_size)
 
     # -- subtractive: leave and partition ----------------------------------
 
-    def _start_subtractive(self, view: View) -> List[ProtocolMessage]:
-        members_set = set(view.members)
-        doomed = [m for m in self._order if m not in members_set]
+    def _start_subtractive(self, doomed: List[str]) -> List[ProtocolMessage]:
         sponsor_position = self._apply_removal(doomed)
         sponsor_member = self._order[sponsor_position - 1]
         if sponsor_member == self.member:
@@ -289,7 +163,7 @@ class StrProtocol(KeyAgreementProtocol):
             return []
         return [
             self._message(
-                "str-bkeys",
+                self.BKEYS_STEP,
                 {
                     "br": {self.member: self._br[self.member]},
                     "bk": dict(self._bk),
@@ -334,26 +208,13 @@ class StrProtocol(KeyAgreementProtocol):
                 if j not in self._bk and j in self._keys:
                     self._bk[j] = self.ctx.exp_g(self._keys[j] % self.group.q)
 
-    # -- message handling -----------------------------------------------------
-
-    def receive(self, message: ProtocolMessage) -> List[ProtocolMessage]:
-        if self._stale(message):
-            return []
-        if message.step == "str-tree":
-            if not self._merging:
-                return []
-            self._register_component(message.body)
-            return self._maybe_stack()
-        if message.step == "str-bkeys":
-            if self._merging:
-                return []
-            self._br.update(message.body["br"])
-            for pos, bk in message.body["bk"].items():
-                self._bk[pos] = bk
-            self._order = list(message.body["order"])
-            self._compute_chain(publish=False)
-            n = len(self._order)
-            if n in self._keys:
-                self._complete(self._keys[n])
-            return []
-        raise ValueError(f"unknown STR step {message.step!r}")
+    def _on_bkeys(self, message: ProtocolMessage) -> List[ProtocolMessage]:
+        self._br.update(message.body["br"])
+        for pos, bk in message.body["bk"].items():
+            self._bk[pos] = bk
+        self._order = list(message.body["order"])
+        self._compute_chain(publish=False)
+        n = len(self._order)
+        if n in self._keys:
+            self._complete(self._keys[n])
+        return []

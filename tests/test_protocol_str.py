@@ -1,11 +1,13 @@
 """STR specifics: the skinny-tree chain, sponsor position, caching."""
 
+import pytest
 
 from repro.crypto.groups import GROUP_TEST
 from repro.crypto.rng import DeterministicRandom
 from repro.gcs.messages import View, ViewEvent
 from repro.protocols import StrProtocol
 from repro.protocols.loopback import build_group
+from tests.test_seed_sweep import TIER1, check_cell
 
 
 def _chain_key(order, protocols):
@@ -174,3 +176,48 @@ def test_leave_of_an_interrupted_joiner_has_one_sponsor(monkeypatch):
     assert all(len(keys) == 1 for keys in installed.values()), installed
     assert len({keys[0] for keys in installed.values()}) == 1
     assert all(protocols[name].done_for(leave) for name in members)
+
+
+def _no_key_below_own_position(proto):
+    if proto.member in proto._order:
+        position = proto._order.index(proto.member) + 1
+        assert min(proto._keys, default=position) >= position, (
+            proto.member, proto._order, sorted(proto._keys)
+        )
+
+
+@pytest.fixture
+def keys_checked(monkeypatch):
+    """Check after every ``start``, ``restart`` and ``receive`` that the
+    member holds no node key below its own position.  The component
+    sponsor relies on it: at the top it can know k_{p-1} only through a
+    published bk_{p-1}, never from a cached key."""
+    for method in ("start", "restart", "receive"):
+        original = getattr(StrProtocol, method)
+
+        def checked(self, arg, _original=original):
+            replies = _original(self, arg)
+            _no_key_below_own_position(self)
+            return replies
+
+        monkeypatch.setattr(StrProtocol, method, checked)
+
+
+def test_no_node_key_below_own_position_on_loopback(keys_checked):
+    loop = build_group(StrProtocol, 6)
+    loop.leave("m2")
+    loop.join("x")
+    loop.leave("m0")
+    loop.mass_join(["y", "z"])
+    side = loop.partition(["m4", "x", "y"])
+    side.leave("y")
+    loop.join("w")
+    loop.merge(side)
+    loop.mass_leave(["m1", "z"])
+    for proto in loop.protocols.values():
+        _no_key_below_own_position(proto)
+
+
+def test_no_node_key_below_own_position_in_a_sweep_cell(keys_checked):
+    (shape,) = TIER1
+    check_cell(shape, 0, "STR", "flash", True)

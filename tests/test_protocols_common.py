@@ -9,7 +9,10 @@ members unable to follow (key freshness / independence at the state level).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.protocols import available, get_protocol
+from repro.crypto.groups import GROUP_TEST
+from repro.crypto.rng import DeterministicRandom
+from repro.gcs.messages import View, ViewEvent
+from repro.protocols import StrProtocol, TgdhProtocol, available, get_protocol
 from repro.protocols.loopback import LoopbackGroup, build_group
 
 ALL = [(name, get_protocol(name)) for name in available()]
@@ -147,6 +150,39 @@ class TestCounts:
         stats = loop.join("x")
         expected_rounds = {"GDH": 4, "CKD": 3, "BD": 2, "TGDH": 2, "STR": 2}
         assert stats.rounds == expected_rounds[name]
+
+
+@pytest.mark.parametrize("cls", [TgdhProtocol, StrProtocol], ids=["TGDH", "STR"])
+def test_overlapping_components_are_not_folded(cls):
+    """The tree protocols' shared fold guard.  In ``x``'s join, ``m1``
+    restarts alone and broadcasts a singleton ``{m1}`` that overlaps the
+    base component ``{m0, m1, m2}``; with ``{x}`` the three cover the
+    view.  Folding them would place ``m1`` twice, so ``m2``, the base's
+    sponsor, must neither key nor send blinded keys.  A restart from
+    singletons at every member then keys the group."""
+    loop = build_group(cls, 3)
+    protocols = dict(loop.protocols)
+    protocols["x"] = cls("x", GROUP_TEST, DeterministicRandom(1))
+    members = loop.members() + ("x",)
+    view = View((1, 10), "g", members, ViewEvent.JOIN, joined=("x",))
+    assert [m.sender for m in protocols["m2"].start(view)] == ["m2"]
+    (joiner,) = protocols["x"].start(view)
+    (singleton,) = protocols["m1"].restart(view)
+    sponsor = protocols["m2"]
+    assert sponsor.receive(singleton) == [] and sponsor.receive(joiner) == []
+    assert not sponsor.done_for(view)
+
+    outbox = [m for name in members for m in protocols[name].restart(view)]
+    while outbox:  # agreed order, in rounds
+        outbox = [
+            reply
+            for message in outbox
+            for name in members
+            if name != message.sender
+            for reply in protocols[name].receive(message)
+        ]
+    assert all(protocols[name].done_for(view) for name in members)
+    assert len({protocols[name].key for name in members}) == 1
 
 
 @st.composite

@@ -10,8 +10,9 @@ default epoch watchdog; the seed picks the leave victims.
 
 Every pin must now key every group.  A fixed pin keeps its JSON: it stays
 an ordinary cell, so the bug it caught cannot come back unnoticed.  The
-unkeyed-group reporting is checked on the STR pin with STR's old sponsor
-rule put back, which also shows that these cells find that bug.
+unkeyed-group reporting and the sweep's install-time agreement monitor are
+checked on the STR pin with STR's old sponsor rule put back, which also
+shows that these cells find that bug.
 """
 
 import json
@@ -23,6 +24,7 @@ import pytest
 from repro.bench.cli import main
 from repro.bench.load import describe_unkeyed, run_load_cell
 from repro.protocols import StrProtocol
+from tests.test_seed_sweep import describe_failure, watch_installs
 
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
@@ -65,11 +67,19 @@ def results():
 
 
 @pytest.fixture(scope="module")
-def reverted():
-    """The STR pin under the old sponsor rule: one group ends unkeyed."""
+def reverted_run():
+    """The STR pin under the old sponsor rule, with the install-time
+    agreement monitor on: one group ends unkeyed."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StrProtocol, "_apply_removal", _old_apply_removal)
-        return run_load_cell({"workload": _spec("str_seed4_faultfree")})
+        with watch_installs() as installs:
+            result = run_load_cell({"workload": _spec("str_seed4_faultfree")})
+    return result, installs
+
+
+@pytest.fixture(scope="module")
+def reverted(reverted_run):
+    return reverted_run[0]
 
 
 @pytest.mark.parametrize("name", list(PINNED))
@@ -98,6 +108,22 @@ def test_unkeyed_detail_names_group_members_epochs_and_fingerprints(reverted):
         assert member["key"] is None or re.fullmatch(r"[0-9a-f]{8}", member["key"])
     json.dumps(group)  # JSON-ready: crosses the pool's process and cache boundaries
     assert group["group"] in describe_unkeyed([group])
+
+
+def test_first_divergent_install_names_the_two_sponsor_view(reverted_run):
+    """Two sponsors drew two session randoms in view 106 of ``g0``: the
+    install-time monitor names that view, the unkeyed group's newest."""
+    result, installs = reverted_run
+    (group,) = result["unkeyed"]
+    assert group["view"] == "((1, 0), 106)"
+    divergence = installs.first_divergence(group["group"])
+    assert divergence.startswith(f"g0 at view {group['view']} attempt 0: ")
+    keys = {member["key"] for member in group["members"]}
+    assert len(keys) == 2 and all(key in divergence for key in keys)
+    assert f"first divergent install in g0: {divergence}" in describe_failure(
+        result, installs
+    )
+    assert installs.first_divergence("g1") is None  # a group that keyed
 
 
 def test_bench_load_names_the_unkeyed_group(tmp_path, capsys, monkeypatch):
