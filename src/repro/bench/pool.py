@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -229,6 +227,8 @@ def _worker(payload: Tuple[str, Dict[str, Any]]) -> Tuple[dict, List[dict]]:
 def _mp_context():
     """Prefer fork (inherits the loaded package and runner registry);
     fall back to the platform default (spawn) elsewhere."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -317,6 +317,9 @@ def run_cells(
             result, rows = execute_cell(cells[index])
             finish(index, result, rows)
     elif pending:
+        # Imported here: only a pooled sweep pays for loading them.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         workers = min(jobs, len(pending))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_mp_context()

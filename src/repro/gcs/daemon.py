@@ -47,12 +47,9 @@ class Config:
     ring: TokenRing
 
     def __post_init__(self) -> None:
-        # index_of is on the per-delivery hot path (the hold barrier asks
-        # for two positions per Agreed frame); a dict beats tuple.index.
+        # Ring positions are on the per-delivery hot path (the hold barrier
+        # reads two per Agreed frame); a dict beats tuple.index.
         self._index = {d: i for i, d in enumerate(self.daemon_ids)}
-
-    def index_of(self, daemon_id: int) -> int:
-        return self._index[daemon_id]
 
 
 @dataclass
@@ -83,6 +80,50 @@ class _Freeze:
     accepts: Dict[int, _AcceptState] = field(default_factory=dict)
 
 
+@dataclass(eq=False)
+class _Delivery:
+    """Ordered delivery of one configuration at one daemon.
+
+    Scan, wake and NACK-timer events carry the record they were armed
+    for; one that is no longer the daemon's current record belongs to a
+    configuration that has since changed.
+    """
+
+    config: Optional[Config] = None
+    #: arrived frames not yet delivered, by seq
+    pending: Dict[int, SequencedMessage] = field(default_factory=dict)
+    #: each pending frame's first-arrival cause (recorder on): the scan
+    #: event's own cause names only the *first* frame of its instant, so
+    #: each delivered message adopts the cause of the frame carrying it
+    arrival: Dict[int, Any] = field(default_factory=dict)
+    #: frames this daemon sequenced, kept until delivered so a
+    #: configuration change can flush in-flight sends (view synchrony)
+    sent: Dict[int, SequencedMessage] = field(default_factory=dict)
+    #: delivered frames, kept to serve peers' NACKs
+    history: Dict[int, SequencedMessage] = field(default_factory=dict)
+    delivered: int = 0
+    # Delivery scans are scheduled in proportion to frames delivered, not
+    # frames arrived, through two dedupe keys:
+    #
+    # * ``soon`` — a zero-delay scan is already queued: one arrival scan
+    #   per instant.  Frames landing at the same time were all scheduled
+    #   before that scan, so it sees every one of them.  A frame fanned
+    #   out to several daemons lands at each of them in one event, which
+    #   queues one scan event for all of them (see :func:`arrive`).
+    # * ``wake`` — the instant of the armed hold wake.  Invariant: while
+    #   it is later than now, frame ``delivered + 1`` sits in ``pending``
+    #   held behind the token sweep until then, and exactly one scan is
+    #   queued for that instant.  Nothing can deliver or discard the head
+    #   before then, so a scan that finds it still held arms nothing new,
+    #   and a frame arriving behind it schedules no scan: it cannot become
+    #   deliverable before the wake, and the NACK gap logic only runs
+    #   when the head is *missing*.
+    soon: bool = False
+    wake: Optional[float] = None
+    #: the gap (``delivered + 1``) the armed NACK timer is for
+    nack: Optional[int] = None
+
+
 class Daemon:
     """One Spread daemon on one machine."""
 
@@ -96,7 +137,11 @@ class Daemon:
         # a configuration and a configuration's number exceeds every one
         # its members came from — so appending keeps join-age order.
         self.table = MembershipTable()
-        self._enter(None)
+        # Ordered delivery in the current configuration (None until the
+        # first install and while crashed), and the frames of any other
+        # configuration, by config id, until that one is entered.
+        self._delivery: Optional[_Delivery] = None
+        self._other: Dict[Tuple[int, int], _Delivery] = {}
         self._freeze: Optional[_Freeze] = None
         self._round_id = 0  # numbers the propose rounds this daemon leads
         self._crashed = False
@@ -105,53 +150,20 @@ class Daemon:
         self.retransmit_requests = 0
         self.retransmits_served = 0
 
-    def _enter(self, config: Optional[Config]) -> None:
-        """Make ``config`` current with the per-configuration delivery
-        state every configuration starts with; ``None`` (construction, a
-        crash) wipes it.  Frames of ``config`` that raced ahead of its
-        install are kept, with their arrival causes.
+    @property
+    def config(self) -> Optional[Config]:
+        """The current configuration (None while crashed)."""
+        return None if self._delivery is None else self._delivery.config
+
+    def _enter(self, config: Config) -> _Delivery:
+        """Make ``config`` current with a fresh delivery record, keeping
+        the frames of it that raced ahead of its install (with their
+        arrival causes) and dropping those of every other configuration.
         """
-        self.config = config
-        # Arrived frames not yet delivered, per configuration, and the
-        # causal provenance of each one's first arrival, keyed (config_id,
-        # seq).  The zero-delay delivery scan dedupes across frames, so the
-        # scan event's own cause names only the *first* frame of the
-        # instant; ``_arrival`` lets each delivered message adopt the cause
-        # of the frame that actually carried it.
-        if config is None:
-            self._recv, self._arrival = {}, {}
-        else:
-            cid = config.config_id
-            self._recv = {cid: self._recv.get(cid, {})}
-            self._arrival = {k: c for k, c in self._arrival.items() if k[0] == cid}
-        # Messages this daemon sequenced itself, kept until delivered so a
-        # configuration change can flush in-flight sends (view synchrony).
-        self._sent: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
-        self._delivered = 0
-        # Delivery scans are scheduled in proportion to frames delivered,
-        # not frames arrived, through two dedupe keys:
-        #
-        # * ``_deliver_soon`` — config id with a zero-delay _try_deliver
-        #   already queued: one arrival scan per instant.  Frames landing
-        #   at the same time were all scheduled before that scan, so it
-        #   sees every one of them.  A frame fanned out to several
-        #   daemons lands at each of them in one event, which queues one
-        #   scan event for all of them (see :func:`arrive`).
-        # * ``_wake`` — the armed hold wake ``(config_id, hold)``.
-        #   Invariant: while it is set and ``hold > now``, frame
-        #   ``_delivered + 1`` sits in ``_recv`` held behind the token
-        #   sweep until ``hold``, and exactly one _try_deliver is queued
-        #   for that instant.  Nothing can deliver or discard the head
-        #   before then, so a scan that finds it still held arms nothing
-        #   new, and a frame arriving behind it schedules no scan at all:
-        #   it cannot become deliverable before the wake, and the NACK
-        #   gap logic only runs when the head is *missing*.
-        self._deliver_soon: Optional[Tuple[int, int]] = None
-        self._wake: Optional[Tuple[Tuple[int, int], float]] = None
-        # retransmission: delivered-message history (to serve peers' NACKs)
-        # and the gap timer currently armed, keyed (config_id, next_needed)
-        self._history: Dict[Tuple[int, int], Dict[int, SequencedMessage]] = {}
-        self._nack_armed_for: Optional[Tuple[Tuple[int, int], int]] = None
+        delivery = self._other.get(config.config_id) or _Delivery()
+        delivery.config = config
+        self._delivery, self._other = delivery, {}
+        return delivery
 
     # ------------------------------------------------------------------
     # bootstrap / client connections
@@ -209,33 +221,33 @@ class Daemon:
         if message.service is Service.AGREED:
             if self._freeze is not None:
                 self._freeze.queue.append(message)
-            else:
-                self._sequence_and_disseminate(message)
+                return
+            delivery = self._delivery
+            config = delivery.config
+            config.ring.request(
+                config._index[self.daemon_id],
+                1,
+                lambda assignments: self._on_sequenced(delivery, message, assignments),
+            )
         elif message.service is Service.FIFO:
             self._send_fifo(message)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown service {message.service}")
 
-    def _sequence_and_disseminate(self, message: GroupMessage) -> None:
-        config = self.config
-        my_index = config.index_of(self.daemon_id)
-        config.ring.request(
-            my_index,
-            1,
-            lambda assignments: self._on_sequenced(config, message, assignments),
-        )
-
-    def _on_sequenced(self, config: Config, message: GroupMessage, assignments) -> None:
+    def _on_sequenced(
+        self, delivery: _Delivery, message: GroupMessage, assignments
+    ) -> None:
         """The token reached us: stamp the message and disseminate it."""
         if self._crashed:
             return
-        if self._freeze is not None or self.config.config_id != config.config_id:
+        if self._freeze is not None or delivery is not self._delivery:
             # Nothing is sequenced in a frozen or replaced configuration:
             # submit parks the message until the install, or sequences it
             # in the configuration that replaced this one.
             self.submit(message)
             return
         ((seq, sequenced_at),) = assignments
+        config = delivery.config
         smsg = SequencedMessage(
             config_id=config.config_id,
             seq=seq,
@@ -243,7 +255,7 @@ class Daemon:
             sequenced_at=sequenced_at,
             message=message,
         )
-        self._sent.setdefault(config.config_id, {})[seq] = smsg
+        delivery.sent[seq] = smsg
         now = self.world.sim.now
         if self.world.obs.enabled:
             # This fires at a token-visit event, whose cause is the ring's
@@ -276,46 +288,37 @@ class Daemon:
     # receiving and ordered delivery
     # ------------------------------------------------------------------
 
-    def _on_frame(self, smsg: SequencedMessage) -> None:
-        """One frame arrives on its own: a NACK-served retransmit, or an
-        origin's retry of a frame lost to a link fault."""
-        if self._accept_frame(smsg):
-            self.world.sim.schedule(0, self._try_deliver, smsg.config_id)
-
     def _accept_frame(self, smsg: SequencedMessage) -> bool:
         """Store an arriving frame; True when it needs an arrival scan
         that is not already queued (the caller queues it)."""
         if self._crashed:
             return False
-        if (
-            self.config
-            and smsg.config_id == self.config.config_id
-            and smsg.seq <= self._delivered
-        ):
+        delivery = self._delivery
+        current = smsg.config_id == delivery.config.config_id
+        if not current:
+            delivery = self._other.get(smsg.config_id)
+            if delivery is None:
+                delivery = self._other[smsg.config_id] = _Delivery()
+        elif smsg.seq <= delivery.delivered:
             return False  # duplicate of an already-delivered frame
-        pending = self._recv.setdefault(smsg.config_id, {})
+        pending = delivery.pending
         pending[smsg.seq] = smsg
         if self.world.obs.enabled:
             # First arrival wins: a fault duplicate or a NACK-served
             # retransmit must not re-parent an already-recorded frame.
-            self._arrival.setdefault(
-                (smsg.config_id, smsg.seq), self.world.obs.causality.current
-            )
-        if self.config and smsg.config_id == self.config.config_id:
-            wake = self._wake
-            if (
-                wake is not None
-                and wake[0] == smsg.config_id
-                and wake[1] > self.world.sim.now
-            ):
-                # Behind a held head (see ``_wake``): the armed wake does
-                # the delivering; only the queue-depth gauge moves now.
-                self._gauge_undelivered(len(pending))
-                return False
-            if self._deliver_soon != smsg.config_id:
-                self._deliver_soon = smsg.config_id
-                return True
-        return False
+            delivery.arrival.setdefault(smsg.seq, self.world.obs.causality.current)
+        if not current:
+            return False
+        wake = delivery.wake
+        if wake is not None and wake > self.world.sim.now:
+            # Behind a held head (see ``_Delivery.wake``): the armed wake
+            # does the delivering; only the queue-depth gauge moves now.
+            self._gauge_undelivered(len(pending))
+            return False
+        if delivery.soon:
+            return False
+        delivery.soon = True
+        return True
 
     def _gauge_undelivered(self, depth: int) -> None:
         """Frames queued behind a held head, as of the latest arrival."""
@@ -324,48 +327,46 @@ class Daemon:
                 "daemon.undelivered", daemon=f"d{self.daemon_id}"
             ).set(depth)
 
-    def _hold_until(self, smsg: SequencedMessage) -> float:
-        """The ordering-settlement barrier: the token sweep must pass us.
-
-        Reads the ring's precomputed distance matrix directly — this runs
-        once per delivered Agreed frame, and the ``index_of``/
-        ``distance_ms`` call layers are measurable at n=1024.
-        """
-        config = self.config
-        index = config._index
-        return smsg.sequenced_at + config.ring._distance_ms[
-            index[smsg.origin_daemon]
-        ][index[self.daemon_id]]
-
-    def _try_deliver(self, config_id: Tuple[int, int]) -> None:
-        self._deliver_soon = None
-        if self._crashed or self.config is None or self.config.config_id != config_id:
-            return
-        pending = self._recv.get(config_id, {})
+    def _try_deliver(self, delivery: _Delivery) -> None:
+        current = self._delivery
+        if current is not None:
+            # Any scan re-opens arrival scans, a stale one included (the
+            # next arrival may then queue a scan that finds nothing new).
+            current.soon = False
+        if delivery is not current:
+            return  # crashed, or the configuration changed meanwhile
+        pending = delivery.pending
+        index = delivery.config._index
+        distance, mine = delivery.config.ring._distance_ms, index[self.daemon_id]
         now = self.world.sim.now
         while True:
-            smsg = pending.get(self._delivered + 1)
+            smsg = pending.get(delivery.delivered + 1)
             if smsg is None:
                 if pending:
                     # Later frames arrived but the next-in-sequence one is
                     # missing — likely lost to a link fault.  Arm the
                     # retransmission (NACK) timer.
-                    self._arm_nack(config_id)
+                    self._arm_nack(delivery)
                 return
-            hold = self._hold_until(smsg)
+            # The ordering-settlement barrier: the token sweep must pass
+            # us.  Read straight off the ring's distance matrix.
+            hold = smsg.sequenced_at + distance[index[smsg.origin_daemon]][mine]
             if hold > now:
-                if self._wake != (config_id, hold):
-                    self._wake = (config_id, hold)
-                    self.world.sim.schedule_at(
-                        hold, self._try_deliver, config_id
-                    )
+                if delivery.wake != hold:
+                    delivery.wake = hold
+                    self.world.sim.schedule_at(hold, self._try_deliver, delivery)
                 self._gauge_undelivered(len(pending))
                 return
-            self._delivered += 1
+            delivery.delivered += 1
             del pending[smsg.seq]
             if smsg.origin_daemon == self.daemon_id:
-                self._sent.get(config_id, {}).pop(smsg.seq, None)
-            self._record_history(config_id, smsg)
+                delivery.sent.pop(smsg.seq, None)
+            history = delivery.history
+            history[smsg.seq] = smsg
+            while len(history) > self.world.params.retransmit_history:
+                # seqs are recorded in delivery (increasing) order, so the
+                # first key is always the oldest
+                del history[next(iter(history))]
             self._deliver(smsg)
 
     def _deliver(self, smsg: SequencedMessage) -> None:
@@ -381,9 +382,9 @@ class Daemon:
             # everything downstream — view emission, client IPC — hangs
             # off.  A flush delivery with no local arrival keeps the
             # ambient (config-install) cause, which is what it waited on.
-            key = (smsg.config_id, smsg.seq)
-            if key in self._arrival:
-                obs.causality.adopt(self._arrival.pop(key))
+            arrival = self._delivery.arrival
+            if smsg.seq in arrival:
+                obs.causality.adopt(arrival.pop(smsg.seq))
             node = obs.caused_instant(
                 "gcs", "deliver", f"d{self.daemon_id}", self.machine.name,
                 self.world.sim.now, seq=smsg.seq, kind=message.kind,
@@ -442,46 +443,28 @@ class Daemon:
     # always retains its own undelivered messages, so a gap converges as
     # long as any daemon in the configuration holds the frame.
 
-    def _record_history(
-        self, config_id: Tuple[int, int], smsg: SequencedMessage
-    ) -> None:
-        bucket = self._history.setdefault(config_id, {})
-        bucket[smsg.seq] = smsg
-        limit = self.world.params.retransmit_history
-        while len(bucket) > limit:
-            # seqs are recorded in delivery (increasing) order, so the
-            # first key is always the oldest
-            del bucket[next(iter(bucket))]
-
-    def _arm_nack(self, config_id: Tuple[int, int]) -> None:
-        key = (config_id, self._delivered + 1)
-        if self._nack_armed_for == key:
+    def _arm_nack(self, delivery: _Delivery) -> None:
+        next_needed = delivery.delivered + 1
+        if delivery.nack == next_needed:
             return  # a timer for this exact gap is already pending
-        self._nack_armed_for = key
+        delivery.nack = next_needed
         self.world.sim.schedule(
-            self.world.params.retransmit_timeout_ms, self._nack_fire, key
+            self.world.params.retransmit_timeout_ms,
+            self._nack_fire, delivery, next_needed,
         )
 
-    def _nack_fire(self, key) -> None:
-        if self._nack_armed_for != key:
-            return  # gap resolved, or a newer gap superseded this timer
-        self._nack_armed_for = None
-        config_id, next_needed = key
-        if (
-            self._crashed
-            or self.config is None
-            or self.config.config_id != config_id
-            or self._delivered + 1 != next_needed
-        ):
-            return
-        pending = self._recv.get(config_id, {})
-        if not pending:
-            return
+    def _nack_fire(self, delivery: _Delivery, next_needed: int) -> None:
+        if delivery is not self._delivery or delivery.nack != next_needed:
+            return  # configuration changed, or a newer gap superseded this timer
+        delivery.nack = None
+        pending = delivery.pending
+        if delivery.delivered + 1 != next_needed or not pending:
+            return  # gap resolved
         top = max(pending)
         missing = [s for s in range(next_needed, top) if s not in pending][:64]
         if not missing:
             return  # everything arrived meanwhile; the hold barrier delivers
-        others = [d for d in self.config.daemon_ids if d != self.daemon_id]
+        others = [d for d in delivery.config.daemon_ids if d != self.daemon_id]
         if not others:
             return
         # Rotate the target so a peer that also lost the frame (or crashed
@@ -498,23 +481,26 @@ class Daemon:
             target,
             _CONTROL_FRAME_BYTES + 8 * len(missing),
             self.world.daemons[target]._on_nack,
-            config_id,
+            delivery.config.config_id,
             tuple(missing),
             self.daemon_id,
             control=True,
         )
         # Re-arm: if the retransmission is also lost the next firing tries
         # the next peer.  (The timer self-cancels once the gap closes.)
-        self._arm_nack(config_id)
+        self._arm_nack(delivery)
 
     def _on_nack(self, config_id, missing, requester: int) -> None:
         if self._crashed:
             return
-        recv = self._recv.get(config_id, {})
-        sent = self._sent.get(config_id, {})
-        history = self._history.get(config_id, {})
+        delivery = self._delivery
+        if delivery.config.config_id != config_id:
+            delivery = self._other.get(config_id)
+            if delivery is None:
+                return
+        pending, sent, history = delivery.pending, delivery.sent, delivery.history
         for seq in missing:
-            smsg = recv.get(seq) or sent.get(seq) or history.get(seq)
+            smsg = pending.get(seq) or sent.get(seq) or history.get(seq)
             if smsg is None:
                 continue
             self.retransmits_served += 1
@@ -522,7 +508,8 @@ class Daemon:
                 self.daemon_id,
                 requester,
                 smsg.message.size_bytes,
-                self.world.daemons[requester]._on_frame,
+                arrive,
+                (self.world.daemons[requester],),
                 smsg,
                 control=True,
             )
@@ -544,7 +531,7 @@ class Daemon:
             self._last_config_number = self.config.config_id[0]
         self.table = MembershipTable()
         self._freeze = None
-        self._enter(None)
+        self._delivery, self._other = None, {}
 
     def restart(self) -> None:
         """Come back up as a singleton configuration; merging with the
@@ -663,15 +650,15 @@ class Daemon:
             return
         phase = self._freeze = self._freeze or _Freeze()
         phase.token = round_token
-        config_id = self.config.config_id
-        undelivered = dict(self._recv.get(config_id, {}))
-        for seq, smsg in self._sent.get(config_id, {}).items():
-            if seq > self._delivered:
+        delivery = self._delivery
+        undelivered = dict(delivery.pending)
+        for seq, smsg in delivery.sent.items():
+            if seq > delivery.delivered:
                 undelivered.setdefault(seq, smsg)
         state = _AcceptState(
             daemon_id=self.daemon_id,
-            config_id=config_id,
-            delivered=self._delivered,
+            config_id=delivery.config.config_id,
+            delivered=delivery.delivered,
             undelivered=undelivered,
             table=self.table.copy(),
         )
@@ -750,11 +737,12 @@ class Daemon:
         # 1. Flush: deliver the surviving component's union of undelivered
         #    messages for our old configuration, in sequence order,
         #    skipping gaps (a gap means no survivor holds the message).
-        own_union = union.get(self.config.config_id, {})
+        delivery = self._delivery
+        own_union = union.get(delivery.config.config_id, {})
         for seq in sorted(own_union):
-            if seq <= self._delivered:
+            if seq <= delivery.delivered:
                 continue
-            self._delivered = seq
+            delivery.delivered = seq
             self._deliver(own_union[seq])
         # 2. Reconstruct every responder's post-flush group state and merge,
         #    keeping each member's earliest record.
@@ -773,7 +761,7 @@ class Daemon:
                 group, (r for r in records.values() if r.daemon_id in allowed)
             )
         # 3. Install the new configuration and thaw.
-        self._enter(config)
+        delivery = self._enter(config)
         self._freeze = None
         if self.world.obs.enabled:
             self.world.obs.instant(
@@ -796,30 +784,33 @@ class Daemon:
                 self._emit_view(view)
         # 5. Deliver any frames of the new configuration that raced ahead of
         #    the install, then release sends queued while frozen.
-        self._deliver_soon = config.config_id
-        self.world.sim.schedule(0, self._try_deliver, config.config_id)
+        delivery.soon = True
+        self.world.sim.schedule(0, self._try_deliver, delivery)
         for message in phase.queue:
             self.submit(message)
 
 
 def arrive(daemons, smsg: SequencedMessage) -> None:
-    """One frame lands at several daemons at the same instant.
+    """One frame lands at one or more daemons at the same instant: a
+    sequenced frame's fan-out, an origin's retry of a frame lost to a
+    link fault, or a NACK-served retransmit.
 
-    This is what :meth:`Daemon._on_frame` does at each, in order, fused
-    into one event with one zero-delay scan event behind it.  It is exact
-    for the reason :func:`_fan_out` is: the per-daemon arrivals it
-    replaces were consecutive events at one instant, and so were the
-    scans they queued.
+    Each daemon stores the frame, in order, and one zero-delay event
+    behind them all runs the arrival scans they need.  It is exact for
+    the reason :func:`_fan_out` is: the per-daemon arrivals it replaces
+    were consecutive events at one instant, and so were the scans they
+    queued.
     """
-    scan = [daemon for daemon in daemons if daemon._accept_frame(smsg)]
+    scan = [(d, d._delivery) for d in daemons if d._accept_frame(smsg)]
     if scan:
-        scan[0].world.sim.schedule(0, _scan, scan, smsg.config_id)
+        scan[0][0].world.sim.schedule(0, _scan, scan)
 
 
-def _scan(daemons, config_id: Tuple[int, int]) -> None:
-    """The arrival scans :func:`arrive` queued, in arrival order."""
-    for daemon in daemons:
-        daemon._try_deliver(config_id)
+def _scan(scans) -> None:
+    """The arrival scans :func:`arrive` queued, in arrival order, each
+    for the delivery record its frame was stored in."""
+    for daemon, delivery in scans:
+        daemon._try_deliver(delivery)
 
 
 def _fan_out(handlers, item) -> None:

@@ -244,8 +244,8 @@ class Network:
         of first landing: each delivery, then its fault duplicate.  With
         ``retry``, a frame lost to a link fault is re-sent by the origin
         after the retransmission timeout, up to the topology's retry cap,
-        to ``fn(*args)`` (the destination's ``_on_frame`` when ``fn`` is
-        None).
+        to ``fn(*args)`` (the frame's :func:`~repro.gcs.daemon.arrive` at
+        the destination when ``fn`` is None).
         """
         daemons = self._daemons
         faults = self.faults
@@ -298,8 +298,8 @@ class Network:
                         self.fault_retries += 1
                         retry_event = self.sim.schedule(
                             params.retransmit_timeout_ms, self._retry_send,
-                            src_id, dst_id, size_bytes, fn or dst._on_frame,
-                            args, control, attempt + 1,
+                            src_id, dst_id, size_bytes, fn or arrive,
+                            args if fn else ((dst,), *args), control, attempt + 1,
                         )
                         if drop_cause is not None:
                             retry_event.cause = drop_cause

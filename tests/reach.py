@@ -1,10 +1,10 @@
-"""Which lines of ``src/repro/protocols/`` a pytest run never executes.
+"""Which lines of ``src/repro`` a pytest run never executes.
 
     PYTHONPATH=src python tests/reach.py [pytest arguments]
 
 Runs pytest in this process under a ``sys.settrace`` line recorder that
-traces only frames of ``src/repro/protocols/``, then prints each file's
-executable lines that no test reached (docstrings excluded), as markdown,
+traces only frames of ``src/repro``, then prints each file's executable
+lines that no test reached (docstrings excluded), as markdown,
 and appends them to ``$GITHUB_STEP_SUMMARY`` when that is set.  Worker
 processes (``--jobs`` > 1) are not traced.  Exits with pytest's status.
 """
@@ -19,7 +19,7 @@ import types
 import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-PROTOCOLS = os.path.abspath(os.path.join(ROOT, "src", "repro", "protocols"))
+PACKAGE = os.path.abspath(os.path.join(ROOT, "src", "repro"))
 hits = {}
 
 
@@ -30,7 +30,7 @@ def _line(frame, event, arg):
 
 
 def _call(frame, event, arg):
-    if not frame.f_code.co_filename.startswith(PROTOCOLS):
+    if not frame.f_code.co_filename.startswith(PACKAGE):
         return None
     hits.setdefault(frame.f_code.co_filename, set()).add(frame.f_lineno)
     return _line
@@ -54,13 +54,20 @@ def executable(path):
 
 
 def report():
-    rows = ["### Protocol reach: unexecuted lines of src/repro/protocols/", ""]
-    for name in sorted(os.listdir(PROTOCOLS)):
-        if name.endswith(".py"):
-            path = os.path.join(PROTOCOLS, name)
-            missed = sorted(executable(path) - hits.get(path, set()))
-            rows.append(f"- `{name}`: {', '.join(map(str, missed)) or 'none'}")
-    return "\n".join(rows) + "\n"
+    paths = sorted(
+        os.path.join(folder, name)
+        for folder, _, names in os.walk(PACKAGE)
+        for name in names
+        if name.endswith(".py")
+    )
+    rows, total = [], 0
+    for path in paths:
+        missed = sorted(executable(path) - hits.get(path, set()))
+        total += len(missed)
+        name = os.path.relpath(path, PACKAGE)
+        rows.append(f"- `{name}`: {', '.join(map(str, missed)) or 'none'}")
+    head = f"### Reach: {total} unexecuted lines of src/repro"
+    return "\n".join([head, ""] + rows) + "\n"
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Event census of the daemon's ordered-delivery path.
 
-Delivery scans (``Daemon._try_deliver`` events) must be scheduled in
+Delivery scans (``Daemon._try_deliver`` calls) must be scheduled in
 proportion to frames *delivered*: one armed wake per held head frame, no
-scan for a frame arriving behind it (see ``Daemon._wake``).  These tests
-count scheduled events, which is exact and repeatable, and check that the
-suppressed scans were the only thing removed: NACK recovery, crash
-recovery and the chaos benchmark's results are what they were.
+scan for a frame arriving behind it (see ``_Delivery.wake``).  These tests
+count scans and scheduled events, which is exact and repeatable, and
+check that the suppressed scans were the only thing removed: NACK
+recovery, crash recovery and the chaos benchmark's results are what they
+were.
 """
 
 import collections
@@ -27,15 +28,22 @@ GROUP_SIZE = 26
 def _epoch_census(monkeypatch, protocol, drop=0.0):
     """Grow to n-1 (one batched epoch), then one measured join at n.
 
-    Returns the event counts by callback name (plus ``delivered``, the
-    number of Agreed frames daemons delivered) and the framework.
+    Returns the scheduled event counts by callback name, plus ``scans``
+    (every ``Daemon._try_deliver`` call, whichever event carried it) and
+    ``delivered`` (the number of Agreed frames daemons delivered), and
+    the framework.
     """
     counts = collections.Counter()
-    schedule_at, deliver = Simulator.schedule_at, Daemon._deliver
+    schedule_at = Simulator.schedule_at
+    try_deliver, deliver = Daemon._try_deliver, Daemon._deliver
 
     def counting_schedule_at(self, time, fn, *args):
         counts[getattr(fn, "__name__", repr(fn))] += 1
         return schedule_at(self, time, fn, *args)
+
+    def counting_try_deliver(self, *args):
+        counts["scans"] += 1
+        return try_deliver(self, *args)
 
     def counting_deliver(self, smsg):
         counts["delivered"] += 1
@@ -43,6 +51,7 @@ def _epoch_census(monkeypatch, protocol, drop=0.0):
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulator, "schedule_at", counting_schedule_at)
+        patch.setattr(Daemon, "_try_deliver", counting_try_deliver)
         patch.setattr(Daemon, "_deliver", counting_deliver)
         framework = SecureSpreadFramework(
             lan_testbed(),
@@ -69,7 +78,7 @@ def test_scans_are_proportional_to_deliveries(monkeypatch, protocol):
     # At most the wake that delivers a frame plus the arrival scan that
     # armed it.  One scan per arrival and re-armed wake would read 7-8
     # here, growing with the number of frames in flight.
-    assert counts["_try_deliver"] <= 2 * counts["delivered"]
+    assert counts["scans"] <= 2 * counts["delivered"]
     again, framework_again = _epoch_census(monkeypatch, protocol)
     assert again == counts
     assert framework_again.now == framework.now
@@ -81,10 +90,10 @@ def test_nack_recovery_still_converges_under_drops(monkeypatch):
     assert framework.world.network.fault_drops > 0
     assert sum(d.retransmit_requests for d in daemons) > 0
     assert sum(d.retransmits_served for d in daemons) > 0
-    assert counts["_try_deliver"] <= 2 * counts["delivered"]
+    assert counts["scans"] <= 2 * counts["delivered"]
     # Nothing is left behind a wake that never fired.
     for daemon in daemons:
-        assert daemon._recv[daemon.config.config_id] == {}
+        assert daemon._delivery.pending == {}
 
 
 # The chaos benchmark's cell for the same epoch (sequential growth to 25,
@@ -135,12 +144,12 @@ class TestNoLostWake:
         for index in range(6):
             clients["a"].multicast("g", ("old", index))
         victim = world.daemons[self.VICTIM]
-        while victim._wake is None or victim._wake[1] <= world.sim.now:
+        delivery = victim._delivery
+        while delivery.wake is None or delivery.wake <= world.sim.now:
             assert world.sim.step(), "no wake was ever armed"
         # The invariant the suppressed arrival scans rely on.
-        config_id, hold = victim._wake
-        assert config_id == victim.config.config_id
-        assert victim._delivered + 1 in victim._recv[config_id]
+        assert delivery is victim._delivery
+        assert delivery.delivered + 1 in delivery.pending
         return world, clients
 
     def _assert_new_configuration_delivers(self, world, senders, receiver):
@@ -157,14 +166,14 @@ class TestNoLostWake:
             config = daemon.config
             if config is None:
                 continue  # still crashed
-            assert daemon._delivered == config.ring.next_seq - 1
-            assert daemon._recv[config.config_id] == {}
+            assert daemon._delivery.delivered == config.ring.next_seq - 1
+            assert daemon._delivery.pending == {}
 
     def test_crash_and_restart_of_the_daemon_holding_the_wake(self):
         world, clients = self._world_with_armed_wake()
         victim = world.daemons[self.VICTIM]
         world.crash_daemon(self.VICTIM)
-        assert victim._wake is None
+        assert victim._delivery is None
         world.run_until_idle()  # the stale wake fires into a dead daemon
         world.restart_daemon(self.VICTIM)
         world.run_until_idle()
