@@ -3,9 +3,12 @@
 Grows a TGDH group on the simulated LAN testbed with observability
 enabled, injects one join, then:
 
-* prints the span-based per-epoch report — total elapsed time decomposed
-  into the paper's §6 membership / communication / computation phases,
-  reconciled against the ``RekeyTimeline``;
+* prints the per-epoch report — total elapsed time decomposed into the
+  paper's §6 membership / communication / computation phases, read off
+  the rekey's causal critical path (computation is the crypto the last
+  member to install the key waited on, whoever ran it) and reconciled
+  against the ``RekeyTimeline`` — then that critical path and the
+  rekey-latency percentiles;
 * prints the crypto operation counters the ledger bridge collected;
 * writes a Chrome trace-event JSON you can open in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing`` — one process per

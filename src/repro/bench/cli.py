@@ -11,8 +11,7 @@ One subcommand per job, all sharing the same core options
     python -m repro.bench trace --protocol TGDH --size 16 --event join \
         -o trace.json                            # Chrome/Perfetto trace
     python -m repro.bench report --protocol BD --size 13 --event leave
-    python -m repro.bench report --critical-path # append blocking chains
-    python -m repro.bench critpath --protocol GDH --size 8 --event leave
+                                                 # §6 phases + their chains
     python -m repro.bench scale                  # join/leave up to n=1024
     python -m repro.bench scale --observe        # + rekey percentile table
     python -m repro.bench scale --sizes 32 128 512 --protocols TGDH STR
@@ -74,10 +73,8 @@ from repro.protocols import available
 from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS, WorkloadResult
 from repro.obs import (
     MetricsRegistry,
-    render_critical_paths,
     render_percentiles,
     render_report,
-    timeline_critical_paths,
     validate_chrome_trace,
 )
 
@@ -262,22 +259,11 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", parents=[build_common_parser()],
         help="print the per-epoch membership/communication/computation "
-        "decomposition, reconciled against the rekey timeline",
+        "decomposition, reconciled against the rekey timeline, then the "
+        "critical-path chain each row was read from and the rekey-latency "
+        "percentile table",
     )
     _add_event_options(report)
-    report.add_argument(
-        "--critical-path", dest="critical_path", action="store_true",
-        help="append the per-epoch critical-path blocking chains "
-        "(the causal walk backwards from each key-install)",
-    )
-
-    critpath = sub.add_parser(
-        "critpath", parents=[build_common_parser()],
-        help="trace one membership event and print, per epoch, the exact "
-        "chain of spans that blocked the last key install, plus the "
-        "rekey-latency percentile table",
-    )
-    _add_event_options(critpath)
 
     scale = sub.add_parser(
         "scale", parents=[build_common_parser()],
@@ -720,31 +706,7 @@ def run_trace_command(args) -> int:
 
 def run_report_command(args) -> int:
     framework, title = _run_observed_event(args)
-    lines = [render_report(framework.timeline, framework.obs.spans, title)]
-    if args.critical_path:
-        paths = timeline_critical_paths(framework.timeline, framework.obs.spans)
-        lines.append("")
-        lines.append(render_critical_paths(paths))
-    _emit(args, lines)
-    return 0
-
-
-def run_critpath_command(args) -> int:
-    framework, title = _run_observed_event(args)
-    paths = timeline_critical_paths(framework.timeline, framework.obs.spans)
-    lines = [f"Critical paths: {title}", "", render_critical_paths(paths), ""]
-    lines.append(render_percentiles(
-        framework.obs.metrics.log_histograms(),
-        "Rekey latency percentiles (ms)",
-    ))
-    spans = framework.obs.spans
-    if spans.dropped:
-        lines.append(
-            f"\n!! WARNING: span recorder dropped {spans.dropped} span(s) "
-            f"(capacity {spans.capacity}); the chains above may be "
-            f"truncated.  Re-run with a larger span capacity."
-        )
-    _emit(args, lines)
+    _emit(args, [render_report(framework.timeline, framework.obs.spans, title)])
     return 0
 
 
@@ -754,7 +716,6 @@ COMMANDS = {
     "table": run_table,
     "trace": run_trace_command,
     "report": run_report_command,
-    "critpath": run_critpath_command,
     "scale": run_scale_command,
     "chaos": run_chaos_command,
     "load": run_load_command,

@@ -48,7 +48,7 @@ from repro.obs.report import (
     render_report,
     timeline_breakdowns,
 )
-from repro.obs.spans import DEFAULT_CAPACITY, Span, SpanRecorder, busy_time
+from repro.obs.spans import DEFAULT_CAPACITY, Span, SpanRecorder
 
 __all__ = [
     "Causality",
@@ -66,7 +66,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TimeSeries",
-    "busy_time",
     "critical_path",
     "epoch_breakdown",
     "record_op_counts",

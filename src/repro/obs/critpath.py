@@ -8,7 +8,8 @@ inferred from timestamps — it is read off the recorded parent edges.
 and tiles it onto the measured window ``[event start, last key ready]``.
 Gaps the chain does not explain (a daemon token hold, an idle wait for a
 frame) become explicit ``wait`` segments, so the path is a gap-free
-partition of the epoch.
+partition of the epoch.  :mod:`repro.obs.report` reads the paper's §6
+phases off these paths.
 
 The invariant the tests pin down: the segment durations, summed plainly
 left to right, equal the epoch's measured
@@ -86,12 +87,6 @@ class CriticalPath:
         for segment in self.segments:
             total += segment.duration
         return total
-
-
-def _critical_member(record: EpochRecord) -> str:
-    """The last member to install the key (ties broken by name, matching
-    the per-epoch report)."""
-    return max(record.key_ready.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 def _terminal_span(
@@ -205,7 +200,9 @@ def critical_path(
         raise ValueError("epoch never marked its event start")
     if not record.key_ready:
         raise ValueError("epoch has no key-ready members")
-    member = _critical_member(record)
+    # The critical member is the last to install the key, name breaking
+    # ties; :mod:`repro.obs.report` reads its phases off this same walk.
+    member = max(record.key_ready.items(), key=lambda kv: (kv[1], kv[0]))[0]
     window_start = record.event_started_at
     window_end = record.key_ready[member]
     total = record.total_elapsed()

@@ -1,22 +1,23 @@
-"""Per-epoch cost attribution: the paper's §6 decomposition, span-based.
+"""Per-epoch cost attribution: the paper's §6 decomposition, read off the
+causal critical path.
 
 The paper decomposes each rekey's *total elapsed time* into the
 membership-service part and the key-agreement part, and argues (§6.2,
 Figs. 11–14) about how much of the latter is communication versus
 computation.  This module makes that decomposition a first-class,
-machine-checkable artifact:
+machine-checkable artifact, and the only one in the package:
 
 * **membership** — event injection -> last member's view delivery
   (identical to :meth:`~repro.core.timing.EpochRecord.membership_elapsed`);
-* **computation** — within the key-agreement window, the union of the
-  *critical member's* CPU spans (crypto batches and signing).  The
-  critical member is the last one to install the key — the member whose
-  finish time *defines* ``total_elapsed()``;
-* **communication** — the remainder of the key-agreement window: time the
-  critical member spent waiting on ordered delivery, token rotation and
-  frames in flight.
+* **computation** — within the key-agreement window
+  ``[max(view_delivered), max(key_ready)]``, the ``crypto`` segments of
+  the epoch's :func:`~repro.obs.critpath.critical_path`, clipped to the
+  window: the exponentiations and signatures the last member to install
+  the key actually waited on, whichever member ran them;
+* **communication** — the rest of the window: ordered delivery, token
+  rotation, frames in flight and untraced waits on the chain.
 
-By construction the three phases sum *exactly* to
+By construction the three phases sum to
 :meth:`~repro.core.timing.EpochRecord.total_elapsed`, which is the
 reconciliation property the acceptance tests assert to 1e-6 ms.
 """
@@ -26,13 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.obs.spans import SpanRecorder, busy_time
+from repro.obs.critpath import (
+    CriticalPath,
+    critical_path,
+    render_critical_paths,
+    timeline_critical_paths,
+)
+from repro.obs.histo import render_percentiles
+from repro.obs.spans import SpanRecorder
 
 if TYPE_CHECKING:  # import cycle: repro.core imports repro.obs at runtime
     from repro.core.timing import EpochRecord, RekeyTimeline
-
-#: Span categories that count as CPU work in the decomposition.
-CPU_CATEGORIES = ("crypto",)
 
 
 @dataclass(frozen=True)
@@ -54,29 +59,36 @@ class PhaseBreakdown:
         return abs(self.phase_sum() - self.total_ms) <= tolerance
 
 
-def epoch_breakdown(record: "EpochRecord", spans: SpanRecorder) -> PhaseBreakdown:
-    """Decompose one complete epoch using the recorded spans."""
-    total = record.total_elapsed()
-    membership = record.membership_elapsed()
+def _read_phases(record: "EpochRecord", path: CriticalPath) -> PhaseBreakdown:
+    """Split one epoch along its already-extracted critical path."""
     window_start = max(record.view_delivered.values())
     window_end = max(record.key_ready.values())
-    # Deterministic critical member: latest finisher, name breaking ties.
-    last_member = max(record.key_ready.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    cpu_spans = [
-        s
-        for s in spans.spans
-        if s.actor == last_member and s.category in CPU_CATEGORIES
-    ]
-    computation = busy_time(cpu_spans, window_start, window_end)
-    communication = (window_end - window_start) - computation
+    computation = 0.0
+    for segment in path.segments:
+        if segment.category == "crypto":
+            start = max(segment.start, window_start)
+            end = min(segment.end, window_end)
+            if end > start:
+                computation += end - start
     return PhaseBreakdown(
         epoch=record.epoch,
-        last_member=last_member,
-        total_ms=total,
-        membership_ms=membership,
-        communication_ms=communication,
+        last_member=path.member,
+        total_ms=record.total_elapsed(),
+        membership_ms=record.membership_elapsed(),
+        communication_ms=(window_end - window_start) - computation,
         computation_ms=computation,
     )
+
+
+def epoch_breakdown(record: "EpochRecord", spans: SpanRecorder) -> PhaseBreakdown:
+    """Decompose one complete epoch along its critical path."""
+    return _read_phases(record, critical_path(record, spans))
+
+
+def _breakdowns(
+    timeline: "RekeyTimeline", paths: List[CriticalPath]
+) -> List[PhaseBreakdown]:
+    return [_read_phases(timeline.epochs[path.epoch], path) for path in paths]
 
 
 def timeline_breakdowns(
@@ -88,15 +100,7 @@ def timeline_breakdowns(
     of a benchmark, where joins are deliberately unmeasured) are skipped —
     they have no well-defined elapsed time.
     """
-    complete = sorted(
-        (
-            r
-            for r in timeline.epochs.values()
-            if r.complete() and r.event_started_at is not None
-        ),
-        key=lambda r: r.epoch,
-    )
-    return [epoch_breakdown(record, spans) for record in complete]
+    return _breakdowns(timeline, timeline_critical_paths(timeline, spans))
 
 
 def render_breakdowns(
@@ -124,20 +128,31 @@ def render_breakdowns(
 def render_report(
     timeline: "RekeyTimeline", spans: SpanRecorder, title: Optional[str] = None
 ) -> str:
-    """Full text report reconciling spans against the rekey timeline."""
-    breakdowns = timeline_breakdowns(timeline, spans)
-    body = render_breakdowns(breakdowns, title)
+    """The phase table, then the critical paths it was read from, then the
+    rekey-latency percentiles — one walk per epoch."""
+    paths = timeline_critical_paths(timeline, spans)
+    breakdowns = _breakdowns(timeline, paths)
+    lines = [render_breakdowns(breakdowns, title)]
     if breakdowns:
         worst = max(abs(b.phase_sum() - b.total_ms) for b in breakdowns)
-        body += (
-            f"\n{len(breakdowns)} epoch(s); worst |phases - timeline| = "
+        lines.append(
+            f"{len(breakdowns)} epoch(s); worst |phases - timeline| = "
             f"{worst:.2e} ms"
         )
+        lines.append("\nCritical paths: the chains the phases were read from\n")
+        lines.append(render_critical_paths(paths))
+    lines.append("")
+    lines.append(
+        render_percentiles(
+            timeline.rekey_latencies(), "Rekey latency percentiles (ms)"
+        )
+    )
     if spans.dropped:
-        body += (
+        lines.append(
             f"\n!! WARNING: span recorder dropped {spans.dropped} span(s) "
             f"(capacity {spans.capacity}); every figure above that leans "
             f"on spans — computation, communication, critical paths — may "
-            f"undercount.  Re-run with a larger span capacity."
+            f"undercount or be truncated.  Re-run with a larger span "
+            f"capacity."
         )
-    return body
+    return "\n".join(lines)

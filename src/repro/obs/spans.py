@@ -155,26 +155,3 @@ class SpanRecorder:
         """Drop all recorded spans and reset the drop counter."""
         self.spans.clear()
         self.dropped = 0
-
-
-def busy_time(
-    spans: List[Span], window_start: float, window_end: float
-) -> float:
-    """Total measure of the union of ``spans`` clipped to a window.
-
-    Overlapping spans (e.g. signing while an earlier batch still occupies
-    the core) are merged so no instant is counted twice.
-    """
-    intervals = sorted(
-        (max(s.start, window_start), min(s.end, window_end))
-        for s in spans
-        if s.end > window_start and s.start < window_end
-    )
-    total = 0.0
-    cursor = window_start
-    for start, end in intervals:
-        if end <= cursor:
-            continue
-        total += end - max(start, cursor)
-        cursor = end
-    return total

@@ -82,8 +82,10 @@ def test_report_subcommand_prints_reconciled_phases(capsys):
 
 
 def test_critpath_subcommand_prints_exact_chains(capsys):
+    """Plain ``report`` prints every epoch's exact chain and the
+    rekey-latency percentile table."""
     code = main([
-        "critpath", "--protocol", "GDH", "--size", "4", "--event", "leave",
+        "report", "--protocol", "GDH", "--size", "4", "--event", "leave",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -96,9 +98,9 @@ def test_critpath_subcommand_prints_exact_chains(capsys):
 
 
 def test_report_critical_path_flag_appends_chains(capsys):
+    """The chains follow the phase table they were read from."""
     code = main([
         "report", "--protocol", "TGDH", "--size", "4", "--event", "join",
-        "--critical-path",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -173,7 +175,17 @@ _POSITIONALS = {"figure": ["14"], "table": ["1"], "compare": ["a.json", "b.json"
         id=command,
     )
     for command in sorted(COMMANDS) if command != "chaos"
-] + [pytest.param(["profile"], "invalid choice: 'profile'", id="profile")])
+] + [
+    # gone subcommands and flags (critpath's chains print in plain report)
+    pytest.param([gone], f"invalid choice: '{gone}'", id=gone)
+    for gone in ("critpath", "profile")
+] + [
+    pytest.param(
+        ["report", "--critical-path"],
+        "unrecognized arguments: --critical-path",
+        id="report-critical-path",
+    )
+])
 def test_trace_flag_is_chaos_only_and_profile_is_gone(argv, complaint, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

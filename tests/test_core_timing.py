@@ -85,8 +85,9 @@ def test_key_recorded_before_view():
 
 
 def test_key_agreement_elapsed_reconciles_with_span_breakdown():
-    """The span-based decomposition must split ``key_agreement_elapsed``
-    exactly into communication + computation."""
+    """The decomposition splits ``key_agreement_elapsed`` exactly into
+    communication + computation, reading computation off the parent-linked
+    chain that ends in the last finisher's ``key-install``."""
     from repro.obs import epoch_breakdown
     from repro.obs.spans import SpanRecorder
 
@@ -98,15 +99,25 @@ def test_key_agreement_elapsed_reconciles_with_span_breakdown():
     timeline.record_key((1, 1), "b", 112.0)
     record = timeline.latest_complete()
     spans = SpanRecorder()
-    # b (the last finisher) computes during [104, 107] U [109, 111]
-    spans.record("crypto", "w1", "b", "p0", 104.0, 107.0)
-    spans.record("crypto", "w2", "b", "p0", 109.0, 111.0)
-    spans.record("crypto", "other", "a", "p0", 103.0, 111.0)  # not b's
+    # the chain: a computes before the last view (membership), a frame,
+    # a's exponentiations (a is not the last finisher), a frame, then b's
+    spans.record("crypto", "pre", "a", "p0", 100.5, 102.5, span_id=1)
+    spans.record("net", "a->b", "d0", "p0", 102.5, 104.0, span_id=2, parent_id=1)
+    spans.record("crypto", "a-exp", "a", "p0", 104.0, 108.0, span_id=3, parent_id=2)
+    spans.record("net", "a->b", "d0", "p0", 108.0, 109.0, span_id=4, parent_id=3)
+    spans.record("crypto", "b-exp", "b", "p1", 109.0, 111.0, span_id=5, parent_id=4)
+    spans.instant(
+        "epoch", "key-install", "b", "p1", 112.0,
+        span_id=6, parent_id=5, epoch=(1, 1),
+    )
+    # b's own crypto that nothing on the chain waited on
+    spans.record("crypto", "b-idle", "b", "p1", 104.0, 107.0, span_id=7)
     phases = epoch_breakdown(record, spans)
     assert phases.last_member == "b"
-    assert phases.computation_ms == pytest.approx(5.0)
+    assert phases.membership_ms == pytest.approx(3.0)
+    assert phases.computation_ms == pytest.approx(4.0 + 2.0)
     assert phases.communication_ms == pytest.approx(
-        record.key_agreement_elapsed() - 5.0
+        record.key_agreement_elapsed() - 6.0
     )
     assert phases.phase_sum() == pytest.approx(
         record.total_elapsed(), abs=1e-12

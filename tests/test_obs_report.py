@@ -1,7 +1,8 @@
-"""Acceptance tests: span-based per-epoch attribution reconciles exactly.
+"""Acceptance tests: the critical-path phase report reconciles exactly.
 
 The paper's §6 decomposes total rekey latency into membership,
-communication and computation.  These tests assert the span-based report
+communication and computation.  These tests assert the report's
+computation is the crypto on the epoch's causal critical path, that it
 reproduces ``RekeyTimeline`` totals to 1e-6 ms, and that observability is
 passive — the timing numbers with it enabled are bit-identical to the
 seed's (golden) values.
@@ -10,9 +11,16 @@ seed's (golden) values.
 import pytest
 
 from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
-from repro.obs import epoch_breakdown, render_report, timeline_breakdowns
+from repro.obs import (
+    critical_path,
+    epoch_breakdown,
+    render_report,
+    timeline_breakdowns,
+)
+from repro.protocols import available
 
 
 def _observed_join(protocol, testbed, size=6):
@@ -62,6 +70,45 @@ def test_bd_is_computation_heavy_on_lan():
     record = framework.timeline.latest_complete()
     phases = epoch_breakdown(record, framework.obs.spans)
     assert phases.computation_ms > phases.communication_ms
+
+
+def _driven_event(protocol, event, size=13):
+    """Grow ``size`` members on the LAN, then one observed event (what
+    ``bench report`` runs)."""
+    framework = SecureSpreadFramework(
+        lan_testbed(), default_protocol=protocol, observe=True,
+        engine="symbolic",
+    )
+    driver = GroupDriver(framework)
+    driver.run(driver.grow(size))
+    record = driver.run(driver.join() if event == "join" else driver.leave())
+    return framework, record
+
+
+def test_gdh_leave_on_lan_is_computation_bound():
+    """A GDH leave's serial exponentiations run at a member other than the
+    last to install the key; the report still counts them as computation
+    (paper §6.1: the LAN cost is computation)."""
+    framework, record = _driven_event("GDH", "leave")
+    phases = epoch_breakdown(record, framework.obs.spans)
+    assert phases.computation_ms >= 0.8 * phases.total_ms
+
+
+@pytest.mark.parametrize("event", ["join", "leave"])
+@pytest.mark.parametrize("protocol", available())
+def test_computation_is_chain_crypto_in_key_agreement_window(protocol, event):
+    framework, record = _driven_event(protocol, event)
+    phases = epoch_breakdown(record, framework.obs.spans)
+    window_start = max(record.view_delivered.values())
+    window_end = max(record.key_ready.values())
+    chain_crypto = sum(
+        max(0.0, min(s.end, window_end) - max(s.start, window_start))
+        for s in critical_path(record, framework.obs.spans).segments
+        if s.category == "crypto"
+    )
+    assert phases.computation_ms == pytest.approx(chain_crypto, abs=1e-9)
+    assert abs(phases.phase_sum() - record.total_elapsed()) <= 1e-6
+    assert phases.communication_ms >= 0
 
 
 def test_timeline_breakdowns_skips_unmarked_epochs():

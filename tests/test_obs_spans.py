@@ -1,8 +1,8 @@
-"""Tests for the span recorder and interval arithmetic."""
+"""Tests for the span recorder."""
 
 import pytest
 
-from repro.obs.spans import Span, SpanRecorder, busy_time
+from repro.obs.spans import SpanRecorder
 
 
 def test_record_and_filter():
@@ -48,23 +48,3 @@ def test_capacity_bound_counts_drops():
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         SpanRecorder(capacity=0)
-
-
-def _span(start, end):
-    return Span("crypto", "w", "m0", "p0", start, end)
-
-
-def test_busy_time_merges_overlaps_and_clips():
-    spans = [_span(0.0, 4.0), _span(2.0, 6.0), _span(10.0, 12.0)]
-    # window [1, 11]: union is [1,6] U [10,11] = 5 + 1
-    assert busy_time(spans, 1.0, 11.0) == pytest.approx(6.0)
-
-
-def test_busy_time_ignores_disjoint_spans():
-    spans = [_span(0.0, 1.0), _span(20.0, 30.0)]
-    assert busy_time(spans, 5.0, 10.0) == 0.0
-
-
-def test_busy_time_never_exceeds_window():
-    spans = [_span(0.0, 100.0), _span(0.0, 100.0)]
-    assert busy_time(spans, 10.0, 20.0) == pytest.approx(10.0)
