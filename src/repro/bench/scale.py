@@ -75,9 +75,9 @@ def run_scale_cell(
     the result cache.
 
     With ``spec["observe"]`` set the cell runs fully traced and folds the
-    framework's own metrics (notably the ``member.rekey_ms`` latency
-    histograms) into the caller's registry; observability is passive, so
-    the measured times are identical either way.
+    timeline's ``member.rekey_ms`` latency histograms into the caller's
+    registry; observability is passive, so the measured times are
+    identical either way.
     """
     size = int(spec["group_size"])
     observe = bool(spec.get("observe", False))
@@ -110,7 +110,10 @@ def run_scale_cell(
                 Sample(record.total_elapsed(), record.membership_elapsed())
             )
         if observe and metrics is not None:
-            metrics.merge_snapshot(framework.obs.metrics.snapshot())
+            for histogram in framework.timeline.rekey_latencies():
+                metrics.log_histogram(
+                    histogram.name, **dict(histogram.labels)
+                ).fold(histogram)
         return {
             event: averaged(
                 espec, framework, event, size, samples[event], _ops_dict(ops[event])

@@ -354,8 +354,7 @@ class SecureGroupMember:
         timeline.record_key(view.view_id, self.name, now)
         timeline.rekey_latency(self.group_name, self.protocol.name).observe(elapsed)
         if self.obs.enabled:
-            # The flight recorder's record of the same install; its
-            # ``member.rekey_ms`` instrument takes the same ``elapsed``.
+            # The flight recorder's record of the same install.
             self.obs.span(
                 "epoch", f"rekey {self.protocol.name}", self.name,
                 self.machine.name, seen, now,
@@ -369,14 +368,6 @@ class SecureGroupMember:
                 epoch=str(view.view_id), member=self.name,
                 protocol=self.protocol.name,
             )
-            self.obs.log_histogram(
-                "member.rekey_ms",
-                group=self.group_name, protocol=self.protocol.name,
-            ).observe(elapsed)
-            self.obs.series(
-                "member.rekey_ms",
-                group=self.group_name, protocol=self.protocol.name,
-            ).record(now, elapsed)
         while len(self._view_seen_at) > _CIPHER_HISTORY:
             del self._view_seen_at[min(self._view_seen_at)]
         self.installed_view = view

@@ -13,8 +13,9 @@ The timeline also holds the per-member rekey latency distribution —
 view first seen at a member → that member installs the key — as one
 exact :class:`~repro.obs.histo.LogHistogram` per (group, protocol),
 named ``member.rekey_ms``.  Like the epoch records it is a measurement,
-taken on every run; the opt-in flight recorder (:mod:`repro.obs`) adds
-spans, counters and the time series around it.
+taken on every run, and the package's only instrument of that value;
+the opt-in flight recorder (:mod:`repro.obs`) adds spans and counters
+around it.
 """
 
 from __future__ import annotations

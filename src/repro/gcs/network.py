@@ -313,7 +313,7 @@ class Network:
                 link = dict(src=f"d{src_id}", dst=f"d{dst_id}")
                 obs.counter("net.frames", **link).inc()
                 obs.counter("net.bytes", **link).inc(size_bytes)
-                obs.histogram("net.latency_ms", **link).observe(latency)
+                obs.log_histogram("net.latency_ms", **link).observe(latency)
                 cause = obs.caused_span(
                     "net", f"frame d{src_id}->d{dst_id}", f"d{src_id}",
                     src_machine.name, now, at, dst=dst_id, bytes=size_bytes,

@@ -33,11 +33,10 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.histo import LogHistogram, TimeSeries, render_percentiles
+from repro.obs.histo import LogHistogram, render_percentiles
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     record_op_counts,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "CriticalPath",
     "CriticalSegment",
     "Gauge",
-    "Histogram",
     "JSONL_SCHEMA_VERSION",
     "LogHistogram",
     "MetricsRegistry",
@@ -65,7 +63,6 @@ __all__ = [
     "PhaseBreakdown",
     "Span",
     "SpanRecorder",
-    "TimeSeries",
     "critical_path",
     "epoch_breakdown",
     "record_op_counts",
@@ -156,14 +153,8 @@ class Observability:
     def gauge(self, name: str, **labels: Any):
         return self.metrics.gauge(name, **labels)
 
-    def histogram(self, name: str, **labels: Any):
-        return self.metrics.histogram(name, **labels)
-
     def log_histogram(self, name: str, **labels: Any):
         return self.metrics.log_histogram(name, **labels)
-
-    def series(self, name: str, **labels: Any):
-        return self.metrics.series(name, **labels)
 
     # -- export -----------------------------------------------------------
 

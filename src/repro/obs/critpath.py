@@ -148,11 +148,18 @@ def _tile(
     (causally ordered spans can overlap when a child starts before its
     parent's recorded end, e.g. a frame send overlapping the signing
     span); every uncovered stretch becomes an explicit wait segment.
+    An instant inside the window (a ``gcs deliver``, a view change)
+    becomes a zero-duration segment of its own actor, so each wait it
+    ends is shown ending at something.
     """
     segments: List[CriticalSegment] = []
     cursor = window_start
     for span in chain:
-        if span.end <= cursor:
+        # Skip what the cursor has passed.  An instant at the cursor still
+        # gets its segment; the root instant at the event start does not.
+        if span.end <= window_start or span.end < cursor:
+            continue
+        if span.end == cursor and span.start < span.end:
             continue
         start = span.start if span.start > cursor else cursor
         if start >= window_end:
@@ -166,14 +173,13 @@ def _tile(
                     category="wait",
                 )
             )
-        if end > start:
-            segments.append(
-                CriticalSegment(
-                    member=span.actor, phase=_phase_of(span), name=span.name,
-                    start=start, end=end, duration=end - start,
-                    category=span.category, span_id=span.span_id,
-                )
+        segments.append(
+            CriticalSegment(
+                member=span.actor, phase=_phase_of(span), name=span.name,
+                start=start, end=end, duration=end - start,
+                category=span.category, span_id=span.span_id,
             )
+        )
         cursor = end
     if cursor < window_end:
         segments.append(

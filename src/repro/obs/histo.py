@@ -1,19 +1,19 @@
-"""HDR-style log-bucketed histograms and bounded time series.
+"""HDR-style log-bucketed histograms: the one distribution instrument.
 
-The percentile substrate for sustained-traffic benchmarks: a
-:class:`LogHistogram` answers p50/p95/p99 questions about rekey latency
-without storing every sample, and a :class:`TimeSeries` keeps a bounded
-ring of the most recent (virtual time, value) points per label set.
+The percentile substrate for every latency the package reports: a
+:class:`LogHistogram` answers p50/p95/p99 questions about rekey or link
+latency without storing every sample, and keeps the count, total, min
+and max beside its buckets.
 
 Buckets are geometric with growth factor ``2**(1/8)`` (≈ 9.05 % wide), so
 any reported quantile is within one bucket — under ±4.4 % relative error
 — of the exact sorted-sample quantile, which is the accuracy bound the
-tests assert.  Merging is *exact and order-independent*: bucket counts
-are integers (addition commutes) and float totals are folded with
-:func:`math.fsum` over the multiset of shard totals, which is correctly
-rounded and therefore independent of merge order — the property the
-parallel benchmark pool relies on when workers finish in arbitrary
-order.
+tests assert, and is clamped to the observed ``[min, max]``.  Merging
+is *exact and order-independent*: bucket counts are integers (addition
+commutes) and float totals are folded with :func:`math.fsum` over the
+multiset of shard totals, which is correctly rounded and therefore
+independent of merge order — the property the parallel benchmark pool
+relies on when workers finish in arbitrary order.
 
 Like every ``repro.obs`` module this is passive: observing a value never
 schedules a simulator event.
@@ -27,9 +27,6 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Bucket growth factor: 8 buckets per octave (2**(1/8)).
 GROWTH = 2.0 ** 0.125
 _LOG_GROWTH = math.log(GROWTH)
-
-#: Default ring capacity of a :class:`TimeSeries`.
-SERIES_CAPACITY = 1024
 
 
 def bucket_index(value: float) -> int:
@@ -109,22 +106,27 @@ class LogHistogram:
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile, reported as the bucket's representative.
 
-        Exact for the zero bucket and for ``min``/``max`` at the extremes;
-        otherwise within one geometric bucket of the true sample quantile.
+        The zero bucket reads 0.0 and any other bucket its geometric
+        midpoint, clamped to the observed ``[min, max]``: within one
+        bucket of the true sample quantile, and never outside the range
+        of what was observed (a midpoint can lie above the largest
+        sample of the top bucket).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
             return 0.0
         rank = max(1, math.ceil(q * self.count))
-        if rank <= self.zero_count:
-            return 0.0
-        seen = self.zero_count
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= rank:
-                return bucket_midpoint(index)
-        return self.max if self.max is not None else 0.0
+        value = 0.0
+        if rank > self.zero_count:
+            seen = self.zero_count
+            value = self.max
+            for index in sorted(self.buckets):
+                seen += self.buckets[index]
+                if seen >= rank:
+                    value = bucket_midpoint(index)
+                    break
+        return min(max(value, self.min), self.max)
 
     def percentiles(self) -> Dict[str, float]:
         """The standard reporting set: p50/p95/p99."""
@@ -160,62 +162,12 @@ class LogHistogram:
         if maximum is not None:
             self.max = maximum if self.max is None else max(self.max, maximum)
 
-
-class TimeSeries:
-    """A bounded ring of ``(virtual time, value)`` points.
-
-    Recording past capacity overwrites the oldest point;
-    :meth:`points` always returns the retained window in time order.
-    """
-
-    __slots__ = ("name", "labels", "capacity", "_ring", "_write", "recorded")
-
-    def __init__(
-        self, name: str = "", labels: Tuple = (), capacity: int = SERIES_CAPACITY
-    ):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.name = name
-        self.labels = labels
-        self.capacity = capacity
-        self._ring: List[Tuple[float, float]] = []
-        self._write = 0
-        self.recorded = 0
-
-    def record(self, time: float, value: float) -> None:
-        point = (time, value)
-        if len(self._ring) < self.capacity:
-            self._ring.append(point)
-        else:
-            self._ring[self._write] = point
-        self._write = (self._write + 1) % self.capacity
-        self.recorded += 1
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def points(self) -> List[Tuple[float, float]]:
-        """Retained points, oldest first."""
-        if len(self._ring) < self.capacity:
-            return list(self._ring)
-        return self._ring[self._write:] + self._ring[: self._write]
-
-    def merge(self, points: List, recorded: int) -> None:
-        """Fold another series' retained points in (worker-shard merge).
-
-        The union is re-sorted by ``(time, value)`` and re-bounded to
-        capacity (keeping the most recent points), so the result is
-        independent of merge order.
-        """
-        merged = sorted(
-            self.points() + [(float(t), float(v)) for t, v in points]
+    def fold(self, other: "LogHistogram") -> None:
+        """:meth:`merge` another in-process histogram in."""
+        self.merge(
+            other.buckets, other.zero_count, other.count,
+            other.total, other.min, other.max,
         )
-        kept = merged[-self.capacity:]
-        self._ring = kept
-        # A full ring with _write == 0 reads back in list order, which is
-        # the sorted order just built; a partial ring appends at the end.
-        self._write = len(kept) % self.capacity
-        self.recorded += recorded
 
 
 def render_percentiles(instruments: List[LogHistogram], title: str = "") -> str:

@@ -1,10 +1,13 @@
-"""Metrics registry: counters, gauges and virtual-time histograms.
+"""Metrics registry: counters, gauges and log-bucketed histograms.
 
 The paper's Table 1 reasons in *counts* — exponentiations, signatures,
 messages, rounds — and §6 in *per-link traffic*.  The registry collects
 exactly those: every instrument is identified by a name plus a frozen
 label set (``counter("net.frames", src="m0", dst="m4")``), mirroring the
 Prometheus data model so the JSONL export is mechanically convertible.
+Distributions (``net.latency_ms`` per link, say) are
+:class:`~repro.obs.histo.LogHistogram` instruments, the package's one
+distribution type.
 
 The :func:`record_op_counts` bridge turns an
 :class:`~repro.crypto.ledger.OpCounts` delta into labelled counters, which
@@ -18,9 +21,9 @@ simulator events, so metrics collection cannot change any measured time.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.obs.histo import SERIES_CAPACITY, LogHistogram, TimeSeries
+from repro.obs.histo import LogHistogram
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -85,56 +88,6 @@ class Gauge:
         self.value -= amount
 
 
-class Histogram:
-    """Summary statistics over observed virtual-time values.
-
-    Merged shard totals are fsum partials, like :class:`Counter`, so
-    :meth:`merge` commutes bit-exactly.
-    """
-
-    __slots__ = ("name", "labels", "count", "_total", "_merged", "min", "max")
-
-    def __init__(self, name: str, labels: LabelSet):
-        self.name = name
-        self.labels = labels
-        self.count = 0
-        self._total = 0.0
-        self._merged: List[float] = []
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self._total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    def merge(
-        self,
-        count: int,
-        total: float,
-        minimum: Optional[float],
-        maximum: Optional[float],
-    ) -> None:
-        """Fold another histogram's summary into this one (worker merge)."""
-        self.count += count
-        self._merged.append(total)
-        if minimum is not None:
-            self.min = minimum if self.min is None else min(self.min, minimum)
-        if maximum is not None:
-            self.max = maximum if self.max is None else max(self.max, maximum)
-
-    @property
-    def total(self) -> float:
-        if not self._merged:
-            return self._total
-        return math.fsum(self._merged) + self._total
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class _Noop:
     """Shared sink handed out when the registry is disabled."""
 
@@ -150,9 +103,6 @@ class _Noop:
     def observe(self, value: float) -> None:
         pass
 
-    def record(self, time: float, value: float) -> None:
-        pass
-
 
 _NOOP = _Noop()
 
@@ -164,9 +114,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
         self._log_histograms: Dict[Tuple[str, LabelSet], LogHistogram] = {}
-        self._series: Dict[Tuple[str, LabelSet], TimeSeries] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
         if not self.enabled:
@@ -186,15 +134,6 @@ class MetricsRegistry:
             instrument = self._gauges[key] = Gauge(name, key[1])
         return instrument
 
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
-        key = (name, _labelset(labels))
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            instrument = self._histograms[key] = Histogram(name, key[1])
-        return instrument
-
     def log_histogram(self, name: str, **labels: Any) -> LogHistogram:
         """Get-or-create a :class:`~repro.obs.histo.LogHistogram`."""
         if not self.enabled:
@@ -203,20 +142,6 @@ class MetricsRegistry:
         instrument = self._log_histograms.get(key)
         if instrument is None:
             instrument = self._log_histograms[key] = LogHistogram(name, key[1])
-        return instrument
-
-    def series(
-        self, name: str, *, capacity: int = SERIES_CAPACITY, **labels: Any
-    ) -> TimeSeries:
-        """Get-or-create a bounded :class:`~repro.obs.histo.TimeSeries`."""
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
-        key = (name, _labelset(labels))
-        instrument = self._series.get(key)
-        if instrument is None:
-            instrument = self._series[key] = TimeSeries(
-                name, key[1], capacity=capacity
-            )
         return instrument
 
     def log_histograms(self) -> List[LogHistogram]:
@@ -240,12 +165,8 @@ class MetricsRegistry:
             yield "counter", name, labels, c
         for (name, labels), g in sorted(self._gauges.items()):
             yield "gauge", name, labels, g
-        for (name, labels), h in sorted(self._histograms.items()):
-            yield "histogram", name, labels, h
         for (name, labels), lh in sorted(self._log_histograms.items()):
             yield "log_histogram", name, labels, lh
-        for (name, labels), s in sorted(self._series.items()):
-            yield "series", name, labels, s
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """JSON-ready dump of every instrument."""
@@ -254,15 +175,7 @@ class MetricsRegistry:
             row: Dict[str, Any] = {
                 "kind": kind, "name": name, "labels": dict(labels),
             }
-            if kind == "histogram":
-                row.update(
-                    count=instrument.count,
-                    total=instrument.total,
-                    min=instrument.min,
-                    max=instrument.max,
-                    mean=instrument.mean,
-                )
-            elif kind == "log_histogram":
+            if kind == "log_histogram":
                 row.update(
                     buckets=dict(instrument.buckets),
                     zero_count=instrument.zero_count,
@@ -270,12 +183,6 @@ class MetricsRegistry:
                     total=instrument.total,
                     min=instrument.min,
                     max=instrument.max,
-                )
-            elif kind == "series":
-                row.update(
-                    capacity=instrument.capacity,
-                    points=[list(p) for p in instrument.points()],
-                    recorded=instrument.recorded,
                 )
             else:
                 row["value"] = instrument.value
@@ -288,13 +195,13 @@ class MetricsRegistry:
         This is how benchmark worker processes report back: each worker
         runs its cell against a fresh registry, ships
         ``registry.snapshot()`` across the process boundary, and the
-        pool merges the rows here.  Counters and histograms (plain and
-        log-bucketed) accumulate *order-independently* — float totals
-        are folded as fsum partials, so shards merged in any completion
-        order produce bit-identical snapshots.  Gauges take the incoming
-        value (last merge wins, matching their point-in-time semantics —
-        the one deliberately order-sensitive kind).  A disabled registry
-        ignores merges, like every other recording path.
+        pool merges the rows here.  Counters and log histograms accumulate
+        *order-independently* — float totals are folded as fsum partials,
+        so shards merged in any completion order produce bit-identical
+        snapshots.  Gauges take the incoming value (last merge wins,
+        matching their point-in-time semantics — the one deliberately
+        order-sensitive kind).  A disabled registry ignores merges, like
+        every other recording path.
         """
         if not self.enabled:
             return
@@ -305,28 +212,16 @@ class MetricsRegistry:
                 self.counter(row["name"], **labels).merge(row["value"])
             elif kind == "gauge":
                 self.gauge(row["name"], **labels).set(row["value"])
-            elif kind == "histogram":
-                self.histogram(row["name"], **labels).merge(
-                    row["count"], row["total"], row["min"], row["max"]
-                )
             elif kind == "log_histogram":
                 self.log_histogram(row["name"], **labels).merge(
                     row["buckets"], row["zero_count"], row["count"],
                     row["total"], row["min"], row["max"],
                 )
-            elif kind == "series":
-                self.series(
-                    row["name"],
-                    capacity=int(row.get("capacity", SERIES_CAPACITY)),
-                    **labels,
-                ).merge(row["points"], row["recorded"])
 
     def clear(self) -> None:
         self._counters.clear()
         self._gauges.clear()
-        self._histograms.clear()
         self._log_histograms.clear()
-        self._series.clear()
 
 
 def record_op_counts(

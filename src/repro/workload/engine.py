@@ -225,10 +225,7 @@ class WorkloadEngine:
             (("arrival", self.spec.arrival), ("protocol", self.spec.protocol)),
         )
         for histogram in self.framework.timeline.rekey_latencies():
-            merged.merge(
-                histogram.buckets, histogram.zero_count, histogram.count,
-                histogram.total, histogram.min, histogram.max,
-            )
+            merged.fold(histogram)
         return merged
 
     def run(self) -> WorkloadResult:

@@ -5,7 +5,13 @@ import os
 
 import pytest
 
-from repro.bench.cli import COMMANDS, FIGURES, build_subcommand_parser, main
+from repro.bench.cli import (
+    COMMANDS,
+    FIGURES,
+    _run_observed_event,
+    build_subcommand_parser,
+    main,
+)
 from repro.gcs.topology import TESTBEDS
 from repro.obs import JSONL_SCHEMA_VERSION, validate_chrome_trace
 
@@ -68,6 +74,37 @@ def test_trace_subcommand_emits_valid_chrome_trace(capsys, tmp_path):
         second = json.loads(handle.readline())
     assert header["schema"]["version"] == JSONL_SCHEMA_VERSION
     assert "category" in second and "span_id" in second
+
+
+def test_trace_jsonl_holds_the_timelines_rekey_latency_once(tmp_path):
+    argv = ["trace", "--protocol", "BD", "--size", "5", "--event", "leave"]
+    jsonl_path = str(tmp_path / "events.jsonl")
+    assert main(
+        argv + ["-o", str(tmp_path / "t.json"), "--jsonl", jsonl_path]
+    ) == 0
+    with open(jsonl_path) as handle:
+        rows = [json.loads(line) for line in handle]
+    metrics = [row["metric"] for row in rows if "metric" in row]
+    assert {row["kind"] for row in metrics} == {
+        "counter", "gauge", "log_histogram",
+    }
+    rekey = [row for row in metrics if row["name"] == "member.rekey_ms"]
+    framework, _ = _run_observed_event(
+        build_subcommand_parser().parse_args(argv)
+    )
+    expected = framework.timeline.rekey_latencies()
+    assert [
+        (row["labels"]["group"], row["labels"]["protocol"]) for row in rekey
+    ] == [(dict(h.labels)["group"], dict(h.labels)["protocol"]) for h in expected]
+    for row, histogram in zip(rekey, expected):
+        assert row["kind"] == "log_histogram"
+        assert {int(k): v for k, v in row["buckets"].items()} == histogram.buckets
+        for field in ("zero_count", "count", "total", "min", "max"):
+            assert row[field] == getattr(histogram, field), field
+    installs = [
+        row for row in rows if row.get("name") == "key-install"
+    ]
+    assert sum(row["count"] for row in rekey) == len(installs)
 
 
 def test_report_subcommand_prints_reconciled_phases(capsys):

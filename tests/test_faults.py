@@ -7,6 +7,8 @@ bars: deterministic replay of a fixed-seed schedule, and a confirmed
 shared key for every protocol under nonzero drop rates.
 """
 
+import collections
+
 import pytest
 
 from repro.bench.chaos import run_chaos
@@ -246,17 +248,20 @@ class TestStallRecovery:
         _one_shared_key(members + [joiner])
 
     def test_timeline_latency_equals_the_recorders_instrument(self):
-        # The timeline's always-on ``member.rekey_ms`` and the flight
-        # recorder's instrument of the same name are fed from one local
-        # and must never diverge — including for an epoch a restart makes
-        # a member install twice (``record_key`` keeps only the first).
+        # The timeline's always-on ``member.rekey_ms`` is the one latency
+        # instrument, traced or not: one sample per key install, an epoch
+        # a restart makes a member install twice included (``record_key``
+        # keeps only the first), and no second instrument of the same
+        # name in the flight recorder's registry.
         fw = _framework("TGDH", stall_timeout_ms=STALL_MS, observe=True)
-        installs = []
+        installs = collections.Counter()
         make = fw.member
 
         def listened(*args):
             created = make(*args)
-            created.on_secure_view = lambda m, view, key: installs.append(view)
+            created.on_secure_view = (
+                lambda m, view, key: installs.update([m.group_name])
+            )
             return created
 
         fw.member = listened  # the churn's joiners are heard from too
@@ -274,20 +279,20 @@ class TestStallRecovery:
         first_installs = sum(
             len(record.key_ready) for record in fw.timeline.epochs.values()
         )
-        assert len(installs) > first_installs  # a re-installed epoch is sampled
+        # a re-installed epoch is sampled
+        assert sum(installs.values()) > first_installs
         measured = fw.timeline.rekey_latencies()
-        recorded = [
-            h for h in fw.obs.metrics.log_histograms()
-            if h.name == "member.rekey_ms"
-        ]
-        assert [h.labels for h in measured] == [h.labels for h in recorded] == [
+        assert [h.labels for h in measured] == [
             (("group", "secure-group"), ("protocol", "TGDH")),
             (("group", "side"), ("protocol", "BD")),
         ]
-        for ours, theirs in zip(measured, recorded):
-            for field in ("buckets", "zero_count", "count", "total", "min", "max"):
-                assert getattr(ours, field) == getattr(theirs, field), field
-        assert sum(h.count for h in measured) == len(installs)
+        assert {
+            dict(h.labels)["group"]: h.count for h in measured
+        } == dict(installs)
+        assert not [
+            h for h in fw.obs.metrics.log_histograms()
+            if h.name == "member.rekey_ms"
+        ]
 
     def test_clean_run_never_stalls(self):
         fw = _framework("GDH", stall_timeout_ms=STALL_MS)

@@ -10,6 +10,7 @@ and the path survives fault injection.
 import pytest
 
 from repro.core import SecureSpreadFramework
+from repro.core.driver import GroupDriver
 from repro.faults import LinkFaults
 from repro.gcs.topology import lan_testbed
 from repro.obs import (
@@ -83,6 +84,29 @@ def test_chain_is_recorded_not_inferred(protocol, event):
         assert traced, "chain must contain at least one traced span"
         assert all(s.span_id is not None for s in traced)
         assert {"untraced"} != {s.name for s in path.segments}
+
+
+@pytest.mark.parametrize("event", EVENTS)
+@pytest.mark.parametrize("protocol", available())
+def test_chain_instants_separate_every_wait(protocol, event):
+    """Each instant on the chain (a delivery, a view change) is a
+    zero-duration segment of its own actor, so no wait segment directly
+    follows another: a wait always ends at something shown."""
+    framework = SecureSpreadFramework(
+        lan_testbed(), default_protocol=protocol, engine="symbolic",
+        observe=True,
+    )
+    driver = GroupDriver(framework)
+    driver.run(driver.grow(8))
+    driver.run(driver.join() if event == "join" else driver.leave())
+    paths = timeline_critical_paths(framework.timeline, framework.obs.spans)
+    assert paths
+    for path in paths:
+        assert path.exact
+        waits = [s.is_wait for s in path.segments]
+        assert not any(a and b for a, b in zip(waits, waits[1:])), [
+            (s.member, s.name, s.start) for s in path.segments
+        ]
 
 
 @pytest.mark.parametrize("protocol", ("BD", "TGDH"))

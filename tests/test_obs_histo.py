@@ -1,8 +1,9 @@
-"""Log-bucketed histograms and bounded time series.
+"""Log-bucketed histograms.
 
-Accuracy bar from the issue: any reported p50/p95/p99 is within one
-geometric bucket of the exact sorted-sample percentile.  Merge bar:
-folding shard snapshots is exact and order-independent.
+Accuracy bar: any reported p50/p95/p99 is within one geometric bucket
+of the exact sorted-sample percentile, and never outside the observed
+``[min, max]``.  Merge bar: folding shard snapshots is exact and
+order-independent.
 """
 
 import math
@@ -13,7 +14,6 @@ import pytest
 from repro.obs.histo import (
     GROWTH,
     LogHistogram,
-    TimeSeries,
     bucket_bounds,
     bucket_index,
     bucket_midpoint,
@@ -68,6 +68,23 @@ def test_percentiles_within_one_bucket_of_sorted_samples(seed):
         assert _within_one_bucket(hist.quantile(q), _exact_quantile(samples, q))
 
 
+def test_a_single_observation_is_every_quantile():
+    hist = LogHistogram("lat")
+    hist.observe(1.0)  # its bucket's midpoint is 1.044
+    assert hist.quantile(0.99) == 1.0
+    assert hist.percentiles() == {"p50": 1.0, "p95": 1.0, "p99": 1.0}
+
+
+def test_quantiles_stay_inside_the_observed_range():
+    for seed in range(20):
+        rng = random.Random(200 + seed)
+        hist = LogHistogram("lat")
+        for _ in range(rng.randrange(1, 60)):
+            hist.observe(rng.lognormvariate(3.0, 0.4))
+        for q in [i / 100 for i in range(101)]:
+            assert hist.min <= hist.quantile(q) <= hist.max, (seed, q)
+
+
 def test_zero_values_counted_not_discarded():
     hist = LogHistogram("lat")
     for value in (0.0, 0.0, 0.0, 5.0):
@@ -89,6 +106,7 @@ def test_percentiles_reporting_set():
     hist = LogHistogram()
     for v in range(1, 101):
         hist.observe(float(v))
+    assert (hist.count, hist.min, hist.max, hist.mean) == (100, 1.0, 100.0, 50.5)
     p = hist.percentiles()
     assert set(p) == {"p50", "p95", "p99"}
     assert p["p50"] <= p["p95"] <= p["p99"]
@@ -144,44 +162,13 @@ def test_merge_coerces_json_string_bucket_keys():
     assert merged.quantile(0.5) == source.quantile(0.5)
 
 
-# ---------------------------------------------------------------------------
-# time series
-
-
-def test_ring_is_bounded_and_keeps_most_recent():
-    series = TimeSeries("s", capacity=4)
-    for t in range(10):
-        series.record(float(t), float(t * 10))
-    assert len(series) == 4
-    assert series.recorded == 10
-    assert series.points() == [(6.0, 60.0), (7.0, 70.0), (8.0, 80.0), (9.0, 90.0)]
-
-
-def test_ring_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        TimeSeries(capacity=0)
-
-
-def test_series_merge_order_independent_and_rebounded():
-    def build(points, capacity=5):
-        series = TimeSeries("s", capacity=capacity)
-        for t, v in points:
-            series.record(t, v)
-        return series
-
-    a = [(float(t), 1.0) for t in range(4)]
-    b = [(float(t), 2.0) for t in (2.5, 6, 7, 8)]
-    ab = build(a)
-    ab.merge(b, len(b))
-    ba = build(b)
-    ba.merge(a, len(a))
-    assert ab.points() == ba.points()
-    assert ab.recorded == ba.recorded == 8
-    assert len(ab) == 5  # re-bounded to capacity, most recent kept
-    assert ab.points()[-1] == (8.0, 2.0)
-    # Recording after a merge keeps overwriting oldest-first.
-    ab.record(9.0, 3.0)
-    assert ab.points()[-1] == (9.0, 3.0) and len(ab) == 5
+def test_fold_merges_an_in_process_histogram():
+    source = LogHistogram("member.rekey_ms")
+    for value in (0.0, 3.0, 40.0):
+        source.observe(value)
+    folded = LogHistogram("member.rekey_ms")
+    folded.fold(source)
+    assert _snapshot(folded) == _snapshot(source)
 
 
 # ---------------------------------------------------------------------------

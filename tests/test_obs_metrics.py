@@ -31,21 +31,11 @@ def test_gauge_moves_both_ways():
     assert g.value == 3
 
 
-def test_histogram_summary_stats():
-    reg = MetricsRegistry()
-    h = reg.histogram("latency")
-    for v in (1.0, 3.0, 2.0):
-        h.observe(v)
-    assert h.count == 3
-    assert h.min == 1.0 and h.max == 3.0
-    assert h.mean == pytest.approx(2.0)
-
-
 def test_disabled_registry_hands_out_noops():
     reg = MetricsRegistry(enabled=False)
     reg.counter("x").inc()
     reg.gauge("y").set(9)
-    reg.histogram("z").observe(1.0)
+    reg.log_histogram("z").observe(1.0)
     assert reg.snapshot() == []
 
 
@@ -62,12 +52,12 @@ def test_snapshot_is_json_ready():
     reg = MetricsRegistry()
     reg.counter("a", k="v").inc()
     reg.gauge("b").set(2)
-    reg.histogram("c").observe(1.5)
+    reg.log_histogram("c").observe(1.5)
     rows = reg.snapshot()
     kinds = [row["kind"] for row in rows]
-    assert kinds == ["counter", "gauge", "histogram"]
+    assert kinds == ["counter", "gauge", "log_histogram"]
     assert rows[0]["labels"] == {"k": "v"}
-    assert rows[2]["mean"] == 1.5
+    assert rows[2]["total"] / rows[2]["count"] == 1.5
 
 
 def _worker_shard(seed):
@@ -76,13 +66,12 @@ def _worker_shard(seed):
     reg = MetricsRegistry()
     for _ in range(rng.randrange(5, 40)):
         reg.counter("net.frames", src="d0").inc(rng.randrange(1, 9))
-        reg.histogram("cell.ms", kind="scale").observe(rng.uniform(0.1, 50))
+        reg.log_histogram(
+            "net.latency_ms", src="d0"
+        ).observe(rng.uniform(0.1, 50))
         reg.log_histogram(
             "member.rekey_ms", protocol="BD"
         ).observe(rng.expovariate(0.05))
-        reg.series("rekey.latency", group="g").record(
-            rng.uniform(0, 1000), rng.uniform(1, 60)
-        )
     return reg.snapshot()
 
 
@@ -90,10 +79,10 @@ def _worker_shard(seed):
 def test_merge_snapshot_is_order_independent(seed):
     """Shards folded in any completion order yield bit-identical state.
 
-    This is the property the parallel benchmark pool leans on: counters
-    and histogram totals are fsum partials, log-histogram buckets are
-    integers, series unions re-sort — so only gauges (deliberately
-    last-wins) are excluded here.
+    This is the property the parallel benchmark pool leans on: counter
+    and log-histogram totals are fsum partials and log-histogram buckets
+    are integers — so only gauges (deliberately last-wins) are excluded
+    here.
     """
     rng = random.Random(1000 + seed)
     shards = [_worker_shard(s) for s in range(6)]
@@ -113,11 +102,11 @@ def test_merge_snapshot_is_order_independent(seed):
 
 
 def test_merge_snapshot_round_trips_through_json():
-    """A snapshot that crossed a process pipe (string bucket keys, lists
-    for points) merges identically to the in-process original."""
+    """A snapshot that crossed a process pipe (string bucket keys) merges
+    identically to the in-process original."""
     reg = MetricsRegistry()
     reg.log_histogram("h").observe(3.0)
-    reg.series("s").record(1.0, 2.0)
+    reg.gauge("g").set(2.0)
     reg.counter("c").inc(4)
     rows = json.loads(json.dumps(reg.snapshot()))
     direct = MetricsRegistry()

@@ -37,7 +37,8 @@ def test_chaos_cell_is_identical_with_the_recorder_on(protocol, drop_rate):
 
 # One traced TGDH join of the 9th member under 15 % uniform drops: spans
 # per category, counter totals, and the blocking chain of the last key
-# install as (member, phase, name, duration).  Any change to where the
+# install as (member, phase, name, duration), the chain's instants as
+# zero-duration rows.  Any change to where the
 # recorder attaches must leave every one of these as it is.
 _SPANS_BY_CATEGORY = {
     "crypto": 158, "epoch": 90, "gcs": 494, "membership": 1, "net": 383,
@@ -56,12 +57,16 @@ _CHAIN = [
     ("m6", "wait", "wait", 0.5700000000142609),
     ("d8", "communication", "frame d8->d7", 0.1876800000000003),
     ("m6", "wait", "wait", 1.1823200000003453),
+    ("d7", "membership", "deliver", 0.0),
+    ("d7", "membership", "view join", 0.0),
     ("m6", "wait", "wait", 0.1999999999998181),
     ("m7", "computation", "TGDH.start", 14.0),
     ("m7", "sign", "sign TGDH.tgdh-tree", 9.300000000000182),
     ("m6", "wait", "wait", 0.8600000000069485),
+    ("d7", "communication", "fault-drop d7->d6", 0.0),
     ("m6", "wait", "wait", 4.0),
     ("d7", "communication", "frame d7->d6", 0.2221599999998034),
+    ("d6", "membership", "deliver", 0.0),
     ("m6", "wait", "wait", 0.1999999999998181),
     ("m6", "tree-sync", "TGDH.tgdh-tree", 9.199999999999818),
 ]
