@@ -27,9 +27,9 @@ restarts, baseline time-to-key).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.bench.pool import Cell, register_runner, run_cells
+from repro.bench.pool import SWEEPS, Cell, Sweep
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.faults import LinkFaults
@@ -84,25 +84,25 @@ class ChaosCell:
         return cls(**{key: value for key, value in data.items() if key in known})
 
 
-@register_runner("chaos")
-def run_chaos_cell(
-    spec: dict, metrics: Optional[MetricsRegistry] = None
-) -> dict:
+def run_chaos_cell(spec: dict) -> dict:
     """One (protocol, drop-rate) cell: ``repeats`` independent samples.
 
     Every sample runs on a fresh framework seeded ``seed + sample_index``
     so the cell is deterministic in isolation (same protocol, rate, and
-    sample seed ⇒ identical run).  Returns
-    ``{"cell": ChaosCell dict, "trace_events": [...] | None}`` — JSON-
-    ready, so the cell can cross process boundaries and live in the
-    result cache.
+    sample seed ⇒ identical run).  Returns ``{"cell": ChaosCell dict,
+    "trace_events": [...] | None, "livelocks": int}`` — JSON-ready, so
+    the cell can cross process boundaries and live in the result cache;
+    ``livelocks`` counts the settles that tripped the event budget.
     """
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     protocol = spec["protocol"]
     rate = float(spec["drop_rate"])
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"drop must be a probability, got {rate}")
+    repeats = int(spec.get("repeats", 2))
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     group_size = int(spec.get("group_size", 6))
     topology = spec.get("topology", "lan")
-    repeats = int(spec.get("repeats", 2))
     seed = int(spec.get("seed", 0))
     engine = spec.get("engine", "symbolic")
     stall_timeout_ms = float(
@@ -114,6 +114,7 @@ def run_chaos_cell(
     converged = 0
     stalls = restarts = fault_drops = fault_retries = 0
     times: List[float] = []
+    registry = MetricsRegistry()  # where tripped settles are counted
     engine_name = str(engine)
     for sample in range(repeats):
         sample_seed = seed + sample
@@ -171,7 +172,11 @@ def run_chaos_cell(
         time_to_key_ms=sum(times) / len(times) if times else None,
         engine=engine_name,
     )
-    return {"cell": cell.to_dict(), "trace_events": trace_events}
+    return {
+        "cell": cell.to_dict(),
+        "trace_events": trace_events,
+        "livelocks": int(registry.counter_total("bench.cell.livelock")),
+    }
 
 
 def _chaos_summary(result: dict) -> str:
@@ -186,7 +191,7 @@ def _chaos_summary(result: dict) -> str:
     return line
 
 
-def run_chaos(
+def chaos_cells(
     protocols: Sequence[str] = CHAOS_PROTOCOLS,
     drop_rates: Sequence[float] = CHAOS_DROP_RATES,
     group_size: int = 6,
@@ -197,61 +202,35 @@ def run_chaos(
     seed: int = 0,
     stall_timeout_ms: float = DEFAULT_STALL_TIMEOUT_MS,
     max_events: int = CHAOS_MAX_EVENTS,
-    progress: Optional[Callable[[str], None]] = None,
-    trace_events: Optional[List[dict]] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
-) -> List[ChaosCell]:
-    """Sweep drop rates × protocols; one :class:`ChaosCell` per pair.
+    trace: bool = False,
+) -> List[Cell]:
+    """The sweep's cell grid, protocol-major with rates in given order.
 
-    Cells shard over ``jobs`` worker processes and merge in grid order
-    (protocol-major, rates in given order) regardless of completion
-    order; with ``cache_dir`` set, unchanged cells are served from the
-    content-addressed cache.  An engine *instance* (rather than a name)
-    forces the inline uncached path.  Trace events are collected inside
-    each cell and appended in grid order, so tracing parallelizes too.
-
-    Pass a list as ``trace_events`` to run with observability on; every
-    sample's span records are appended to it as dicts labeled with the
+    With ``trace`` set every sample runs with observability on, and each
+    result carries the sample's span records labelled with the
     (protocol, drop rate, sample) cell coordinates.
     """
-    cells = [
-        Cell(
-            "chaos",
-            {
-                "protocol": protocol,
-                "drop_rate": rate,
-                "group_size": group_size,
-                "topology": topology,
-                "dh_group": dh_group,
-                "engine": engine,
-                "repeats": repeats,
-                "seed": seed,
-                "stall_timeout_ms": stall_timeout_ms,
-                "max_events": max_events,
-                "trace": trace_events is not None,
-            },
-            summarize=_chaos_summary,
-        )
+    return [
+        Cell("chaos", {
+            "protocol": protocol,
+            "drop_rate": rate,
+            "group_size": group_size,
+            "topology": topology,
+            "dh_group": dh_group,
+            "engine": engine,
+            "repeats": repeats,
+            "seed": seed,
+            "stall_timeout_ms": stall_timeout_ms,
+            "max_events": max_events,
+            "trace": trace,
+        })
         for protocol in protocols
         for rate in drop_rates
     ]
-    results = run_cells(
-        cells,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        metrics=metrics,
-        progress=progress,
-    )
-    out: List[ChaosCell] = []
-    for result in results:
-        out.append(ChaosCell.from_dict(result["cell"]))
-        if trace_events is not None and result.get("trace_events"):
-            trace_events.extend(result["trace_events"])
-    return out
+
+
+def _chaos_rows(results: List[dict]) -> List[ChaosCell]:
+    return [ChaosCell.from_dict(result["cell"]) for result in results]
 
 
 def render_chaos_table(cells: Sequence[ChaosCell]) -> str:
@@ -276,3 +255,6 @@ def render_chaos_table(cells: Sequence[ChaosCell]) -> str:
             f"{cell.fault_retries:8d} {to_key}"
         )
     return "\n".join(lines)
+
+
+SWEEPS["chaos"] = Sweep(run_chaos_cell, chaos_cells, _chaos_rows, _chaos_summary)

@@ -49,7 +49,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.table1 import render_table1
-from repro.bench.chaos import CHAOS_DROP_RATES, render_chaos_table, run_chaos
+from repro.bench.chaos import CHAOS_DROP_RATES, render_chaos_table
 from repro.bench.compare import compare_files
 from repro.bench.load import (
     LOAD_ARRIVALS,
@@ -58,19 +58,18 @@ from repro.bench.load import (
     LOAD_GROUPS,
     LOAD_RATE_HZ,
     describe_unkeyed,
-    load_cells_grid,
     render_load_table,
 )
 from repro.bench.plot import render_plot
-from repro.bench.pool import DEFAULT_CACHE_DIR, pool_stats, run_cells
+from repro.bench.pool import DEFAULT_CACHE_DIR, SWEEPS, pool_stats, run_cells
 from repro.bench.report import artifact, render_series, series_to_csv, write_json
-from repro.bench.scale import SCALE_SIZES, render_scale_table, run_scale
-from repro.bench.series import DEFAULT_SIZES, sweep_group_sizes
+from repro.bench.scale import SCALE_SIZES, render_scale_table
+from repro.bench.series import DEFAULT_SIZES, FigureSeries
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import TESTBEDS, resolve_testbed
 from repro.protocols import available
-from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS, WorkloadResult
+from repro.workload.engine import DEFAULT_STALL_TIMEOUT_MS
 from repro.obs import (
     MetricsRegistry,
     render_percentiles,
@@ -444,44 +443,46 @@ def _progress(line: str) -> None:
     print(f"  {line}", flush=True)
 
 
-def _pool_kwargs(args, metrics: MetricsRegistry) -> dict:
-    """The pool arguments of a parsed command line."""
-    return {
-        "jobs": args.jobs,
-        "cache_dir": args.cache_dir,
-        "use_cache": args.use_cache,
-        "metrics": metrics,
-        "progress": _progress,
-    }
+def _sweep(
+    args, kind: str, metrics: Optional[MetricsRegistry] = None, **options
+):
+    """Build ``kind``'s grid from ``options`` and run it through the pool
+    with the command line's pool arguments.
 
-
-def _print_pool_stats(metrics: MetricsRegistry) -> None:
+    Returns the rows the artifact holds, the raw cell results — all a
+    cell hands back, so a cached cell reports what a fresh one does —
+    and the ``cells:`` line.  A command that runs several grids passes
+    one ``metrics`` registry to every call, and the last line counts
+    them all.
+    """
+    sweep = SWEEPS[kind]
+    if metrics is None:
+        metrics = MetricsRegistry()
+    results = run_cells(
+        sweep.cells(**options), jobs=args.jobs, cache_dir=args.cache_dir,
+        use_cache=args.use_cache, metrics=metrics, progress=_progress,
+    )
     stats = pool_stats(metrics)
-    livelocks = int(metrics.counter_total("bench.cell.livelock"))
-    if stats["cells"]:
-        print(
-            f"cells: {stats['cells']} "
-            f"({stats['cache_hits']} cache hits, "
-            f"{stats['executed']} executed)"
-            + (f", {livelocks} livelocked settles" if livelocks else "")
-        )
+    livelocks = sum(result.get("livelocks", 0) for result in results)
+    line = (
+        f"cells: {stats['cells']} ({stats['cache_hits']} cache hits, "
+        f"{stats['executed']} executed)"
+        + (f", {livelocks} livelocked settles" if livelocks else "")
+    )
+    return sweep.rows(results), results, line
 
 
 def run_figures(args) -> int:
     lines: List[str] = []
-    metrics = MetricsRegistry(enabled=True)
+    metrics = MetricsRegistry()
     for title, topology, event, dh_group in FIGURES[args.number]:
-        series = sweep_group_sizes(
-            topology,
-            args.protocols,
-            event,
-            dh_group=dh_group,
-            sizes=args.sizes,
-            repeats=args.repeats,
-            seed=args.seed,
-            name=title,
-            engine=args.engine,
-            **_pool_kwargs(args, metrics),
+        measurements, _results, cells_line = _sweep(
+            args, "figure", metrics, topology=topology, event=event,
+            dh_group=dh_group, engine=args.engine,
+            **_options(args, "protocols", "sizes", "repeats", "seed"),
+        )
+        series = FigureSeries.from_measurements(
+            title, measurements, sorted(set(args.sizes))
         )
         lines.append(render_series(series, title))
         lines.append("")
@@ -494,7 +495,7 @@ def run_figures(args) -> int:
             series_to_csv(series, path)
             lines.append(f"  wrote {path}\n")
     _emit(args, lines)
-    _print_pool_stats(metrics)
+    print(cells_line)
     return 0
 
 
@@ -508,25 +509,20 @@ def _options(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _sweep(args, benchmark: str, meta: dict, key: str, run):
-    """Run one pooled sweep — ``run(**pool)`` with the command line's pool
-    arguments — and write its rows to ``--out`` as the ``benchmark``
-    artifact; returns the rows and the pool's registry."""
-    metrics = MetricsRegistry(enabled=True)
-    rows = run(**_pool_kwargs(args, metrics))
-    write_json(args.out, artifact(benchmark, meta, key, rows))
-    return rows, metrics
-
-
-def _report(args, metrics, table: str, summary: str, shortfall=None) -> int:
-    """Print a pooled sweep's table, "wrote" line and pool stats; exit 1
-    with ``shortfall`` as the error when the sweep fell short of full
-    convergence — the watchdog is supposed to recover every rekey, so
-    that is a failure, not a statistic to print and forget."""
+def _report(
+    args, document: dict, table: str, summary: str, cells_line: str,
+    shortfall: Optional[str] = None,
+) -> int:
+    """Write a pooled sweep's artifact to ``--out``, then print its table,
+    "wrote" line and ``cells:`` line; exit 1 with ``shortfall`` as the
+    error when the sweep fell short of full convergence — the watchdog
+    is supposed to recover every rekey, so that is a failure, not a
+    statistic to print and forget."""
+    write_json(args.out, document)
     print()
     print(table)
     print(f"\nwrote {args.out}: {summary}")
-    _print_pool_stats(metrics)
+    print(cells_line)
     if shortfall:
         print(f"error: {shortfall}", file=sys.stderr)
         return 1
@@ -540,45 +536,50 @@ def run_scale_command(args) -> int:
             args, "protocols", "engine", "topology", "dh_group", "repeats", "seed"
         ),
     )
-    rows, metrics = _sweep(
-        args, "scale", meta, "measurements",
-        lambda **pool: run_scale(observe=args.observe, **meta, **pool),
+    rows, results, cells_line = _sweep(
+        args, "scale", observe=args.observe, **meta
     )
     table = render_scale_table(rows)
     if args.observe:
+        rekey_ms = MetricsRegistry()
+        for result in results:
+            rekey_ms.merge_snapshot(result["rekey_ms"])
         table += "\n\n" + render_percentiles(
-            metrics.log_histograms(), "Rekey latency percentiles (ms)"
+            rekey_ms.log_histograms(), "Rekey latency percentiles (ms)"
         )
-    return _report(args, metrics, table, f"{len(rows)} measurements")
+    return _report(
+        args, artifact("scale", meta, "measurements", rows), table,
+        f"{len(rows)} measurements", cells_line,
+    )
 
 
 def run_chaos_command(args) -> int:
-    trace_events: Optional[List[dict]] = [] if args.trace_log else None
     meta = _options(
         args, "protocols", "group_size", "engine", "topology", "dh_group",
         "repeats", "seed", "stall_timeout_ms",
     )
-    cells, metrics = _sweep(
-        args, "chaos", {"drops": args.drops, **meta}, "cells",
-        lambda **pool: run_chaos(
-            drop_rates=args.drops, trace_events=trace_events, **meta, **pool
-        ),
+    cells, results, cells_line = _sweep(
+        args, "chaos", drop_rates=args.drops, trace=bool(args.trace_log), **meta
     )
     converged = sum(cell.converged for cell in cells)
     samples = sum(cell.samples for cell in cells)
     summary = f"{len(cells)} cells, {converged}/{samples} samples converged"
-    if trace_events is not None:
+    if args.trace_log:
+        spans = [event for result in results for event in result["trace_events"]]
         with open(args.trace_log, "w", encoding="utf-8") as handle:
-            for event in trace_events:
+            for event in spans:
                 handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
-        summary += f"\nwrote {args.trace_log}: {len(trace_events)} span records"
+        summary += f"\nwrote {args.trace_log}: {len(spans)} span records"
     shortfall = None
     if converged < samples:
         shortfall = (
             f"{samples - converged} of {samples} samples did not converge "
             "on a shared key"
         )
-    return _report(args, metrics, render_chaos_table(cells), summary, shortfall)
+    return _report(
+        args, artifact("chaos", {"drops": args.drops, **meta}, "cells", cells),
+        render_chaos_table(cells), summary, cells_line, shortfall,
+    )
 
 
 def run_load_command(args) -> int:
@@ -604,13 +605,7 @@ def run_load_command(args) -> int:
             "engine", "topology", "dh_group", "seed", "stall_timeout_ms",
         ),
     )
-    results: List[dict] = []  # the raw cells, for their unkeyed groups
-
-    def run(**pool):
-        results.extend(run_cells(load_cells_grid(trace=trace, **meta), **pool))
-        return [WorkloadResult.from_dict(result["cell"]) for result in results]
-
-    cells, metrics = _sweep(args, "load", meta, "cells", run)
+    cells, results, cells_line = _sweep(args, "load", trace=trace, **meta)
     converged = sum(cell.converged for cell in cells)
     summary = f"{len(cells)} cells, {converged}/{len(cells)} fully converged"
     shortfall = None
@@ -624,7 +619,10 @@ def run_load_command(args) -> int:
                 if result["unkeyed"]
             )
         )
-    return _report(args, metrics, render_load_table(cells), summary, shortfall)
+    return _report(
+        args, artifact("load", meta, "cells", cells),
+        render_load_table(cells), summary, cells_line, shortfall,
+    )
 
 
 def run_live_command(args) -> int:

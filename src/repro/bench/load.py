@@ -26,9 +26,9 @@ order.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.bench.pool import Cell, register_runner, run_cells
+from repro.bench.pool import SWEEPS, Cell, Sweep
 from repro.faults.schedule import partition_storm
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.engine import (
@@ -77,18 +77,16 @@ def storm_faults(duration_ms: float, machines: int = 13) -> List[dict]:
     return [event.to_dict() for event in schedule]
 
 
-@register_runner("load")
-def run_load_cell(
-    spec: dict, metrics: Optional[MetricsRegistry] = None
-) -> dict:
+def run_load_cell(spec: dict) -> dict:
     """One (protocol, arrival) cell: a full sustained run.
 
     ``spec["workload"]`` is a :meth:`WorkloadSpec.to_spec` dict — the
     exact serialized scenario, so the cell is reproducible from its spec
     alone and the pool's content-addressed cache key covers everything
     that matters.  Returns ``{"cell": WorkloadResult dict, "unkeyed":
-    [...]}``, the second being :meth:`WorkloadEngine.unkeyed` — empty
-    exactly when every group converged.
+    [...], "livelocks": int}``: :meth:`WorkloadEngine.unkeyed` — empty
+    exactly when every group converged — and the count of settles that
+    tripped the event budget.
     """
     stall = spec.get("stall_timeout_ms", DEFAULT_STALL_TIMEOUT_MS)
     engine = WorkloadEngine(
@@ -99,11 +97,14 @@ def run_load_cell(
         stall_timeout_ms=None if stall is None else float(stall),
         max_events=int(spec.get("max_events", LOAD_MAX_EVENTS)),
     )
-    if metrics is not None:
-        engine.metrics = metrics
+    engine.metrics = MetricsRegistry()
     with engine.framework:
         result = engine.run()
-        return {"cell": result.to_dict(), "unkeyed": engine.unkeyed()}
+        return {
+            "cell": result.to_dict(),
+            "unkeyed": engine.unkeyed(),
+            "livelocks": int(engine.metrics.counter_total("bench.cell.livelock")),
+        }
 
 
 def describe_unkeyed(unkeyed: Sequence[dict]) -> str:
@@ -134,7 +135,7 @@ def _load_summary(result: dict) -> str:
     return line
 
 
-def load_cells_grid(
+def load_cells(
     protocols: Sequence[str],
     arrivals: Sequence[str] = LOAD_ARRIVALS,
     groups: int = LOAD_GROUPS,
@@ -184,39 +185,11 @@ def load_cells_grid(
                 "stall_timeout_ms": stall_timeout_ms,
                 "max_events": max_events,
             }
-            cells.append(Cell("load", spec, summarize=_load_summary))
+            cells.append(Cell("load", spec))
     return cells
 
 
-def run_load(
-    protocols: Sequence[str],
-    arrivals: Sequence[str] = LOAD_ARRIVALS,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
-    **grid,
-) -> List[WorkloadResult]:
-    """Sweep protocols × arrival processes under sustained churn.
-
-    ``grid`` takes the remaining :func:`load_cells_grid` keywords (groups,
-    group_size, rate_hz, duration_ms, seed, topology, dh_group, engine,
-    stall_timeout_ms, max_events, storm, trace, faults).  Cells shard
-    over ``jobs`` worker processes and merge in grid order regardless of
-    completion order, so the artifact is byte-identical at any jobs
-    count; with ``cache_dir`` set, unchanged cells are served from the
-    content-addressed cache.  An engine *instance* (rather than a name)
-    forces the inline uncached path.
-    """
-    results = run_cells(
-        load_cells_grid(protocols, arrivals=arrivals, **grid),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        metrics=metrics,
-        progress=progress,
-    )
+def _load_rows(results: List[dict]) -> List[WorkloadResult]:
     return [WorkloadResult.from_dict(result["cell"]) for result in results]
 
 
@@ -239,3 +212,6 @@ def render_load_table(results: Sequence[WorkloadResult]) -> str:
             f"{cell.stalls:7d} {cell.converge_ms:8.1f}"
         )
     return "\n".join(lines)
+
+
+SWEEPS["load"] = Sweep(run_load_cell, load_cells, _load_rows, _load_summary)

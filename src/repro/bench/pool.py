@@ -17,16 +17,17 @@ cacheable:
   whose inputs changed.  Any source edit invalidates every entry, which
   is the conservative and always-correct choice.
 
-Cell *kinds* map to runner functions registered with
-:func:`register_runner`; the scale, chaos and figure sweeps each register
-one.  Runners take ``(spec, metrics)`` — a JSON-ready spec dict and a
-:class:`~repro.obs.metrics.MetricsRegistry` — and return a JSON-ready
-result dict, so results can cross process boundaries and live in the
-cache without bespoke serialization.  Worker-side metrics snapshots are
-merged back into the caller's registry
-(:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`), and the pool
+Each grid *kind* (``figure``, ``scale``, ``chaos``, ``load``) registers
+one :class:`Sweep` in :data:`SWEEPS`: its cell runner, its grid function,
+the rows its reporter reads off the results, and its progress line.
+:func:`run_sweep` is the one library entry point over them.  Runners
+take a JSON-ready spec dict and return a JSON-ready result dict, so
+results can cross process boundaries and live in the cache without
+bespoke serialization — and the result is the only thing a cell hands
+back: whatever its reporter prints (percentiles, livelock counts) rides
+in it, so a cached cell reports exactly what a fresh one does.  The pool
 itself counts ``bench.pool.cache_hits`` / ``bench.pool.cache_misses`` /
-``bench.pool.cells_executed``.
+``bench.pool.cells_executed`` on the caller's registry.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -47,50 +48,17 @@ DEFAULT_CACHE_DIR = ".bench-cache"
 #: meaning of a cached payload changes without a source change).
 CACHE_FORMAT = 1
 
-#: kind -> runner(spec, metrics) -> JSON-ready result dict.
-CELL_RUNNERS: Dict[str, Callable[[dict, MetricsRegistry], dict]] = {}
-
-
-def register_runner(
-    kind: str,
-) -> Callable[[Callable[[dict, MetricsRegistry], dict]], Callable]:
-    """Register the runner function for a cell kind (decorator)."""
-
-    def decorate(fn: Callable[[dict, MetricsRegistry], dict]) -> Callable:
-        CELL_RUNNERS[kind] = fn
-        return fn
-
-    return decorate
-
-
-def _ensure_runners() -> None:
-    """Import every module that registers a cell runner.
-
-    Needed in spawn-started workers, which begin with a fresh interpreter
-    and only ever import :mod:`repro.bench.pool` itself.
-    """
-    import repro.bench.chaos  # noqa: F401
-    import repro.bench.load  # noqa: F401
-    import repro.bench.scale  # noqa: F401
-    import repro.bench.series  # noqa: F401
-
-
 @dataclass(frozen=True)
 class Cell:
     """One unit of schedulable, cacheable work.
 
     ``spec`` must be a JSON-ready dict: it is the cache key (together
     with ``kind`` and the source fingerprint) and the only thing shipped
-    to worker processes.  ``summarize`` optionally renders a finished
-    result as a one-line progress message; it stays in the parent
-    process and never affects the key.
+    to worker processes.
     """
 
     kind: str
     spec: Dict[str, Any]
-    summarize: Optional[Callable[[dict], str]] = field(
-        default=None, compare=False
-    )
 
     def label(self) -> str:
         parts = [self.kind]
@@ -98,6 +66,27 @@ class Cell:
             if name in self.spec:
                 parts.append(f"{name.split('_')[-1]}={self.spec[name]}")
         return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One grid kind: how to run a cell, build the grid, read the rows
+    off the results, and summarize a finished cell on its progress line."""
+
+    #: spec -> JSON-ready result dict
+    run: Callable[[dict], dict]
+    #: grid options -> the cells, in output order
+    cells: Callable[..., List[Cell]]
+    #: the results, in cell order -> the rows the artifact holds
+    rows: Callable[[List[dict]], list]
+    #: one finished result -> its progress line
+    summarize: Callable[[dict], str]
+
+
+#: kind -> its :class:`Sweep`; each sweep module registers its own on
+#: import, and importing this module imports the :mod:`repro.bench`
+#: package — and so every sweep module — first, even in a spawn worker.
+SWEEPS: Dict[str, Sweep] = {}
 
 
 def canonical_json(value: Any) -> str:
@@ -197,35 +186,31 @@ class ResultCache:
             raise
 
 
-def execute_cell(
-    cell: Cell, metrics: Optional[MetricsRegistry] = None
-) -> Tuple[dict, List[dict]]:
-    """Run one cell in-process; returns ``(result, metrics snapshot)``."""
-    _ensure_runners()
-    runner = CELL_RUNNERS.get(cell.kind)
-    if runner is None:
+def execute_cell(cell: Cell) -> dict:
+    """Run one cell in-process and return its result."""
+    sweep = SWEEPS.get(cell.kind)
+    if sweep is None:
         raise KeyError(
-            f"no runner registered for cell kind {cell.kind!r}; "
-            f"known kinds: {sorted(CELL_RUNNERS)}"
+            f"no sweep registered for cell kind {cell.kind!r}; "
+            f"known kinds: {sorted(SWEEPS)}"
         )
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=True)
-    result = runner(cell.spec, registry)
+    result = sweep.run(cell.spec)
     if not isinstance(result, dict):
         raise TypeError(
             f"runner for {cell.kind!r} must return a dict, "
             f"got {type(result).__name__}"
         )
-    return result, registry.snapshot()
+    return result
 
 
-def _worker(payload: Tuple[str, Dict[str, Any]]) -> Tuple[dict, List[dict]]:
+def _worker(payload: Tuple[str, Dict[str, Any]]) -> dict:
     """Process-pool entry point: rebuild the cell and execute it."""
     kind, spec = payload
     return execute_cell(Cell(kind, spec))
 
 
 def _mp_context():
-    """Prefer fork (inherits the loaded package and runner registry);
+    """Prefer fork (inherits the loaded package and sweep registry);
     fall back to the platform default (spawn) elsewhere."""
     import multiprocessing
 
@@ -298,24 +283,17 @@ def run_cells(
             registry.counter("bench.pool.cache_misses", kind=cell.kind).inc()
         pending.append(index)
 
-    def finish(index: int, result: dict, rows: List[dict]) -> None:
+    def finish(index: int, result: dict) -> None:
         results[index] = result
+        kind = cells[index].kind
         if cache is not None:
             cache.store(keys[index], cells[index], result)
-        registry.merge_snapshot(rows)
-        registry.counter(
-            "bench.pool.cells_executed", kind=cells[index].kind
-        ).inc()
-        cell = cells[index]
-        line = f"[{index + 1}/{total}] {cell.label()}: done"
-        if cell.summarize is not None:
-            line = f"[{index + 1}/{total}] {cell.summarize(result)}"
-        say(line)
+        registry.counter("bench.pool.cells_executed", kind=kind).inc()
+        say(f"[{index + 1}/{total}] {SWEEPS[kind].summarize(result)}")
 
     if jobs == 1 or len(pending) <= 1:
         for index in pending:
-            result, rows = execute_cell(cells[index])
-            finish(index, result, rows)
+            finish(index, execute_cell(cells[index]))
     elif pending:
         # Imported here: only a pooled sweep pays for loading them.
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -331,9 +309,34 @@ def run_cells(
                 for index in pending
             }
             for future in as_completed(futures):
-                result, rows = future.result()
-                finish(futures[future], result, rows)
+                finish(futures[future], future.result())
     return results  # type: ignore[return-value]
+
+
+def run_sweep(
+    kind: str,
+    jobs: Optional[int] = 1,
+    cache_dir: Optional[str] = None,
+    use_cache: bool = True,
+    metrics: Optional[MetricsRegistry] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    **options,
+) -> list:
+    """Build ``kind``'s grid from ``options``, run it through the pool,
+    and return the rows its reporter reads, in grid order — identical
+    for any ``jobs``.  ``options`` are the keywords of the kind's grid
+    function (:func:`~repro.bench.scale.scale_cells`,
+    :func:`~repro.bench.chaos.chaos_cells`,
+    :func:`~repro.bench.load.load_cells`,
+    :func:`~repro.bench.series.figure_cells`); an engine *instance* or a
+    testbed factory among them forces the inline uncached path.
+    """
+    sweep = SWEEPS[kind]
+    results = run_cells(
+        sweep.cells(**options), jobs=jobs, cache_dir=cache_dir,
+        use_cache=use_cache, metrics=metrics, progress=progress,
+    )
+    return sweep.rows(results)
 
 
 def pool_stats(metrics: MetricsRegistry) -> Dict[str, int]:

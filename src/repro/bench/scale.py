@@ -26,15 +26,17 @@ term is noise that would double CKD's simulation cost.
 
 Each cell also records the exact operation-ledger charges of its
 measured events (``EventMeasurement.ops``): integer counts that the
-``bench compare`` regression gate can diff bit-for-bit.
+``bench compare`` regression gate can diff bit-for-bit, and the
+snapshot of its ``member.rekey_ms`` log-histograms, from which
+``scale --observe`` prints its percentile table — cached or fresh.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.bench.harness import EventMeasurement, ExperimentSpec, averaged
-from repro.bench.pool import Cell, register_runner, run_cells
+from repro.bench.pool import SWEEPS, Cell, Sweep
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver, Sample
 from repro.crypto.ledger import OpCounts
 from repro.obs.metrics import MetricsRegistry
@@ -59,10 +61,7 @@ def _ops_dict(counts: OpCounts) -> dict:
     }
 
 
-@register_runner("scale")
-def run_scale_cell(
-    spec: dict, metrics: Optional[MetricsRegistry] = None
-) -> dict:
+def run_scale_cell(spec: dict) -> dict:
     """One (protocol, group size) cell: measured join and leave.
 
     A fresh framework is grown batched straight to ``group_size``, then
@@ -72,12 +71,12 @@ def run_scale_cell(
     one, so it is not restored.  Returns
     ``{"join": EventMeasurement dict, "leave": EventMeasurement dict}``
     — JSON-ready, so the cell can cross process boundaries and live in
-    the result cache.
+    the result cache — plus ``"rekey_ms"``, the snapshot rows of the
+    timeline's ``member.rekey_ms`` log-histograms.
 
-    With ``spec["observe"]`` set the cell runs fully traced and folds the
-    timeline's ``member.rekey_ms`` latency histograms into the caller's
-    registry; observability is passive, so the measured times are
-    identical either way.
+    With ``spec["observe"]`` set the cell runs fully traced;
+    observability is passive, so the measured times are identical
+    either way.
     """
     size = int(spec["group_size"])
     observe = bool(spec.get("observe", False))
@@ -109,22 +108,24 @@ def run_scale_cell(
             samples[event].append(
                 Sample(record.total_elapsed(), record.membership_elapsed())
             )
-        if observe and metrics is not None:
-            for histogram in framework.timeline.rekey_latencies():
-                metrics.log_histogram(
-                    histogram.name, **dict(histogram.labels)
-                ).fold(histogram)
-        return {
+        rekey_ms = MetricsRegistry()
+        for histogram in framework.timeline.rekey_latencies():
+            rekey_ms.log_histogram(
+                histogram.name, **dict(histogram.labels)
+            ).fold(histogram)
+        result = {
             event: averaged(
                 espec, framework, event, size, samples[event], _ops_dict(ops[event])
             ).to_dict()
             for event in ("join", "leave")
         }
+        result["rekey_ms"] = rekey_ms.snapshot()
+        return result
 
 
 def scale_cells(
-    protocols: Sequence[str],
-    sizes: Sequence[int],
+    protocols: Sequence[str] = SCALE_PROTOCOLS,
+    sizes: Sequence[int] = SCALE_SIZES,
     topology: str = "lan",
     dh_group: str = "dh-512",
     engine="symbolic",
@@ -133,67 +134,43 @@ def scale_cells(
     observe: bool = False,
     max_events: int = LARGE_RUN_MAX_EVENTS,
 ) -> List[Cell]:
-    """The sweep's cell grid, protocol-major with sizes ascending."""
-    cells: List[Cell] = []
-    for protocol in protocols:
-        for size in sorted(set(sizes)):
-            spec = {
-                "protocol": protocol,
-                "group_size": size,
-                "dh_group": dh_group,
-                "topology": topology,
-                "repeats": repeats,
-                "seed": seed,
-                "engine": engine,
-                "observe": observe,
-                "max_events": max_events,
-            }
+    """The sweep's cell grid, protocol-major with sizes ascending.
 
-            def summarize(result, protocol=protocol, size=size):
-                return (
-                    f"{protocol} n={size}: join "
-                    f"{result['join']['total_ms']:.1f} ms, leave "
-                    f"{result['leave']['total_ms']:.1f} ms"
-                )
-
-            cells.append(Cell("scale", spec, summarize=summarize))
-    return cells
-
-
-def run_scale(
-    protocols: Sequence[str] = SCALE_PROTOCOLS,
-    sizes: Sequence[int] = SCALE_SIZES,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
-    **grid,
-) -> List[EventMeasurement]:
-    """Join and leave total-elapsed times for every protocol and size.
-
-    ``grid`` takes the remaining :func:`scale_cells` keywords (topology,
-    dh_group, engine, repeats, seed, observe, max_events).
-    Cells are sharded over ``jobs`` worker processes and merged in grid
-    order (protocol-major; per size: join then leave), so the output is
-    identical for any ``jobs``.  With ``cache_dir`` set, previously
-    computed cells are served from the content-addressed cache.  An
-    engine *instance* (rather than a name) cannot cross process or cache
-    boundaries, so it forces the inline uncached path.
+    An engine *instance* (rather than a name) cannot cross process or
+    cache boundaries, so it forces the inline uncached path.
     """
-    results = run_cells(
-        scale_cells(protocols, sizes, **grid),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        metrics=metrics,
-        progress=progress,
+    return [
+        Cell("scale", {
+            "protocol": protocol,
+            "group_size": size,
+            "dh_group": dh_group,
+            "topology": topology,
+            "repeats": repeats,
+            "seed": seed,
+            "engine": engine,
+            "observe": observe,
+            "max_events": max_events,
+        })
+        for protocol in protocols
+        for size in sorted(set(sizes))
+    ]
+
+
+def _scale_rows(results: List[dict]) -> List[EventMeasurement]:
+    """Per size: the join, then the leave."""
+    return [
+        EventMeasurement.from_dict(result[event])
+        for result in results
+        for event in ("join", "leave")
+    ]
+
+
+def _scale_summary(result: dict) -> str:
+    join, leave = result["join"], result["leave"]
+    return (
+        f"{join['protocol']} n={join['group_size']}: join "
+        f"{join['total_ms']:.1f} ms, leave {leave['total_ms']:.1f} ms"
     )
-    measurements: List[EventMeasurement] = []
-    for result in results:
-        measurements.append(EventMeasurement.from_dict(result["join"]))
-        measurements.append(EventMeasurement.from_dict(result["leave"]))
-    return measurements
 
 
 def render_scale_table(measurements: Sequence[EventMeasurement]) -> str:
@@ -216,3 +193,6 @@ def render_scale_table(measurements: Sequence[EventMeasurement]) -> str:
             lines.append("".join(row))
         lines.append("")
     return "\n".join(lines).rstrip()
+
+
+SWEEPS["scale"] = Sweep(run_scale_cell, scale_cells, _scale_rows, _scale_summary)

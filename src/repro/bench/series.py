@@ -8,8 +8,8 @@ and keeping simulation time manageable.
 
 Each measured cell is an :class:`~repro.bench.harness.EventMeasurement`,
 so figure sweeps and the scale benchmark share one serialization path;
-the curves are assembled from the measurements by
-:meth:`FigureSeries.from_measurements`.
+one protocol's curve is one ``figure`` pool cell, and the curves are
+assembled from the measurements by :meth:`FigureSeries.from_measurements`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.bench.harness import (
     ExperimentSpec,
     measure_settled,
 )
-from repro.bench.pool import Cell, register_runner, run_cells
+from repro.bench.pool import SWEEPS, Cell, Sweep, run_sweep
 from repro.core.driver import GroupDriver
 from repro.gcs.topology import Topology
 from repro.obs.metrics import MetricsRegistry
@@ -130,68 +130,80 @@ class FigureSeries:
         return None
 
 
-def measure_protocol_curve(
-    topology_factory: Union[str, Callable[[], Topology]],
-    protocol: str,
+def run_figure_cell(spec: dict) -> dict:
+    """One figure cell: a single protocol's elapsed-time curve.
+
+    The group is grown incrementally on a single framework; at each
+    sampled size the event is applied ``repeats`` times (the size is
+    restored between samples and before the next size, never after the
+    last sample) and the total elapsed times averaged — exactly the
+    paper's measurement loop.  Curves for different protocols are
+    independent cells, but the sizes within one curve share framework
+    state and stay sequential.  ``spec["topology"]`` is a testbed *name*
+    whenever the cell is hashed or shipped to worker processes.  Returns
+    ``{"measurements": [EventMeasurement dict, ...]}`` in size order.
+    """
+    sizes = sorted(set(spec.get("sizes", DEFAULT_SIZES)))
+    espec = ExperimentSpec(
+        protocol=spec["protocol"],
+        event=spec["event"],
+        group_size=max(sizes, default=1),
+        dh_group=spec.get("dh_group", "dh-512"),
+        topology=spec["topology"],
+        repeats=int(spec.get("repeats", 2)),
+        seed=int(spec.get("seed", 0)),
+        engine=spec.get("engine"),
+    )
+    with espec.build_framework() as framework:
+        driver = GroupDriver(framework)
+        measurements = []
+        for index, size in enumerate(sizes):
+            if index:
+                driver.run(driver.restore())  # unmeasured
+            measurements.append(measure_settled(espec, driver, size).to_dict())
+        return {"measurements": measurements}
+
+
+def figure_cells(
+    topology: Union[str, Callable[[], Topology]],
+    protocols: Sequence[str],
     event: str,
     dh_group: str = "dh-512",
     sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 2,
     seed: int = 0,
     engine=None,
-) -> List[EventMeasurement]:
-    """One protocol's elapsed-time curve over group sizes.
+) -> List[Cell]:
+    """The sweep's cell grid: one curve per protocol, in given order."""
+    return [
+        Cell("figure", {
+            "topology": topology,
+            "protocol": protocol,
+            "event": event,
+            "dh_group": dh_group,
+            "sizes": sorted(set(sizes)),
+            "repeats": repeats,
+            "seed": seed,
+            "engine": engine,
+        })
+        for protocol in protocols
+    ]
 
-    The group is grown incrementally on a single framework; at each
-    sampled size the event is applied ``repeats`` times (the size is
-    restored between samples and before the next size, never after the
-    last sample) and the total elapsed times averaged — exactly the paper's
-    measurement loop.  This is the figure sweeps' unit of parallel work:
-    curves for different protocols are independent, but the sizes within
-    one curve share framework state and must stay sequential.
-    """
-    sizes = sorted(set(sizes))
-    spec = ExperimentSpec(
-        protocol=protocol,
-        event=event,
-        group_size=max(sizes, default=1),
-        dh_group=dh_group,
-        topology=topology_factory,
-        repeats=repeats,
-        seed=seed,
-        engine=engine,
+
+def _figure_rows(results: List[dict]) -> List[EventMeasurement]:
+    return [
+        EventMeasurement.from_dict(measurement)
+        for result in results
+        for measurement in result["measurements"]
+    ]
+
+
+def _figure_summary(result: dict) -> str:
+    largest = result["measurements"][-1]
+    return (
+        f"{largest['protocol']} {largest['event']} curve done "
+        f"(n={largest['group_size']}: {largest['total_ms']:.1f} ms)"
     )
-    with spec.build_framework() as framework:
-        driver = GroupDriver(framework)
-        curve = []
-        for index, size in enumerate(sizes):
-            if index:
-                driver.run(driver.restore())  # unmeasured
-            curve.append(measure_settled(spec, driver, size))
-        return curve
-
-
-@register_runner("figure")
-def run_figure_cell(
-    spec: dict, metrics: Optional[MetricsRegistry] = None
-) -> dict:
-    """One figure cell: a single protocol's full size sweep.
-
-    ``spec["topology"]`` is a testbed *name* whenever the cell is hashed
-    or shipped to worker processes.  Returns
-    ``{"measurements": [EventMeasurement dict, ...]}`` in size order.
-    """
-    measurements = measure_protocol_curve(
-        spec["topology"],
-        spec["protocol"],
-        spec["event"],
-        dh_group=spec.get("dh_group", "dh-512"),
-        sizes=list(spec.get("sizes", DEFAULT_SIZES)),
-        repeats=int(spec.get("repeats", 2)),
-        seed=int(spec.get("seed", 0)),
-        engine=spec.get("engine"),
-    )
-    return {"measurements": [m.to_dict() for m in measurements]}
 
 
 def sweep_group_sizes(
@@ -217,45 +229,17 @@ def sweep_group_sizes(
     zero-argument factory; a factory — like an engine *instance* — makes
     the sweep run inline and uncached (see :func:`run_cells`).
     """
-    sizes = sorted(set(sizes))
-
-    def summarize(result):
-        largest = result["measurements"][-1]
-        return (
-            f"{largest['protocol']} {event} curve done "
-            f"(n={largest['group_size']}: {largest['total_ms']:.1f} ms)"
-        )
-
-    cells = [
-        Cell(
-            "figure",
-            {
-                "topology": topology,
-                "protocol": protocol,
-                "event": event,
-                "dh_group": dh_group,
-                "sizes": sizes,
-                "repeats": repeats,
-                "seed": seed,
-                "engine": engine,
-            },
-            summarize=summarize,
-        )
-        for protocol in protocols
-    ]
-    results = run_cells(
-        cells,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        metrics=metrics,
-        progress=progress,
+    measurements = run_sweep(
+        "figure", jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
+        metrics=metrics, progress=progress, topology=topology,
+        protocols=protocols, event=event, dh_group=dh_group, sizes=sizes,
+        repeats=repeats, seed=seed, engine=engine,
     )
-    measurements = [
-        EventMeasurement.from_dict(cell_dict)
-        for result in results
-        for cell_dict in result["measurements"]
-    ]
     return FigureSeries.from_measurements(
-        name or f"{event}-{dh_group}", measurements, sizes
+        name or f"{event}-{dh_group}", measurements, sorted(set(sizes))
     )
+
+
+SWEEPS["figure"] = Sweep(
+    run_figure_cell, figure_cells, _figure_rows, _figure_summary
+)

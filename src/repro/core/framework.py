@@ -54,6 +54,11 @@ class SecureSpreadFramework:
                 f"unknown protocol {default_protocol!r}; "
                 f"choose from {list(available())}"
             )
+        if stall_timeout_ms is not None and not stall_timeout_ms > 0:
+            raise ValueError(
+                f"stall_timeout_ms must be positive (None disables the "
+                f"watchdog), got {stall_timeout_ms}"
+            )
         #: the crypto engine every member's protocol computes with;
         #: ``"symbolic"`` unlocks large-n runs with identical simulated
         #: timings (see :mod:`repro.crypto.engine`).

@@ -12,8 +12,8 @@ tests assert, and is clamped to the observed ``[min, max]``.  Merging
 is *exact and order-independent*: bucket counts are integers (addition
 commutes) and float totals are folded with :func:`math.fsum` over the
 multiset of shard totals, which is correctly rounded and therefore
-independent of merge order — the property the parallel benchmark pool
-relies on when workers finish in arbitrary order.
+independent of merge order — so folding a sweep's per-cell snapshots
+gives the same histogram whichever cells ran where.
 
 Like every ``repro.obs`` module this is passive: observing a value never
 schedules a simulator event.
@@ -145,7 +145,7 @@ class LogHistogram:
         minimum: Optional[float],
         maximum: Optional[float],
     ) -> None:
-        """Fold another histogram's snapshot in (worker-shard merge).
+        """Fold another histogram's snapshot in (a shard merge).
 
         Bucket keys are coerced with ``int()`` because a snapshot that
         crossed a JSON boundary (the result cache, a worker pipe) comes

@@ -20,7 +20,6 @@ simulator events, so metrics collection cannot change any measured time.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.obs.histo import LogHistogram
@@ -33,39 +32,19 @@ def _labelset(labels: Dict[str, Any]) -> LabelSet:
 
 
 class Counter:
-    """A monotonically increasing count.
+    """A monotonically increasing count."""
 
-    Locally observed amounts accumulate in a plain float (the ``inc``
-    hot path); totals folded in from worker-shard snapshots are kept as
-    a list of partials and summed with :func:`math.fsum`, which is
-    correctly rounded over the multiset — so a pool merge yields the
-    identical float no matter which worker finished first.
-    """
-
-    __slots__ = ("name", "labels", "_value", "_merged")
+    __slots__ = ("name", "labels", "value")
 
     def __init__(self, name: str, labels: LabelSet):
         self.name = name
         self.labels = labels
-        self._value = 0.0
-        self._merged: List[float] = []
+        self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        self._value += amount
-
-    def merge(self, value: float) -> None:
-        """Fold a shard's counter total in (order-independent)."""
-        if value < 0:
-            raise ValueError("counters only go up")
-        self._merged.append(value)
-
-    @property
-    def value(self) -> float:
-        if not self._merged:
-            return self._value
-        return math.fsum(self._merged) + self._value
+        self.value += amount
 
 
 class Gauge:
@@ -190,30 +169,22 @@ class MetricsRegistry:
         return rows
 
     def merge_snapshot(self, rows: List[Dict[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
+        """Fold the log-histogram rows of a :meth:`snapshot` in.
 
-        This is how benchmark worker processes report back: each worker
-        runs its cell against a fresh registry, ships
-        ``registry.snapshot()`` across the process boundary, and the
-        pool merges the rows here.  Counters and log histograms accumulate
-        *order-independently* — float totals are folded as fsum partials,
-        so shards merged in any completion order produce bit-identical
-        snapshots.  Gauges take the incoming value (last merge wins,
-        matching their point-in-time semantics — the one deliberately
-        order-sensitive kind).  A disabled registry ignores merges, like
-        every other recording path.
+        This is how a benchmark cell's latency distribution reaches its
+        reporter: a scale cell ships its ``member.rekey_ms`` rows in its
+        result (cached or fresh), and the CLI merges every cell's rows
+        here.  The merge is *order-independent* — bucket counts are
+        integers and float totals are folded as fsum partials — so cells
+        merged in any order produce bit-identical snapshots.  Rows of
+        other kinds are skipped, and a disabled registry ignores merges,
+        like every other recording path.
         """
         if not self.enabled:
             return
         for row in rows:
-            labels = row.get("labels", {})
-            kind = row.get("kind")
-            if kind == "counter":
-                self.counter(row["name"], **labels).merge(row["value"])
-            elif kind == "gauge":
-                self.gauge(row["name"], **labels).set(row["value"])
-            elif kind == "log_histogram":
-                self.log_histogram(row["name"], **labels).merge(
+            if row.get("kind") == "log_histogram":
+                self.log_histogram(row["name"], **row.get("labels", {})).merge(
                     row["buckets"], row["zero_count"], row["count"],
                     row["total"], row["min"], row["max"],
                 )

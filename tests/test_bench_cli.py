@@ -1,10 +1,14 @@
 """Tests for the benchmark CLI (`python -m repro.bench`)."""
 
+import dataclasses
+import functools
 import json
 import os
+import time
 
 import pytest
 
+from repro.bench.chaos import chaos_cells
 from repro.bench.cli import (
     COMMANDS,
     FIGURES,
@@ -12,6 +16,7 @@ from repro.bench.cli import (
     build_subcommand_parser,
     main,
 )
+from repro.bench.pool import SWEEPS, Cell, run_cells
 from repro.gcs.topology import TESTBEDS
 from repro.obs import JSONL_SCHEMA_VERSION, validate_chrome_trace
 
@@ -145,15 +150,73 @@ def test_report_critical_path_flag_appends_chains(capsys):
     assert "critical member" in out and "(exact," in out
 
 
+def _percentile_block(out):
+    return out[out.index("Rekey latency percentiles"):out.index("\nwrote ")]
+
+
 def test_scale_observe_flag_prints_percentiles(capsys, tmp_path):
-    code = main([
+    argv = [
         "scale", "--sizes", "4", "--protocols", "TGDH", "--observe",
-        "--jobs", "1", "--no-cache", "-o", str(tmp_path / "scale.json"),
+        "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
+        "-o", str(tmp_path / "scale.json"),
+    ]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "member.rekey_ms{group=secure-group,protocol=TGDH}" in cold
+    # A warm cache serves the cell's result, and the table with it.
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert "(1 cache hits, 0 executed)" in warm
+    assert "(no log histograms recorded)" not in warm
+    assert _percentile_block(warm) == _percentile_block(cold)
+
+
+def test_livelocked_chaos_cell_counts_cached_or_fresh(
+    capsys, tmp_path, monkeypatch
+):
+    """The livelock count rides in the cell's result, so a cache hit
+    reports the tripped settle the fresh run did."""
+    spec = {
+        "protocol": "GDH", "drop_rate": 0.3, "group_size": 4,
+        "repeats": 1, "max_events": 300, "dh_group": "dh-test",
+    }
+    cache_dir = str(tmp_path / "cells")
+    for run in ("fresh", "cached"):
+        (result,) = run_cells([Cell("chaos", spec)], jobs=1, cache_dir=cache_dir)
+        assert result["livelocks"] == 1, run
+    # The same cell through the CLI, whose event budget is not a flag.
+    monkeypatch.setitem(SWEEPS, "chaos", dataclasses.replace(
+        SWEEPS["chaos"], cells=functools.partial(chaos_cells, max_events=300)
+    ))
+    argv = [
+        "chaos", "--protocols", "GDH", "--drops", "0.3", "--size", "4",
+        "--repeats", "1", "--dh-group", "dh-test", "--jobs", "1",
+        "--cache-dir", str(tmp_path / "cli"), "-o", str(tmp_path / "chaos.json"),
+    ]
+    for hits in (0, 1):
+        assert main(argv) == 1  # the livelocked sample did not converge
+        out = capsys.readouterr().out
+        assert f"({hits} cache hits, {1 - hits} executed)" in out
+        assert out.rstrip().endswith(", 1 livelocked settles")
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["--drops", "-0.5"], "drop must be a probability"),
+    (["--repeats", "0"], "repeats must be at least 1"),
+    (["--stall-timeout-ms", "0"], "stall_timeout_ms must be positive"),
+    (["--stall-timeout-ms", "-1"], "stall_timeout_ms must be positive"),
+])
+def test_chaos_refuses_bad_inputs_up_front(argv, complaint, capsys, tmp_path):
+    started = time.monotonic()
+    code = main([
+        "chaos", "--protocols", "BD", "--size", "4", "--repeats", "1",
+        "--jobs", "1", "--no-cache", "-o", str(tmp_path / "chaos.json"),
+        *argv,
     ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Rekey latency percentiles" in out
-    assert "member.rekey_ms{group=secure-group,protocol=TGDH}" in out
+    assert code == 1
+    assert complaint in capsys.readouterr().err
+    assert time.monotonic() - started < 1.0
+    assert not (tmp_path / "chaos.json").exists()
 
 
 def test_subcommand_rejects_unknown_protocol():

@@ -6,13 +6,12 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.load import (
-    load_cells_grid,
+    load_cells,
     render_load_table,
-    run_load,
     run_load_cell,
     storm_faults,
 )
-from repro.bench.pool import canonical_json, cell_key
+from repro.bench.pool import canonical_json, cell_key, run_sweep
 from repro.bench.report import artifact
 from repro.obs.metrics import MetricsRegistry
 from repro.workload import WorkloadResult
@@ -23,13 +22,12 @@ SMALL = dict(
 
 
 def _small_cells(protocols=("TGDH",), arrivals=("poisson",), **overrides):
-    return load_cells_grid(protocols, arrivals=arrivals, **{**SMALL, **overrides})
+    return load_cells(protocols, arrivals=arrivals, **{**SMALL, **overrides})
 
 
 def test_runner_returns_json_ready_result():
     cell = _small_cells()[0]
-    metrics = MetricsRegistry(enabled=True)
-    result = run_load_cell(cell.spec, metrics)
+    result = run_load_cell(cell.spec)
     json.dumps(result)  # JSON-ready: crosses process/cache boundaries
     parsed = WorkloadResult.from_dict(result["cell"])
     assert parsed.converged
@@ -72,8 +70,8 @@ def test_storm_faults_cover_partition_and_heal():
 
 def test_run_load_matches_any_jobs_count():
     kwargs = dict(protocols=("TGDH", "BD"), arrivals=("poisson",), **SMALL)
-    sequential = run_load(jobs=1, **kwargs)
-    parallel = run_load(jobs=2, **kwargs)
+    sequential = run_sweep("load", jobs=1, **kwargs)
+    parallel = run_sweep("load", jobs=2, **kwargs)
     as_dicts = [r.to_dict() for r in sequential]
     assert as_dicts == [r.to_dict() for r in parallel]
     assert canonical_json(artifact("load", {}, "cells", sequential)) == (
@@ -83,7 +81,9 @@ def test_run_load_matches_any_jobs_count():
 
 
 def test_render_load_table_lists_every_cell():
-    results = run_load(protocols=("TGDH",), arrivals=("poisson",), **SMALL)
+    results = run_sweep(
+        "load", protocols=("TGDH",), arrivals=("poisson",), **SMALL
+    )
     table = render_load_table(results)
     assert "p50 ms" in table and "epochs/s" in table
     assert "TGDH" in table and "poisson" in table
@@ -173,9 +173,9 @@ def test_cells_cache_and_invalidate(tmp_path):
         cache_dir=str(tmp_path), use_cache=True, **SMALL,
     )
     metrics = MetricsRegistry(enabled=True)
-    run_load(metrics=metrics, **kwargs)
+    run_sweep("load", metrics=metrics, **kwargs)
     assert metrics.counter_total("bench.pool.cache_misses") == 1
     again = MetricsRegistry(enabled=True)
-    run_load(metrics=again, **kwargs)
+    run_sweep("load", metrics=again, **kwargs)
     assert again.counter_total("bench.pool.cache_hits") == 1
     assert again.counter_total("bench.pool.cells_executed") == 0

@@ -11,34 +11,38 @@ from repro.bench import run_chaos_cell, run_figure_cell, run_load_cell, run_scal
 from repro.bench.cli import main
 from repro.bench.compare import compare_payloads
 from repro.bench.pool import (
+    SWEEPS,
     Cell,
     ResultCache,
+    Sweep,
     cell_key,
     pool_stats,
-    register_runner,
     run_cells,
+    run_sweep,
     source_fingerprint,
 )
 from repro.bench.report import artifact, write_json
-from repro.bench.scale import run_scale
 from repro.obs import MetricsRegistry
 from repro.workload import WorkloadSpec
 
 EXECUTIONS = []
 
 
-@register_runner("test-echo")
-def _echo_runner(spec, metrics):
+def _echo_runner(spec):
     """Deterministic toy runner; staggers sleeps to scramble completion
     order so merge-order tests actually exercise the reordering."""
     EXECUTIONS.append(spec["index"])
     time.sleep(0.05 if spec["index"] % 2 == 0 else 0.0)
-    metrics.counter("test.echo.runs").inc()
     return {"index": spec["index"], "value": spec["index"] * 10}
 
 
 def _echo_cells(count):
     return [Cell("test-echo", {"index": i}) for i in range(count)]
+
+
+SWEEPS["test-echo"] = Sweep(
+    _echo_runner, _echo_cells, list, lambda result: f"echo {result['index']}"
+)
 
 
 # -- shard/merge ordering -----------------------------------------------------
@@ -140,7 +144,6 @@ def test_source_fingerprint_tracks_tree_content(tmp_path):
 def test_worker_metrics_merge_back():
     registry = MetricsRegistry(enabled=True)
     run_cells(_echo_cells(5), jobs=2, use_cache=False, metrics=registry)
-    assert registry.counter_total("test.echo.runs") == 5
     assert registry.counter_total("bench.pool.cells_executed") == 5
 
 
@@ -152,8 +155,8 @@ def test_scale_jobs_equivalence_and_byte_identical_json(tmp_path):
         protocols=("BD", "TGDH"), sizes=(4,), dh_group="dh-test",
         engine="symbolic", use_cache=False,
     )
-    sequential = run_scale(jobs=1, **kwargs)
-    parallel = run_scale(jobs=2, **kwargs)
+    sequential = run_sweep("scale", jobs=1, **kwargs)
+    parallel = run_sweep("scale", jobs=2, **kwargs)
     assert sequential == parallel
     meta = {"seed": 0}
     write_json(

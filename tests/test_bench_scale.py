@@ -7,7 +7,8 @@ import pytest
 from repro.bench.cli import main
 from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
 from repro.bench.report import artifact, write_json
-from repro.bench.scale import render_scale_table, run_scale
+from repro.bench.pool import run_sweep
+from repro.bench.scale import render_scale_table
 from repro.core.driver import GroupDriver
 
 
@@ -107,7 +108,8 @@ def test_batched_growth_noop_and_bookkeeping():
 
 
 def test_run_scale_tiny(tmp_path):
-    measurements = run_scale(
+    measurements = run_sweep(
+        "scale",
         protocols=("TGDH",),
         sizes=(6,),
         dh_group="dh-test",
@@ -138,7 +140,8 @@ def test_run_scale_tiny(tmp_path):
 def test_observed_sweep_is_bit_identical_to_unobserved():
     """The obs-overhead contract: tracing changes no measured number."""
     def sweep(observe):
-        return run_scale(
+        return run_sweep(
+            "scale",
             protocols=("BD", "TGDH"),
             sizes=(6,),
             dh_group="dh-test",

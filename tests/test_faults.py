@@ -11,7 +11,7 @@ import collections
 
 import pytest
 
-from repro.bench.chaos import run_chaos
+from repro.bench.pool import run_sweep
 from repro.bench.report import artifact
 from repro.core import SecureSpreadFramework
 from repro.faults import (
@@ -307,6 +307,11 @@ class TestStallRecovery:
         _settled_group(fw, 3)
         assert fw.rekey_stalls == 0
 
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan")])
+    def test_non_positive_stall_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="stall_timeout_ms must be positive"):
+            _framework("BD", stall_timeout_ms=timeout)
+
 
 # ---------------------------------------------------------------------------
 # fault schedules
@@ -388,7 +393,8 @@ class TestFaultSchedule:
 
 class TestChaosBench:
     def test_cells_and_zero_drop_control(self):
-        cells = run_chaos(
+        cells = run_sweep(
+            "chaos",
             protocols=("BD",),
             drop_rates=(0.0, 0.2),
             group_size=4,
@@ -408,8 +414,8 @@ class TestChaosBench:
         assert faulty.time_to_key_ms is not None
 
     def test_payload_shape(self):
-        cells = run_chaos(
-            protocols=("TGDH",), drop_rates=(0.1,), group_size=3,
+        cells = run_sweep(
+            "chaos", protocols=("TGDH",), drop_rates=(0.1,), group_size=3,
             dh_group="dh-test", repeats=1,
         )
         payload = artifact("chaos", {"seed": 0}, "cells", cells)

@@ -61,11 +61,10 @@ def test_snapshot_is_json_ready():
 
 
 def _worker_shard(seed):
-    """One simulated worker's registry: every instrument kind."""
+    """One simulated cell's log-histogram rows."""
     rng = random.Random(seed)
     reg = MetricsRegistry()
     for _ in range(rng.randrange(5, 40)):
-        reg.counter("net.frames", src="d0").inc(rng.randrange(1, 9))
         reg.log_histogram(
             "net.latency_ms", src="d0"
         ).observe(rng.uniform(0.1, 50))
@@ -79,10 +78,8 @@ def _worker_shard(seed):
 def test_merge_snapshot_is_order_independent(seed):
     """Shards folded in any completion order yield bit-identical state.
 
-    This is the property the parallel benchmark pool leans on: counter
-    and log-histogram totals are fsum partials and log-histogram buckets
-    are integers — so only gauges (deliberately last-wins) are excluded
-    here.
+    This is the property a sweep's percentile table leans on: log-histogram
+    totals are fsum partials and buckets are integers.
     """
     rng = random.Random(1000 + seed)
     shards = [_worker_shard(s) for s in range(6)]
@@ -106,8 +103,7 @@ def test_merge_snapshot_round_trips_through_json():
     identically to the in-process original."""
     reg = MetricsRegistry()
     reg.log_histogram("h").observe(3.0)
-    reg.gauge("g").set(2.0)
-    reg.counter("c").inc(4)
+    reg.log_histogram("h", member="m1").observe(0.0)
     rows = json.loads(json.dumps(reg.snapshot()))
     direct = MetricsRegistry()
     direct.merge_snapshot(reg.snapshot())
