@@ -40,7 +40,7 @@ from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.core.framework import SecureSpreadFramework
 from repro.crypto.engine import RealEngine, SymbolicEngine, get_engine
 from repro.faults import FaultSchedule, LinkFaults, LinkPolicy
-from repro.net import AsyncioTransport, LiveGroupRunner, NetClient, NetDaemon
+from repro.net import AsyncioTransport, NetClient, NetDaemon
 from repro.protocols import available, get_protocol, register
 from repro.transport import GroupChannel, Transport
 from repro.version import __version__
@@ -53,7 +53,6 @@ __all__ = [
     "GroupChannel",
     "LinkFaults",
     "LinkPolicy",
-    "LiveGroupRunner",
     "NetClient",
     "NetDaemon",
     "RealEngine",

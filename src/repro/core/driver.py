@@ -5,8 +5,8 @@ over the machines, sequential growth, then the *total elapsed time* of
 one join or one leave on a settled group, with the §6.1.2 conventions —
 the middle member leaves, and CKD's leave is weighted with the
 controller-leave case at probability 1/n.  :class:`GroupDriver` is the
-only place that procedure is written; every bench command, the workload
-engine and the live TCP runner call it.
+only place that procedure is written; every bench command (``bench
+live``'s TCP half included) and the workload engine call it.
 
 The primitives are generators that yield at each *wait point*: ``None``
 means "let the group settle", a member means "open this new member's

@@ -13,7 +13,9 @@ those conditions first-class and reproducible:
   :class:`~repro.gcs.world.GcsWorld` (``crash_daemon`` /
   ``restart_daemon``) and trigger real configuration changes;
 * :class:`FaultSchedule` — a timed scenario script (partition storms,
-  coordinator kills, cascaded churn) replayable from a plain spec dict;
+  coordinator kills) replayable from a plain spec dict — faults only:
+  membership churn goes through the group driver and the workload
+  engine;
 * together with the rekey stall watchdog in
   :mod:`repro.core.secure_group`, faulty runs still converge to a
   confirmed shared key — the recovery discipline Secure Spread's
@@ -28,7 +30,6 @@ from repro.faults.schedule import (
     ACTIONS,
     FaultEvent,
     FaultSchedule,
-    cascaded_churn,
     coordinator_kill,
     partition_storm,
 )
@@ -41,7 +42,6 @@ __all__ = [
     "LinkFaults",
     "LinkPolicy",
     "NO_FAULTS",
-    "cascaded_churn",
     "coordinator_kill",
     "partition_storm",
 ]

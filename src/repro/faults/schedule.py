@@ -1,17 +1,20 @@
 """Timed fault scenarios, replayable from a plain spec dict.
 
 A :class:`FaultSchedule` is an ordered list of :class:`FaultEvent`
-injections — partitions, heals, daemon crashes and restarts, link-policy
-changes, and membership churn — installed on a
+injections — partitions, heals, daemon crashes and restarts, and
+link-policy changes — installed on a
 :class:`~repro.core.framework.SecureSpreadFramework` as ordinary
 simulator events.  Because the simulator is deterministic and every
 injection is either parameter-free or seeded, replaying the same
 schedule with the same seed reproduces the run bit-for-bit.
 
-Scenario builders (:func:`partition_storm`, :func:`coordinator_kill`,
-:func:`cascaded_churn`) capture the paper's §5 stress cases: cascaded
-membership events interrupting a rekey, merges arriving mid-agreement,
-and the coordinator dying at the worst moment.
+A schedule carries faults, not churn: members join and leave through
+:class:`~repro.core.driver.GroupDriver` and the workload engine, which
+keep the rosters the convergence checks read.
+
+Scenario builders (:func:`partition_storm`, :func:`coordinator_kill`)
+capture the paper's §5 stress cases: merges arriving mid-agreement and
+the coordinator dying at the worst moment.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ ACTIONS = {
     "restart": ("machine", "detection_delay_ms"),
     "link": ("policy", "src", "dst"),
     "link-clear": (),
-    "join": ("member", "machine", "group"),
-    "leave": ("member",),
-    "mark": (),
 }
 
 
@@ -175,17 +175,6 @@ class FaultSchedule:
         elif event.action == "link-clear":
             if world.network.faults is not None:
                 world.network.faults.clear()
-        elif event.action == "join":
-            member = framework.member(
-                kwargs["member"],
-                kwargs["machine"],
-                kwargs.get("group", "secure-group"),
-            )
-            member.join()
-        elif event.action == "leave":
-            framework._members[kwargs["member"]].leave()
-        elif event.action == "mark":
-            framework.mark_event()
         else:  # pragma: no cover - FaultEvent validates actions
             raise ValueError(f"unknown action {event.action!r}")
 
@@ -229,22 +218,3 @@ def coordinator_kill(
         schedule.add(at_ms + restart_after_ms, "restart", machine=machine)
     return schedule
 
-
-def cascaded_churn(
-    joins: Sequence[Tuple[str, int]] = (),
-    leaves: Sequence[str] = (),
-    start_ms: float = 0.0,
-    gap_ms: float = 5.0,
-    group: str = "secure-group",
-) -> FaultSchedule:
-    """Back-to-back joins/leaves spaced ``gap_ms`` apart — cascaded
-    membership events landing while the previous rekey is still running."""
-    schedule = FaultSchedule()
-    t = start_ms
-    for name, machine in joins:
-        schedule.add(t, "join", member=name, machine=machine, group=group)
-        t += gap_ms
-    for name in leaves:
-        schedule.add(t, "leave", member=name)
-        t += gap_ms
-    return schedule

@@ -11,23 +11,22 @@ as the simulated :class:`~repro.gcs.client.SpreadClient`.
 :class:`~repro.net.runner.AsyncioTransport` adapts the pair to the
 :class:`~repro.transport.Transport` interface so
 :class:`~repro.core.framework.SecureSpreadFramework` and the five key
-agreement protocols run over it unchanged, and
-:class:`~repro.net.runner.LiveGroupRunner` drives a whole secure group
-on localhost for the ``bench live`` wall-clock measurements.
+agreement protocols run over it unchanged;
+:meth:`~repro.core.driver.GroupDriver.arun` drives a group over it, and
+``bench live`` (:mod:`repro.bench.live`) does so on localhost for its
+wall-clock measurements.
 """
 
 from repro.net.client import NetClient
 from repro.net.daemon import NetDaemon
-from repro.net.runner import AsyncioTransport, LiveGroupRunner, run_live
+from repro.net.runner import AsyncioTransport
 from repro.net.wire import WIRE_VERSION, FrameType, WireError
 
 __all__ = [
     "AsyncioTransport",
     "FrameType",
-    "LiveGroupRunner",
     "NetClient",
     "NetDaemon",
     "WIRE_VERSION",
     "WireError",
-    "run_live",
 ]

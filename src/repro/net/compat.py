@@ -6,7 +6,7 @@ scheduler (``now`` in milliseconds, ``schedule``/``schedule_at``) and a
 work.  On the live asyncio backend both map onto the event loop:
 
 * :class:`WallScheduler` reads the loop's monotonic clock (rebased to 0
-  at construction so timeline arithmetic looks like a simulation run)
+  when first read in the loop, so timeline arithmetic looks like a simulation run)
   and turns ``schedule``/``schedule_at`` into ``call_later``/``call_at``;
 * :class:`WallMachine` is a **pass-through**: live protocol code has
   already *spent* real CPU time by the time it charges its modeled cost,
@@ -37,28 +37,24 @@ class _WallEvent:
 class WallScheduler:
     """The event loop's clock and timers behind the scheduler interface.
 
-    Times are wall-clock milliseconds since this scheduler was created,
-    so ``now`` starts near 0.0 like a fresh :class:`~repro.sim.engine.
-    Simulator` and :class:`~repro.core.timing.RekeyTimeline` spans read
-    the same either way.
+    Times are wall-clock milliseconds since this scheduler was first
+    read inside the event loop, so ``now`` starts near 0.0 like a fresh
+    :class:`~repro.sim.engine.Simulator` and
+    :class:`~repro.core.timing.RekeyTimeline` spans read the same either
+    way.
     """
 
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None):
-        # The loop is resolved lazily: a scheduler may be constructed
-        # before the event loop runs (the transport builds its machinery
-        # eagerly), and ``asyncio.get_event_loop()`` outside a running
-        # loop is deprecated/raising on modern Pythons.
-        self._explicit_loop = loop
+    def __init__(self):
+        # The loop is resolved lazily: the transport builds its scheduler
+        # before the event loop may be running, and
+        # ``asyncio.get_event_loop()`` outside a running loop is
+        # deprecated/raising on modern Pythons.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
 
     def _live_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
-            self._loop = (
-                self._explicit_loop
-                if self._explicit_loop is not None
-                else asyncio.get_running_loop()
-            )
+            self._loop = asyncio.get_running_loop()
             self._t0 = self._loop.time()
         return self._loop
 
@@ -69,12 +65,10 @@ class WallScheduler:
         Before the event loop runs the clock reads 0.0 — the scheduler
         starts ticking with the loop, not at construction.
         """
-        if self._loop is None and self._explicit_loop is None:
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                return 0.0
-        loop = self._live_loop()
+        try:
+            loop = self._live_loop()
+        except RuntimeError:  # no running loop yet
+            return 0.0
         return (loop.time() - self._t0) * 1000.0
 
     def schedule(self, delay_ms: float, fn: Callable, *args: Any) -> _WallEvent:

@@ -206,7 +206,7 @@ class WorkloadEngine:
         roster = self.rosters[group]
         if len(roster) <= self.spec.min_members:
             # Unreachable for generated streams (feasibility is decided
-            # at generation time); composed fault churn can get here.
+            # at generation time); a replayed trace can get here.
             self.skipped += 1
             return
         victim = roster.pop(self._victim_rng.randrange(len(roster)))

@@ -42,7 +42,7 @@ class WorkloadSpec:
     fault schedule (specified exactly as
     :meth:`~repro.faults.FaultSchedule.from_spec` takes it) whose times
     are relative to the start of the sustained phase, alongside the
-    churn.
+    churn; it holds faults only (churn belongs in ``trace``).
     """
 
     protocol: str

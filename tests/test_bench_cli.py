@@ -219,6 +219,45 @@ def test_chaos_refuses_bad_inputs_up_front(argv, complaint, capsys, tmp_path):
     assert not (tmp_path / "chaos.json").exists()
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    (["-n", "1"], "size (-n) must be at least 2"),
+    (["-n", "0"], "size (-n) must be at least 2"),
+    (["--timeout", "0", "--daemon", "inline"], "--timeout) must be positive"),
+    (["--timeout", "-1", "--daemon", "spawn"], "--timeout) must be positive"),
+])
+def test_live_refuses_bad_inputs_up_front(argv, complaint, capsys, tmp_path,
+                                          monkeypatch):
+    def simulated(*args, **kwargs):
+        pytest.fail("simulated before the arguments were checked")
+
+    monkeypatch.setattr("repro.bench.live.simulate_prediction", simulated)
+    out = tmp_path / "live.json"
+    code = main(["live", "--protocol", "BD", "--dh-group", "dh-test",
+                 "-o", str(out), *argv])
+    assert code == 1
+    assert complaint in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_live_names_a_daemon_that_misses_its_timeout(capsys, tmp_path):
+    out = tmp_path / "live.json"
+    assert main(["live", "--protocol", "BD", "-n", "2", "--dh-group",
+                 "dh-test", "--timeout", "0.001", "-o", str(out)]) == 1
+    assert "did not report LISTENING within 0.001s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_live_inline_writes_both_halves(capsys, tmp_path):
+    out = tmp_path / "live.json"
+    assert main(["live", "--protocol", "BD", "-n", "3", "--daemon", "inline",
+                 "--dh-group", "dh-test", "-o", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["schema"] == "bench-live/v1"
+    for half in ("simulated", "live"):
+        assert {"join", "leave", "rekey_ms"} <= set(document[half])
+    assert document["live"]["daemon"]["mode"] == "inline"
+
+
 def test_subcommand_rejects_unknown_protocol():
     with pytest.raises(SystemExit):
         main(["trace", "--protocol", "NOPE"])

@@ -20,7 +20,6 @@ from repro.faults import (
     LinkFaults,
     LinkPolicy,
     NO_FAULTS,
-    cascaded_churn,
     coordinator_kill,
     partition_storm,
 )
@@ -45,6 +44,22 @@ def _settled_group(framework, count):
         member.join()
         framework.run_until_idle()
     return members
+
+
+def _cascaded_churn(framework, joins, leaves, gap_ms):
+    """Back-to-back joins, then leaves, ``gap_ms`` apart from now:
+    cascaded membership events landing while the previous rekey is
+    still running."""
+    sim = framework.world.sim
+    base, t = sim.now, 0.0
+    for name, machine in joins:
+        sim.schedule_at(
+            base + t, lambda n=name, m=machine: framework.member(n, m).join()
+        )
+        t += gap_ms
+    for name in leaves:
+        sim.schedule_at(base + t, lambda n=name: framework._members[n].leave())
+        t += gap_ms
 
 
 def _one_shared_key(members):
@@ -271,9 +286,7 @@ class TestStallRecovery:
             fw.run_until_idle()
         _settled_group(fw, 5)
         fw.world.install_link_faults(LinkFaults.uniform(seed=0, drop=0.15))
-        cascaded_churn(
-            joins=[("j0", 5), ("j1", 6)], leaves=["m1"], gap_ms=2.0
-        ).install(fw)
+        _cascaded_churn(fw, [("j0", 5), ("j1", 6)], ["m1"], gap_ms=2.0)
         fw.run_until_idle()
         assert fw.rekey_restarts > 0
         first_installs = sum(
@@ -378,9 +391,7 @@ class TestFaultSchedule:
     def test_cascaded_churn_mid_rekey(self):
         fw = _framework("STR", stall_timeout_ms=STALL_MS)
         members = _settled_group(fw, 4)
-        cascaded_churn(
-            joins=[("j0", 4), ("j1", 5)], leaves=["m1"], gap_ms=2.0
-        ).install(fw)
+        _cascaded_churn(fw, [("j0", 4), ("j1", 5)], ["m1"], gap_ms=2.0)
         fw.run_until_idle()
         final = [m for m in members if m.name != "m1"]
         final += [fw._members["j0"], fw._members["j1"]]

@@ -15,10 +15,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.live import run_live_benchmark
 from repro.gcs.messages import ViewEvent
 from repro.net.client import NetClient
 from repro.net.daemon import SLOW_CONSUMER_BYTES, NetDaemon
-from repro.net.runner import LiveGroupRunner, run_live
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -371,13 +371,22 @@ class TestClientAgainstABrokenDaemon:
 
 
 class TestRunnerValidation:
+    """Bad arguments are refused before the simulated half runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_simulation(self, monkeypatch):
+        def simulated(*args, **kwargs):
+            pytest.fail("simulated before the arguments were checked")
+
+        monkeypatch.setattr("repro.bench.live.simulate_prediction", simulated)
+
     def test_size_bounds(self):
         with pytest.raises(ValueError, match="at least 2"):
-            LiveGroupRunner(size=1)
+            run_live_benchmark(size=1)
 
     def test_daemon_mode_validated(self):
         with pytest.raises(ValueError, match="spawn.*inline|inline.*spawn"):
-            LiveGroupRunner(daemon_mode="carrier-pigeon")
+            run_live_benchmark(daemon_mode="carrier-pigeon")
 
 
 @pytest.mark.slow
@@ -497,26 +506,24 @@ class TestLiveRekey:
     """Full secure-group smoke over loopback TCP (real crypto, wall time)."""
 
     def test_inline_daemon_rekey(self):
-        result = run_live(
+        result = run_live_benchmark(
             protocol="TGDH",
             size=4,
             daemon_mode="inline",
             timeout_s=60,
-            heartbeat_interval_s=0.5,
-        )
+        )["live"]
         assert result["join"]["total_ms"] > 0
         assert result["leave"]["total_ms"] > 0
         assert result["rekey_ms"]["count"] > 0
         assert result["rekey_ms"]["max"] > 0
 
     def test_spawned_daemon_rekey(self):
-        result = run_live(
+        result = run_live_benchmark(
             protocol="BD",
             size=4,
             daemon_mode="spawn",
             timeout_s=60,
-            heartbeat_interval_s=0.5,
-        )
+        )["live"]
         assert result["daemon"]["mode"] == "spawn"
         assert result["join"]["total_ms"] > 0
         assert result["leave"]["total_ms"] > 0

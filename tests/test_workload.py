@@ -1,6 +1,7 @@
 """Tests for the sustained-churn workload package (`repro.workload`)."""
 
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,19 @@ def test_spec_rejects_unknown_fault_action():
             protocol="TGDH",
             faults=({"at_ms": 1.0, "action": "explode"},),
         )
+
+
+@pytest.mark.parametrize("churn", [
+    {"action": "leave", "member": "g0.m1"},
+    {"action": "join", "member": "z", "machine": 9, "group": "g1"},
+    {"action": "mark"},
+])
+def test_spec_refuses_churn_among_its_faults(churn):
+    # Churn goes through the engine's rosters (``trace``); a fault
+    # schedule that joined or left members behind them went unchecked.
+    allowed = "['crash', 'heal', 'link', 'link-clear', 'partition', 'restart']"
+    with pytest.raises(ValueError, match=re.escape(allowed)):
+        WorkloadSpec(protocol="TGDH", faults=({"at_ms": 10.0, **churn},))
 
 
 def test_spec_rejects_unknown_churn_action():
