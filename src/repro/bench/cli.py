@@ -103,9 +103,7 @@ FIGURES = {
 
 
 def add_protocol_args(
-    parser: argparse.ArgumentParser,
-    singular: bool = False,
-    default: Optional[str] = None,
+    parser: argparse.ArgumentParser, singular: bool = False
 ) -> None:
     """Add the protocol-selection flag, wired to the live registry.
 
@@ -113,16 +111,15 @@ def add_protocol_args(
     build time, so a protocol registered by an extension shows up in
     every subcommand without touching this module — the registry is the
     single source of truth for protocol names.  ``singular`` adds
-    ``--protocol NAME`` (one protocol, default ``default`` or TGDH);
+    ``--protocol NAME`` (one protocol, default TGDH);
     otherwise ``--protocols NAME...`` (default: all registered).
     """
     choices = available()
     if singular:
         parser.add_argument(
             "--protocol", type=str.upper, choices=choices,
-            default=default or "TGDH",
-            help=f"key agreement protocol, case-insensitive "
-            f"(default {default or 'TGDH'})",
+            default="TGDH",
+            help="key agreement protocol, case-insensitive (default TGDH)",
         )
     else:
         parser.add_argument(
@@ -408,19 +405,11 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare",
         help="diff two benchmark JSON artifacts cell-by-cell; exits "
-        "nonzero on any drift (exact match by default — the simulator "
-        "is deterministic)",
+        "nonzero on any drift (exact match — the simulator is "
+        "deterministic)",
     )
     compare.add_argument("old", metavar="OLD.json", help="baseline artifact")
     compare.add_argument("new", metavar="NEW.json", help="candidate artifact")
-    compare.add_argument(
-        "--tolerance", type=float, default=0.0, metavar="ABS",
-        help="absolute tolerance per numeric field (default 0: exact)",
-    )
-    compare.add_argument(
-        "--relative", type=float, default=0.0, metavar="REL",
-        help="relative tolerance per numeric field (default 0: exact)",
-    )
 
     return parser
 
@@ -648,10 +637,7 @@ def run_live_command(args) -> int:
 
 
 def run_compare_command(args) -> int:
-    drifts = compare_files(
-        args.old, args.new,
-        tolerance=args.tolerance, relative=args.relative,
-    )
+    drifts = compare_files(args.old, args.new)
     if drifts:
         print(f"DRIFT: {args.new} diverges from {args.old}:")
         for line in drifts:

@@ -2,17 +2,16 @@
 
 Because the simulator is deterministic (same seed + spec ⇒ bit-identical
 simulated times and ledger charges), two runs of the same sweep on the
-same source tree must agree *exactly* — so the regression gate defaults
-to zero tolerance, and any drift in a simulated time, an op-ledger
-count, or a completion rate is a real behavioral change, not noise.  A
-deliberate change refreshes the committed baseline instead of widening a
-threshold.
+same source tree must agree *exactly*, so the comparison has no
+tolerance: any drift in a simulated time, an op-ledger count, or a
+completion rate is a real behavioral change, not noise.  A deliberate
+change refreshes the committed baseline instead.
 
 Payload cells (``measurements`` for scale/figure artifacts, ``cells``
-for chaos) are matched by their identity fields (protocol, event, group
-size, drop rate, topology, DH group); every remaining field is compared
-— numbers within ``tolerance + relative * |old|`` (both default 0),
-everything else for equality, nested dicts such as the op-ledger counts
+for chaos and load) are matched by their identity fields (protocol,
+event, group size, drop rate, topology, DH group, arrival process);
+cells sharing an identity are matched by occurrence.  Every field is
+compared for equality, nested dicts such as the op-ledger counts
 recursively.  Missing or extra cells and top-level metadata changes are
 drift too.
 """
@@ -20,6 +19,7 @@ drift too.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Dict, List, Tuple
 
 #: Fields that *identify* a cell rather than measure it.
@@ -30,6 +30,7 @@ IDENTITY_FIELDS = (
     "drop_rate",
     "topology",
     "dh_group",
+    "arrival",
 )
 
 #: Top-level payload keys that describe the run and must match for the
@@ -68,55 +69,35 @@ def _identity_label(identity: Tuple[Tuple[str, Any], ...]) -> str:
     return " ".join(f"{name}={value}" for name, value in identity)
 
 
-def _numbers(a: Any, b: Any) -> bool:
-    return (
-        isinstance(a, (int, float))
-        and isinstance(b, (int, float))
-        and not isinstance(a, bool)
-        and not isinstance(b, bool)
-    )
+def _indexed(rows: List[dict]) -> Dict[Tuple, dict]:
+    """Rows by identity; the k-th repeat of an identity is ranked ``#=k``."""
+    index: Dict[Tuple, dict] = {}
+    seen: Counter = Counter()
+    for row in rows:
+        identity = cell_identity(row)
+        rank = seen[identity]
+        seen[identity] += 1
+        index[identity + ((("#", rank),) if rank else ())] = row
+    return index
 
 
-def _diff_value(
-    path: str,
-    old: Any,
-    new: Any,
-    tolerance: float,
-    relative: float,
-    drifts: List[str],
-) -> None:
-    if _numbers(old, new):
-        allowed = tolerance + relative * abs(old)
-        if abs(new - old) > allowed:
-            drifts.append(
-                f"{path}: {old!r} -> {new!r} "
-                f"(|Δ|={abs(new - old):g}, allowed {allowed:g})"
-            )
-    elif isinstance(old, dict) and isinstance(new, dict):
+def _diff_value(path: str, old: Any, new: Any, drifts: List[str]) -> None:
+    if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
             if key not in old:
                 drifts.append(f"{path}.{key}: missing in OLD, new={new[key]!r}")
             elif key not in new:
                 drifts.append(f"{path}.{key}: missing in NEW, old={old[key]!r}")
             else:
-                _diff_value(
-                    f"{path}.{key}", old[key], new[key],
-                    tolerance, relative, drifts,
-                )
+                _diff_value(f"{path}.{key}", old[key], new[key], drifts)
     elif old != new:
         drifts.append(f"{path}: {old!r} -> {new!r}")
 
 
-def compare_payloads(
-    old: dict,
-    new: dict,
-    tolerance: float = 0.0,
-    relative: float = 0.0,
-) -> List[str]:
+def compare_payloads(old: dict, new: dict) -> List[str]:
     """Every drift between two payloads, as human-readable lines.
 
-    An empty list means the artifacts agree within tolerance (exactly,
-    by default).
+    An empty list means the artifacts agree exactly.
     """
     drifts: List[str] = []
     for name in META_FIELDS:
@@ -130,17 +111,7 @@ def compare_payloads(
         drifts.append(str(error))
         return drifts
 
-    def indexed(rows: List[dict]) -> Dict[Tuple, dict]:
-        index: Dict[Tuple, dict] = {}
-        for position, row in enumerate(rows):
-            identity = cell_identity(row)
-            # Duplicate identities (repeated cells) stay distinct by rank.
-            while identity in index:
-                identity = identity + (("#", position),)
-            index[identity] = row
-        return index
-
-    old_index, new_index = indexed(old_rows), indexed(new_rows)
+    old_index, new_index = _indexed(old_rows), _indexed(new_rows)
     for identity in old_index:
         if identity not in new_index:
             drifts.append(f"{_identity_label(identity)}: missing in NEW")
@@ -148,40 +119,13 @@ def compare_payloads(
         if identity not in old_index:
             drifts.append(f"{_identity_label(identity)}: missing in OLD")
     for identity, old_row in old_index.items():
-        new_row = new_index.get(identity)
-        if new_row is None:
-            continue
-        label = _identity_label(identity)
-        skip = {name for name, _ in identity}
-        for key in sorted(set(old_row) | set(new_row)):
-            if key in skip:
-                continue
-            if key not in old_row:
-                drifts.append(
-                    f"{label}.{key}: missing in OLD, new={new_row[key]!r}"
-                )
-            elif key not in new_row:
-                drifts.append(
-                    f"{label}.{key}: missing in NEW, old={old_row[key]!r}"
-                )
-            else:
-                _diff_value(
-                    f"{label}.{key}", old_row[key], new_row[key],
-                    tolerance, relative, drifts,
-                )
+        if identity in new_index:
+            _diff_value(
+                _identity_label(identity), old_row, new_index[identity], drifts
+            )
     return drifts
 
 
-def compare_files(
-    old_path: str,
-    new_path: str,
-    tolerance: float = 0.0,
-    relative: float = 0.0,
-) -> List[str]:
+def compare_files(old_path: str, new_path: str) -> List[str]:
     """:func:`compare_payloads` over two files on disk."""
-    return compare_payloads(
-        read_payload(old_path),
-        read_payload(new_path),
-        tolerance=tolerance,
-        relative=relative,
-    )
+    return compare_payloads(read_payload(old_path), read_payload(new_path))

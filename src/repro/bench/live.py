@@ -35,7 +35,7 @@ from typing import Dict, Optional
 
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
-from repro.gcs.topology import resolve_testbed
+from repro.gcs.topology import lan_testbed
 from repro.net.daemon import NetDaemon
 from repro.net.runner import DEFAULT_MACHINES, AsyncioTransport
 
@@ -48,13 +48,13 @@ def simulate_prediction(
     dh_group: str = "dh-512",
     engine=None,
     seed: int = 0,
-    topology: str = "lan",
 ) -> Dict:
     """The virtual-time prediction for the live scenario: the same
     :meth:`~repro.core.driver.GroupDriver.join_leave_scenario` body the
-    live half awaits over TCP, drained on the simulated testbed instead."""
+    live half awaits over TCP, drained on the simulated LAN testbed
+    instead."""
     with SecureSpreadFramework(
-        resolve_testbed(topology),
+        lan_testbed(),
         default_protocol=protocol,
         dh_group=dh_group,
         seed=seed,

@@ -84,17 +84,6 @@ class FigureSeries:
             measurements=list(measurements),
         )
 
-    def to_dict(self) -> dict:
-        """JSON-ready payload, cells serialized via ``EventMeasurement``."""
-        return {
-            "name": self.name,
-            "event": self.event,
-            "dh_group": self.dh_group,
-            "topology": self.topology,
-            "sizes": list(self.sizes),
-            "measurements": [m.to_dict() for m in self.measurements],
-        }
-
     def at(self, protocol: str, size: int) -> float:
         """The measured time of ``protocol`` at group size ``size``."""
         return self.curves[protocol][self.sizes.index(size)]

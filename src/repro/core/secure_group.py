@@ -538,21 +538,10 @@ class ObservedMember(SecureGroupMember):
 
 
 def _message_bytes(pmsg: ProtocolMessage) -> bytes:
-    """Canonical bytes of a protocol message for signing.
-
-    Memoized on the message object: a broadcast is signed once but
-    verified by every receiver, and the simulator delivers the same
-    in-process object to all of them, so without the memo the canonical
-    bytes of one message are recomputed O(n) times.  Message bodies are
-    never mutated after emission, so the memo cannot go stale.
-    """
-    cached = getattr(pmsg, "_canonical_bytes", None)
-    if cached is None:
-        cached = repr(
-            (pmsg.protocol, pmsg.epoch, pmsg.step, pmsg.sender, sorted_repr(pmsg.body))
-        ).encode()
-        pmsg._canonical_bytes = cached
-    return cached
+    """Canonical bytes of a protocol message for signing."""
+    return repr(
+        (pmsg.protocol, pmsg.epoch, pmsg.step, pmsg.sender, sorted_repr(pmsg.body))
+    ).encode()
 
 
 def sorted_repr(body: dict) -> str:

@@ -2,15 +2,15 @@
 
 Everything the five key agreement protocols need: Schnorr groups with
 512/1024-bit moduli and 160-bit prime-order subgroups (the parameters the
-paper uses), two-party Diffie-Hellman, RSA signatures with public exponent 3
-(as in the paper's testbed), a SHA-256 based KDF/stream cipher, and — the
-piece that powers the performance reproduction — an :class:`OperationLedger`
-that counts every cryptographic operation so the simulator can charge
-virtual CPU time for it through a calibrated :class:`CostModel`.
+paper uses), the group arithmetic every Diffie-Hellman step runs on, RSA
+signatures with public exponent 3 (as in the paper's testbed), a SHA-256
+based KDF/stream cipher, and — the piece that powers the performance
+reproduction — an :class:`OperationLedger` that counts every
+cryptographic operation so the simulator can charge virtual CPU time for
+it through a calibrated :class:`CostModel`.
 """
 
 from repro.crypto.costmodel import CostModel
-from repro.crypto.dh import DiffieHellman
 from repro.crypto.engine import (
     CryptoEngine,
     RealEngine,
@@ -46,7 +46,6 @@ __all__ = [
     "SYMBOLIC_ENGINE",
     "get_engine",
     "FixedBaseTable",
-    "DiffieHellman",
     "SchnorrGroup",
     "get_group",
     "GROUP_512",

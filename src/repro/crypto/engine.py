@@ -78,10 +78,13 @@ class CryptoEngine(ABC):
         """A fresh arithmetic context over ``group`` charging ``ledger``."""
 
 
-#: Shared fixed-base tables, keyed by (modulus, generator, window,
-#: backend name) — the tables are immutable and expensive enough to
-#: build once per process.
-_TABLE_CACHE: Dict[Tuple[int, int, int, str], FixedBaseTable] = {}
+#: Window width, in bits, of a real engine's fixed-base tables.
+FIXED_BASE_WINDOW = 6
+
+#: Shared fixed-base tables, keyed by (modulus, generator, backend
+#: name) — the tables are immutable and expensive enough to build once
+#: per process.
+_TABLE_CACHE: Dict[Tuple[int, int, str], FixedBaseTable] = {}
 
 #: Bound on each of a real engine's two per-group discrete-log maps,
 #: with FIFO eviction like :class:`PowerCache`.  An evicted entry is just
@@ -268,12 +271,10 @@ class RealEngine(CryptoEngine):
     def __init__(
         self,
         precompute: bool = True,
-        window: int = 6,
         power_cache_size: int = 8192,
         backend: BackendSpec = None,
     ):
         self.precompute = precompute
-        self.window = window
         self.backend: BignumBackend = get_backend(backend)
         self.power_cache: Optional[PowerCache] = (
             PowerCache(power_cache_size, backend=self.backend)
@@ -303,14 +304,14 @@ class RealEngine(CryptoEngine):
         )
 
     def _table_for(self, group: SchnorrGroup) -> FixedBaseTable:
-        key = (group.p, group.g, self.window, self.backend.name)
+        key = (group.p, group.g, self.backend.name)
         table = _TABLE_CACHE.get(key)
         if table is None:
             table = FixedBaseTable(
                 group.p,
                 group.g,
                 group.q_bits,
-                window=self.window,
+                window=FIXED_BASE_WINDOW,
                 backend=self.backend,
             )
             _TABLE_CACHE[key] = table

@@ -28,10 +28,6 @@ class RsaPublicKey:
     n: int
     e: int
 
-    @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
 
 @dataclass(frozen=True)
 class RsaKeyPair:
@@ -91,33 +87,16 @@ def _prime_coprime_to(bits: int, e: int, rng: DeterministicRandom) -> int:
             return candidate
 
 
-#: Bounded FIFO memo of digest expansions.  A broadcast signed once is
-#: verified by every receiver, and each verification re-expands the same
-#: message digest to modulus size — n - 1 identical expansions per
-#: broadcast at group size n.  The expansion is a pure function of
-#: (seed, width), so hits are bit-identical.
-_DIGEST_CACHE: dict = {}
-_DIGEST_CACHE_MAX = 1024
-
-
 def _full_domain_digest(message: bytes, n: int) -> int:
     """Expand SHA-256(message) to an integer just below ``n``."""
     target_bytes = (n.bit_length() - 1) // 8
     seed = hashlib.sha256(message).digest()
-    key = (seed, target_bytes)
-    cached = _DIGEST_CACHE.get(key)
-    if cached is not None:
-        return cached
     blocks = []
     counter = 0
     while sum(len(b) for b in blocks) < target_bytes:
         blocks.append(hashlib.sha256(seed + counter.to_bytes(4, "big")).digest())
         counter += 1
-    value = int.from_bytes(b"".join(blocks)[:target_bytes], "big")
-    if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-        del _DIGEST_CACHE[next(iter(_DIGEST_CACHE))]
-    _DIGEST_CACHE[key] = value
-    return value
+    return int.from_bytes(b"".join(blocks)[:target_bytes], "big")
 
 
 class RsaSigner:

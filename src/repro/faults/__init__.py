@@ -13,7 +13,7 @@ those conditions first-class and reproducible:
   :class:`~repro.gcs.world.GcsWorld` (``crash_daemon`` /
   ``restart_daemon``) and trigger real configuration changes;
 * :class:`FaultSchedule` — a timed scenario script (partition storms,
-  coordinator kills) replayable from a plain spec dict — faults only:
+  crashes, link policies) replayable from a plain spec dict — faults only:
   membership churn goes through the group driver and the workload
   engine;
 * together with the rekey stall watchdog in
@@ -30,7 +30,6 @@ from repro.faults.schedule import (
     ACTIONS,
     FaultEvent,
     FaultSchedule,
-    coordinator_kill,
     partition_storm,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "LinkFaults",
     "LinkPolicy",
     "NO_FAULTS",
-    "coordinator_kill",
     "partition_storm",
 ]

@@ -18,7 +18,7 @@ channel, which the simulator models as reliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.crypto.rng import DeterministicRandom
@@ -101,7 +101,6 @@ class LinkFaults:
     """
 
     def __init__(self, seed: int = 0, default: Optional[LinkPolicy] = None):
-        self.seed = seed
         self._rng = DeterministicRandom(seed).fork("link-faults")
         self.default_policy = default or NO_FAULTS
         self._overrides: Dict[Tuple[int, int], LinkPolicy] = {}
@@ -156,21 +155,3 @@ class LinkFaults:
         if policy.duplicate and self._rng.uniform(0.0, 1.0) < policy.duplicate:
             duplicate_delay = max(policy.reorder_delay_ms, 0.1)
         return FaultVerdict(False, extra, duplicate_delay)
-
-    def scaled(self, factor: float) -> "LinkFaults":
-        """A fresh injector with every probability scaled by ``factor``
-        (clamped to 1.0); used by sweeps over fault intensity."""
-        fresh = LinkFaults(seed=self.seed)
-        fresh.default_policy = _scale(self.default_policy, factor)
-        for key, policy in self._overrides.items():
-            fresh._overrides[key] = _scale(policy, factor)
-        return fresh
-
-
-def _scale(policy: LinkPolicy, factor: float) -> LinkPolicy:
-    return replace(
-        policy,
-        drop=min(policy.drop * factor, 1.0),
-        duplicate=min(policy.duplicate * factor, 1.0),
-        reorder=min(policy.reorder * factor, 1.0),
-    )

@@ -12,16 +12,15 @@ A schedule carries faults, not churn: members join and leave through
 :class:`~repro.core.driver.GroupDriver` and the workload engine, which
 keep the rosters the convergence checks read.
 
-Scenario builders (:func:`partition_storm`, :func:`coordinator_kill`)
-capture the paper's §5 stress cases: merges arriving mid-agreement and
-the coordinator dying at the worst moment.
+The scenario builder :func:`partition_storm` captures the paper's §5
+stress case of merges arriving mid-agreement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.faults.link import LinkFaults, LinkPolicy
 
@@ -187,34 +186,13 @@ def partition_storm(
     rounds: int = 3,
     period_ms: float = 200.0,
     start_ms: float = 0.0,
-    detection_delay_ms: Optional[float] = None,
 ) -> FaultSchedule:
     """Alternating partition/heal cycles — the paper's cascaded
     partition+merge stress (§5)."""
     schedule = FaultSchedule()
     t = start_ms
     for _ in range(rounds):
-        kwargs = {"components": [list(c) for c in components]}
-        if detection_delay_ms is not None:
-            kwargs["detection_delay_ms"] = detection_delay_ms
-        schedule.add(t, "partition", **kwargs)
-        heal_kwargs = {}
-        if detection_delay_ms is not None:
-            heal_kwargs["detection_delay_ms"] = detection_delay_ms
-        schedule.add(t + period_ms / 2, "heal", **heal_kwargs)
+        schedule.add(t, "partition", components=[list(c) for c in components])
+        schedule.add(t + period_ms / 2, "heal")
         t += period_ms
     return schedule
-
-
-def coordinator_kill(
-    machine: int = 0,
-    at_ms: float = 0.0,
-    restart_after_ms: Optional[float] = None,
-) -> FaultSchedule:
-    """Kill the configuration coordinator's machine (lowest daemon id is
-    always the coordinator), optionally restarting it later."""
-    schedule = FaultSchedule().add(at_ms, "crash", machine=machine)
-    if restart_after_ms is not None:
-        schedule.add(at_ms + restart_after_ms, "restart", machine=machine)
-    return schedule
-

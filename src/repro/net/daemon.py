@@ -183,8 +183,7 @@ class NetDaemon:
         return self.port
 
     async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
+        """Serve until cancelled (after :meth:`start`)."""
         await self._server.serve_forever()
 
     async def stop(self) -> None:
@@ -360,7 +359,7 @@ async def _amain(args) -> int:
     port = await daemon.start()
     print(f"LISTENING {port}", flush=True)
     try:
-        await daemon._server.serve_forever()
+        await daemon.serve_forever()
     except asyncio.CancelledError:  # pragma: no cover - signal-driven
         pass
     finally:

@@ -172,11 +172,6 @@ class Observability:
         """Write the span set as Chrome trace-event JSON; returns the dict."""
         return write_chrome_trace(self.spans.spans, path)
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.metrics.clear()
-        self.causality.reset()
-
 
 #: A shared disabled instance for layers constructed without observability.
 NULL_OBS: Optional[Observability] = Observability(enabled=False)

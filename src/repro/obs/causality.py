@@ -80,7 +80,3 @@ class Causality:
             return None
         return (self.new_span_id(), self.current[1])
 
-    def reset(self) -> None:
-        """Forget the ambient context (ids keep advancing: never reused)."""
-        self.current = None
-        self.last_cpu_span = None

@@ -189,11 +189,6 @@ class MetricsRegistry:
                     row["total"], row["min"], row["max"],
                 )
 
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._log_histograms.clear()
-
 
 def record_op_counts(
     metrics: MetricsRegistry, delta, **labels: Any

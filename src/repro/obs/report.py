@@ -54,9 +54,9 @@ class PhaseBreakdown:
     def phase_sum(self) -> float:
         return self.membership_ms + self.communication_ms + self.computation_ms
 
-    def reconciles(self, tolerance: float = 1e-6) -> bool:
-        """True when the phases sum to the timeline total within tolerance."""
-        return abs(self.phase_sum() - self.total_ms) <= tolerance
+    def reconciles(self) -> bool:
+        """True when the phases sum to the timeline total (within 1e-6 ms)."""
+        return abs(self.phase_sum() - self.total_ms) <= 1e-6
 
 
 def _read_phases(record: "EpochRecord", path: CriticalPath) -> PhaseBreakdown:

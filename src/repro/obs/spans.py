@@ -18,7 +18,7 @@ growing memory without limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Default span capacity; generous for every shipped benchmark, small
 #: enough that a runaway run cannot exhaust memory.
@@ -134,24 +134,3 @@ class SpanRecorder:
     def by_id(self) -> Dict[int, Span]:
         """Index of every id-carrying span, keyed by ``span_id``."""
         return {s.span_id: s for s in self.spans if s.span_id is not None}
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        actor: Optional[str] = None,
-        predicate: Optional[Callable[[Span], bool]] = None,
-    ) -> List[Span]:
-        """Spans matching all given criteria, in recording order."""
-        selected = self.spans
-        if category is not None:
-            selected = [s for s in selected if s.category == category]
-        if actor is not None:
-            selected = [s for s in selected if s.actor == actor]
-        if predicate is not None:
-            selected = [s for s in selected if predicate(s)]
-        return selected
-
-    def clear(self) -> None:
-        """Drop all recorded spans and reset the drop counter."""
-        self.spans.clear()
-        self.dropped = 0

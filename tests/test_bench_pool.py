@@ -209,13 +209,6 @@ def test_compare_exact_match_passes():
 def test_compare_flags_simulated_time_drift():
     drifts = compare_payloads(_payload(total=33.0), _payload(total=33.01))
     assert len(drifts) == 1 and "total_ms" in drifts[0]
-    # ... unless the drift is within an explicit tolerance.
-    assert compare_payloads(
-        _payload(total=33.0), _payload(total=33.01), tolerance=0.1
-    ) == []
-    assert compare_payloads(
-        _payload(total=33.0), _payload(total=33.01), relative=0.01
-    ) == []
 
 
 def test_compare_flags_op_ledger_drift():
@@ -229,6 +222,40 @@ def test_compare_flags_missing_and_extra_cells():
     empty = dict(one, measurements=[])
     assert any("missing in NEW" in d for d in compare_payloads(one, empty))
     assert any("missing in OLD" in d for d in compare_payloads(empty, one))
+
+
+def _cells(*rows):
+    return {"benchmark": "load", "seed": 7, "cells": list(rows)}
+
+
+def test_compare_matches_load_cells_by_arrival_not_row_order():
+    # Two cells of one protocol differ only in their arrival process.
+    poisson = {"protocol": "TGDH", "arrival": "poisson", "member_epochs": 40}
+    flash = {"protocol": "TGDH", "arrival": "flash", "member_epochs": 90}
+    assert compare_payloads(_cells(poisson, flash), _cells(flash, poisson)) == []
+    drifts = compare_payloads(
+        _cells(poisson, flash), _cells(flash, dict(poisson, member_epochs=41))
+    )
+    assert drifts == [
+        "protocol=TGDH arrival=poisson.member_epochs: 40 -> 41"
+    ]
+
+
+def test_compare_ranks_repeated_cells_by_occurrence():
+    # A cell prepended before two identical ones shifts their row
+    # positions, not their ranks among cells of the same identity.
+    bd = {"protocol": "BD", "event": "join", "group_size": 4, "total_ms": 9.0}
+    first = {"protocol": "STR", "event": "join", "group_size": 4, "total_ms": 1.0}
+    second = dict(first, total_ms=2.0)
+    assert compare_payloads(_cells(first, second), _cells(bd, first, second)) == [
+        "protocol=BD event=join group_size=4: missing in OLD"
+    ]
+    drifts = compare_payloads(
+        _cells(first, second), _cells(bd, first, dict(second, total_ms=3.0))
+    )
+    assert drifts[1:] == [
+        "protocol=STR event=join group_size=4 #=1.total_ms: 2.0 -> 3.0"
+    ]
 
 
 def test_compare_flags_meta_change():
@@ -251,7 +278,8 @@ def test_compare_cli_exit_codes(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
     assert main(["compare", str(old), str(drifted)]) == 1
     assert "DRIFT" in capsys.readouterr().out
-    assert main(["compare", str(old), str(drifted), "--tolerance", "2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["compare", str(old), str(drifted), "--tolerance", "2"])
 
 
 def test_cli_errors_exit_nonzero_not_zero(tmp_path, capsys):

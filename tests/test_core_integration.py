@@ -8,6 +8,7 @@ agreement messages, CPU cost charging, and group-data encryption.
 import pytest
 
 from repro.core import SecureSpreadFramework
+from repro.crypto.rsa import RsaVerifier
 from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.protocols import available
 
@@ -31,6 +32,28 @@ def _join_all(framework, members):
 
 @pytest.mark.parametrize("protocol", available())
 class TestAllProtocolsOverGcs:
+    def test_real_signatures_verify(self, protocol, monkeypatch):
+        # Every key agreement message of a join and a leave is signed and
+        # verified for real (GDH's key lists, the STR/CKD bodies, ...).
+        outcomes = []
+        verify = RsaVerifier.verify
+
+        def recording(verifier, public, message, signature):
+            outcomes.append(verify(verifier, public, message, signature))
+            return outcomes[-1]
+
+        monkeypatch.setattr(RsaVerifier, "verify", recording)
+        fw = _framework(protocol, sign_for_real=True, rsa_bits=256)
+        members = fw.spawn_members(4)
+        _join_all(fw, members)
+        joined = {m.key_bytes for m in members}
+        members[1].leave()
+        fw.run_until_idle()
+        rest = [m for m in members if m is not members[1]]
+        left = {m.key_bytes for m in rest}
+        assert len(joined) == len(left) == 1 and joined != left
+        assert outcomes and all(outcomes)
+
     def test_sequential_joins_reach_shared_key(self, protocol):
         fw = _framework(protocol)
         members = fw.spawn_members(6)
@@ -114,12 +137,6 @@ class TestFrameworkFeatures:
         assert a1.key_bytes == b1.key_bytes
         assert a2.key_bytes == b2.key_bytes
         assert a1.key_bytes != a2.key_bytes
-
-    def test_real_signatures_verify(self):
-        fw = _framework("TGDH", sign_for_real=True, rsa_bits=256)
-        members = fw.spawn_members(3)
-        _join_all(fw, members)
-        assert len({m.key_bytes for m in members}) == 1
 
     def test_queued_sends_released_after_rekey(self):
         fw = _framework("STR")

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.dh import DiffieHellman
 from repro.crypto.groups import GROUP_512, GROUP_TEST, GROUP_TINY
 from repro.crypto.kdf import derive_key, hmac_sha256, stream_xor
 from repro.crypto.modmath import GroupElementContext
@@ -16,39 +15,37 @@ from repro.crypto.rsa import (
 )
 
 
+def _exchange(ctx):
+    """Two-party Diffie-Hellman on ``ctx``: the secret each side derives
+    from the other's public value ``g^x``."""
+    a = ctx.random_exponent(DeterministicRandom(1))
+    b = ctx.random_exponent(DeterministicRandom(2))
+    ga, gb = ctx.exp_g(a), ctx.exp_g(b)
+    return ctx.exp(gb, a), ctx.exp(ga, b)
+
+
 class TestDiffieHellman:
+    """The two-party exchange every protocol generalizes, on the group
+    context the protocols compute with."""
+
     def test_shared_secret_agreement(self):
-        ctx = GroupElementContext(GROUP_TEST)
-        alice = DiffieHellman(ctx, DeterministicRandom(1))
-        bob = DiffieHellman(ctx, DeterministicRandom(2))
-        assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
+        alice, bob = _exchange(GroupElementContext(GROUP_TEST))
+        assert alice == bob
 
     def test_real_sized_group(self):
-        ctx = GroupElementContext(GROUP_512)
-        alice = DiffieHellman(ctx, DeterministicRandom(1))
-        bob = DiffieHellman(ctx, DeterministicRandom(2))
-        assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
+        alice, bob = _exchange(GroupElementContext(GROUP_512))
+        assert alice == bob
 
     def test_rejects_out_of_group_public(self):
         ctx = GroupElementContext(GROUP_TINY)
-        alice = DiffieHellman(ctx, DeterministicRandom(1))
-        with pytest.raises(ValueError):
-            alice.shared_secret(2)  # order-1018 element, not in the subgroup
-
-    def test_refresh_changes_share(self):
-        ctx = GroupElementContext(GROUP_TEST)
-        alice = DiffieHellman(ctx, DeterministicRandom(1))
-        old_public = alice.public
-        alice.refresh(DeterministicRandom(99))
-        assert alice.public != old_public
+        assert ctx.contains(ctx.exp_g(ctx.random_exponent(DeterministicRandom(1))))
+        assert not ctx.contains(2)  # order-1018 element, not in the subgroup
 
     def test_exchange_charges_ledger(self):
         ctx = GroupElementContext(GROUP_TEST)
-        alice = DiffieHellman(ctx, DeterministicRandom(1))
-        bob = DiffieHellman(ctx, DeterministicRandom(2))
         before = ctx.ledger.snapshot()
-        alice.shared_secret(bob.public)
-        assert ctx.ledger.delta_since(before).exp_count() == 1
+        _exchange(ctx)
+        assert ctx.ledger.delta_since(before).exp_count() == 4
 
 
 class TestRsa:

@@ -15,7 +15,6 @@ from repro.bench.harness import ExperimentSpec
 from repro.bench.scale import run_scale_cell
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
 from repro.crypto import engine as engine_module
-from repro.crypto.dh import DiffieHellman
 from repro.crypto.engine import (
     REAL_ENGINE,
     SYMBOLIC_ENGINE,
@@ -414,6 +413,6 @@ def test_diffie_hellman_agrees_under_both_engines():
     for which in ("real", "symbolic"):
         ctx_a = get_engine(which).context(GROUP_TEST, OperationLedger())
         ctx_b = get_engine(which).context(GROUP_TEST, OperationLedger())
-        alice = DiffieHellman(ctx_a, DeterministicRandom(1))
-        bob = DiffieHellman(ctx_b, DeterministicRandom(2))
-        assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
+        a = ctx_a.random_exponent(DeterministicRandom(1))
+        b = ctx_b.random_exponent(DeterministicRandom(2))
+        assert ctx_a.exp(ctx_b.exp_g(b), a) == ctx_b.exp(ctx_a.exp_g(a), b)

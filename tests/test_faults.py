@@ -20,7 +20,6 @@ from repro.faults import (
     LinkFaults,
     LinkPolicy,
     NO_FAULTS,
-    coordinator_kill,
     partition_storm,
 )
 from repro.gcs.daemon import Daemon
@@ -123,12 +122,6 @@ class TestLinkPolicy:
         strict = LinkFaults.uniform(seed=0, drop=1.0, affect_control=True)
         assert strict.apply(0, 1, control=True).drop is True
 
-    def test_scaled_injector(self):
-        faults = LinkFaults.uniform(seed=0, drop=0.4, duplicate=0.6)
-        doubled = faults.scaled(2.0)
-        assert doubled.default_policy.drop == 0.8
-        assert doubled.default_policy.duplicate == 1.0  # clamped
-
 
 # ---------------------------------------------------------------------------
 # the network under link faults
@@ -218,7 +211,7 @@ class TestCrashRestart:
         # forces the survivors to elect the next-lowest daemon.
         fw = _framework("BD")
         members = _settled_group(fw, 5)
-        coordinator_kill(machine=0, at_ms=1.0).install(fw)
+        FaultSchedule().add(1.0, "crash", machine=0).install(fw)
         fw.run_until_idle()
         survivors = [m for m in members if m.name != "m0"]
         _one_shared_key(survivors)
@@ -363,6 +356,57 @@ class TestFaultSchedule:
     def test_from_spec_accepts_at_alias(self):
         schedule = FaultSchedule.from_spec([{"at": 5, "action": "heal"}])
         assert schedule.events[0].at_ms == 5.0
+
+    @pytest.mark.parametrize(
+        "spec, effect",
+        [
+            (
+                [
+                    {"at_ms": 1.0, "action": "crash", "machine": 2},
+                    {"at_ms": 50.0, "action": "restart", "machine": 2},
+                ],
+                lambda world: world.daemons[2].config.daemon_ids
+                == tuple(range(13)),
+            ),
+            (
+                [{"at_ms": 1.0, "action": "link", "src": 0, "dst": 3,
+                  "policy": {"drop": 0.25}}],
+                lambda world: world.network.faults.policy_for(0, 3)
+                == world.network.faults.policy_for(3, 0)
+                == LinkPolicy(drop=0.25)
+                and world.network.faults.policy_for(0, 1) == NO_FAULTS,
+            ),
+            (
+                [
+                    {"at_ms": 1.0, "action": "link", "policy": {"drop": 0.25}},
+                    {"at_ms": 2.0, "action": "link", "src": 0, "dst": 3,
+                     "policy": {"delay_ms": 1.0}},
+                    {"at_ms": 3.0, "action": "link-clear"},
+                ],
+                lambda world: world.network.faults.policy_for(0, 3)
+                == world.network.faults.policy_for(0, 1)
+                == NO_FAULTS,
+            ),
+            ([{"action": "heal"}], None),
+        ],
+        ids=["restart", "link-pair", "link-clear", "missing-at_ms"],
+    )
+    def test_from_spec_entries_take_effect(self, spec, effect):
+        if effect is None:
+            with pytest.raises(ValueError, match="at_ms"):
+                FaultSchedule.from_spec(spec)
+            return
+        fw = _framework("BD", observe=True)
+        _settled_group(fw, 3)
+        schedule = FaultSchedule.from_spec(spec).install(fw)
+        fw.run_until_idle()
+        assert effect(fw.world)
+        actions = [entry["action"] for entry in spec]
+        assert [action for _, action in schedule.applied] == actions
+        instants = [
+            span.name for span in fw.obs.spans.spans if span.category == "fault"
+        ]
+        assert instants == actions
 
     def test_partition_storm_replay_is_bit_reproducible(self):
         # The acceptance bar: a fixed-seed schedule replays identically —
