@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.bench import FigureSeries, run_sweep
 from repro.protocols import available
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -31,3 +32,14 @@ def results_dir():
 def run_once(benchmark, fn):
     """Run an expensive simulation exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def figure_series(testbed, event, dh_group, sizes, repeats=2):
+    """Every protocol's curve on a named testbed, one ``figure`` sweep."""
+    run = run_sweep(
+        "figure", topology=testbed, protocols=ALL_PROTOCOLS, event=event,
+        dh_group=dh_group, sizes=sizes, repeats=repeats,
+    )
+    return FigureSeries.from_measurements(
+        f"{event}-{dh_group}", run.rows, sorted(set(sizes))
+    )

@@ -18,9 +18,9 @@ simulation:
 
 
 from conftest import run_once
-from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.crypto.costmodel import expensive_signatures, free_crypto
 from repro.core import SecureSpreadFramework
+from repro.core.driver import GroupDriver
 from repro.gcs.topology import Topology, lan_testbed, wan_testbed
 from repro.sim.cpu import Machine
 
@@ -68,15 +68,22 @@ def _many_core_lan():
     return Topology("lan-16core", machines, site_latency_ms={})
 
 
+def _measured_join(topology, protocol, size):
+    """One measured join on a custom testbed, the way a figure cell
+    measures it: sequential growth, then the join."""
+    with SecureSpreadFramework(topology, default_protocol=protocol) as framework:
+        driver = GroupDriver(framework)
+        driver.run(driver.grow(size))
+        return driver.run(driver.measured("join"))
+
+
 def test_cpu_contention_drives_bd_scaling(benchmark):
     """With 16 cores per machine, BD at 40 members loses the contention
     penalty that dual-CPU machines impose."""
 
     def measure():
         dual, many = (
-            run_experiment(
-                ExperimentSpec("BD", "join", 40, topology=testbed, repeats=1)
-            )
+            _measured_join(testbed(), "BD", 40)
             for testbed in (lan_testbed, _many_core_lan)
         )
         return dual.total_ms, many.total_ms

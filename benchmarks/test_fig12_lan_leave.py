@@ -15,25 +15,18 @@ Shape claims reproduced (§6.1.4):
 
 import pytest
 
-from conftest import ALL_PROTOCOLS, FIGURE_SIZES, run_once
-from repro.bench import render_series, series_to_csv, sweep_group_sizes
-from repro.gcs.topology import lan_testbed
+from conftest import FIGURE_SIZES, figure_series, run_once
+from repro.bench import render_series, series_to_csv
 
 
 @pytest.fixture(scope="module")
 def leave_512():
-    return sweep_group_sizes(
-        lan_testbed, ALL_PROTOCOLS, "leave", dh_group="dh-512",
-        sizes=FIGURE_SIZES, repeats=2,
-    )
+    return figure_series("lan", "leave", "dh-512", FIGURE_SIZES)
 
 
 @pytest.fixture(scope="module")
 def leave_1024():
-    return sweep_group_sizes(
-        lan_testbed, ALL_PROTOCOLS, "leave", dh_group="dh-1024",
-        sizes=FIGURE_SIZES, repeats=2,
-    )
+    return figure_series("lan", "leave", "dh-1024", FIGURE_SIZES)
 
 
 def test_fig12_leave_dh512(benchmark, results_dir, leave_512):

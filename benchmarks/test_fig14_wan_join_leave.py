@@ -17,27 +17,20 @@ Shape claims reproduced (§6.2.2-6.2.3):
 
 import pytest
 
-from conftest import ALL_PROTOCOLS, run_once
-from repro.bench import render_series, series_to_csv, sweep_group_sizes
-from repro.gcs.topology import wan_testbed
+from conftest import ALL_PROTOCOLS, figure_series, run_once
+from repro.bench import render_series, series_to_csv
 
 WAN_SIZES = (2, 8, 14, 20, 26, 35, 50)
 
 
 @pytest.fixture(scope="module")
 def wan_join():
-    return sweep_group_sizes(
-        wan_testbed, ALL_PROTOCOLS, "join", dh_group="dh-512",
-        sizes=WAN_SIZES, repeats=2,
-    )
+    return figure_series("wan", "join", "dh-512", WAN_SIZES)
 
 
 @pytest.fixture(scope="module")
 def wan_leave():
-    return sweep_group_sizes(
-        wan_testbed, ALL_PROTOCOLS, "leave", dh_group="dh-512",
-        sizes=WAN_SIZES, repeats=2,
-    )
+    return figure_series("wan", "leave", "dh-512", WAN_SIZES)
 
 
 def test_fig14_join(benchmark, results_dir, wan_join):

@@ -10,27 +10,20 @@ magnitude.
 
 import pytest
 
-from conftest import ALL_PROTOCOLS, run_once
-from repro.bench import render_series, series_to_csv, sweep_group_sizes
-from repro.gcs.topology import lan_testbed
+from conftest import figure_series, run_once
+from repro.bench import render_series, series_to_csv
 
 SIZES = (4, 13, 26)
 
 
 @pytest.fixture(scope="module")
 def join_2048():
-    return sweep_group_sizes(
-        lan_testbed, ALL_PROTOCOLS, "join", dh_group="dh-2048",
-        sizes=SIZES, repeats=1,
-    )
+    return figure_series("lan", "join", "dh-2048", SIZES, repeats=1)
 
 
 @pytest.fixture(scope="module")
 def leave_2048():
-    return sweep_group_sizes(
-        lan_testbed, ALL_PROTOCOLS, "leave", dh_group="dh-2048",
-        sizes=SIZES, repeats=1,
-    )
+    return figure_series("lan", "leave", "dh-2048", SIZES, repeats=1)
 
 
 def test_join_2048(benchmark, results_dir, join_2048):

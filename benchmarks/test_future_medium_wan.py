@@ -10,31 +10,20 @@ and TGDH — the paper's overall recommendation — stays at or near the top.
 
 import pytest
 
-from conftest import ALL_PROTOCOLS, run_once
-from repro.bench import render_series, series_to_csv, sweep_group_sizes
-from repro.gcs.topology import medium_wan_testbed
+from conftest import figure_series, run_once
+from repro.bench import render_series, series_to_csv
 
 SIZES = (4, 13, 26, 40)
 
 
-def _testbed():
-    return medium_wan_testbed(rtt_ms=70.0)
-
-
 @pytest.fixture(scope="module")
 def medium_join():
-    return sweep_group_sizes(
-        _testbed, ALL_PROTOCOLS, "join", dh_group="dh-512",
-        sizes=SIZES, repeats=2,
-    )
+    return figure_series("medium-wan", "join", "dh-512", SIZES)
 
 
 @pytest.fixture(scope="module")
 def medium_leave():
-    return sweep_group_sizes(
-        _testbed, ALL_PROTOCOLS, "leave", dh_group="dh-512",
-        sizes=SIZES, repeats=2,
-    )
+    return figure_series("medium-wan", "leave", "dh-512", SIZES)
 
 
 def test_medium_wan_join(benchmark, results_dir, medium_join):

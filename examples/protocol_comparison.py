@@ -9,8 +9,7 @@ for small LAN groups, and round-heavy protocols suffer on the WAN.
 Run:  python examples/protocol_comparison.py   (takes ~1 minute)
 """
 
-from repro.bench import render_plot, render_series, sweep_group_sizes
-from repro.gcs.topology import lan_testbed, wan_testbed
+from repro.bench import FigureSeries, render_plot, render_series, run_sweep
 from repro.protocols import available
 
 PROTOCOLS = available()
@@ -20,17 +19,18 @@ SIZES = (4, 13, 26)
 def main():
     print("Comparing the five protocols of Amir et al. (ICDCS 2002)…\n")
     tables = []
-    for topology, factory in (("LAN", lan_testbed), ("WAN", wan_testbed)):
+    for testbed in ("lan", "wan"):
         for event in ("join", "leave"):
-            series = sweep_group_sizes(
-                factory, PROTOCOLS, event, dh_group="dh-512",
-                sizes=SIZES, repeats=1,
+            run = run_sweep(
+                "figure", topology=testbed, protocols=PROTOCOLS, event=event,
+                dh_group="dh-512", sizes=SIZES, repeats=1,
             )
+            title = f"{event.capitalize()} cost on the {testbed.upper()} (ms)"
+            series = FigureSeries.from_measurements(title, run.rows, SIZES)
             tables.append(series)
-            title = f"{event.capitalize()} cost on the {topology} (ms)"
             print(render_series(series, title))
             print()
-            if topology == "LAN" and event == "join":
+            if testbed == "lan" and event == "join":
                 print(render_plot(series, title=title + " — chart"))
                 print()
 

@@ -22,7 +22,7 @@ import tempfile
 
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed
-from repro.obs import render_report, timeline_breakdowns, validate_chrome_trace
+from repro.obs import render_report, timeline_phases, validate_chrome_trace
 
 GROUP_SIZE = 8
 
@@ -47,8 +47,8 @@ def main() -> None:
         f"TGDH join at n={GROUP_SIZE} on the LAN testbed (ms)",
     ))
 
-    (breakdown,) = timeline_breakdowns(framework.timeline, framework.obs.spans)
-    assert breakdown.reconciles(), "phases must sum to the timeline total"
+    (phases,) = timeline_phases(framework.timeline, framework.obs.spans)
+    assert phases.reconciles(), "phases must sum to the timeline total"
 
     metrics = framework.obs.metrics
     print()

@@ -30,13 +30,12 @@ The package implements the full Secure Spread stack described in the paper:
 The stable public surface is re-exported here; everything else is
 internal and may move between releases::
 
-    from repro import SecureSpreadFramework, ExperimentSpec, run_experiment
+    from repro.bench import run_sweep
 
-    spec = ExperimentSpec(protocol="TGDH", event="join", group_size=16)
-    print(run_experiment(spec).total_ms)
+    run = run_sweep("figure", protocols=["TGDH"], event="join", sizes=[16])
+    print(run.rows[0].total_ms)
 """
 
-from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.core.framework import SecureSpreadFramework
 from repro.crypto.engine import RealEngine, SymbolicEngine, get_engine
 from repro.faults import FaultSchedule, LinkFaults, LinkPolicy
@@ -44,11 +43,10 @@ from repro.net import AsyncioTransport, NetClient, NetDaemon
 from repro.protocols import available, get_protocol, register
 from repro.transport import GroupChannel, Transport
 from repro.version import __version__
-from repro.workload import WorkloadResult, WorkloadSpec, run_workload
+from repro.workload import WorkloadResult, WorkloadSpec
 
 __all__ = [
     "AsyncioTransport",
-    "ExperimentSpec",
     "FaultSchedule",
     "GroupChannel",
     "LinkFaults",
@@ -65,7 +63,5 @@ __all__ = [
     "get_engine",
     "get_protocol",
     "register",
-    "run_experiment",
-    "run_workload",
     "__version__",
 ]

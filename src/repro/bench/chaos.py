@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
+from repro.bench.harness import check_sizes
 from repro.bench.pool import SWEEPS, Cell, Sweep
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
@@ -99,9 +100,8 @@ def run_chaos_cell(spec: dict) -> dict:
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"drop must be a probability, got {rate}")
     repeats = int(spec.get("repeats", 2))
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     group_size = int(spec.get("group_size", 6))
+    check_sizes("join", [group_size], repeats)
     topology = spec.get("topology", "lan")
     seed = int(spec.get("seed", 0))
     engine = spec.get("engine", "symbolic")

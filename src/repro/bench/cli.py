@@ -51,6 +51,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.table1 import render_table1
 from repro.bench.chaos import CHAOS_DROP_RATES, render_chaos_table
 from repro.bench.compare import compare_files
+from repro.bench.harness import check_sizes
 from repro.bench.load import (
     LOAD_ARRIVALS,
     LOAD_DURATION_MS,
@@ -61,7 +62,7 @@ from repro.bench.load import (
     render_load_table,
 )
 from repro.bench.plot import render_plot
-from repro.bench.pool import DEFAULT_CACHE_DIR, SWEEPS, pool_stats, run_cells
+from repro.bench.pool import DEFAULT_CACHE_DIR, SweepRun, pool_stats, run_sweep
 from repro.bench.report import artifact, render_series, series_to_csv, write_json
 from repro.bench.scale import SCALE_SIZES, render_scale_table
 from repro.bench.series import DEFAULT_SIZES, FigureSeries
@@ -432,46 +433,40 @@ def _progress(line: str) -> None:
     print(f"  {line}", flush=True)
 
 
-def _sweep(
-    args, kind: str, metrics: Optional[MetricsRegistry] = None, **options
-):
-    """Build ``kind``'s grid from ``options`` and run it through the pool
-    with the command line's pool arguments.
-
-    Returns the rows the artifact holds, the raw cell results — all a
-    cell hands back, so a cached cell reports what a fresh one does —
-    and the ``cells:`` line.  A command that runs several grids passes
-    one ``metrics`` registry to every call, and the last line counts
-    them all.
-    """
-    sweep = SWEEPS[kind]
-    if metrics is None:
-        metrics = MetricsRegistry()
-    results = run_cells(
-        sweep.cells(**options), jobs=args.jobs, cache_dir=args.cache_dir,
-        use_cache=args.use_cache, metrics=metrics, progress=_progress,
+def _pool_options(args, metrics: MetricsRegistry) -> dict:
+    """The command line's pool arguments, as :func:`run_sweep` takes
+    them.  A command that runs several grids passes one ``metrics``
+    registry to every run, and its ``cells:`` line counts them all."""
+    return dict(
+        jobs=args.jobs, cache_dir=args.cache_dir, use_cache=args.use_cache,
+        metrics=metrics, progress=_progress,
     )
+
+
+def _cells_line(metrics: MetricsRegistry, run: SweepRun) -> str:
+    """The ``cells:`` line: the pool's counts, and the settles that
+    tripped the livelock guard in ``run``'s cells — read off their
+    results, so a cached cell reports what a fresh one did."""
     stats = pool_stats(metrics)
-    livelocks = sum(result.get("livelocks", 0) for result in results)
-    line = (
+    livelocks = sum(result.get("livelocks", 0) for result in run.results)
+    return (
         f"cells: {stats['cells']} ({stats['cache_hits']} cache hits, "
         f"{stats['executed']} executed)"
         + (f", {livelocks} livelocked settles" if livelocks else "")
     )
-    return sweep.rows(results), results, line
 
 
 def run_figures(args) -> int:
     lines: List[str] = []
     metrics = MetricsRegistry()
     for title, topology, event, dh_group in FIGURES[args.number]:
-        measurements, _results, cells_line = _sweep(
-            args, "figure", metrics, topology=topology, event=event,
-            dh_group=dh_group, engine=args.engine,
+        run = run_sweep(
+            "figure", topology=topology, event=event, dh_group=dh_group,
+            engine=args.engine, **_pool_options(args, metrics),
             **_options(args, "protocols", "sizes", "repeats", "seed"),
         )
         series = FigureSeries.from_measurements(
-            title, measurements, sorted(set(args.sizes))
+            title, run.rows, sorted(set(args.sizes))
         )
         lines.append(render_series(series, title))
         lines.append("")
@@ -484,7 +479,7 @@ def run_figures(args) -> int:
             series_to_csv(series, path)
             lines.append(f"  wrote {path}\n")
     _emit(args, lines)
-    print(cells_line)
+    print(_cells_line(metrics, run))
     return 0
 
 
@@ -525,20 +520,21 @@ def run_scale_command(args) -> int:
             args, "protocols", "engine", "topology", "dh_group", "repeats", "seed"
         ),
     )
-    rows, results, cells_line = _sweep(
-        args, "scale", observe=args.observe, **meta
+    metrics = MetricsRegistry()
+    run = run_sweep(
+        "scale", observe=args.observe, **_pool_options(args, metrics), **meta
     )
-    table = render_scale_table(rows)
+    table = render_scale_table(run.rows)
     if args.observe:
         rekey_ms = MetricsRegistry()
-        for result in results:
+        for result in run.results:
             rekey_ms.merge_snapshot(result["rekey_ms"])
         table += "\n\n" + render_percentiles(
             rekey_ms.log_histograms(), "Rekey latency percentiles (ms)"
         )
     return _report(
-        args, artifact("scale", meta, "measurements", rows), table,
-        f"{len(rows)} measurements", cells_line,
+        args, artifact("scale", meta, "measurements", run.rows), table,
+        f"{len(run.rows)} measurements", _cells_line(metrics, run),
     )
 
 
@@ -547,14 +543,19 @@ def run_chaos_command(args) -> int:
         args, "protocols", "group_size", "engine", "topology", "dh_group",
         "repeats", "seed", "stall_timeout_ms",
     )
-    cells, results, cells_line = _sweep(
-        args, "chaos", drop_rates=args.drops, trace=bool(args.trace_log), **meta
+    metrics = MetricsRegistry()
+    run = run_sweep(
+        "chaos", drop_rates=args.drops, trace=bool(args.trace_log),
+        **_pool_options(args, metrics), **meta,
     )
+    cells = run.rows
     converged = sum(cell.converged for cell in cells)
     samples = sum(cell.samples for cell in cells)
     summary = f"{len(cells)} cells, {converged}/{samples} samples converged"
     if args.trace_log:
-        spans = [event for result in results for event in result["trace_events"]]
+        spans = [
+            event for result in run.results for event in result["trace_events"]
+        ]
         with open(args.trace_log, "w", encoding="utf-8") as handle:
             for event in spans:
                 handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
@@ -567,7 +568,7 @@ def run_chaos_command(args) -> int:
         )
     return _report(
         args, artifact("chaos", {"drops": args.drops, **meta}, "cells", cells),
-        render_chaos_table(cells), summary, cells_line, shortfall,
+        render_chaos_table(cells), summary, _cells_line(metrics, run), shortfall,
     )
 
 
@@ -594,7 +595,9 @@ def run_load_command(args) -> int:
             "engine", "topology", "dh_group", "seed", "stall_timeout_ms",
         ),
     )
-    cells, results, cells_line = _sweep(args, "load", trace=trace, **meta)
+    metrics = MetricsRegistry()
+    run = run_sweep("load", trace=trace, **_pool_options(args, metrics), **meta)
+    cells = run.rows
     converged = sum(cell.converged for cell in cells)
     summary = f"{len(cells)} cells, {converged}/{len(cells)} fully converged"
     shortfall = None
@@ -604,13 +607,13 @@ def run_load_command(args) -> int:
             "every group on a shared key: unkeyed " + "; ".join(
                 f"{cell.protocol} {cell.arrival} "
                 + describe_unkeyed(result["unkeyed"])
-                for cell, result in zip(cells, results)
+                for cell, result in zip(cells, run.results)
                 if result["unkeyed"]
             )
         )
     return _report(
         args, artifact("load", meta, "cells", cells),
-        render_load_table(cells), summary, cells_line, shortfall,
+        render_load_table(cells), summary, _cells_line(metrics, run), shortfall,
     )
 
 
@@ -654,7 +657,9 @@ def run_compare_command(args) -> int:
 
 def _run_observed_event(args):
     """Grow a group and run one observed membership event; returns the
-    framework and the event's one-line title."""
+    framework and the event's one-line title.  The size rule is checked
+    before the group grows."""
+    check_sizes(args.event, [args.size])
     framework = SecureSpreadFramework(
         resolve_testbed(args.topology),
         default_protocol=args.protocol,

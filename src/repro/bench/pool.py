@@ -20,7 +20,7 @@ cacheable:
 Each grid *kind* (``figure``, ``scale``, ``chaos``, ``load``) registers
 one :class:`Sweep` in :data:`SWEEPS`: its cell runner, its grid function,
 the rows its reporter reads off the results, and its progress line.
-:func:`run_sweep` is the one library entry point over them.  Runners
+:func:`run_sweep` is the one entry point over them.  Runners
 take a JSON-ready spec dict and return a JSON-ready result dict, so
 results can cross process boundaries and live in the cache without
 bespoke serialization — and the result is the only thing a cell hands
@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -244,9 +244,9 @@ def run_cells(
     the calling process (the sequential path); ``jobs=None`` uses every
     CPU.  Cache misses are executed and then stored; pass
     ``use_cache=False`` (or ``cache_dir=None``) to always execute.  A spec
-    that is not JSON-ready — it carries an engine *instance* or a testbed
-    factory — can be neither hashed nor shipped to a worker, so such a
-    grid runs inline and uncached.
+    that is not JSON-ready — say it carries an engine *instance* — can be
+    neither hashed nor shipped to a worker, so it is refused, naming the
+    cell, before any cell runs.
 
     A runner failure propagates: the pool is torn down and the first
     worker exception re-raised, so a sweep never silently drops cells.
@@ -255,11 +255,13 @@ def run_cells(
     say = progress or (lambda _line: None)
     registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     jobs = resolve_jobs(jobs)
-    try:
-        for cell in cells:
+    for cell in cells:
+        try:
             canonical_json(cell.spec)
-    except TypeError:
-        jobs, use_cache = 1, False
+        except TypeError as error:
+            raise TypeError(
+                f"cell {cell.label()!r}: a spec must be JSON-ready data ({error})"
+            ) from None
     cache = ResultCache(cache_dir) if (use_cache and cache_dir) else None
     total = len(cells)
     results: List[Optional[dict]] = [None] * total
@@ -313,6 +315,14 @@ def run_cells(
     return results  # type: ignore[return-value]
 
 
+class SweepRun(NamedTuple):
+    """What a sweep hands its reporter: the rows the artifact holds, and
+    every cell's whole result, in grid order."""
+
+    rows: list
+    results: List[dict]
+
+
 def run_sweep(
     kind: str,
     jobs: Optional[int] = 1,
@@ -321,22 +331,22 @@ def run_sweep(
     metrics: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[str], None]] = None,
     **options,
-) -> list:
-    """Build ``kind``'s grid from ``options``, run it through the pool,
-    and return the rows its reporter reads, in grid order — identical
-    for any ``jobs``.  ``options`` are the keywords of the kind's grid
-    function (:func:`~repro.bench.scale.scale_cells`,
+) -> SweepRun:
+    """Build ``kind``'s grid from ``options`` and run it through the pool
+    — the one path from a grid to the pool, for the CLI and the library
+    alike.  The rows and results are identical for any ``jobs``.
+    ``options`` are the keywords of the kind's grid function
+    (:func:`~repro.bench.scale.scale_cells`,
     :func:`~repro.bench.chaos.chaos_cells`,
     :func:`~repro.bench.load.load_cells`,
-    :func:`~repro.bench.series.figure_cells`); an engine *instance* or a
-    testbed factory among them forces the inline uncached path.
+    :func:`~repro.bench.series.figure_cells`).
     """
     sweep = SWEEPS[kind]
     results = run_cells(
         sweep.cells(**options), jobs=jobs, cache_dir=cache_dir,
         use_cache=use_cache, metrics=metrics, progress=progress,
     )
-    return sweep.rows(results)
+    return SweepRun(sweep.rows(results), results)
 
 
 def pool_stats(metrics: MetricsRegistry) -> Dict[str, int]:

@@ -35,10 +35,12 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.bench.harness import EventMeasurement, ExperimentSpec, averaged
+from repro.bench.harness import EventMeasurement, averaged, check_sizes
 from repro.bench.pool import SWEEPS, Cell, Sweep
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver, Sample
+from repro.core.framework import SecureSpreadFramework
 from repro.crypto.ledger import OpCounts
+from repro.gcs.topology import resolve_testbed
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import available
 
@@ -68,7 +70,8 @@ def run_scale_cell(spec: dict) -> dict:
     a join and a leave are measured ``repeats`` times each, alternating
     join first.  An unmeasured restore puts the size back before every
     measurement but the first; nothing reads the group after the last
-    one, so it is not restored.  Returns
+    one, so it is not restored.  The size rule is the leave's: a cell
+    below two members is refused before it grows.  Returns
     ``{"join": EventMeasurement dict, "leave": EventMeasurement dict}``
     — JSON-ready, so the cell can cross process boundaries and live in
     the result cache — plus ``"rekey_ms"``, the snapshot rows of the
@@ -79,32 +82,30 @@ def run_scale_cell(spec: dict) -> dict:
     either way.
     """
     size = int(spec["group_size"])
-    observe = bool(spec.get("observe", False))
-    espec = ExperimentSpec(
-        protocol=spec["protocol"],
-        event="join",
-        group_size=size,
+    repeats = int(spec.get("repeats", 1))
+    check_sizes("leave", [size], repeats)
+    with SecureSpreadFramework(
+        resolve_testbed(spec.get("topology", "lan")),
+        default_protocol=spec["protocol"],
         dh_group=spec.get("dh_group", "dh-512"),
-        topology=spec.get("topology", "lan"),
-        repeats=int(spec.get("repeats", 1)),
         seed=int(spec.get("seed", 0)),
+        observe=bool(spec.get("observe", False)),
         engine=spec.get("engine", "symbolic"),
-    )
-    with espec.build_framework(observe=observe) as framework:
+    ) as framework:
         max_events = int(spec.get("max_events", LARGE_RUN_MAX_EVENTS))
         driver = GroupDriver(framework, max_events=max_events)
         driver.grow_batched(size)
         samples = {"join": [], "leave": []}
         ops = {"join": OpCounts(), "leave": OpCounts()}
-        for index in range(2 * espec.repeats):
+        for index in range(2 * repeats):
             event = ("join", "leave")[index % 2]
             if index:
                 driver.run(driver.restore())  # unmeasured
             before = driver.ledger_totals()
             record = driver.run(driver.join() if event == "join" else driver.leave())
             ops[event] = ops[event] + (driver.ledger_totals() - before)
-            # No phase attribution (driver.sample): an observed cell must
-            # serialize byte-identically to an unobserved one.
+            # No phase attribution (driver.sample): a cell averages only
+            # the total and membership times.
             samples[event].append(
                 Sample(record.total_elapsed(), record.membership_elapsed())
             )
@@ -115,7 +116,7 @@ def run_scale_cell(spec: dict) -> dict:
             ).fold(histogram)
         result = {
             event: averaged(
-                espec, framework, event, size, samples[event], _ops_dict(ops[event])
+                driver, event, size, samples[event], _ops_dict(ops[event])
             ).to_dict()
             for event in ("join", "leave")
         }
@@ -134,11 +135,7 @@ def scale_cells(
     observe: bool = False,
     max_events: int = LARGE_RUN_MAX_EVENTS,
 ) -> List[Cell]:
-    """The sweep's cell grid, protocol-major with sizes ascending.
-
-    An engine *instance* (rather than a name) cannot cross process or
-    cache boundaries, so it forces the inline uncached path.
-    """
+    """The sweep's cell grid, protocol-major with sizes ascending."""
     return [
         Cell("scale", {
             "protocol": protocol,

@@ -15,17 +15,13 @@ assembled from the measurements by :meth:`FigureSeries.from_measurements`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
-from repro.bench.harness import (
-    EventMeasurement,
-    ExperimentSpec,
-    measure_settled,
-)
-from repro.bench.pool import SWEEPS, Cell, Sweep, run_sweep
+from repro.bench.harness import EventMeasurement, averaged, check_sizes
+from repro.bench.pool import SWEEPS, Cell, Sweep
 from repro.core.driver import GroupDriver
-from repro.gcs.topology import Topology
-from repro.obs.metrics import MetricsRegistry
+from repro.core.framework import SecureSpreadFramework
+from repro.gcs.topology import resolve_testbed
 
 #: The default group sizes sampled along the paper's 0-50 member x-axis.
 DEFAULT_SIZES = (2, 4, 8, 13, 20, 26, 33, 40, 50)
@@ -128,35 +124,40 @@ def run_figure_cell(spec: dict) -> dict:
     last sample) and the total elapsed times averaged — exactly the
     paper's measurement loop.  Curves for different protocols are
     independent cells, but the sizes within one curve share framework
-    state and stay sequential.  ``spec["topology"]`` is a testbed *name*
-    whenever the cell is hashed or shipped to worker processes.  Returns
-    ``{"measurements": [EventMeasurement dict, ...]}`` in size order.
+    state and stay sequential.  Every size is checked against the size
+    rule before the group grows.  Returns ``{"measurements":
+    [EventMeasurement dict, ...]}`` in size order.
     """
     sizes = sorted(set(spec.get("sizes", DEFAULT_SIZES)))
-    espec = ExperimentSpec(
-        protocol=spec["protocol"],
-        event=spec["event"],
-        group_size=max(sizes, default=1),
+    event = spec["event"]
+    repeats = int(spec.get("repeats", 2))
+    check_sizes(event, sizes, repeats)
+    with SecureSpreadFramework(
+        resolve_testbed(spec.get("topology", "lan")),
+        default_protocol=spec["protocol"],
         dh_group=spec.get("dh_group", "dh-512"),
-        topology=spec["topology"],
-        repeats=int(spec.get("repeats", 2)),
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine"),
-    )
-    with espec.build_framework() as framework:
+    ) as framework:
         driver = GroupDriver(framework)
         measurements = []
-        for index, size in enumerate(sizes):
-            if index:
+        for size in sizes:
+            if measurements:
                 driver.run(driver.restore())  # unmeasured
-            measurements.append(measure_settled(espec, driver, size).to_dict())
+            driver.run(driver.grow(size))
+            samples = []
+            for index in range(repeats):
+                if index:
+                    driver.run(driver.restore())  # unmeasured
+                samples.append(driver.run(driver.measured(event)))
+            measurements.append(averaged(driver, event, size, samples).to_dict())
         return {"measurements": measurements}
 
 
 def figure_cells(
-    topology: Union[str, Callable[[], Topology]],
     protocols: Sequence[str],
     event: str,
+    topology: str = "lan",
     dh_group: str = "dh-512",
     sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 2,
@@ -192,40 +193,6 @@ def _figure_summary(result: dict) -> str:
     return (
         f"{largest['protocol']} {largest['event']} curve done "
         f"(n={largest['group_size']}: {largest['total_ms']:.1f} ms)"
-    )
-
-
-def sweep_group_sizes(
-    topology: Union[str, Callable[[], Topology]],
-    protocols: Sequence[str],
-    event: str,
-    dh_group: str = "dh-512",
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    repeats: int = 2,
-    seed: int = 0,
-    name: str = "",
-    engine=None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> FigureSeries:
-    """Measure ``event`` for every protocol across group sizes.
-
-    Each protocol curve is one pool cell, so the assembled series is
-    identical for any ``jobs``.  ``topology`` is a testbed name or a
-    zero-argument factory; a factory — like an engine *instance* — makes
-    the sweep run inline and uncached (see :func:`run_cells`).
-    """
-    measurements = run_sweep(
-        "figure", jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-        metrics=metrics, progress=progress, topology=topology,
-        protocols=protocols, event=event, dh_group=dh_group, sizes=sizes,
-        repeats=repeats, seed=seed, engine=engine,
-    )
-    return FigureSeries.from_measurements(
-        name or f"{event}-{dh_group}", measurements, sorted(set(sizes))
     )
 
 

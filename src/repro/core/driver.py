@@ -39,7 +39,7 @@ from repro.core.framework import SecureSpreadFramework
 from repro.core.timing import EpochRecord
 from repro.crypto.ledger import OpCounts
 from repro.gcs.membership import reconfiguration_view
-from repro.obs.report import epoch_breakdown
+from repro.obs.report import epoch_phases
 from repro.transport.base import CAP_VIRTUAL_TIME
 
 #: event budget for large-n runs (the simulator default is sized for the
@@ -342,7 +342,7 @@ class GroupDriver:
         total, membership = record.total_elapsed(), record.membership_elapsed()
         if not self.framework.obs.enabled:
             return Sample(total, membership)
-        phases = epoch_breakdown(record, self.framework.obs.spans)
+        phases = epoch_phases(record, self.framework.obs.spans)
         return Sample(total, membership, phases.communication_ms, phases.computation_ms)
 
     def measured(self, event: str):

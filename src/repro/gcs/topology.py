@@ -17,7 +17,7 @@ client-daemon IPC and per-message daemon processing.  The two testbeds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.sim.cpu import Machine
 
@@ -196,14 +196,11 @@ TESTBEDS = {
 }
 
 
-def resolve_testbed(topology: Union[str, Callable[[], Topology]]) -> Topology:
-    """A fresh testbed: ``topology`` is a :data:`TESTBEDS` name or a
-    zero-argument factory returning a :class:`Topology`."""
-    if callable(topology):
-        return topology()
+def resolve_testbed(topology: str) -> Topology:
+    """A fresh testbed by :data:`TESTBEDS` name; a custom testbed is a
+    :class:`Topology` handed to the framework itself."""
     if topology not in TESTBEDS:
         raise ValueError(
-            f"unknown topology {topology!r}; "
-            f"choose from {sorted(TESTBEDS)} or pass a factory"
+            f"unknown topology {topology!r}; choose from {sorted(TESTBEDS)}"
         )
     return TESTBEDS[topology]()

@@ -41,11 +41,11 @@ from repro.obs.metrics import (
     record_op_counts,
 )
 from repro.obs.report import (
-    PhaseBreakdown,
-    epoch_breakdown,
-    render_breakdowns,
+    EpochPhases,
+    epoch_phases,
+    render_phases,
     render_report,
-    timeline_breakdowns,
+    timeline_phases,
 )
 from repro.obs.spans import DEFAULT_CAPACITY, Span, SpanRecorder
 
@@ -55,24 +55,24 @@ __all__ = [
     "Counter",
     "CriticalPath",
     "CriticalSegment",
+    "EpochPhases",
     "Gauge",
     "JSONL_SCHEMA_VERSION",
     "LogHistogram",
     "MetricsRegistry",
     "Observability",
-    "PhaseBreakdown",
     "Span",
     "SpanRecorder",
     "critical_path",
-    "epoch_breakdown",
+    "epoch_phases",
     "record_op_counts",
-    "render_breakdowns",
     "render_critical_paths",
     "render_percentiles",
+    "render_phases",
     "render_report",
     "spans_to_jsonl",
-    "timeline_breakdowns",
     "timeline_critical_paths",
+    "timeline_phases",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # import cycle: repro.core imports repro.obs at runtime
 
 
 @dataclass(frozen=True)
-class PhaseBreakdown:
+class EpochPhases:
     """One epoch's elapsed time split into the paper's three phases."""
 
     epoch: Tuple
@@ -59,7 +59,7 @@ class PhaseBreakdown:
         return abs(self.phase_sum() - self.total_ms) <= 1e-6
 
 
-def _read_phases(record: "EpochRecord", path: CriticalPath) -> PhaseBreakdown:
+def _read_phases(record: "EpochRecord", path: CriticalPath) -> EpochPhases:
     """Split one epoch along its already-extracted critical path."""
     window_start = max(record.view_delivered.values())
     window_end = max(record.key_ready.values())
@@ -70,7 +70,7 @@ def _read_phases(record: "EpochRecord", path: CriticalPath) -> PhaseBreakdown:
             end = min(segment.end, window_end)
             if end > start:
                 computation += end - start
-    return PhaseBreakdown(
+    return EpochPhases(
         epoch=record.epoch,
         last_member=path.member,
         total_ms=record.total_elapsed(),
@@ -80,32 +80,30 @@ def _read_phases(record: "EpochRecord", path: CriticalPath) -> PhaseBreakdown:
     )
 
 
-def epoch_breakdown(record: "EpochRecord", spans: SpanRecorder) -> PhaseBreakdown:
+def epoch_phases(record: "EpochRecord", spans: SpanRecorder) -> EpochPhases:
     """Decompose one complete epoch along its critical path."""
     return _read_phases(record, critical_path(record, spans))
 
 
-def _breakdowns(
+def _all_phases(
     timeline: "RekeyTimeline", paths: List[CriticalPath]
-) -> List[PhaseBreakdown]:
+) -> List[EpochPhases]:
     return [_read_phases(timeline.epochs[path.epoch], path) for path in paths]
 
 
-def timeline_breakdowns(
+def timeline_phases(
     timeline: "RekeyTimeline", spans: SpanRecorder
-) -> List[PhaseBreakdown]:
-    """Breakdowns for every *complete, event-marked* epoch, in epoch order.
+) -> List[EpochPhases]:
+    """The phases of every *complete, event-marked* epoch, in epoch order.
 
     Epochs whose membership event was never marked (e.g. the growth phase
     of a benchmark, where joins are deliberately unmeasured) are skipped —
     they have no well-defined elapsed time.
     """
-    return _breakdowns(timeline, timeline_critical_paths(timeline, spans))
+    return _all_phases(timeline, timeline_critical_paths(timeline, spans))
 
 
-def render_breakdowns(
-    breakdowns: List[PhaseBreakdown], title: Optional[str] = None
-) -> str:
+def render_phases(rows: List[EpochPhases], title: Optional[str] = None) -> str:
     """Aligned text table: one row per epoch, one column per phase."""
     header = (
         f"{'epoch':>24s} {'total':>10s} {'membship':>10s} "
@@ -113,14 +111,14 @@ def render_breakdowns(
     )
     lines = [title or "Per-epoch phase decomposition (ms)", header,
              "-" * len(header)]
-    for b in breakdowns:
+    for b in rows:
         ok = "yes" if b.reconciles() else "NO"
         lines.append(
             f"{str(b.epoch):>24s} {b.total_ms:10.3f} {b.membership_ms:10.3f} "
             f"{b.communication_ms:10.3f} {b.computation_ms:10.3f} {ok:>6s}  "
             f"{b.last_member}"
         )
-    if not breakdowns:
+    if not rows:
         lines.append("(no complete epochs recorded)")
     return "\n".join(lines)
 
@@ -131,12 +129,12 @@ def render_report(
     """The phase table, then the critical paths it was read from, then the
     rekey-latency percentiles — one walk per epoch."""
     paths = timeline_critical_paths(timeline, spans)
-    breakdowns = _breakdowns(timeline, paths)
-    lines = [render_breakdowns(breakdowns, title)]
-    if breakdowns:
-        worst = max(abs(b.phase_sum() - b.total_ms) for b in breakdowns)
+    rows = _all_phases(timeline, paths)
+    lines = [render_phases(rows, title)]
+    if rows:
+        worst = max(abs(b.phase_sum() - b.total_ms) for b in rows)
         lines.append(
-            f"{len(breakdowns)} epoch(s); worst |phases - timeline| = "
+            f"{len(rows)} epoch(s); worst |phases - timeline| = "
             f"{worst:.2e} ms"
         )
         lines.append("\nCritical paths: the chains the phases were read from\n")

@@ -32,7 +32,7 @@ from repro.workload.arrivals import (
     stream_populations,
     trace_stream,
 )
-from repro.workload.engine import WorkloadEngine, WorkloadResult, run_workload
+from repro.workload.engine import WorkloadEngine, WorkloadResult
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadEngine",
     "WorkloadResult",
-    "run_workload",
     "poisson_stream",
     "flash_stream",
     "diurnal_stream",

@@ -31,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
 from repro.core.framework import SecureSpreadFramework
-from repro.gcs.topology import Topology, resolve_testbed
+from repro.gcs.topology import resolve_testbed
 from repro.obs.histo import LogHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.spec import WorkloadSpec
@@ -98,16 +98,17 @@ class WorkloadResult:
 class WorkloadEngine:
     """One sustained run on one framework; see the module docstring.
 
-    The engine is usable in two layers: :func:`run_workload` for the
-    one-call benchmark path, or construct-then-:meth:`run` when a test
-    wants to inspect the live rosters and framework afterwards (the
-    multi-group key-isolation test does).
+    Construct, then :meth:`run`; the rosters and the framework stay
+    inspectable afterwards (the multi-group key-isolation test reads
+    them).  The benchmark's ``load`` cell
+    (:func:`~repro.bench.load.run_load_cell`) runs one engine per cell
+    and closes its framework on return.
     """
 
     def __init__(
         self,
         spec: WorkloadSpec,
-        topology: Union[str, Callable[[], Topology]] = "lan",
+        topology: str = "lan",
         dh_group: str = "dh-512",
         engine=None,
         stall_timeout_ms: Optional[float] = DEFAULT_STALL_TIMEOUT_MS,
@@ -123,8 +124,8 @@ class WorkloadEngine:
             engine=engine,
             stall_timeout_ms=stall_timeout_ms,
         )
-        #: where a tripped livelock guard is counted (``run_workload``
-        #: points it at the caller's registry)
+        #: where a tripped livelock guard is counted (``run_load_cell``
+        #: points it at the cell's registry)
         self.metrics = MetricsRegistry(enabled=False)
         #: one driver per group index; ``rosters`` are their live member
         #: lists, maintained through churn
@@ -301,28 +302,3 @@ def _member_state(member) -> dict:
         "epoch": None if installed is None else str(installed),
         "key": None if key is None else hashlib.sha256(key).hexdigest()[:8],
     }
-
-
-def run_workload(
-    spec: WorkloadSpec,
-    topology: Union[str, Callable[[], Topology]] = "lan",
-    dh_group: str = "dh-512",
-    engine=None,
-    stall_timeout_ms: Optional[float] = DEFAULT_STALL_TIMEOUT_MS,
-    max_events: int = LARGE_RUN_MAX_EVENTS,
-    metrics=None,
-) -> WorkloadResult:
-    """Run one spec and return its result; a tripped livelock guard is
-    counted on ``metrics`` when one is passed."""
-    driver = WorkloadEngine(
-        spec,
-        topology=topology,
-        dh_group=dh_group,
-        engine=engine,
-        stall_timeout_ms=stall_timeout_ms,
-        max_events=max_events,
-    )
-    if metrics is not None:
-        driver.metrics = metrics
-    with driver.framework:
-        return driver.run()

@@ -2,7 +2,7 @@
 
 
 from repro.analysis.predict import predict_elapsed_ms
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.pool import run_sweep
 from repro.crypto.costmodel import pentium3_666
 from repro.gcs.messages import ViewEvent
 from repro.gcs.topology import lan_testbed, wan_testbed
@@ -35,9 +35,11 @@ def test_prediction_within_factor_of_simulation():
         predicted = predict_elapsed_ms(
             protocol, ViewEvent.JOIN, 10, lan_testbed(), model
         )
-        simulated = run_experiment(
-            ExperimentSpec(protocol, "join", 10, dh_group="dh-512", repeats=1)
-        ).total_ms
+        (measurement,) = run_sweep(
+            "figure", protocols=[protocol], event="join", sizes=[10],
+            dh_group="dh-512", repeats=1,
+        ).rows
+        simulated = measurement.total_ms
         assert predicted / 4 < simulated < predicted * 4, protocol
 
 

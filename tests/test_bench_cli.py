@@ -17,6 +17,7 @@ from repro.bench.cli import (
     main,
 )
 from repro.bench.pool import SWEEPS, Cell, run_cells
+from repro.core.driver import GroupDriver
 from repro.gcs.topology import TESTBEDS
 from repro.obs import JSONL_SCHEMA_VERSION, validate_chrome_trace
 
@@ -217,6 +218,33 @@ def test_chaos_refuses_bad_inputs_up_front(argv, complaint, capsys, tmp_path):
     assert complaint in capsys.readouterr().err
     assert time.monotonic() - started < 1.0
     assert not (tmp_path / "chaos.json").exists()
+
+
+@pytest.mark.parametrize("argv, size", [
+    pytest.param(
+        ["figure", "11", "--sizes", "-3", "2", "--protocols", "BD",
+         "--repeats", "1", "--jobs", "1", "--no-cache"], -3, id="figure",
+    ),
+    pytest.param(
+        ["chaos", "--protocols", "BD", "--size", "-2", "--drops", "0",
+         "--repeats", "1", "--jobs", "1", "--no-cache"], -2, id="chaos",
+    ),
+    pytest.param(["trace", "--size", "-1"], -1, id="trace"),
+    pytest.param(["report", "--size", "0"], 0, id="report"),
+])
+def test_a_size_below_one_is_refused_before_any_group_grows(
+    argv, size, capsys, tmp_path, monkeypatch
+):
+    """One size rule for every command: each size is checked up front,
+    and the refusal names it."""
+    def grow(*args, **kwargs):
+        pytest.fail("a group grew before its size was checked")
+
+    monkeypatch.setattr(GroupDriver, "grow", grow)
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 1
+    assert f"group_size must be at least 1, got {size}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, complaint", [

@@ -2,18 +2,21 @@
 
 import pytest
 
-from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
+from repro.bench.harness import EventMeasurement
+from repro.bench.pool import run_sweep
 from repro.bench.report import render_series, series_to_csv
-from repro.bench.series import FigureSeries, sweep_group_sizes
+from repro.bench.series import FigureSeries
 from repro.core import SecureSpreadFramework
 from repro.core.driver import GroupDriver
 from repro.gcs.topology import lan_testbed
 
 
 def _measure(protocol, size, event, repeats=1):
-    return run_experiment(
-        ExperimentSpec(protocol, event, size, dh_group="dh-test", repeats=repeats)
-    )
+    (measurement,) = run_sweep(
+        "figure", protocols=[protocol], event=event, sizes=[size],
+        dh_group="dh-test", repeats=repeats,
+    ).rows
+    return measurement
 
 
 class TestMeasureEvent:
@@ -59,10 +62,11 @@ class TestMeasureEvent:
 class TestSweep:
     @pytest.fixture(scope="class")
     def series(self):
-        return sweep_group_sizes(
-            lan_testbed, ("BD", "STR"), "join", dh_group="dh-test",
-            sizes=(3, 5), repeats=1, name="unit-sweep",
+        run = run_sweep(
+            "figure", protocols=("BD", "STR"), event="join",
+            dh_group="dh-test", sizes=(3, 5), repeats=1,
         )
+        return FigureSeries.from_measurements("unit-sweep", run.rows, [3, 5])
 
     def test_series_structure(self, series):
         assert isinstance(series, FigureSeries)
@@ -91,8 +95,9 @@ class TestSweep:
 
     def test_invalid_event_rejected(self):
         with pytest.raises(ValueError):
-            sweep_group_sizes(
-                lan_testbed, ("BD",), "banana", sizes=(3,), repeats=1
+            run_sweep(
+                "figure", protocols=("BD",), event="banana", sizes=(3,),
+                repeats=1,
             )
 
 

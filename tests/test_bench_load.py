@@ -70,8 +70,8 @@ def test_storm_faults_cover_partition_and_heal():
 
 def test_run_load_matches_any_jobs_count():
     kwargs = dict(protocols=("TGDH", "BD"), arrivals=("poisson",), **SMALL)
-    sequential = run_sweep("load", jobs=1, **kwargs)
-    parallel = run_sweep("load", jobs=2, **kwargs)
+    sequential = run_sweep("load", jobs=1, **kwargs).rows
+    parallel = run_sweep("load", jobs=2, **kwargs).rows
     as_dicts = [r.to_dict() for r in sequential]
     assert as_dicts == [r.to_dict() for r in parallel]
     assert canonical_json(artifact("load", {}, "cells", sequential)) == (
@@ -83,7 +83,7 @@ def test_run_load_matches_any_jobs_count():
 def test_render_load_table_lists_every_cell():
     results = run_sweep(
         "load", protocols=("TGDH",), arrivals=("poisson",), **SMALL
-    )
+    ).rows
     table = render_load_table(results)
     assert "p50 ms" in table and "epochs/s" in table
     assert "TGDH" in table and "poisson" in table

@@ -22,6 +22,8 @@ from repro.bench.pool import (
     source_fingerprint,
 )
 from repro.bench.report import artifact, write_json
+from repro.crypto.engine import RealEngine
+from repro.gcs.topology import lan_testbed
 from repro.obs import MetricsRegistry
 from repro.workload import WorkloadSpec
 
@@ -76,6 +78,21 @@ def test_every_runner_rejects_an_unknown_testbed_by_name(runner, spec):
 def test_unknown_kind_raises():
     with pytest.raises(KeyError):
         run_cells([Cell("no-such-kind", {})], jobs=1, use_cache=False)
+
+
+@pytest.mark.parametrize(
+    "value", [RealEngine(), lan_testbed], ids=["engine", "testbed"]
+)
+def test_a_spec_that_is_not_data_is_refused_naming_its_cell(value):
+    """No inline, uncached fallback: an engine instance or a testbed
+    factory in one spec stops the grid before any cell runs."""
+    EXECUTIONS.clear()
+    cells = _echo_cells(2) + [
+        Cell("scale", {"protocol": "BD", "group_size": 4, "engine": value})
+    ]
+    with pytest.raises(TypeError, match="cell 'scale protocol=BD size=4'"):
+        run_cells(cells, jobs=1, use_cache=False)
+    assert EXECUTIONS == []
 
 
 # -- the content-addressed cache ----------------------------------------------
@@ -155,8 +172,8 @@ def test_scale_jobs_equivalence_and_byte_identical_json(tmp_path):
         protocols=("BD", "TGDH"), sizes=(4,), dh_group="dh-test",
         engine="symbolic", use_cache=False,
     )
-    sequential = run_sweep("scale", jobs=1, **kwargs)
-    parallel = run_sweep("scale", jobs=2, **kwargs)
+    sequential = run_sweep("scale", jobs=1, **kwargs).rows
+    parallel = run_sweep("scale", jobs=2, **kwargs).rows
     assert sequential == parallel
     meta = {"seed": 0}
     write_json(
@@ -262,6 +279,19 @@ def test_compare_flags_meta_change():
     changed = dict(_payload(), engine="real")
     drifts = compare_payloads(_payload(), changed)
     assert any(d.startswith("meta.engine") for d in drifts)
+
+
+def test_compare_names_a_field_missing_on_either_side():
+    """Field-level drift: OLD holds the always-null ``communication_ms``
+    that NEW lacks, and NEW carries a key OLD never had."""
+    old, new = _payload(), _payload()
+    old["measurements"][0]["communication_ms"] = None
+    new["measurements"][0]["extra"] = 1
+    cell = "protocol=BD event=join group_size=4 topology=lan dh_group=dh-test"
+    assert compare_payloads(old, new) == [
+        f"{cell}.communication_ms: missing in NEW, old=None",
+        f"{cell}.extra: missing in OLD, new=1",
+    ]
 
 
 # -- CLI exit codes -----------------------------------------------------------

@@ -1,44 +1,54 @@
-"""The experiment-spec surface, serialization, and the scale benchmark."""
+"""The size rule, serialization, and the scale benchmark."""
 
 import json
 
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.harness import EventMeasurement, ExperimentSpec, run_experiment
+from repro.bench.harness import EventMeasurement, check_sizes
 from repro.bench.report import artifact, write_json
 from repro.bench.pool import run_sweep
 from repro.bench.scale import render_scale_table
 from repro.core.driver import GroupDriver
+from repro.core.framework import SecureSpreadFramework
+from repro.gcs.topology import lan_testbed, resolve_testbed
 
 
 def _driver(protocol):
-    spec = ExperimentSpec(protocol, "join", 1, dh_group="dh-test")
-    return GroupDriver(spec.build_framework())
+    return GroupDriver(
+        SecureSpreadFramework(
+            lan_testbed(), default_protocol=protocol, dh_group="dh-test"
+        )
+    )
 
 
-# -- ExperimentSpec -----------------------------------------------------------
+def _figure_point(protocol, event, size, **options):
+    (measurement,) = run_sweep(
+        "figure", protocols=[protocol], event=event, sizes=[size], **options
+    ).rows
+    return measurement
+
+
+# -- the size rule ------------------------------------------------------------
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ExperimentSpec(protocol="TGDH", event="rekey", group_size=4)
-    with pytest.raises(ValueError):
-        ExperimentSpec(protocol="TGDH", event="join", group_size=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(protocol="TGDH", event="join", group_size=4, repeats=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(
-            protocol="TGDH", event="join", group_size=4, topology="mars"
-        )
+    with pytest.raises(ValueError, match="event must be 'join' or 'leave'"):
+        check_sizes("rekey", [4])
+    with pytest.raises(ValueError, match="group_size must be at least 1"):
+        check_sizes("join", [0])
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        check_sizes("join", [4], repeats=0)
+    with pytest.raises(ValueError, match="a leave needs group_size of at least 2"):
+        check_sizes("leave", [1])
+    with pytest.raises(ValueError, match="unknown topology 'mars'"):
+        resolve_testbed("mars")
 
 
 def test_spec_accepts_topology_names():
-    spec = ExperimentSpec(
-        protocol="BD", event="join", group_size=3, topology="lan",
-        dh_group="dh-test", repeats=1,
+    measurement = _figure_point(
+        "BD", "join", 3, topology="lan", dh_group="dh-test", repeats=1
     )
-    measurement = run_experiment(spec)
     assert measurement.topology == "lan"
     assert measurement.engine == "real"
 
@@ -47,11 +57,8 @@ def test_spec_accepts_topology_names():
 
 
 def test_measurement_round_trips_through_dict():
-    m = run_experiment(
-        ExperimentSpec(
-            "BD", "join", 3, dh_group="dh-test", repeats=1, engine="symbolic"
-        )
-    )
+    m = _figure_point("BD", "join", 3, dh_group="dh-test", repeats=1,
+                      engine="symbolic")
     data = m.to_dict()
     assert data["engine"] == "symbolic"
     assert EventMeasurement.from_dict(data) == m
@@ -114,7 +121,7 @@ def test_run_scale_tiny(tmp_path):
         sizes=(6,),
         dh_group="dh-test",
         engine="symbolic",
-    )
+    ).rows
     assert [(m.event, m.group_size) for m in measurements] == [
         ("join", 6),
         ("leave", 6),
@@ -148,7 +155,7 @@ def test_observed_sweep_is_bit_identical_to_unobserved():
             engine="symbolic",
             observe=observe,
             use_cache=False,
-        )
+        ).rows
 
     plain = [m.to_dict() for m in sweep(observe=False)]
     observed = [m.to_dict() for m in sweep(observe=True)]

@@ -88,7 +88,7 @@ def test_key_agreement_elapsed_reconciles_with_span_breakdown():
     """The decomposition splits ``key_agreement_elapsed`` exactly into
     communication + computation, reading computation off the parent-linked
     chain that ends in the last finisher's ``key-install``."""
-    from repro.obs import epoch_breakdown
+    from repro.obs import epoch_phases
     from repro.obs.spans import SpanRecorder
 
     timeline = RekeyTimeline()
@@ -112,7 +112,7 @@ def test_key_agreement_elapsed_reconciles_with_span_breakdown():
     )
     # b's own crypto that nothing on the chain waited on
     spans.record("crypto", "b-idle", "b", "p1", 104.0, 107.0, span_id=7)
-    phases = epoch_breakdown(record, spans)
+    phases = epoch_phases(record, spans)
     assert phases.last_member == "b"
     assert phases.membership_ms == pytest.approx(3.0)
     assert phases.computation_ms == pytest.approx(4.0 + 2.0)

@@ -11,9 +11,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.harness import ExperimentSpec
 from repro.bench.scale import run_scale_cell
 from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver
+from repro.core.framework import SecureSpreadFramework
 from repro.crypto import engine as engine_module
 from repro.crypto.engine import (
     REAL_ENGINE,
@@ -27,6 +27,7 @@ from repro.crypto.fixedbase import FixedBaseTable
 from repro.crypto.groups import GROUP_512, GROUP_TEST
 from repro.crypto.ledger import OperationLedger
 from repro.crypto.rng import DeterministicRandom
+from repro.gcs.topology import lan_testbed
 from repro.protocols import available
 
 
@@ -164,8 +165,10 @@ def test_power_cache_earns_its_keep_on_tree_protocols(
     # once followed the last leave brings them to what the cell counted
     # while it still ran one, so the difference is exactly its traffic.
     hand = RealEngine(backend="python")
-    spec = ExperimentSpec(protocol, "join", 16, dh_group="dh-test", engine=hand)
-    driver = GroupDriver(spec.build_framework(), max_events=LARGE_RUN_MAX_EVENTS)
+    framework = SecureSpreadFramework(
+        lan_testbed(), default_protocol=protocol, dh_group="dh-test", engine=hand
+    )
+    driver = GroupDriver(framework, max_events=LARGE_RUN_MAX_EVENTS)
     driver.grow_batched(16)
     for step in (driver.join, driver.restore, driver.leave):
         driver.run(step())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.series import run_figure_cell
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.protocols import available, get_protocol
@@ -18,11 +18,14 @@ def test_loopback_runs_are_reproducible(protocol):
 
 
 def test_simulated_measurements_are_reproducible():
-    spec = ExperimentSpec("TGDH", "join", 6, dh_group="dh-test", repeats=1, seed=42)
-    first = run_experiment(spec)
-    second = run_experiment(spec)
-    assert first.total_ms == second.total_ms
-    assert first.membership_ms == second.membership_ms
+    spec = {
+        "protocol": "TGDH", "event": "join", "sizes": [6],
+        "dh_group": "dh-test", "repeats": 1, "seed": 42,
+    }
+    (first,) = run_figure_cell(spec)["measurements"]
+    (second,) = run_figure_cell(spec)["measurements"]
+    assert first["total_ms"] == second["total_ms"]
+    assert first["membership_ms"] == second["membership_ms"]
 
 
 def test_different_seeds_change_key_material():

@@ -9,7 +9,7 @@ representation preserves the algebra, not just the costs.
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.pool import run_sweep
 from repro.crypto.engine import RealEngine
 from repro.protocols import available, get_protocol
 from repro.protocols.loopback import LoopbackGroup
@@ -77,9 +77,10 @@ def test_full_stack_times_identical(protocol):
     results = {}
     for engine in ("real", "symbolic"):
         join, leave = (
-            run_experiment(
-                ExperimentSpec(protocol, event, 5, repeats=1, engine=engine)
-            )
+            run_sweep(
+                "figure", protocols=[protocol], event=event, sizes=[5],
+                repeats=1, engine=engine,
+            ).rows[0]
             for event in ("join", "leave")
         )
         results[engine] = (

@@ -457,7 +457,7 @@ class TestChaosBench:
             engine="symbolic",
             repeats=1,
             seed=4,
-        )
+        ).rows
         assert [c.drop_rate for c in cells] == [0.0, 0.2]
         control, faulty = cells
         assert control.stalls == 0 and control.restarts == 0
@@ -472,7 +472,7 @@ class TestChaosBench:
         cells = run_sweep(
             "chaos", protocols=("TGDH",), drop_rates=(0.1,), group_size=3,
             dh_group="dh-test", repeats=1,
-        )
+        ).rows
         payload = artifact("chaos", {"seed": 0}, "cells", cells)
         assert payload["benchmark"] == "chaos"
         (cell,) = payload["cells"]

@@ -10,14 +10,21 @@ from collections import Counter
 import pytest
 
 from repro.bench.chaos import run_chaos_cell
-from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.bench.live import simulate_prediction
 from repro.bench.load import run_load_cell, storm_faults
 from repro.bench.scale import run_scale_cell
 from repro.bench.series import run_figure_cell
 from repro.core.driver import GroupDriver
-from repro.workload.engine import run_workload
+from repro.core.framework import SecureSpreadFramework
+from repro.gcs.topology import lan_testbed
+from repro.workload.engine import WorkloadEngine
 from repro.workload.spec import WorkloadSpec
+
+
+def _run_workload(engine):
+    with engine.framework:
+        return engine.run()
+
 
 _WORKLOAD = WorkloadSpec(
     protocol="TGDH", arrival="poisson", groups=2, group_size=3,
@@ -52,12 +59,12 @@ RUNNERS = {
     "load-storm": lambda: run_load_cell(
         {"workload": _WORKLOAD.to_spec(), "dh_group": "dh-test"}
     ),
-    "workload": lambda: run_workload(
-        _WORKLOAD, dh_group="dh-test", engine="symbolic"
+    "workload": lambda: _run_workload(
+        WorkloadEngine(_WORKLOAD, dh_group="dh-test", engine="symbolic")
     ),
-    "experiment": lambda: run_experiment(
-        ExperimentSpec("CKD", "leave", 4, dh_group="dh-test", repeats=1,
-                       engine="symbolic")
+    "experiment": lambda: run_figure_cell(
+        {"protocol": "CKD", "event": "leave", "sizes": [4], "repeats": 1,
+         "dh_group": "dh-test", "engine": "symbolic"}
     ),
     "live-simulated": lambda: simulate_prediction(
         "TGDH", 4, dh_group="dh-test", engine="symbolic"
@@ -91,8 +98,10 @@ def test_one_shot_runner_leaves_no_cyclic_garbage(name):
 
 
 def test_close_twice_is_a_no_op():
-    spec = ExperimentSpec("TGDH", "join", 3, dh_group="dh-test", engine="symbolic")
-    framework = spec.build_framework()
+    framework = SecureSpreadFramework(
+        lan_testbed(), default_protocol="TGDH", dh_group="dh-test",
+        engine="symbolic",
+    )
     driver = GroupDriver(framework)
     driver.run(driver.grow(3))
     framework.close()

@@ -14,7 +14,6 @@ import collections
 import pytest
 
 from repro.bench import run_chaos_cell
-from repro.bench.harness import ExperimentSpec, measure_settled
 from repro.core import SecureSpreadFramework
 from repro.core.driver import GroupDriver
 from repro.faults import LinkFaults
@@ -207,11 +206,15 @@ class TestNoLostWake:
 # numbers for
 #
 #   PYTHONPATH=src python -c "
-#   from repro.bench.harness import ExperimentSpec, measure_settled
 #   from repro.core.driver import GroupDriver
-#   spec = ExperimentSpec('TGDH', 'join', 16, repeats=1, engine='symbolic')
-#   driver = GroupDriver(spec.build_framework())
-#   for size in range(2, 17): measure_settled(spec, driver, size)
+#   from repro.core.framework import SecureSpreadFramework
+#   from repro.gcs.topology import lan_testbed
+#   driver = GroupDriver(SecureSpreadFramework(
+#       lan_testbed(), default_protocol='TGDH', engine='symbolic'))
+#   for size in range(2, 17):
+#       driver.run(driver.grow(size))
+#       driver.run(driver.measured('join'))
+#       driver.run(driver.restore())
 #   sim = driver.framework.world.sim
 #   print(sim.events_processed, repr(sim.now))"
 HOP_BY_HOP_EVENTS = 10106
@@ -223,10 +226,14 @@ def test_figure_cell_fires_events_only_where_work_happens():
     arrival scan: the cell fires at most 60 % of the hop-by-hop count.
     The final clock is unchanged to the bit — the park event still
     advances it to the last quiet rotation's end."""
-    spec = ExperimentSpec("TGDH", "join", 16, repeats=1, engine="symbolic")
-    driver = GroupDriver(spec.build_framework())
+    driver = GroupDriver(
+        SecureSpreadFramework(
+            lan_testbed(), default_protocol="TGDH", engine="symbolic"
+        )
+    )
     for size in range(2, 17):
-        measure_settled(spec, driver, size)
+        driver.run(driver.grow(size))
+        driver.run(driver.measured("join"))
         driver.run(driver.restore())  # as the recorded sequence did
     sim = driver.framework.world.sim
     assert sim.events_processed <= 0.6 * HOP_BY_HOP_EVENTS

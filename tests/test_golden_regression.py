@@ -9,9 +9,8 @@ here deliberately.
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.pool import run_sweep
 from repro.bench.load import run_load_cell, storm_faults
-from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.workload import WorkloadSpec
 
 #: (testbed, protocol) -> (total_ms, membership_ms) for a join at n=6,
@@ -25,17 +24,12 @@ GOLDEN = {
     ("wan", "GDH"): (1128.890000, 319.340000),
 }
 
-_TESTBEDS = {"lan": lan_testbed, "wan": wan_testbed}
-
-
 @pytest.mark.parametrize("testbed,protocol", sorted(GOLDEN))
 def test_join_timing_matches_golden_value(testbed, protocol):
-    measurement = run_experiment(
-        ExperimentSpec(
-            protocol, "join", 6, topology=_TESTBEDS[testbed],
-            dh_group="dh-512", repeats=1, seed=0,
-        )
-    )
+    (measurement,) = run_sweep(
+        "figure", protocols=[protocol], event="join", sizes=[6],
+        topology=testbed, dh_group="dh-512", repeats=1, seed=0,
+    ).rows
     expected_total, expected_membership = GOLDEN[(testbed, protocol)]
     assert measurement.total_ms == pytest.approx(expected_total, abs=1e-3)
     assert measurement.membership_ms == pytest.approx(

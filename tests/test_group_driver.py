@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.bench import run_chaos_cell, run_figure_cell, run_scale_cell
-from repro.bench.harness import ExperimentSpec, averaged, run_experiment
+from repro.bench.harness import averaged, check_sizes
 from repro.bench.live import simulate_prediction
 from repro.bench.scale import _ops_dict
 from repro.core import SecureSpreadFramework
@@ -216,10 +216,10 @@ def test_scale_cell_restores_between_measurements_only():
     cell = run_scale_cell(
         {"protocol": "TGDH", "group_size": 5, "dh_group": "dh-test", "repeats": 2}
     )
-    espec = ExperimentSpec(
-        "TGDH", "join", 5, dh_group="dh-test", repeats=2, engine="symbolic"
+    framework = SecureSpreadFramework(
+        lan_testbed(), default_protocol="TGDH", dh_group="dh-test",
+        engine="symbolic",
     )
-    framework = espec.build_framework()
     driver = GroupDriver(framework)
     driver.grow_batched(5)
     samples = {"join": [], "leave": []}
@@ -237,7 +237,7 @@ def test_scale_cell_restores_between_measurements_only():
     assert [m.name for m in driver.members] == ["m0", "m1", "m3", "m4"]
     assert {event: cell[event] for event in ("join", "leave")} == {
         event: averaged(
-            espec, framework, event, 5, samples[event], _ops_dict(ops[event])
+            driver, event, 5, samples[event], _ops_dict(ops[event])
         ).to_dict()
         for event in ("join", "leave")
     }
@@ -259,7 +259,7 @@ def test_a_leave_never_empties_the_group():
             "dh_group": "dh-test", "sizes": [1, 2], "repeats": 1,
         })
     with pytest.raises(ValueError, match="at least 2"):
-        ExperimentSpec("BD", "leave", 1)
+        check_sizes("leave", [1])
     driver = _sim_driver("BD", 1, observe=False)
     with pytest.raises(ValueError, match="last member"):
         driver.run(driver.leave())
@@ -283,7 +283,8 @@ def test_ckd_leave_is_the_weighted_sum_of_two_raw_leaves():
         )
         assert getattr(sample, field) == expected
     assert controller.total_ms > middle.total_ms  # full channel re-establishment
-    cell = run_experiment(
-        ExperimentSpec("CKD", "leave", n, dh_group="dh-test", repeats=1)
-    )
-    assert cell.total_ms == sample.total_ms
+    cell = run_figure_cell({
+        "protocol": "CKD", "event": "leave", "sizes": [n],
+        "dh_group": "dh-test", "repeats": 1,
+    })["measurements"][0]
+    assert cell["total_ms"] == sample.total_ms

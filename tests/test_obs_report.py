@@ -10,15 +10,15 @@ seed's (golden) values.
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.pool import run_sweep
 from repro.core.driver import GroupDriver
 from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.obs import (
     critical_path,
-    epoch_breakdown,
+    epoch_phases,
     render_report,
-    timeline_breakdowns,
+    timeline_phases,
 )
 from repro.protocols import available
 
@@ -42,7 +42,7 @@ def _observed_join(protocol, testbed, size=6):
 def test_phases_sum_to_timeline_total_lan(protocol):
     framework = _observed_join(protocol, lan_testbed)
     record = framework.timeline.latest_complete()
-    phases = epoch_breakdown(record, framework.obs.spans)
+    phases = epoch_phases(record, framework.obs.spans)
     assert phases.phase_sum() == pytest.approx(
         record.total_elapsed(), abs=1e-6
     )
@@ -57,7 +57,7 @@ def test_phases_sum_to_timeline_total_lan(protocol):
 def test_phases_sum_to_timeline_total_wan():
     framework = _observed_join("TGDH", wan_testbed)
     record = framework.timeline.latest_complete()
-    phases = epoch_breakdown(record, framework.obs.spans)
+    phases = epoch_phases(record, framework.obs.spans)
     assert phases.reconciles()
     # On the WAN, communication dominates computation (paper §6.2.2).
     assert phases.communication_ms > phases.computation_ms
@@ -68,7 +68,7 @@ def test_bd_is_computation_heavy_on_lan():
     dominates communication (the effect behind the paper's Fig. 11)."""
     framework = _observed_join("BD", lan_testbed)
     record = framework.timeline.latest_complete()
-    phases = epoch_breakdown(record, framework.obs.spans)
+    phases = epoch_phases(record, framework.obs.spans)
     assert phases.computation_ms > phases.communication_ms
 
 
@@ -90,7 +90,7 @@ def test_gdh_leave_on_lan_is_computation_bound():
     last to install the key; the report still counts them as computation
     (paper §6.1: the LAN cost is computation)."""
     framework, record = _driven_event("GDH", "leave")
-    phases = epoch_breakdown(record, framework.obs.spans)
+    phases = epoch_phases(record, framework.obs.spans)
     assert phases.computation_ms >= 0.8 * phases.total_ms
 
 
@@ -98,7 +98,7 @@ def test_gdh_leave_on_lan_is_computation_bound():
 @pytest.mark.parametrize("protocol", available())
 def test_computation_is_chain_crypto_in_key_agreement_window(protocol, event):
     framework, record = _driven_event(protocol, event)
-    phases = epoch_breakdown(record, framework.obs.spans)
+    phases = epoch_phases(record, framework.obs.spans)
     window_start = max(record.view_delivered.values())
     window_end = max(record.key_ready.values())
     chain_crypto = sum(
@@ -113,7 +113,7 @@ def test_computation_is_chain_crypto_in_key_agreement_window(protocol, event):
 
 def test_timeline_breakdowns_skips_unmarked_epochs():
     framework = _observed_join("TGDH", lan_testbed)
-    breakdowns = timeline_breakdowns(framework.timeline, framework.obs.spans)
+    breakdowns = timeline_phases(framework.timeline, framework.obs.spans)
     # growth-phase epochs were never event-marked: only the measured join
     assert len(breakdowns) == 1
     assert breakdowns[0].reconciles()
@@ -143,11 +143,27 @@ def test_render_report_warns_loudly_about_dropped_spans():
     assert "capacity 8" in text
 
 
+def _observed_sample(protocol, event, size):
+    """One measured event on a grown group, as a figure cell measures it,
+    with the driver's span-based phase attribution when observed."""
+    with SecureSpreadFramework(
+        lan_testbed(), default_protocol=protocol, observe=True
+    ) as framework:
+        driver = GroupDriver(framework)
+        driver.run(driver.grow(size))
+        return driver.run(driver.measured(event))
+
+
+def _figure_point(protocol, event, size):
+    (measurement,) = run_sweep(
+        "figure", protocols=[protocol], event=event, sizes=[size], repeats=1
+    ).rows
+    return measurement
+
+
 @pytest.mark.parametrize("event", ["join", "leave"])
 def test_measure_event_breakdown_fields(event):
-    measurement = run_experiment(
-        ExperimentSpec("TGDH", event, 5, repeats=1, breakdown=True)
-    )
+    measurement = _observed_sample("TGDH", event, 5)
     assert measurement.communication_ms is not None
     assert measurement.computation_ms is not None
     phase_sum = (
@@ -159,25 +175,21 @@ def test_measure_event_breakdown_fields(event):
 
 
 def test_measure_event_without_breakdown_leaves_fields_none():
-    measurement = run_experiment(ExperimentSpec("TGDH", "join", 4, repeats=1))
+    measurement = _figure_point("TGDH", "join", 4)
     assert measurement.communication_ms is None
     assert measurement.computation_ms is None
 
 
 def test_observability_is_passive_bit_identical_timings():
     """Enabling the flight recorder must not move any measured time."""
-    plain = run_experiment(ExperimentSpec("BD", "join", 5, repeats=1, seed=0))
-    observed = run_experiment(
-        ExperimentSpec("BD", "join", 5, repeats=1, seed=0, breakdown=True)
-    )
+    plain = _figure_point("BD", "join", 5)
+    observed = _observed_sample("BD", "join", 5)
     assert observed.total_ms == plain.total_ms  # exact, not approx
     assert observed.membership_ms == plain.membership_ms
 
 
 def test_ckd_weighted_leave_breakdown_reconciles():
-    measurement = run_experiment(
-        ExperimentSpec("CKD", "leave", 5, repeats=1, breakdown=True)
-    )
+    measurement = _observed_sample("CKD", "leave", 5)
     phase_sum = (
         measurement.membership_ms
         + measurement.communication_ms

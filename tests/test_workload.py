@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.bench.load import run_load_cell
 from repro.bench.pool import canonical_json
 from repro.workload import (
     ChurnEvent,
@@ -13,7 +14,6 @@ from repro.workload import (
     diurnal_stream,
     flash_stream,
     poisson_stream,
-    run_workload,
     stream_populations,
     trace_stream,
 )
@@ -57,6 +57,22 @@ def test_spec_roundtrip_survives_json():
 def test_spec_rejects_unknown_protocol():
     with pytest.raises(ValueError, match="unknown protocol 'NOPE'"):
         WorkloadSpec(protocol="nope")
+
+
+@pytest.mark.parametrize("field, value, complaint", [
+    ("groups", 0, "groups must be at least 1"),
+    ("min_members", 0, "min_members must be at least 1"),
+    ("group_size", 1, "group_size must be at least min_members"),
+    ("max_members", 3, "max_members must be at least group_size"),
+    ("rate_hz", 0.0, "rate_hz must be positive"),
+    ("duration_ms", -1.0, "duration_ms must be positive"),
+    ("burst_at_ms", -1.0, "burst_at_ms must be non-negative"),
+    ("burst_joins", -1, "burst_joins must be non-negative"),
+    ("period_ms", 0.0, "period_ms must be positive"),
+])
+def test_spec_refuses_a_bad_field_at_construction(field, value, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        WorkloadSpec(**{"protocol": "TGDH", "group_size": 4, field: value})
 
 
 def test_spec_rejects_unknown_arrival():
@@ -203,6 +219,13 @@ def _small_spec(**overrides):
     return WorkloadSpec(**base)
 
 
+def run_workload(spec):
+    """One sustained run on a fresh engine, its framework closed after."""
+    engine = WorkloadEngine(spec)
+    with engine.framework:
+        return engine.run()
+
+
 def test_run_workload_converges_and_counts():
     result = run_workload(_small_spec())
     assert result.converged
@@ -228,6 +251,22 @@ def test_result_roundtrips_through_dict():
     assert data["converged"] is True
     rebuilt = type(result).from_dict(json.loads(json.dumps(data)))
     assert rebuilt.to_dict() == data
+
+
+def test_diurnal_load_cell_keys_every_group_on_the_specs_stream():
+    """The ``diurnal`` arrival ``load --arrivals diurnal`` offers: the
+    spec's stream is the generator's, called with the spec's values,
+    and a small cell keys every group."""
+    spec = _small_spec(arrival="diurnal", period_ms=200.0)
+    assert spec.events() == diurnal_stream(
+        spec.groups, spec.group_size, spec.rate_hz, spec.duration_ms,
+        spec.seed, min_members=spec.min_members,
+        max_members=spec.max_members, period_ms=spec.period_ms,
+    )
+    result = run_load_cell({"workload": spec.to_spec(), "dh_group": "dh-test"})
+    assert result["unkeyed"] == []
+    assert result["cell"]["converged"]
+    assert result["cell"]["events"] == len(spec.events()) > 0
 
 
 def test_groups_keep_distinct_keys():
