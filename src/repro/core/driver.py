@@ -39,7 +39,6 @@ from repro.core.framework import SecureSpreadFramework
 from repro.core.timing import EpochRecord
 from repro.crypto.ledger import OpCounts
 from repro.gcs.membership import reconfiguration_view
-from repro.obs.report import epoch_phases
 from repro.transport.base import CAP_VIRTUAL_TIME
 
 #: event budget for large-n runs (the simulator default is sized for the
@@ -52,20 +51,15 @@ _POLL_INTERVAL_S = 0.005
 
 
 class Sample(NamedTuple):
-    """One measured event: the paper's total and membership-service
-    times, plus the span-based phase attribution when observability is
-    on (``None`` otherwise)."""
+    """One measured event: the paper's total and membership-service times."""
 
     total_ms: float
     membership_ms: float
-    communication_ms: Optional[float] = None
-    computation_ms: Optional[float] = None
 
     def blend(self, other: "Sample", weight: float) -> "Sample":
         """``(1 - weight) * self + weight * other``, field by field."""
         mixed = (
-            None if mine is None else (1 - weight) * mine + weight * theirs
-            for mine, theirs in zip(self, other)
+            (1 - weight) * mine + weight * theirs for mine, theirs in zip(self, other)
         )
         return Sample(*mixed)
 
@@ -339,11 +333,7 @@ class GroupDriver:
         yield None
 
     def sample(self, record: EpochRecord) -> Sample:
-        total, membership = record.total_elapsed(), record.membership_elapsed()
-        if not self.framework.obs.enabled:
-            return Sample(total, membership)
-        phases = epoch_phases(record, self.framework.obs.spans)
-        return Sample(total, membership, phases.communication_ms, phases.computation_ms)
+        return Sample(record.total_elapsed(), record.membership_elapsed())
 
     def measured(self, event: str):
         """One sample of ``event`` on the settled group, honoring the

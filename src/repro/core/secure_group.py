@@ -117,7 +117,6 @@ class SecureGroupMember:
         self._watchdog_token = 0
         self.stalls_detected = 0
         self.restarts = 0
-        self.dropped_ciphertexts = 0
 
     # -- signing identity ---------------------------------------------------
     #
@@ -386,7 +385,6 @@ class SecureGroupMember:
         except IntegrityError:
             # Sealed under a key of the same epoch id that a stall restart
             # has since replaced; the sender will requeue under the new key.
-            self.dropped_ciphertexts += 1
             return
         if self.on_secure_message is None:
             self.inbox.append((sealed.sender, plaintext))

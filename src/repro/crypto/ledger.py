@@ -78,16 +78,6 @@ class OpCounts:
             verifications=self.verifications - other.verifications,
         )
 
-    def is_zero(self) -> bool:
-        """True when the snapshot records no work at all."""
-        return (
-            not any(n for _, n in self.exponentiations)
-            and not any(n for _, n in self.small_exp_multiplications)
-            and not any(n for _, n in self.multiplications)
-            and self.signatures == 0
-            and self.verifications == 0
-        )
-
 
 def _merge(
     a: Tuple[Tuple[int, int], ...], b: Tuple[Tuple[int, int], ...], sign: int
@@ -276,16 +266,3 @@ class OperationLedger:
     def delta_since(self, earlier: OpCounts) -> OpCounts:
         """Work recorded since ``earlier`` was snapshotted."""
         return self.snapshot() - earlier
-
-    def reset(self) -> None:
-        """Forget all recorded work."""
-        self._exps.clear()
-        self._small_mults.clear()
-        self._mults.clear()
-        self._signatures = 0
-        self._verifications = 0
-        self._p_exps.clear()
-        self._p_small_mults.clear()
-        self._p_mults.clear()
-        self._p_signatures = 0
-        self._p_verifications = 0

@@ -39,10 +39,6 @@ class DeterministicRandom:
         """A random exponent in ``[2, order - 1]`` suitable as a DH share."""
         return self._rng.randrange(2, order)
 
-    def random_bytes(self, length: int) -> bytes:
-        """``length`` random bytes."""
-        return self._rng.getrandbits(length * 8).to_bytes(length, "big")
-
     def fork(self, label: str) -> "DeterministicRandom":
         """An independent stream derived from this one's seed and ``label``.
 

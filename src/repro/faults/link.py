@@ -104,8 +104,6 @@ class LinkFaults:
         self._rng = DeterministicRandom(seed).fork("link-faults")
         self.default_policy = default or NO_FAULTS
         self._overrides: Dict[Tuple[int, int], LinkPolicy] = {}
-        #: frames this injector dropped
-        self.drops = 0
 
     @classmethod
     def uniform(cls, seed: int = 0, **policy_fields) -> "LinkFaults":
@@ -144,7 +142,6 @@ class LinkFaults:
         if policy.is_noop or (control and not policy.affect_control):
             return FaultVerdict()
         if policy.drop and self._rng.uniform(0.0, 1.0) < policy.drop:
-            self.drops += 1
             return FaultVerdict(drop=True)
         extra = policy.delay_ms
         if policy.jitter_ms:

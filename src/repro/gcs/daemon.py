@@ -23,11 +23,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 from repro.gcs.membership import MemberRecord, MembershipTable
 from repro.gcs.messages import GroupMessage, SequencedMessage, Service, View, ViewEvent
 from repro.gcs.ring import TokenRing
-from repro.transport.base import (
-    validate_group_name,
-    validate_member_name,
-    validate_payload_size,
-)
 
 #: Wire size of configuration-change control frames.
 _CONTROL_FRAME_BYTES = 256
@@ -147,8 +142,6 @@ class Daemon:
         self._crashed = False
         self._last_config_number = 0
         self._nack_rotation = 0
-        self.retransmit_requests = 0
-        self.retransmits_served = 0
 
     @property
     def config(self) -> Optional[Config]:
@@ -177,7 +170,6 @@ class Daemon:
         """Attach a local client process."""
         if self._crashed:
             raise RuntimeError(f"daemon d{self.daemon_id} has crashed")
-        validate_member_name(client.name)
         if client.name in self.world.client_directory:
             raise ValueError(f"client name {client.name!r} already in use")
         self.clients[client.name] = client
@@ -203,15 +195,7 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def submit(self, message: GroupMessage) -> None:
-        """Accept a message from a local client for dissemination.
-
-        The boundary validation mirrors :class:`~repro.gcs.client.
-        SpreadClient`'s — messages built by hand (tests, resubmits) get
-        the same clear error a malformed client call would, instead of
-        an opaque ``KeyError`` deep inside ring sequencing.
-        """
-        validate_group_name(message.group)
-        validate_payload_size(message.size_bytes)
+        """Accept a message from a local client for dissemination."""
         if self._crashed:
             return  # a crash severs in-flight IPC; the message is lost
         if message.cause is None and self.world.obs.enabled:
@@ -471,7 +455,6 @@ class Daemon:
         # mid-request) doesn't stall us forever.
         target = others[self._nack_rotation % len(others)]
         self._nack_rotation += 1
-        self.retransmit_requests += 1
         if self.world.obs.enabled:
             self.world.obs.counter(
                 "daemon.nacks", daemon=f"d{self.daemon_id}"
@@ -503,7 +486,6 @@ class Daemon:
             smsg = pending.get(seq) or sent.get(seq) or history.get(seq)
             if smsg is None:
                 continue
-            self.retransmits_served += 1
             self.world.network.send(
                 self.daemon_id,
                 requester,

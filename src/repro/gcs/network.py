@@ -10,8 +10,10 @@ communication system reacts (§5).
 Beyond clean partitions, the network accepts a
 :class:`~repro.faults.link.LinkFaults` injector (see
 :meth:`Network.install_faults`): per-link drop/delay/duplicate/reorder
-policies applied to inter-machine frames, charged on the same
-``frames_dropped`` path as partition losses.  Crashed daemons
+policies applied to inter-machine frames; a frame lost to one is
+counted in :attr:`Network.fault_drops` (and, under the flight recorder,
+``net.fault_drops``), one lost to a partition or crash in the recorder's
+``net.frames_dropped``.  Crashed daemons
 (see :meth:`repro.gcs.daemon.Daemon.crash`) are unreachable in both
 directions until restarted.
 """
@@ -43,11 +45,8 @@ class Network:
         self._crashed: Set[int] = set()
         #: optional :class:`repro.faults.link.LinkFaults` injector
         self.faults = None
-        self.frames_dropped = 0
         self.fault_drops = 0
-        self.fault_duplicates = 0
         self.fault_retries = 0
-        self.bytes_sent = 0
 
     # -- registration ----------------------------------------------------
 
@@ -55,35 +54,11 @@ class Network:
         """Register a daemon (anything with ``daemon_id``, ``machine`` and
         ``on_reachability``).
 
-        The daemon's network component is derived from the topology, not
-        hard-coded: a daemon registered after a partition joins the
-        component of the daemons already on its machine (or, failing
-        that, its site), so late registrations land on the correct side
-        of the split instead of silently joining component 0.
+        Daemons register while the world is built, before any partition,
+        so each joins component 0: the whole network.
         """
-        component = self._component_for(daemon)
         self._daemons[daemon.daemon_id] = daemon
-        self._component_of[daemon.daemon_id] = component
-
-    def _component_for(self, daemon: Any) -> int:
-        components = set(self._component_of.values())
-        if len(components) <= 1:
-            return next(iter(components), 0)
-        # The network is partitioned: route the newcomer through the
-        # topology.  Same machine first, then same site (a partition in
-        # this model severs links between machines, never within one).
-        machine = daemon.machine
-        for peer_id, component in self._component_of.items():
-            if self._daemons[peer_id].machine is machine:
-                return component
-        for peer_id, component in self._component_of.items():
-            if self._daemons[peer_id].machine.site == machine.site:
-                return component
-        return max(components) + 1
-
-    @property
-    def daemon_ids(self) -> List[int]:
-        return sorted(self._daemons)
+        self._component_of[daemon.daemon_id] = 0
 
     def close(self) -> None:
         """Forget every daemon (the end of the world's lifetime)."""
@@ -261,14 +236,12 @@ class Network:
         pre_ms = params.msg_processing_ms + extra_delay_ms
         now = self.sim.now
         landing: Dict[Any, List[Any]] = {}
-        dropped = sent_bytes = 0
         for dst_id in dst_ids:
             if (
                 src_unreachable
                 or dst_id in crashed
                 or component_of[dst_id] != src_component
             ):
-                dropped += 1
                 if observed:
                     obs.counter(
                         "net.frames_dropped", src=f"d{src_id}", dst=f"d{dst_id}"
@@ -280,7 +253,6 @@ class Network:
             if faults is not None and dst_id != src_id:
                 verdict = faults.apply(src_id, dst_id, control=control)
                 if verdict.drop:
-                    dropped += 1
                     self.fault_drops += 1
                     drop_cause = None
                     if observed:
@@ -306,7 +278,6 @@ class Network:
                     continue
                 latency += verdict.extra_delay_ms
                 duplicate_ms = verdict.duplicate_delay_ms
-            sent_bytes += size_bytes
             at = now + latency
             cause = None
             if observed:
@@ -325,11 +296,8 @@ class Network:
             else:
                 group.append(dst)
             if duplicate_ms is not None:
-                self.fault_duplicates += 1
                 again = now + (latency + duplicate_ms)
                 landing.setdefault((again, cause), []).append(dst)
-        self.frames_dropped += dropped
-        self.bytes_sent += sent_bytes
         return landing
 
     def _retry_send(

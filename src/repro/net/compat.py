@@ -30,9 +30,6 @@ class _WallEvent:
         self.handle = handle
         self.cause = None
 
-    def cancel(self) -> None:
-        self.handle.cancel()
-
 
 class WallScheduler:
     """The event loop's clock and timers behind the scheduler interface.

@@ -48,7 +48,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can move both ways (queue depth, clock readings)."""
+    """A value set to its latest reading (queue depth, clock readings)."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -60,20 +60,11 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class _Noop:
     """Shared sink handed out when the registry is disabled."""
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

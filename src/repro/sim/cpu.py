@@ -45,7 +45,6 @@ class Machine:
         # a batch gated by core contention waited on *that* span, whoever
         # submitted it (the paper's BD-doubling effect made visible).
         self._core_span: List[Optional[tuple]] = [None] * cores
-        self.total_work_ms = 0.0
         #: optional :class:`repro.obs.Observability` flight recorder; when
         #: attached (by :class:`~repro.gcs.world.GcsWorld`) and enabled,
         #: every submitted work unit becomes a span on this machine's
@@ -112,7 +111,6 @@ class Machine:
             core_gated = False
         finish = start + duration
         self._core_free[index] = finish
-        self.total_work_ms += duration
         cause = None
         if span is not None and self.obs is not None and self.obs.enabled:
             category, span_name, actor, attrs = span
@@ -148,20 +146,6 @@ class Machine:
                 # by whatever context submitted the work.
                 event.cause = cause
         return finish
-
-    def busy_until(self, sim: Simulator) -> float:
-        """Earliest time a newly submitted task could start."""
-        return max(sim.now, min(self._core_free))
-
-    def utilization_horizon(self) -> float:
-        """Latest time any core is currently booked until."""
-        return max(self._core_free)
-
-    def reset(self) -> None:
-        """Clear all queued work (used between benchmark repetitions)."""
-        self._core_free = [0.0] * self.cores
-        self._core_span = [None] * self.cores
-        self.total_work_ms = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

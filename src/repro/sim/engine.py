@@ -6,10 +6,10 @@ makes every simulation fully deterministic.
 
 The queue is one binary heap of ``(time, seq, event)`` tuples.  ``seq``
 is unique, so tuple comparison never reaches the event and every
-comparison stays in C.  A cancelled event keeps its heap entry until it
-reaches the head, where it is dropped unfired; once cancelled entries
-pile up (see :attr:`Simulator._COMPACT_MIN`) the heap is filtered and
-rebuilt.
+comparison stays in C.  Cancelling only flags the event: its heap entry
+stays until it reaches the head, where it is dropped unfired.  Cancels
+are rare (the token ring's re-aim is the only canceller), so the heap
+never holds more than a handful of them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Callable, List, Optional, Tuple
 class Event:
     """A scheduled callback.  Cancel with :meth:`cancel`."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_owner", "cause")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "cause")
 
     def __init__(self, time: float, seq: int, fn: Callable, args: Tuple):
         self.time = time
@@ -30,7 +30,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._owner: Optional["Simulator"] = None
         #: causal provenance: the (span_id, trace_id) active when the
         #: event was scheduled (see :attr:`Simulator.cause_hook`).  Pure
         #: metadata — never consulted by the queue itself.
@@ -38,11 +37,7 @@ class Event:
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self._owner is not None:
-            self._owner._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -52,16 +47,11 @@ class Event:
 class Simulator:
     """Discrete-event simulator with a millisecond virtual clock."""
 
-    #: lazy queue compaction: rebuild once this many cancelled events sit in
-    #: the queue *and* they outnumber the live ones.
-    _COMPACT_MIN = 64
-
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._cancelled_in_queue = 0
         #: optional :class:`repro.obs.causality.Causality`: when set,
         #: :meth:`schedule_at` stamps its ``current`` cause on the new
         #: event and firing restores it, so causal context follows the
@@ -87,34 +77,11 @@ class Simulator:
         not yet consumed; this is the honest queue depth for tests,
         benchmarks and the observability gauges.
         """
-        return len(self._heap) - self._cancelled_in_queue
-
-    def _note_cancelled(self) -> None:
-        """An owned, still-queued event was cancelled (called by Event)."""
-        self._cancelled_in_queue += 1
-        if (
-            self._cancelled_in_queue >= self._COMPACT_MIN
-            and self._cancelled_in_queue * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and restore the heap invariant.
-
-        The list is filtered in place: :meth:`run_until_idle` holds a
-        reference to it, and a cancel inside a firing event can land here.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._cancelled_in_queue = 0
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def clear(self) -> None:
-        """Drop every queued event unfired (cancelling one later is a no-op)."""
-        for entry in self._heap:
-            entry[2]._owner = None
+        """Drop every queued event unfired."""
         self._heap.clear()
-        self._cancelled_in_queue = 0
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ms from now."""
@@ -128,7 +95,6 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} (now is {self.now})")
         seq = next(self._seq)
         event = Event(time, seq, fn, args)
-        event._owner = self
         hook = self.cause_hook
         if hook is not None:
             event.cause = hook.current
@@ -146,14 +112,11 @@ class Simulator:
             if not event.cancelled:
                 return event
             heapq.heappop(heap)
-            event._owner = None
-            self._cancelled_in_queue -= 1
         return None
 
     def _fire(self, event: Event) -> None:
         """Pop and fire ``event`` (the one :meth:`_peek` just returned)."""
         heapq.heappop(self._heap)
-        event._owner = None  # out of the queue; cancel() is a no-op now
         self.now = event.time
         self._events_processed += 1
         hook = self.cause_hook
@@ -207,9 +170,7 @@ class Simulator:
         fired = 0
         while heap:
             event = pop(heap)[2]
-            event._owner = None
             if event.cancelled:
-                self._cancelled_in_queue -= 1
                 continue
             self.now = event.time
             self._events_processed += 1
@@ -218,7 +179,7 @@ class Simulator:
                 hook.current = event.cause
             event.fn(*event.args)
             fired += 1
-            if fired >= max_events and len(heap) > self._cancelled_in_queue:
+            if fired >= max_events and self.active_pending:
                 raise RuntimeError(
                     f"simulation exceeded {max_events} events; likely a livelock"
                 )

@@ -1,6 +1,7 @@
 """Bandwidth accounting: the communication-efficiency claims of §2.1/§5.
 
-The network counts every byte it carries; protocol messages are sized by
+The network counts every byte it carries (the flight recorder's
+``net.bytes`` counter); protocol messages are sized by
 the group elements they carry (partial-key lists, serialized trees, z/X
 values) plus signature overhead.  This is the "GDH is, however,
 bandwidth-efficient" axis of the paper's trade-off: BD spends few
@@ -17,17 +18,18 @@ from repro.protocols.loopback import build_group
 
 def _bytes_for_join(protocol, size=10):
     framework = SecureSpreadFramework(
-        lan_testbed(), default_protocol=protocol, dh_group="dh-512"
+        lan_testbed(), default_protocol=protocol, dh_group="dh-512", observe=True
     )
+    metrics = framework.obs.metrics
     members = framework.spawn_members(size)
     for member in members:
         member.join()
         framework.run_until_idle()
-    before = framework.world.network.bytes_sent
+    before = metrics.counter_total("net.bytes")
     extra = framework.member("x", 5)
     extra.join()
     framework.run_until_idle()
-    return framework.world.network.bytes_sent - before
+    return metrics.counter_total("net.bytes") - before
 
 
 class TestWireBytes:

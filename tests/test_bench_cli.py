@@ -113,42 +113,25 @@ def test_trace_jsonl_holds_the_timelines_rekey_latency_once(tmp_path):
     assert sum(row["count"] for row in rekey) == len(installs)
 
 
-def test_report_subcommand_prints_reconciled_phases(capsys):
-    code = main([
-        "report", "--protocol", "STR", "--size", "4", "--event", "leave",
-    ])
+@pytest.mark.parametrize(
+    "protocol, event", [("STR", "leave"), ("GDH", "leave"), ("TGDH", "join")]
+)
+def test_report_subcommand_prints_reconciled_phases(capsys, protocol, event):
+    """``report`` prints the phase table, then every epoch's exact chain
+    read off it, then the rekey-latency percentile table."""
+    code = main(["report", "--protocol", protocol, "--size", "4", "--event", event])
     assert code == 0
     out = capsys.readouterr().out
     assert "membship" in out and "comms" in out and "comput" in out
     assert "NO" not in out  # every epoch reconciles
     assert "worst |phases - timeline|" in out
-
-
-def test_critpath_subcommand_prints_exact_chains(capsys):
-    """Plain ``report`` prints every epoch's exact chain and the
-    rekey-latency percentile table."""
-    code = main([
-        "report", "--protocol", "GDH", "--size", "4", "--event", "leave",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
     assert "Critical paths:" in out
+    assert out.index("worst |phases - timeline|") < out.index("Critical paths:")
     assert "critical member" in out
     assert "(exact," in out and "INEXACT" not in out
     assert "truncated" not in out
     assert "Rekey latency percentiles" in out
     assert "member.rekey_ms" in out and "p99" in out
-
-
-def test_report_critical_path_flag_appends_chains(capsys):
-    """The chains follow the phase table they were read from."""
-    code = main([
-        "report", "--protocol", "TGDH", "--size", "4", "--event", "join",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "worst |phases - timeline|" in out  # the base report survives
-    assert "critical member" in out and "(exact," in out
 
 
 def _percentile_block(out):

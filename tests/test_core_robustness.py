@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import SecureSpreadFramework
 from repro.core.secure_group import _CIPHER_HISTORY
+from repro.crypto.ledger import OpCounts
 from repro.gcs.messages import View, ViewEvent
 from repro.gcs.topology import lan_testbed, wan_testbed
 from repro.protocols import available
@@ -208,7 +209,7 @@ class TestReplayProtection:
         )
         before = victim.protocol.ledger.snapshot()
         assert victim.protocol.receive(stale) == []
-        assert victim.protocol.ledger.delta_since(before).is_zero()
+        assert victim.protocol.ledger.delta_since(before) == OpCounts()
 
 
 @pytest.mark.parametrize("protocol", available())

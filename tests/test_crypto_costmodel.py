@@ -19,7 +19,7 @@ def test_full_exponentiation_costs(model):
     ledger = OperationLedger()
     ledger.record_exponentiation(512)
     assert model.time_of(ledger.snapshot()) == pytest.approx(2.0)
-    ledger.reset()
+    ledger = OperationLedger()
     ledger.record_exponentiation(1024, 2)
     assert model.time_of(ledger.snapshot()) == pytest.approx(14.4)
 

@@ -177,6 +177,3 @@ class TestDeterministicRandomExtras:
         DeterministicRandom(3).shuffle(b_items)
         assert a_items == b_items
         assert sorted(a_items) == list(range(10))
-
-    def test_random_bytes_length(self):
-        assert len(DeterministicRandom(1).random_bytes(17)) == 17

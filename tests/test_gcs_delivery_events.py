@@ -18,8 +18,9 @@ from repro.core import SecureSpreadFramework
 from repro.core.driver import GroupDriver
 from repro.faults import LinkFaults
 from repro.gcs import GcsWorld, lan_testbed
-from repro.gcs.daemon import Daemon
-from repro.sim.engine import Simulator
+from repro.gcs.daemon import Daemon, arrive
+from repro.gcs.network import Network
+from repro.sim.engine import Event, Simulator
 
 GROUP_SIZE = 26
 
@@ -27,18 +28,31 @@ GROUP_SIZE = 26
 def _epoch_census(monkeypatch, protocol, drop=0.0):
     """Grow to n-1 (one batched epoch), then one measured join at n.
 
-    Returns the scheduled event counts by callback name, plus ``scans``
-    (every ``Daemon._try_deliver`` call, whichever event carried it) and
-    ``delivered`` (the number of Agreed frames daemons delivered), and
-    the framework.
+    Returns the scheduled event counts by callback name, plus
+    ``scheduled`` (their total), ``cancels`` (every ``Event.cancel``
+    call), ``scans`` (every ``Daemon._try_deliver`` call, whichever event
+    carried it), ``delivered`` (the number of Agreed frames daemons
+    delivered) and ``retransmits`` (frames re-sent to answer a NACK),
+    and the framework.
     """
     counts = collections.Counter()
-    schedule_at = Simulator.schedule_at
+    schedule_at, cancel, send = Simulator.schedule_at, Event.cancel, Network.send
     try_deliver, deliver = Daemon._try_deliver, Daemon._deliver
 
     def counting_schedule_at(self, time, fn, *args):
         counts[getattr(fn, "__name__", repr(fn))] += 1
+        counts["scheduled"] += 1
         return schedule_at(self, time, fn, *args)
+
+    def counting_cancel(self):
+        counts["cancels"] += 1
+        return cancel(self)
+
+    def counting_send(self, src_id, dst_id, size_bytes, fn, *args, **kwargs):
+        # a NACK answer is the one control frame that lands as an arrival
+        if fn is arrive and kwargs.get("control"):
+            counts["retransmits"] += 1
+        return send(self, src_id, dst_id, size_bytes, fn, *args, **kwargs)
 
     def counting_try_deliver(self, *args):
         counts["scans"] += 1
@@ -50,6 +64,8 @@ def _epoch_census(monkeypatch, protocol, drop=0.0):
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulator, "schedule_at", counting_schedule_at)
+        patch.setattr(Event, "cancel", counting_cancel)
+        patch.setattr(Network, "send", counting_send)
         patch.setattr(Daemon, "_try_deliver", counting_try_deliver)
         patch.setattr(Daemon, "_deliver", counting_deliver)
         framework = SecureSpreadFramework(
@@ -83,12 +99,26 @@ def test_scans_are_proportional_to_deliveries(monkeypatch, protocol):
     assert framework_again.now == framework.now
 
 
+# GDH under drops is left out: with the 400 ms watchdog its batched
+# growth to 25 restarts forever (a known liveness fault).
+@pytest.mark.parametrize(
+    "protocol, drop",
+    [("BD", 0.0), ("BD", 0.15), ("GDH", 0.0), ("TGDH", 0.0), ("TGDH", 0.15)],
+)
+def test_cancels_stay_rare(monkeypatch, protocol, drop):
+    """A cancelled event stays in the heap until it reaches the head, with
+    no compaction; that is sized for this traffic.  The token ring's
+    re-aim, the only canceller, cancels 5-13 of 1.8-3.9 k events here."""
+    counts, _ = _epoch_census(monkeypatch, protocol, drop)
+    assert counts["cancels"] <= 0.01 * counts["scheduled"]
+
+
 def test_nack_recovery_still_converges_under_drops(monkeypatch):
     counts, framework = _epoch_census(monkeypatch, "BD", drop=0.15)
     daemons = framework.world.daemons.values()
     assert framework.world.network.fault_drops > 0
-    assert sum(d.retransmit_requests for d in daemons) > 0
-    assert sum(d.retransmits_served for d in daemons) > 0
+    assert counts["_on_nack"] > 0  # requests that reached a peer
+    assert counts["retransmits"] > 0
     assert counts["scans"] <= 2 * counts["delivered"]
     # Nothing is left behind a wake that never fired.
     for daemon in daemons:

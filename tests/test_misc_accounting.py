@@ -3,16 +3,8 @@
 import pytest
 
 from repro.gcs import GcsWorld, lan_testbed
-from repro.sim.cpu import Machine
+from repro.obs import Observability
 from repro.sim.engine import Simulator
-
-
-def test_machine_utilization_horizon():
-    sim = Simulator()
-    machine = Machine("m0", cores=2)
-    machine.submit(sim, 10)
-    machine.submit(sim, 30)
-    assert machine.utilization_horizon() == 30
 
 
 def test_simulator_pending_counter():
@@ -31,20 +23,21 @@ def test_simulator_pending_counter():
 
 
 def test_network_counts_drops_across_partition():
-    world = GcsWorld(lan_testbed())
+    world = GcsWorld(lan_testbed(), obs=Observability(enabled=True))
+    metrics = world.obs.metrics
     a = world.channel("a", 0)
     b = world.channel("b", 1)
     a.join("g")
     world.run_until_idle()
     b.join("g")
     world.run_until_idle()
-    dropped_before = world.network.frames_dropped
+    dropped_before = metrics.counter_total("net.frames_dropped")
     # Partition with slow detection: a's dissemination still targets the
     # full old configuration, so frames to the far side are dropped.
     world.partition([[0], list(range(1, 13))], detection_delay_ms=50.0)
     a.multicast("g", "into the void")
     world.run_until_idle()
-    assert world.network.frames_dropped > dropped_before
+    assert metrics.counter_total("net.frames_dropped") > dropped_before
 
 
 def test_network_rejects_malformed_partitions():

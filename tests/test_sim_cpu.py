@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.sim.cpu import Machine
 from repro.sim.engine import Simulator
 
@@ -31,7 +32,7 @@ def test_contention_doubles_elapsed_time_for_symmetric_load():
     machine = Machine("m0", cores=2)
     finishes = [machine.submit(sim, 10) for _ in range(4)]
     assert max(finishes) == 20
-    machine.reset()
+    machine = Machine("m1", cores=2)
     finishes = [machine.submit(sim, 10) for _ in range(6)]
     assert max(finishes) == 30
 
@@ -78,29 +79,15 @@ def test_invalid_construction():
         Machine("m0", speed=0)
 
 
-def test_busy_until_reports_next_free_core():
-    sim = Simulator()
-    machine = Machine("m0", cores=2)
-    machine.submit(sim, 10)
-    assert machine.busy_until(sim) == 0  # second core still free
-    machine.submit(sim, 30)
-    assert machine.busy_until(sim) == 10
-
-
 def test_total_work_accumulates():
     sim = Simulator()
     machine = Machine("m0", cores=2, speed=2.0)
-    machine.submit(sim, 10)
-    machine.submit(sim, 10)
-    assert machine.total_work_ms == 10.0  # scaled by speed
-
-
-def test_reset_clears_booking():
-    sim = Simulator()
-    machine = Machine("m0", cores=1)
-    machine.submit(sim, 50)
-    machine.reset()
-    assert machine.submit(sim, 10) == 10
+    machine.obs = Observability(enabled=True)
+    span = ("crypto", "work", "a", None)
+    machine.submit(sim, 10, span=span)
+    machine.submit(sim, 10, span=span)
+    # the recorder's cpu.work_ms counter, scaled by speed
+    assert machine.obs.counter("cpu.work_ms", machine="m0").value == 10.0
 
 
 def test_not_before_serializes_a_single_process():

@@ -189,21 +189,6 @@ def test_clear_drops_queued_events_unfired():
     assert fired == [3]
 
 
-def test_lazy_compaction_shrinks_the_heap():
-    sim = Simulator()
-    events = [sim.schedule(i + 1, lambda: None) for i in range(200)]
-    for event in events[:150]:
-        event.cancel()
-    # well past the compaction threshold: cancelled entries were purged
-    assert sim.pending < 200
-    assert sim.active_pending == 50
-    fired = []
-    sim.schedule(500, fired.append, "last")
-    sim.run_until_idle()
-    assert fired == ["last"]
-    assert sim.events_processed == 51
-
-
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
 def test_delivery_order_is_sorted_for_any_delays(delays):
     sim = Simulator()
@@ -218,23 +203,18 @@ def test_delivery_order_is_sorted_for_any_delays(delays):
 
 
 class _ModelEvent:
-    def __init__(self, time, seq, fn, args, owner):
+    def __init__(self, time, seq, fn, args):
         self.time, self.seq, self.fn, self.args = time, seq, fn, args
         self.cancelled = False
-        self.owner = owner
 
     def cancel(self):
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self.owner is not None:
-            self.owner.note_cancelled()
 
 
 class _ModelSimulator:
     """The simulator's contract on a plain sorted list, for comparison:
-    fire in (time, seq) order, drop cancelled entries only when they
-    reach the head, and compact under the same threshold."""
+    fire in (time, seq) order and drop cancelled entries only when they
+    reach the head."""
 
     def __init__(self):
         self.now = 0.0
@@ -250,16 +230,11 @@ class _ModelSimulator:
     def active_pending(self):
         return sum(not e.cancelled for e in self.queue)
 
-    def note_cancelled(self):
-        cancelled = len(self.queue) - self.active_pending
-        if cancelled >= Simulator._COMPACT_MIN and cancelled * 2 > len(self.queue):
-            self.queue = [e for e in self.queue if not e.cancelled]
-
     def schedule(self, delay, fn, *args):
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time, fn, *args):
-        event = _ModelEvent(time, self.seq, fn, args, self)
+        event = _ModelEvent(time, self.seq, fn, args)
         self.seq += 1
         self.queue.append(event)
         self.queue.sort(key=lambda e: (e.time, e.seq))
@@ -267,11 +242,11 @@ class _ModelSimulator:
 
     def _peek(self):
         while self.queue and self.queue[0].cancelled:
-            self.queue.pop(0).owner = None
+            self.queue.pop(0)
         return self.queue[0] if self.queue else None
 
     def _fire(self, event):
-        self.queue.pop(0).owner = None
+        self.queue.pop(0)
         self.now = event.time
         self.events_processed += 1
         event.fn(*event.args)
@@ -325,7 +300,8 @@ class _Harness:
             if self.handles:
                 self.handles[action[1] % len(self.handles)].cancel()
         elif action[0] == "burst":
-            # Enough cancels to cross the compaction threshold.
+            # Many cancelled entries in the heap at once, far more than
+            # the simulator's own traffic ever leaves there.
             count, delay = action[1], action[2]
             start = len(self.handles)
             for i in range(count):
