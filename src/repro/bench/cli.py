@@ -688,11 +688,7 @@ def run_trace_command(args) -> int:
     )
     print("open in Perfetto (https://ui.perfetto.dev) or chrome://tracing")
     if args.jsonl:
-        metrics = framework.obs.metrics
-        for histogram in framework.timeline.rekey_latencies():
-            metrics.log_histogram(
-                histogram.name, **dict(histogram.labels)
-            ).fold(histogram)
+        framework.obs.metrics.merge_snapshot(framework.timeline.metrics.snapshot())
         lines = framework.obs.to_jsonl(args.jsonl)
         print(f"wrote {args.jsonl}: {lines} JSON lines (spans + metrics)")
     return 0

@@ -253,7 +253,7 @@ def run_cells(
     """
     cells = list(cells)
     say = progress or (lambda _line: None)
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
+    registry = metrics if metrics is not None else MetricsRegistry()
     jobs = resolve_jobs(jobs)
     for cell in cells:
         try:

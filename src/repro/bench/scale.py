@@ -41,7 +41,6 @@ from repro.core.driver import LARGE_RUN_MAX_EVENTS, GroupDriver, Sample
 from repro.core.framework import SecureSpreadFramework
 from repro.crypto.ledger import OpCounts
 from repro.gcs.topology import resolve_testbed
-from repro.obs.metrics import MetricsRegistry
 from repro.protocols import available
 
 #: Group sizes sampled by default — powers of two from 32 to 1024.
@@ -109,18 +108,13 @@ def run_scale_cell(spec: dict) -> dict:
             samples[event].append(
                 Sample(record.total_elapsed(), record.membership_elapsed())
             )
-        rekey_ms = MetricsRegistry()
-        for histogram in framework.timeline.rekey_latencies():
-            rekey_ms.log_histogram(
-                histogram.name, **dict(histogram.labels)
-            ).fold(histogram)
         result = {
             event: averaged(
                 driver, event, size, samples[event], _ops_dict(ops[event])
             ).to_dict()
             for event in ("join", "leave")
         }
-        result["rekey_ms"] = rekey_ms.snapshot()
+        result["rekey_ms"] = framework.timeline.metrics.snapshot()
         return result
 
 

@@ -19,7 +19,7 @@ from repro.crypto.rng import DeterministicRandom
 from repro.crypto.rsa import RsaPublicKey
 from repro.gcs.topology import Topology
 from repro.gcs.world import GcsWorld
-from repro.obs import DEFAULT_CAPACITY, Observability
+from repro.obs import Observability
 from repro.protocols import available, get_protocol
 from repro.protocols.base import KeyAgreementProtocol
 from repro.transport.base import CAP_VIRTUAL_TIME, Transport
@@ -47,7 +47,6 @@ class SecureSpreadFramework:
         observe: bool = False,
         engine: EngineSpec = None,
         stall_timeout_ms: Optional[float] = None,
-        span_capacity: int = DEFAULT_CAPACITY,
     ):
         if default_protocol not in available():
             raise ValueError(
@@ -65,7 +64,7 @@ class SecureSpreadFramework:
         self.engine = get_engine(engine)
         #: the deployment's flight recorder (spans + metrics); recording is
         #: passive, so enabling it never changes any measured time.
-        self.obs = Observability(enabled=observe, span_capacity=span_capacity)
+        self.obs = Observability(enabled=observe)
         if isinstance(substrate, Topology):
             #: the group communication substrate (Transport interface)
             self.transport: Transport = GcsWorld(substrate, obs=self.obs)

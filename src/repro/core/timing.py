@@ -12,18 +12,20 @@ agreement part, which is exactly how Figures 11, 12 and 14 plot their
 The timeline also holds the per-member rekey latency distribution —
 view first seen at a member → that member installs the key — as one
 exact :class:`~repro.obs.histo.LogHistogram` per (group, protocol),
-named ``member.rekey_ms``.  Like the epoch records it is a measurement,
-taken on every run, and the package's only instrument of that value;
-the opt-in flight recorder (:mod:`repro.obs`) adds spans and counters
-around it.
+named ``member.rekey_ms``, in a :class:`~repro.obs.metrics.MetricsRegistry`
+of its own (:attr:`RekeyTimeline.metrics`).  Like the epoch records it
+is a measurement, taken on every run, and the package's only instrument
+of that value; the opt-in flight recorder (:mod:`repro.obs`) adds spans
+and counters around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.histo import LogHistogram
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -66,7 +68,8 @@ class RekeyTimeline:
     def __init__(self) -> None:
         self.epochs: Dict[Tuple[int, int], EpochRecord] = {}
         self._event_pending: Optional[float] = None
-        self._rekey_latency: Dict[Tuple[str, str], LogHistogram] = {}
+        #: the always-on ``member.rekey_ms`` histograms (:meth:`rekey_latency`)
+        self.metrics = MetricsRegistry()
 
     def mark_event(self, now: float) -> None:
         """The instant a membership event is injected (join call, leave
@@ -95,22 +98,9 @@ class RekeyTimeline:
         of a restarted epoch included — :meth:`record_key` keeps only an
         epoch's first install, so the distribution cannot be derived
         from the :class:`EpochRecord` instants."""
-        key = (group, protocol)
-        histogram = self._rekey_latency.get(key)
-        if histogram is None:
-            histogram = self._rekey_latency[key] = LogHistogram(
-                "member.rekey_ms", (("group", group), ("protocol", protocol))
-            )
-        return histogram
-
-    def rekey_latencies(self) -> List[LogHistogram]:
-        """Every group's latency histogram, in sorted label order."""
-        return [h for _, h in sorted(self._rekey_latency.items())]
-
-    def clear_rekey_latencies(self) -> None:
-        """Forget the latencies observed so far (a workload's growth
-        phase), so the distribution covers only what follows."""
-        self._rekey_latency.clear()
+        return self.metrics.log_histogram(
+            "member.rekey_ms", group=group, protocol=protocol
+        )
 
     def latest_complete(self) -> EpochRecord:
         """The most recent epoch every member finished."""

@@ -559,9 +559,9 @@ class Daemon:
         """Hand ``view`` to every local client in the group plus
         ``also_to`` (a leaver learning it is out), in one event — the
         same-instant argument as :meth:`_deliver_data`'s fan-out."""
-        obs = self.world.obs if self.world.obs.enabled else None
+        obs = self.world.obs
         prior = None
-        if obs is not None:
+        if obs.enabled:
             # The view instant joins the DAG; adopting it parents the
             # clients' scheduled ``_on_view`` events (stamped by the
             # cause hook) under the view delivery they waited on.
@@ -586,7 +586,7 @@ class Daemon:
                 handlers,
                 view,
             )
-        if obs is not None:
+        if obs.enabled:
             # Restore so sibling views emitted by the same event (a
             # heavyweight install touching several groups) do not chain
             # under each other.

@@ -35,11 +35,11 @@ class Network:
         self,
         sim: Simulator,
         topology: Topology,
-        obs: Optional[Observability] = None,
+        obs: Observability = NULL_OBS,
     ):
         self.sim = sim
         self.topology = topology
-        self.obs = obs or NULL_OBS
+        self.obs = obs
         self._daemons: Dict[int, Any] = {}
         self._component_of: Dict[int, int] = {}
         self._crashed: Set[int] = set()

@@ -22,26 +22,26 @@ from repro.gcs.daemon import Config, Daemon
 from repro.gcs.network import Network
 from repro.gcs.ring import TokenRing
 from repro.gcs.topology import Topology
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import Simulator
-from repro.transport.base import CAP_FAULTS, CAP_TRACE, CAP_VIRTUAL_TIME
+from repro.transport.base import CAP_VIRTUAL_TIME
 
 
 class GcsWorld:
     """A running group communication deployment on a topology."""
 
     kind = "sim"
-    capabilities = frozenset({CAP_VIRTUAL_TIME, CAP_FAULTS, CAP_TRACE})
+    capabilities = frozenset({CAP_VIRTUAL_TIME})
 
     def __init__(
         self,
         topology: Topology,
-        obs: Optional[Observability] = None,
+        obs: Observability = NULL_OBS,
     ) -> None:
         self.topology = topology
         self.params = topology.params
         self.sim = Simulator()
-        self.obs = obs or Observability(enabled=False)
+        self.obs = obs
         if self.obs.enabled:
             # Thread causal context along the event graph: scheduling
             # stamps the ambient cause on each event, firing restores it.

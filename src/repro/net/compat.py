@@ -11,7 +11,7 @@ work.  On the live asyncio backend both map onto the event loop:
 * :class:`WallMachine` is a **pass-through**: live protocol code has
   already *spent* real CPU time by the time it charges its modeled cost,
   so ``submit`` performs no queueing — it returns ``max(now,
-  not_before)`` and fires completion callbacks on the next loop tick.
+  not_before)``.
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ class WallMachine:
         self,
         sim: WallScheduler,
         work_ms: float,
-        fn: Optional[Callable] = None,
-        *args: Any,
+        *,
         not_before: float = 0.0,
         span: Optional[tuple] = None,
         chain: Optional[tuple] = None,
@@ -104,16 +103,11 @@ class WallMachine:
         """Charge modeled work without adding wall-clock delay.
 
         The real computation already happened inline, so the "completion
-        time" is simply ``max(now, not_before)``; any completion callback
-        fires on the next loop iteration, preserving the simulator's
-        run-to-completion semantics (callbacks never reenter the caller).
+        time" is simply ``max(now, not_before)``.
         """
         if work_ms < 0:
             raise ValueError("work_ms must be non-negative")
-        finish = max(sim.now, not_before)
-        if fn is not None:
-            sim.schedule_at(finish, fn, *args)
-        return finish
+        return max(sim.now, not_before)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WallMachine({self.name!r})"

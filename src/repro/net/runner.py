@@ -22,6 +22,7 @@ from typing import List
 
 from repro.net.client import NetClient
 from repro.net.compat import WallMachine, WallScheduler
+from repro.obs import NULL_OBS
 
 #: default machine count: the paper's LAN testbed (13 dual-CPU hosts)
 DEFAULT_MACHINES = 13
@@ -55,7 +56,7 @@ class AsyncioTransport:
         #: every channel handed out, in creation order (``aclose`` closes
         #: them)
         self.channels: List[NetClient] = []
-        self.obs = None
+        self.obs = NULL_OBS
 
     # -- Transport interface ----------------------------------------------
 

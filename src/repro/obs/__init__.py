@@ -8,15 +8,17 @@ Spread members — holds a reference and records into it; exporters turn
 the result into JSONL, Chrome trace-event JSON, or the per-epoch phase
 report that reconciles against :class:`~repro.core.timing.RekeyTimeline`.
 
-Disabled (the default) it is a near-free no-op, and even when enabled it
-is *passive*: it never schedules simulator events, so observed runs are
+:attr:`Observability.enabled` is the one switch, tested at every
+recording site; the recorder and registry record what they are handed.
+Disabled (the default) it costs one attribute test per site, and even
+when enabled it is *passive*: it never schedules simulator events, so observed runs are
 bit-identical to unobserved ones.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.obs.causality import Causality, Cause
 from repro.obs.critpath import (
@@ -47,7 +49,7 @@ from repro.obs.report import (
     render_report,
     timeline_phases,
 )
-from repro.obs.spans import DEFAULT_CAPACITY, Span, SpanRecorder
+from repro.obs.spans import Span, SpanRecorder
 
 __all__ = [
     "Causality",
@@ -82,12 +84,10 @@ __all__ = [
 class Observability:
     """Spans + metrics for one deployment, behind a single enable switch."""
 
-    def __init__(
-        self, enabled: bool = False, span_capacity: int = DEFAULT_CAPACITY
-    ):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.spans = SpanRecorder(enabled=enabled, capacity=span_capacity)
-        self.metrics = MetricsRegistry(enabled=enabled)
+        self.spans = SpanRecorder()
+        self.metrics = MetricsRegistry()
         #: causal context (span/trace ids); install as
         #: :attr:`repro.sim.engine.Simulator.cause_hook` to thread causes
         #: through the event graph.
@@ -173,5 +173,6 @@ class Observability:
         return write_chrome_trace(self.spans.spans, path)
 
 
-#: A shared disabled instance for layers constructed without observability.
-NULL_OBS: Optional[Observability] = Observability(enabled=False)
+#: The shared disabled instance a layer holds until it is handed its
+#: deployment's recorder; nothing records into it.
+NULL_OBS = Observability(enabled=False)

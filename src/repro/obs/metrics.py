@@ -61,34 +61,17 @@ class Gauge:
         self.value = value
 
 
-class _Noop:
-    """Shared sink handed out when the registry is disabled."""
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NOOP = _Noop()
-
-
 class MetricsRegistry:
-    """Get-or-create registry of named, labelled instruments."""
+    """Get-or-create registry of named, labelled instruments; it records
+    whatever it is handed (:attr:`repro.obs.Observability.enabled` is the
+    switch)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._log_histograms: Dict[Tuple[str, LabelSet], LogHistogram] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
         key = (name, _labelset(labels))
         instrument = self._counters.get(key)
         if instrument is None:
@@ -96,8 +79,6 @@ class MetricsRegistry:
         return instrument
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
         key = (name, _labelset(labels))
         instrument = self._gauges.get(key)
         if instrument is None:
@@ -106,8 +87,6 @@ class MetricsRegistry:
 
     def log_histogram(self, name: str, **labels: Any) -> LogHistogram:
         """Get-or-create a :class:`~repro.obs.histo.LogHistogram`."""
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
         key = (name, _labelset(labels))
         instrument = self._log_histograms.get(key)
         if instrument is None:
@@ -168,11 +147,8 @@ class MetricsRegistry:
         here.  The merge is *order-independent* — bucket counts are
         integers and float totals are folded as fsum partials — so cells
         merged in any order produce bit-identical snapshots.  Rows of
-        other kinds are skipped, and a disabled registry ignores merges,
-        like every other recording path.
+        other kinds are skipped.
         """
-        if not self.enabled:
-            return
         for row in rows:
             if row.get("kind") == "log_histogram":
                 self.log_histogram(row["name"], **row.get("labels", {})).merge(
@@ -191,8 +167,6 @@ def record_op_counts(
     ``crypto.signatures`` and ``crypto.verifications``, all carrying the
     caller's labels (typically ``member=...`` and ``epoch=...``).
     """
-    if not metrics.enabled:
-        return
     for bits, count in delta.exponentiations:
         metrics.counter("crypto.exponentiations", bits=bits, **labels).inc(count)
     for bits, count in delta.small_exp_multiplications:

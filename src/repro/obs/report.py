@@ -142,15 +142,15 @@ def render_report(
     lines.append("")
     lines.append(
         render_percentiles(
-            timeline.rekey_latencies(), "Rekey latency percentiles (ms)"
+            timeline.metrics.log_histograms(), "Rekey latency percentiles (ms)"
         )
     )
     if spans.dropped:
         lines.append(
             f"\n!! WARNING: span recorder dropped {spans.dropped} span(s) "
-            f"(capacity {spans.capacity}); every figure above that leans "
-            f"on spans — computation, communication, critical paths — may "
-            f"undercount or be truncated.  Re-run with a larger span "
-            f"capacity."
+            f"(fixed capacity {spans.capacity}); every figure above that "
+            f"leans on spans — computation, communication, critical paths "
+            f"— may undercount or be truncated.  Re-run with a smaller "
+            f"--size: fewer members record fewer spans."
         )
     return "\n".join(lines)

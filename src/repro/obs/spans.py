@@ -72,12 +72,12 @@ class Span:
 
 
 class SpanRecorder:
-    """Bounded collector of :class:`Span` records; no-op when disabled."""
+    """Bounded collector of :class:`Span` records; it records whatever it
+    is handed (:attr:`repro.obs.Observability.enabled` is the switch)."""
 
-    def __init__(self, enabled: bool = True, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.enabled = enabled
         self.capacity = capacity
         self.spans: List[Span] = []
         self.dropped = 0
@@ -87,8 +87,6 @@ class SpanRecorder:
 
     def add(self, span: Span) -> None:
         """Store one span (drop-counting once the capacity is reached)."""
-        if not self.enabled:
-            return
         if len(self.spans) >= self.capacity:
             self.dropped += 1
             return
@@ -108,14 +106,13 @@ class SpanRecorder:
         trace_id: Optional[int] = None,
         **attrs: Any,
     ) -> None:
-        """Record one closed interval (no-op when disabled)."""
-        if self.enabled:
-            self.add(
-                Span(
-                    category, name, actor, proc, start, end, attrs,
-                    span_id=span_id, parent_id=parent_id, trace_id=trace_id,
-                )
+        """Record one closed interval."""
+        self.add(
+            Span(
+                category, name, actor, proc, start, end, attrs,
+                span_id=span_id, parent_id=parent_id, trace_id=trace_id,
             )
+        )
 
     def instant(
         self, category: str, name: str, actor: str, proc: str, time: float,

@@ -29,6 +29,7 @@ from repro.crypto.groups import SchnorrGroup
 from repro.crypto.ledger import OperationLedger
 from repro.crypto.rng import DeterministicRandom
 from repro.gcs.messages import View, ViewEvent
+from repro.obs import NULL_OBS
 
 #: Signature plus envelope overhead per protocol message, bytes.
 MESSAGE_OVERHEAD_BYTES = 192
@@ -99,11 +100,11 @@ class KeyAgreementProtocol(ABC):
         self.engine = get_engine(engine)
         self.ctx = self.engine.context(group, ledger or OperationLedger())
         self.rng = rng.fork(f"{self.name}:{member}")
-        #: optional :class:`repro.obs.Observability` recorder.  The hosting
-        #: layer attaches it; the protocol then meters every message it
-        #: emits (one counter tick per round/broadcast per member).  The
-        #: protocol math itself never reads it.
-        self.obs = None
+        #: the :class:`repro.obs.Observability` recorder.  The hosting
+        #: layer attaches its own; when enabled, the protocol meters every
+        #: message it emits (one counter tick per round/broadcast per
+        #: member).  The protocol math itself never reads it.
+        self.obs = NULL_OBS
         #: the current shared group key (an element of the group), once agreed
         self.key: Optional[int] = None
         #: the view id the current :attr:`key` belongs to
@@ -195,7 +196,7 @@ class KeyAgreementProtocol(ABC):
             element_count=element_count,
             element_bits=self.group.p_bits,
         )
-        if self.obs is not None and self.obs.enabled:
+        if self.obs.enabled:
             self.obs.counter(
                 "protocol.messages",
                 protocol=self.name, member=self.member, step=step,

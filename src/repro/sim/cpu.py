@@ -16,8 +16,9 @@ WAN testbed mixes platforms of different speeds).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import List, Optional
 
+from repro.obs import NULL_OBS
 from repro.sim.engine import Simulator
 
 
@@ -45,18 +46,17 @@ class Machine:
         # a batch gated by core contention waited on *that* span, whoever
         # submitted it (the paper's BD-doubling effect made visible).
         self._core_span: List[Optional[tuple]] = [None] * cores
-        #: optional :class:`repro.obs.Observability` flight recorder; when
-        #: attached (by :class:`~repro.gcs.world.GcsWorld`) and enabled,
-        #: every submitted work unit becomes a span on this machine's
+        #: the :class:`repro.obs.Observability` flight recorder, attached by
+        #: :class:`~repro.gcs.world.GcsWorld`; when enabled, every submitted
+        #: work unit with a ``span`` becomes a span on this machine's
         #: Chrome-trace "process".
-        self.obs = None
+        self.obs = NULL_OBS
 
     def submit(
         self,
         sim: Simulator,
         work_ms: float,
-        fn: Optional[Callable] = None,
-        *args: Any,
+        *,
         not_before: float = 0.0,
         span: Optional[tuple] = None,
         chain: Optional[tuple] = None,
@@ -65,8 +65,8 @@ class Machine:
 
         The work starts on the core that frees up first (but never before
         ``not_before`` — used to serialize a single process's tasks) and
-        runs for ``work_ms / speed`` virtual milliseconds.  When ``fn`` is
-        given it fires at completion.  Returns the completion time.
+        runs for ``work_ms / speed`` virtual milliseconds.  Returns the
+        completion time; the caller schedules what follows off it.
 
         ``span`` is an optional ``(category, name, actor, attrs)`` tuple;
         with an enabled recorder attached it is recorded over the work's
@@ -111,9 +111,9 @@ class Machine:
             core_gated = False
         finish = start + duration
         self._core_free[index] = finish
-        cause = None
-        if span is not None and self.obs is not None and self.obs.enabled:
+        if span is not None and self.obs.enabled:
             category, span_name, actor, attrs = span
+            cause = None
             causality = self.obs.causality
             # Causal parent: whichever bound gated the start.  Core
             # contention means we waited on another span on this core;
@@ -139,12 +139,6 @@ class Machine:
             self.obs.counter("cpu.work_ms", machine=self.name).inc(duration)
             self._core_span[index] = cause
             causality.last_cpu_span = cause
-        if fn is not None:
-            event = sim.schedule_at(finish, fn, *args)
-            if cause is not None:
-                # The completion callback was caused by the CPU span, not
-                # by whatever context submitted the work.
-                event.cause = cause
         return finish
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

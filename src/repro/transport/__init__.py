@@ -20,8 +20,6 @@ secure group runs unchanged on either substrate.
 """
 
 from repro.transport.base import (
-    CAP_FAULTS,
-    CAP_TRACE,
     CAP_VIRTUAL_TIME,
     MAX_GROUP_NAME_BYTES,
     MAX_MEMBER_NAME_BYTES,
@@ -35,8 +33,6 @@ from repro.transport.base import (
 )
 
 __all__ = [
-    "CAP_FAULTS",
-    "CAP_TRACE",
     "CAP_VIRTUAL_TIME",
     "GroupChannel",
     "MAX_GROUP_NAME_BYTES",

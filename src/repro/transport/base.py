@@ -33,8 +33,6 @@ from repro.gcs.messages import Service
 
 #: Capability tags a transport advertises in :attr:`Transport.capabilities`.
 CAP_VIRTUAL_TIME = "virtual-time"
-CAP_FAULTS = "faults"
-CAP_TRACE = "trace"
 
 #: Spread limits group names to 32 bytes; we are a little more generous
 #: but still bounded, so a malformed name fails here with a clear error

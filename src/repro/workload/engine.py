@@ -98,8 +98,9 @@ class WorkloadResult:
 class WorkloadEngine:
     """One sustained run on one framework; see the module docstring.
 
-    Construct, then :meth:`run`; the rosters and the framework stay
-    inspectable afterwards (the multi-group key-isolation test reads
+    Construct, then :meth:`run`; the drivers (each group's live member
+    list is ``drivers[g].members``) and the framework stay inspectable
+    afterwards (the multi-group key-isolation test reads
     them).  The benchmark's ``load`` cell
     (:func:`~repro.bench.load.run_load_cell`) runs one engine per cell
     and closes its framework on return.
@@ -126,11 +127,10 @@ class WorkloadEngine:
         )
         #: where a tripped livelock guard is counted (``run_load_cell``
         #: points it at the cell's registry)
-        self.metrics = MetricsRegistry(enabled=False)
-        #: one driver per group index; ``rosters`` are their live member
-        #: lists, maintained through churn
+        self.metrics = MetricsRegistry()
+        #: one driver per group index; its ``members`` is the group's live
+        #: roster, maintained through churn
         self.drivers: Dict[int, GroupDriver] = {}
-        self.rosters: Dict[int, List] = {}
         self.joins = self.leaves = self.skipped = 0
         self._machines = self.framework.transport.machine_count()
         self._next_machine = 0
@@ -163,9 +163,8 @@ class WorkloadEngine:
             )
             driver.grow_batched(spec.group_size)
             self.drivers[group] = driver
-            self.rosters[group] = driver.members
         self._next_machine = spec.groups * spec.group_size
-        self.framework.timeline.clear_rekey_latencies()
+        self.framework.timeline.metrics = MetricsRegistry()
 
     def inject(self) -> int:
         """Schedule the churn stream and the composed fault schedule,
@@ -200,11 +199,11 @@ class WorkloadEngine:
         self.framework.mark_event()
         member = self.framework.member(name, machine, self.group_name(group))
         member.join()
-        self.rosters[group].append(member)
+        self.drivers[group].members.append(member)
         self.joins += 1
 
     def _do_leave(self, group: int) -> None:
-        roster = self.rosters[group]
+        roster = self.drivers[group].members
         if len(roster) <= self.spec.min_members:
             # Unreachable for generated streams (feasibility is decided
             # at generation time); a replayed trace can get here.
@@ -225,7 +224,7 @@ class WorkloadEngine:
             "load.rekey_ms",
             (("arrival", self.spec.arrival), ("protocol", self.spec.protocol)),
         )
-        for histogram in self.framework.timeline.rekey_latencies():
+        for histogram in self.framework.timeline.metrics.log_histograms():
             merged.fold(histogram)
         return merged
 

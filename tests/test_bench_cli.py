@@ -98,7 +98,7 @@ def test_trace_jsonl_holds_the_timelines_rekey_latency_once(tmp_path):
     framework, _ = _run_observed_event(
         build_subcommand_parser().parse_args(argv)
     )
-    expected = framework.timeline.rekey_latencies()
+    expected = framework.timeline.metrics.log_histograms()
     assert [
         (row["labels"]["group"], row["labels"]["protocol"]) for row in rekey
     ] == [(dict(h.labels)["group"], dict(h.labels)["protocol"]) for h in expected]

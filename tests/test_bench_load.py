@@ -172,10 +172,10 @@ def test_cells_cache_and_invalidate(tmp_path):
         protocols=("TGDH",), arrivals=("poisson",),
         cache_dir=str(tmp_path), use_cache=True, **SMALL,
     )
-    metrics = MetricsRegistry(enabled=True)
+    metrics = MetricsRegistry()
     run_sweep("load", metrics=metrics, **kwargs)
     assert metrics.counter_total("bench.pool.cache_misses") == 1
-    again = MetricsRegistry(enabled=True)
+    again = MetricsRegistry()
     run_sweep("load", metrics=again, **kwargs)
     assert again.counter_total("bench.pool.cache_hits") == 1
     assert again.counter_total("bench.pool.cells_executed") == 0

@@ -103,7 +103,7 @@ def test_cache_hit_miss_and_fingerprint_invalidation(tmp_path):
     cache_dir = str(tmp_path / "cache")
 
     def sweep(fingerprint):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         results = run_cells(
             cells, jobs=1, cache_dir=cache_dir, use_cache=True,
             metrics=registry, fingerprint=fingerprint,
@@ -133,7 +133,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     path = cache._path(cell_key(cell, "fp"))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("{not json")
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     (result,) = run_cells(
         [cell], jobs=1, cache_dir=cache_dir, use_cache=True,
         metrics=registry, fingerprint="fp",
@@ -159,7 +159,7 @@ def test_source_fingerprint_tracks_tree_content(tmp_path):
 
 
 def test_worker_metrics_merge_back():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     run_cells(_echo_cells(5), jobs=2, use_cache=False, metrics=registry)
     assert registry.counter_total("bench.pool.cells_executed") == 5
 

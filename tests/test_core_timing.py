@@ -129,12 +129,11 @@ def test_rekey_latency_is_one_histogram_per_group_in_label_order():
     timeline.rekey_latency("g1", "TGDH").observe(4.0)
     timeline.rekey_latency("g0", "BD").observe(2.0)
     timeline.rekey_latency("g1", "TGDH").observe(6.0)
-    first, second = timeline.rekey_latencies()
+    first, second = timeline.metrics.log_histograms()
     assert (first.name, first.labels, first.count) == (
         "member.rekey_ms", (("group", "g0"), ("protocol", "BD")), 1
     )
     assert second.labels == (("group", "g1"), ("protocol", "TGDH"))
     assert (second.count, second.total, second.max) == (2, 10.0, 6.0)
-    timeline.clear_rekey_latencies()
-    assert timeline.rekey_latencies() == []
-    assert timeline.rekey_latency("g1", "TGDH").count == 0
+    assert timeline.rekey_latency("g1", "TGDH") is second
+    assert [r["name"] for r in timeline.metrics.snapshot()] == ["member.rekey_ms"] * 2

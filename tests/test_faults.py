@@ -279,7 +279,7 @@ class TestStallRecovery:
         )
         # a re-installed epoch is sampled
         assert sum(installs.values()) > first_installs
-        measured = fw.timeline.rekey_latencies()
+        measured = fw.timeline.metrics.log_histograms()
         assert [h.labels for h in measured] == [
             (("group", "secure-group"), ("protocol", "TGDH")),
             (("group", "side"), ("protocol", "BD")),

@@ -136,7 +136,7 @@ def test_converged_key_is_none_when(breakage):
 
 
 def test_livelock_is_counted_when_guarded_and_raised_otherwise():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     guarded = _sim_driver(max_events=5, metrics=registry, kind="chaos")
     guarded.run(guarded.grow(2))  # does not raise
     assert guarded.settle() is False

@@ -31,14 +31,6 @@ def test_gauge_moves_both_ways():
     assert g.value == 3
 
 
-def test_disabled_registry_hands_out_noops():
-    reg = MetricsRegistry(enabled=False)
-    reg.counter("x").inc()
-    reg.gauge("y").set(9)
-    reg.log_histogram("z").observe(1.0)
-    assert reg.snapshot() == []
-
-
 def test_counter_total_aggregates_over_labels():
     reg = MetricsRegistry()
     reg.counter("net.bytes", src="d0", dst="d1").inc(10)
@@ -130,12 +122,6 @@ def test_merge_snapshot_preserves_percentiles():
     )
 
 
-def test_merge_snapshot_ignored_when_disabled():
-    reg = MetricsRegistry(enabled=False)
-    reg.merge_snapshot(_worker_shard(0))
-    assert reg.snapshot() == []
-
-
 def test_ledger_bridge_labels_by_modulus_bits():
     ledger = OperationLedger()
     ledger.record_exponentiation(512, 4)
@@ -153,10 +139,3 @@ def test_ledger_bridge_labels_by_modulus_bits():
     assert reg.counter_total("crypto.signatures", epoch="e1") == 3
     assert reg.counter_total("crypto.verifications") == 1
 
-
-def test_ledger_bridge_noop_when_disabled():
-    ledger = OperationLedger()
-    ledger.record_signature()
-    reg = MetricsRegistry(enabled=False)
-    record_op_counts(reg, ledger.snapshot(), member="m0")
-    assert reg.snapshot() == []

@@ -130,8 +130,9 @@ def test_render_report_reconciles_and_names_phases():
 
 def test_render_report_warns_loudly_about_dropped_spans():
     framework = SecureSpreadFramework(
-        lan_testbed(), default_protocol="TGDH", observe=True, span_capacity=8
+        lan_testbed(), default_protocol="TGDH", observe=True
     )
+    framework.obs.spans.capacity = 8
     for i in range(3):
         member = framework.member(f"m{i}", i)
         member.join()
@@ -140,7 +141,8 @@ def test_render_report_warns_loudly_about_dropped_spans():
     text = render_report(framework.timeline, framework.obs.spans)
     assert "!! WARNING" in text
     assert f"dropped {framework.obs.spans.dropped} span(s)" in text
-    assert "capacity 8" in text
+    assert "fixed capacity 8" in text
+    assert "smaller --size" in text
 
 
 def _observed_sample(protocol, event, size):

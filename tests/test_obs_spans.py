@@ -24,14 +24,6 @@ def test_instants_have_zero_duration():
     assert span.duration == 0.0
 
 
-def test_disabled_recorder_is_a_noop():
-    rec = SpanRecorder(enabled=False)
-    rec.record("crypto", "x", "m0", "p0", 0.0, 1.0)
-    rec.instant("gcs", "y", "d0", "p0", 2.0)
-    assert rec.spans == []
-    assert rec.dropped == 0
-
-
 def test_capacity_bound_counts_drops():
     rec = SpanRecorder(capacity=2)
     for i in range(5):

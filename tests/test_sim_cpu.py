@@ -43,16 +43,6 @@ def test_speed_scales_duration():
     assert slow.submit(sim, 10) == 20
 
 
-def test_completion_callback_fires_at_finish():
-    sim = Simulator()
-    machine = Machine("m0", cores=1)
-    fired = []
-    machine.submit(sim, 10, lambda: fired.append(sim.now))
-    machine.submit(sim, 5, lambda: fired.append(sim.now))
-    sim.run_until_idle()
-    assert fired == [10, 15]
-
-
 def test_work_starts_no_earlier_than_now():
     sim = Simulator()
     machine = Machine("m0", cores=1)

@@ -278,7 +278,6 @@ def test_groups_keep_distinct_keys():
     for group, driver in engine.drivers.items():
         converged = driver.converged_key()
         assert converged is not None, f"group {group} did not converge"
-        assert driver.members is engine.rosters[group]
         keys.append(converged[1])
     assert len(set(keys)) == len(keys)
 
@@ -308,7 +307,7 @@ def test_load_cell_records_only_what_it_reports():
     grown = WorkloadEngine(_small_spec(groups=3))
     grown.populate()
     # Growth-phase installs are not part of the sustained distribution.
-    assert sum(h.count for h in grown.framework.timeline.rekey_latencies()) == 0
+    assert sum(h.count for h in grown.framework.timeline.metrics.log_histograms()) == 0
 
     engine = WorkloadEngine(_small_spec(groups=3))
     result = engine.run()
@@ -316,7 +315,7 @@ def test_load_cell_records_only_what_it_reports():
     assert obs.enabled is False
     assert len(obs.spans) == 0
     assert list(obs.metrics.iter_instruments()) == []
-    latencies = engine.framework.timeline.rekey_latencies()
+    latencies = engine.framework.timeline.metrics.log_histograms()
     assert [h.labels for h in latencies] == [
         (("group", f"g{group}"), ("protocol", "TGDH")) for group in range(3)
     ]
@@ -355,8 +354,8 @@ def test_trace_replay_drives_exact_events():
     assert result.converged
     assert result.events == 3
     assert result.joins == 1 and result.leaves == 2
-    assert len(engine.rosters[0]) == 3  # 3 + 1 join - 1 leave
-    assert len(engine.rosters[1]) == 2
+    assert len(engine.drivers[0].members) == 3  # 3 + 1 join - 1 leave
+    assert len(engine.drivers[1].members) == 2
 
 
 def test_engine_rejects_unknown_topology():
