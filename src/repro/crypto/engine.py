@@ -43,13 +43,17 @@ Why the real engine's discrete-log path is exact: ``g`` has prime order
 fixed-base table returns that value bit for bit.  The reverse map
 stores the same pairs keyed the other way, so each of its entries is
 ``g^d mod p`` for its key ``d`` exactly, and returning it for a
-requested ``g^d`` is the same value the table would compute.  The trust
-boundary is what goes into the maps: only pairs this process computed
-itself (``g ↔ 1``, ``exp_g``, table-served ``exp``, and products and
-inverses of known elements).  An element from anywhere else — a peer in
-another process, a value built outside the engine, an entry a bounded
-map has evicted — is simply unknown: as a base it takes the plain
-``pow`` path, and as a result it is recomputed by the table.
+requested ``g^d`` is the same value the table would compute.  The same
+rule makes the other map-served requests exact: ``g^x · g^(-x) = g^0 = 1``,
+so the inverse of ``g^x`` is ``g^(-x mod q)``; and for ``b = g^x`` and
+factors ``f_j = g^(y_j)``, ``b^e · ∏ f_j^(w_j) = g^(x·e + Σ w_j·y_j mod q)``.
+The trust boundary is what goes into the maps: only pairs this process
+computed itself (``g ↔ 1``, ``exp_g``, and table-served ``exp``,
+``mul``, ``inv_element`` and ``weighted_product`` results).  An element
+from anywhere else — a peer in another process, a value built outside
+the engine, an entry a bounded map has evicted — is simply unknown: as
+an operand it takes the plain path, and as a result it is recomputed
+by the table.
 """
 
 from __future__ import annotations
@@ -161,16 +165,18 @@ class RealElementContext(GroupElementContext):
 
     ``dlogs`` (element → discrete log mod ``q``) and ``powers`` (discrete
     log → element) are the engine's two shared maps for this group
-    (``None`` without a fixed-base table).  ``exp_g``, a table-served
-    ``exp``, and ``mul`` / ``inv_element`` of known operands record
-    their result in both.  A ``PowerCache`` miss on a known base
-    ``b = g^x`` needs ``g^d`` for ``d = x·e mod q``, and ``exp_g(e)``
-    needs it for ``d = e mod q``: an element already made for that ``d``
-    — by any member, through any ``(base, exponent)`` pair — is returned
-    as is, and only a new ``d`` takes a table exponentiation.  An unknown
-    base goes through the backend's ``powmod`` as before.  Accounting in
-    the inherited wrappers is untouched — neither the cache nor the maps
-    can change a charged cost.
+    (``None`` without a fixed-base table).  Every request whose operands
+    all have known logs is answered as some ``g^d``: ``d = e mod q`` for
+    ``exp_g(e)``, ``x·e mod q`` for a ``PowerCache`` miss on ``g^x``,
+    ``-x mod q`` for ``inv_element(g^x)``, and ``x·e + Σ w_j·y_j mod q``
+    for ``weighted_product`` (BD's key, which all members of an epoch
+    share).  An element already made for that ``d`` — by any member,
+    through any request — is returned as is, and only a new ``d`` takes a
+    table exponentiation, whose result is recorded in both maps; so is
+    the product of two known factors.  An operand with an unknown log
+    takes the base context's arithmetic as before.  Accounting in the
+    inherited wrappers is untouched — neither the cache nor the maps can
+    change a charged cost.
     """
 
     def __init__(
@@ -235,13 +241,29 @@ class RealElementContext(GroupElementContext):
         return result
 
     def _raw_inv_element(self, a: int) -> int:
-        result = super()._raw_inv_element(a)
         dlogs = self._dlogs
         if dlogs is not None:
             x = dlogs.get(a)
             if x is not None:
-                self._learn(result, -x % self.group.q)
-        return result
+                return self._power_of_g(-x % self.group.q)
+        return super()._raw_inv_element(a)
+
+    def _raw_weighted_product(self, base, exponent, factors):
+        dlogs = self._dlogs
+        if dlogs is not None:
+            total = dlogs.get(base)
+            if total is not None:
+                total *= exponent
+                weight = len(factors)
+                for factor in factors:
+                    y = dlogs.get(factor)
+                    if y is None:
+                        break
+                    total += weight * y
+                    weight -= 1
+                else:
+                    return self._power_of_g(total % self.group.q)
+        return super()._raw_weighted_product(base, exponent, factors)
 
 
 class RealEngine(CryptoEngine):
@@ -334,24 +356,22 @@ class SymbolicElementContext(GroupElementContext):
     def _raw_exp_g(self, exponent: int) -> int:
         return exponent % self.group.q
 
-    def _raw_small_exp(self, base: int, exponent: int) -> int:
-        return (base * exponent) % self.group.q
-
     def _raw_mul(self, a: int, b: int) -> int:
         return (a + b) % self.group.q
 
     def _raw_inv_element(self, a: int) -> int:
         return (-a) % self.group.q
 
-    def _raw_weighted_product(self, start, pairs):
+    def _raw_weighted_product(self, base, exponent, factors):
         # Under the isomorphism a weighted product is a weighted *sum*
-        # of tokens; the real context's multi-exponentiation shortcut
-        # would treat tokens as group elements, so override it whole.
-        q = self.group.q
-        total = start
-        for factor, weight in pairs:
-            total = (total + factor * weight) % q
-        return total
+        # of tokens; the prefix-product shortcut would treat tokens as
+        # group elements, so override it whole.
+        total = base * exponent
+        weight = len(factors)
+        for factor in factors:
+            total += weight * factor
+            weight -= 1
+        return total % self.group.q
 
     def contains(self, element) -> bool:
         # Tokens are dlogs in [0, q); the subgroup test of the real

@@ -191,15 +191,6 @@ class GroupElementContext:
         self.ledger.record_exponentiation(self.group.p_bits)
         return self._raw_exp_g(exponent)
 
-    def small_exp(self, base: int, exponent: int) -> int:
-        """Exponentiation with a *small* exponent (e.g. BD's ``z^(i·r)`` factors).
-
-        Charged as the square-and-multiply multiplication count, which is
-        the paper's "hidden cost" of the BD protocol.
-        """
-        self.ledger.record_small_exponentiation(self.group.p_bits, exponent)
-        return self._raw_small_exp(base, exponent)
-
     def mul(self, a: int, b: int) -> int:
         """Modular multiplication ``a·b mod p``."""
         self.ledger.record_multiplication(self.group.p_bits)
@@ -211,29 +202,32 @@ class GroupElementContext:
         return self._raw_inv_element(a)
 
     def weighted_product(
-        self, start: int, pairs: Sequence[Tuple[int, int]]
+        self, base: int, exponent: int, factors: Sequence[int]
     ) -> int:
-        """``start · f_0^{w_0} · f_1^{w_1} ··· mod p`` for small weights.
+        """``base^exponent · f_0^m · f_1^(m-1) ··· f_(m-1)^1 mod p`` for
+        ``m = len(factors)`` — BD's key, one request per member.
 
-        Charged exactly as the textbook factor-by-factor loop — one
+        The weights are implicit in the factor order: factor ``j`` is
+        raised to ``m - j``.  Charged exactly as the textbook steps —
+        one full exponentiation for ``base^exponent``, then one
         small-exponent exponentiation (its square-and-multiply
-        multiplication count) plus one fold-in multiplication per factor
-        — so replacing such a loop with this call never changes a ledger
-        delta or a simulated time.  Only the raw computation is faster:
-        BD's key derivation is the motivating caller, and its descending
-        weight run ``n-1 … 1`` collapses to ~2 multiplications per
-        factor via the prefix-product identity (see the raw hook).
+        multiplication count, the paper's "hidden cost") plus one
+        fold-in multiplication per factor — so the ledger delta and the
+        simulated time are those of ``exp`` and the factor-by-factor
+        loop.  Only the raw computation is cheaper (see the raw hooks).
         """
-        record_small = self.ledger.record_small_exponentiation
-        record_mult = self.ledger.record_multiplication
+        ledger = self.ledger
         p_bits = self.group.p_bits
-        for _, weight in pairs:
-            record_small(p_bits, weight)
-            record_mult(p_bits)
-        return self._raw_weighted_product(start, pairs)
+        ledger.record_exponentiation(p_bits)
+        for weight in range(len(factors), 0, -1):
+            ledger.record_small_exponentiation(p_bits, weight)
+            ledger.record_multiplication(p_bits)
+        return self._raw_weighted_product(base, exponent, factors)
 
     def contains(self, element) -> bool:
-        """Membership test for received elements (DH validates peer values)."""
+        """Whether ``element`` lies in the order-``q`` subgroup: the check
+        for a value from outside the engine.  No protocol makes it — each
+        element a member receives was made by a member's context."""
         return isinstance(element, int) and self.group.contains(element)
 
     # -- element (mod p) operations: raw arithmetic hooks ----------------
@@ -254,10 +248,6 @@ class GroupElementContext:
             backend.powmod(self.group.g, exponent, self.group.p)
         )
 
-    def _raw_small_exp(self, base: int, exponent: int) -> int:
-        backend = self._backend
-        return backend.unwrap(backend.powmod(base, exponent, self.group.p))
-
     def _raw_mul(self, a: int, b: int) -> int:
         backend = self._backend
         return backend.unwrap(backend.mulmod(a, b, self.group.p))
@@ -267,37 +257,28 @@ class GroupElementContext:
         return backend.unwrap(backend.invmod(a, self.group.p))
 
     def _raw_weighted_product(
-        self, start: int, pairs: Sequence[Tuple[int, int]]
+        self, base: int, exponent: int, factors: Sequence[int]
     ) -> int:
         """The math behind :meth:`weighted_product`.
 
-        A descending weight run ``m, m-1, …, 1`` (BD's shape) uses the
-        prefix-product identity ``prod f_j^{m-j} = prod_t (f_0···f_t)``
-        — every factor then costs two plain multiplications instead of a
-        square-and-multiply ladder.  Any other shape goes through
-        :func:`multi_exp` (Straus), which shares one square ladder
-        across all factors.  Both are ordinary modular arithmetic, so
-        the result is bit-identical to the factor-by-factor loop.  The
+        The descending weights use the prefix-product identity
+        ``prod f_j^(m-j) = prod_t (f_0···f_t)``, so every factor costs
+        two plain multiplications instead of a square-and-multiply
+        ladder; the result is bit-identical to the factor-by-factor
+        loop.  ``base^exponent`` goes through :meth:`_raw_exp`; the
         prefix loop multiplies through the backend directly, not
         :meth:`_raw_mul`, so an engine hook on products (the real
         engine's discrete-log maps) never sees the intermediate values.
         """
-        m = len(pairs)
-        if m == 0:
-            return start
-        if all(weight == m - j for j, (_, weight) in enumerate(pairs)):
-            backend = self._backend
-            mulmod = backend.mulmod
-            p = self.group.p
-            result = start
-            prefix = None
-            for factor, _ in pairs:
-                prefix = factor if prefix is None else mulmod(prefix, factor, p)
-                result = mulmod(result, prefix, p)
-            return backend.unwrap(result)
-        return self._raw_mul(
-            start, multi_exp(pairs, self.group.p, backend=self._backend)
-        )
+        backend = self._backend
+        mulmod = backend.mulmod
+        p = self.group.p
+        result = self._raw_exp(base, exponent)
+        prefix = None
+        for factor in factors:
+            prefix = factor if prefix is None else mulmod(prefix, factor, p)
+            result = mulmod(result, prefix, p)
+        return backend.unwrap(result)
 
     # -- exponent (mod q) operations ------------------------------------
     #

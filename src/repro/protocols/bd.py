@@ -90,16 +90,11 @@ class BdProtocol(KeyAgreementProtocol):
         n = len(members)
         i = members.index(self.member)
         prev = members[(i - 1) % n]
-        # z_{i-1}^{n * r_i}: one full exponentiation (the exponent is
-        # reduced mod q, so its size is cryptographic, not small).
+        # K = z_{i-1}^{n * r_i} * X_i^{n-1} * X_{i+1}^{n-2} * ... * X_{i-2}^1
+        # in one request: one full exponentiation (the exponent is reduced
+        # mod q, so its size is cryptographic, not small), then the hidden
+        # cost of a small-exponent exponentiation and a multiplication per
+        # X, whose descending weights the factor order implies.
         exponent = self.ctx.exponent_product(n % self.group.q, self._r)
-        key = self.ctx.exp(self._z[prev], exponent)
-        # X_i^{n-1} * X_{i+1}^{n-2} * ... * X_{i+n-2}^{1}: the hidden cost.
-        # weighted_product charges each factor exactly as a small_exp +
-        # mul pair (same ledger delta as the per-factor loop) while the
-        # descending weights let it compute via prefix products.
-        pairs = [
-            (self._x[members[(i + offset) % n]], n - 1 - offset)
-            for offset in range(n - 1)
-        ]
-        self._complete(self.ctx.weighted_product(key, pairs))
+        factors = [self._x[members[(i + offset) % n]] for offset in range(n - 1)]
+        self._complete(self.ctx.weighted_product(self._z[prev], exponent, factors))

@@ -185,21 +185,24 @@ def test_power_cache_earns_its_keep_on_tree_protocols(
 _EXPONENT = st.tuples(st.integers(-2, 2), st.integers(-2, 1 << 170))
 # Steps pick operands counting back from the newest element.
 _INDEX = st.integers(0, 7)
+# Elements the engine never made: a power of g from an exponent it never
+# saw, and an arbitrary residue (almost surely off the subgroup).
+_FOREIGN = st.tuples(st.just("foreign"), _EXPONENT)
+_RESIDUE = st.tuples(st.just("residue"), st.integers(min_value=2))
+# An operand that may or may not have a known log.
+_OPERAND = st.one_of(_INDEX, _FOREIGN, _RESIDUE)
 _STEP = st.one_of(
     st.tuples(st.just("exp_g"), _EXPONENT),
     st.tuples(st.just("exp"), _INDEX, _EXPONENT),
     st.tuples(st.just("mul"), _INDEX, _INDEX),
-    st.tuples(st.just("inv"), _INDEX),
+    st.tuples(st.just("inv"), _OPERAND),
+    # base^e · f_0^m ··· f_(m-1)^1, the base and factors mixing elements
+    # with known logs and elements without.
     st.tuples(
-        st.just("weighted"),
-        _INDEX,
-        st.lists(st.tuples(_INDEX, st.integers(0, 9)), max_size=5),
-        st.booleans(),
+        st.just("weighted"), _OPERAND, _EXPONENT, st.lists(_OPERAND, max_size=5)
     ),
-    # Elements the engine never made: a power of g from an exponent it
-    # never saw, and an arbitrary residue (almost surely off the subgroup).
-    st.tuples(st.just("foreign"), _EXPONENT),
-    st.tuples(st.just("residue"), st.integers(min_value=2)),
+    _FOREIGN,
+    _RESIDUE,
     # One power of g reached three ways: (g^x)^y, (g^y)^x and g^(x·y).
     st.tuples(st.just("cross"), _EXPONENT, _EXPONENT),
 )
@@ -211,6 +214,13 @@ _ONE_RULE_EACH = [  # a learned log, then an exponentiation that uses it
     [("exp_g", (0, 9)), ("mul", 0, 1), ("exp", 0, (0, 11))],
     [("exp_g", (0, 9)), ("inv", 0), ("exp", 0, (0, 11))],
     [("cross", (0, 6), (1, -4))],
+    [("exp_g", (1, 5)), ("weighted", 1, (1, 7), [0, 1, 0]), ("exp", 0, (0, 3))],
+]
+
+_UNKNOWN_OPERAND = [  # no log known: the plain path, bit for bit
+    [("inv", ("residue", 5))],
+    [("weighted", ("foreign", (0, 13)), (1, 7), [0, 0])],
+    [("exp_g", (1, 5)), ("weighted", 0, (0, 7), [0, ("residue", 5), 1])],
 ]
 
 
@@ -227,9 +237,25 @@ def test_discrete_log_path_matches_plain_pow(group, bound, program):
 @pytest.mark.parametrize(
     "program",
     _ONE_RULE_EACH,
-    ids=["exp_g", "exp", "mul", "inv_element", "one_power_three_ways"],
+    ids=[
+        "exp_g",
+        "exp",
+        "mul",
+        "inv_element",
+        "one_power_three_ways",
+        "weighted_product",
+    ],
 )
 def test_each_learned_log_serves_an_exact_exponentiation(program):
+    _check_against_plain_pow(GROUP_512, engine_module.DLOG_MAP_SIZE, program)
+
+
+@pytest.mark.parametrize(
+    "program",
+    _UNKNOWN_OPERAND,
+    ids=["inv_element", "weighted_base", "weighted_factor"],
+)
+def test_an_unknown_operand_takes_the_plain_path(program):
     _check_against_plain_pow(GROUP_512, engine_module.DLOG_MAP_SIZE, program)
 
 
@@ -247,6 +273,15 @@ def _check_against_plain_pow(group, bound, program):
         def pick(index):
             return pool[-1 - index % len(pool)]
 
+        def operand(spec):
+            if isinstance(spec, int):
+                return pick(spec)
+            kind, arg = spec
+            if kind == "foreign":
+                k, r = arg
+                return pow(group.g, k * q + r, p)
+            return 2 + arg % (p - 3)
+
         def check(values):
             assert values[0] == values[1]
             assert type(values[0]) is int
@@ -262,13 +297,9 @@ def _check_against_plain_pow(group, bound, program):
                 check((fast.exp(gx, y), plain.exp(gx, y)))
                 check((fast.exp(gy, x), plain.exp(gy, x)))
                 values = fast.exp_g(x * y), plain.exp_g(x * y)
-            elif op in ("exp_g", "foreign"):
+            elif op == "exp_g":
                 k, r = args[0]
-                e = k * q + r
-                if op == "foreign":
-                    pool.append(pow(group.g, e, p))
-                    continue
-                values = fast.exp_g(e), plain.exp_g(e)
+                values = fast.exp_g(k * q + r), plain.exp_g(k * q + r)
             elif op == "exp":
                 k, r = args[1]
                 base, e = pick(args[0]), k * q + r
@@ -277,20 +308,17 @@ def _check_against_plain_pow(group, bound, program):
                 a, b = pick(args[0]), pick(args[1])
                 values = fast.mul(a, b), plain.mul(a, b)
             elif op == "inv":
-                a = pick(args[0])
+                a = operand(args[0])
                 values = fast.inv_element(a), plain.inv_element(a)
             elif op == "weighted":
-                start, raw, descending = pick(args[0]), args[1], args[2]
-                pairs = [
-                    (pick(i), len(raw) - j if descending else w)
-                    for j, (i, w) in enumerate(raw)
-                ]
+                (k, r), base = args[1], operand(args[0])
+                factors = [operand(spec) for spec in args[2]]
                 values = (
-                    fast.weighted_product(start, pairs),
-                    plain.weighted_product(start, pairs),
+                    fast.weighted_product(base, k * q + r, factors),
+                    plain.weighted_product(base, k * q + r, factors),
                 )
-            else:  # residue
-                pool.append(2 + args[0] % (p - 3))
+            else:  # foreign, residue
+                pool.append(operand(step))
                 continue
             check(values)
         dlogs, powers = engine._dlog_maps[(p, group.g)]
@@ -327,7 +355,7 @@ def test_every_power_cache_miss_takes_the_table(protocol, monkeypatch):
 
 @pytest.mark.parametrize(
     "protocol, table_pows",
-    [("BD", 192), ("CKD", 97), ("GDH", 109), ("STR", 77), ("TGDH", 70)],
+    [("BD", 196), ("CKD", 97), ("GDH", 109), ("STR", 77), ("TGDH", 70)],
     ids=["BD", "CKD", "GDH", "STR", "TGDH"],
 )
 def test_each_distinct_power_of_g_is_computed_once(protocol, table_pows, monkeypatch):
@@ -353,6 +381,39 @@ def test_each_distinct_power_of_g_is_computed_once(protocol, table_pows, monkeyp
     )
     assert len(calls) == table_pows
     assert len(set(calls)) == len(calls)
+
+
+def test_bd_keys_in_the_exponent(monkeypatch):
+    # One BD join keys m = 9 members.  Each member's z_i = g^r_i, the
+    # inverse of its predecessor's z and its X_i are new powers of g
+    # (3m table exponentiations); the key is one more, which the first
+    # member computes and the other m - 1 find in the log -> element map.
+    # No element is inverted, and the only products are the m ratios
+    # z_{i+1} / z_{i-1}.
+    engine = RealEngine(backend="python")
+    framework = SecureSpreadFramework(
+        lan_testbed(), default_protocol="BD", dh_group="dh-512", engine=engine
+    )
+    driver = GroupDriver(framework, max_events=LARGE_RUN_MAX_EVENTS)
+    driver.grow_batched(8)
+    calls = {"table": 0, "invmod": 0, "mulmod": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(FixedBaseTable, "pow", counted("table", FixedBaseTable.pow))
+    for name in ("invmod", "mulmod"):
+        monkeypatch.setattr(
+            engine.backend, name, counted(name, getattr(engine.backend, name))
+        )
+    driver.run(driver.join())
+    m = 9
+    assert len(driver.members) == m
+    assert calls == {"table": 3 * m + 1, "invmod": 0, "mulmod": m}
 
 
 # -- engine dispatch ----------------------------------------------------------
@@ -407,7 +468,7 @@ def test_symbolic_and_real_charge_identical_ledgers():
         ctx.exp(ga, b)
         ctx.mul(ga, ctx.exp_g(b))
         ctx.inv_element(ga)
-        ctx.small_exp(ga, 3)
+        ctx.weighted_product(ga, b, [ga, ctx.exp_g(b), ga])
         counts[which] = ledger.snapshot()
     assert counts["real"] == counts["symbolic"]
 

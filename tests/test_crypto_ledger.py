@@ -33,6 +33,14 @@ def test_small_exponentiation_multiplication_count():
     assert ledger.snapshot().small_mult_count(512) == 3
 
 
+def test_small_exp_charged_as_multiplications():
+    ledger = OperationLedger()
+    ledger.record_small_exponentiation(512, 6)  # 0b110 -> 2 squarings + 1 multiply
+    snap = ledger.snapshot()
+    assert snap.exp_count() == 0
+    assert snap.small_mult_count(512) == 3
+
+
 def test_signature_and_verification_counts():
     ledger = OperationLedger()
     ledger.record_signature()

@@ -23,13 +23,6 @@ def test_exp_g_blinds_secret(ctx):
     assert ctx.exp_g(5) == pow(ctx.group.g, 5, ctx.group.p)
 
 
-def test_small_exp_charged_as_multiplications(ctx):
-    ctx.small_exp(ctx.group.g, 6)  # 0b110 -> 2 squarings + 1 multiply
-    snap = ctx.ledger.snapshot()
-    assert snap.exp_count() == 0
-    assert snap.small_mult_count(ctx.group.p_bits) == 3
-
-
 def test_mul_and_inverse(ctx):
     a = pow(ctx.group.g, 3, ctx.group.p)
     assert ctx.mul(a, ctx.inv_element(a)) == 1
