@@ -38,11 +38,7 @@ def predict_elapsed_ms(
         topology.one_way_ms(machines[0], machines[-1]),
         topology.one_way_ms(machines[0], machines[min(1, len(machines) - 1)]),
     )
-    communication = (
-        cost.multicasts / max(cost.rounds, 1) * 0  # parallel sends share rounds
-        + cost.rounds * agreed_ms
-        + cost.unicasts * typical_one_way
-    )
+    communication = cost.rounds * agreed_ms + cost.unicasts * typical_one_way
     computation = (
         cost.serial_exponentiations * cost_model.exp_cost(modulus_bits)
         + cost.signatures * cost_model.sign_ms / max(cost.rounds, 1)

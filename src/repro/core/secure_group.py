@@ -35,7 +35,7 @@ from repro.crypto.rsa import (
     cached_rsa_keypair,
 )
 from repro.obs.metrics import record_op_counts
-from repro.gcs.messages import GroupMessage, View
+from repro.gcs.messages import GroupMessage, Service, View
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage
 from repro.transport.base import GroupChannel
 
@@ -317,18 +317,13 @@ class SecureGroupMember:
     def _transmit(self, pmsg: ProtocolMessage, signature, attempt: int = 0) -> None:
         if not self.client.connected:
             return  # our daemon crashed while the signature was computing
-        payload = ("key-agreement", pmsg, signature, attempt)
-        if pmsg.requires_agreed:
-            self.client.multicast(
-                self.group_name,
-                payload,
-                size_bytes=pmsg.size_bytes,
-                target=pmsg.target,
-            )
-        else:
-            self.client.unicast(
-                self.group_name, pmsg.target, payload, size_bytes=pmsg.size_bytes
-            )
+        self.client.multicast(
+            self.group_name,
+            ("key-agreement", pmsg, signature, attempt),
+            service=Service.AGREED if pmsg.requires_agreed else Service.FIFO,
+            size_bytes=pmsg.size_bytes,
+            target=pmsg.target,
+        )
 
     def _install_epoch(self, view: View) -> None:
         if self.protocol.key_epoch != view.view_id:

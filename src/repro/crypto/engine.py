@@ -373,11 +373,6 @@ class SymbolicElementContext(GroupElementContext):
             weight -= 1
         return total % self.group.q
 
-    def contains(self, element) -> bool:
-        # Tokens are dlogs in [0, q); the subgroup test of the real
-        # context would reject them even though they denote members.
-        return isinstance(element, int) and 0 <= element < self.group.q
-
 
 class SymbolicEngine(CryptoEngine):
     """Symbolic fast path: dlog tokens instead of bignum group elements."""

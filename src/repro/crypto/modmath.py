@@ -224,12 +224,6 @@ class GroupElementContext:
             ledger.record_multiplication(p_bits)
         return self._raw_weighted_product(base, exponent, factors)
 
-    def contains(self, element) -> bool:
-        """Whether ``element`` lies in the order-``q`` subgroup: the check
-        for a value from outside the engine.  No protocol makes it — each
-        element a member receives was made by a member's context."""
-        return isinstance(element, int) and self.group.contains(element)
-
     # -- element (mod p) operations: raw arithmetic hooks ----------------
     #
     # Never call these directly from protocol code — they bypass the

@@ -93,14 +93,6 @@ class SpreadClient:
         )
         self._submit(message)
 
-    def unicast(
-        self, group: str, target: str, payload: Any, size_bytes: int = 64
-    ) -> None:
-        """FIFO point-to-point message to one group member."""
-        self.multicast(
-            group, payload, service=Service.FIFO, size_bytes=size_bytes, target=target
-        )
-
     # -- delivery (called by the daemon) ----------------------------------
 
     def _on_crashed(self) -> None:

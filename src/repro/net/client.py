@@ -3,7 +3,7 @@
 :class:`NetClient` connects to a :class:`~repro.net.daemon.NetDaemon`
 and exposes the same API the simulated
 :class:`~repro.gcs.client.SpreadClient` offers — synchronous
-``join``/``leave``/``multicast``/``unicast``/``disconnect`` plus
+``join``/``leave``/``multicast``/``disconnect`` plus
 ``on_message``/``on_view`` listener callbacks receiving ``(client,
 item)`` — so :class:`~repro.core.secure_group.SecureGroupMember` drives
 it unchanged.  The client is an :class:`asyncio.Protocol`: the
@@ -145,14 +145,6 @@ class NetClient(asyncio.Protocol):
                 "size_bytes": size_bytes,
                 "kind": "data",
             },
-        )
-
-    def unicast(
-        self, group: str, target: str, payload: Any, size_bytes: int = 64
-    ) -> None:
-        """FIFO point-to-point message to one group member."""
-        self.multicast(
-            group, payload, service=Service.FIFO, size_bytes=size_bytes, target=target
         )
 
     # -- asyncio.Protocol callbacks ----------------------------------------

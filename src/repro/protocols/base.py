@@ -39,11 +39,13 @@ MESSAGE_OVERHEAD_BYTES = 192
 class ProtocolMessage:
     """One signed key agreement message.
 
-    ``broadcast`` messages go to the whole group; targeted messages name a
-    single recipient.  ``requires_agreed`` distinguishes messages that must
-    be totally ordered (broadcasts, and GDH's factor-out "unicasts" — see
-    §6.2.2) from plain FIFO unicasts (GDH's token chain, CKD's channel
-    setup).
+    ``target`` names a single recipient; ``None`` addresses the whole
+    group.  ``requires_agreed`` picks the service: Agreed (total order)
+    for the multicasts Table 1 counts, GDH's factor-out "unicasts" among
+    them (§6.2.2), and plain FIFO for the unicasts (GDH's token chain,
+    CKD's channel setup).  ``element_count`` is the number of group
+    elements the body carries, set by
+    :meth:`KeyAgreementProtocol._message`.
     """
 
     protocol: str
@@ -51,7 +53,6 @@ class ProtocolMessage:
     step: str
     sender: str
     body: Dict[str, Any]
-    broadcast: bool = True
     target: Optional[str] = None
     requires_agreed: bool = True
     element_count: int = 0
@@ -61,6 +62,22 @@ class ProtocolMessage:
     def size_bytes(self) -> int:
         """Wire size: envelope + signature + the group elements carried."""
         return MESSAGE_OVERHEAD_BYTES + self.element_count * (self.element_bits // 8)
+
+
+def _count_elements(value: Any) -> int:
+    """The group elements in a message body: every ``int`` reachable
+    through dict values and list/tuple items.  Dict keys are not
+    counted — they are member names or tree positions."""
+    if isinstance(value, int):
+        return 1
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return 0
+    count = 0
+    for item in value:
+        count += 1 if isinstance(item, int) else _count_elements(item)
+    return count
 
 
 def classify_event(view: View) -> ViewEvent:
@@ -179,28 +196,27 @@ class KeyAgreementProtocol(ABC):
         self,
         step: str,
         body: Dict[str, Any],
-        broadcast: bool = True,
         target: Optional[str] = None,
         requires_agreed: bool = True,
-        element_count: int = 0,
     ) -> ProtocolMessage:
+        """The one place a message's shape is decided: its size is the
+        elements counted in ``body``, its service ``requires_agreed``."""
         message = ProtocolMessage(
             protocol=self.name,
             epoch=self.view.view_id,
             step=step,
             sender=self.member,
             body=body,
-            broadcast=broadcast,
             target=target,
             requires_agreed=requires_agreed,
-            element_count=element_count,
+            element_count=_count_elements(body),
             element_bits=self.group.p_bits,
         )
         if self.obs.enabled:
             self.obs.counter(
                 "protocol.messages",
                 protocol=self.name, member=self.member, step=step,
-                broadcast=broadcast,
+                broadcast=requires_agreed,
             ).inc()
             self.obs.counter(
                 "protocol.bytes", protocol=self.name, member=self.member

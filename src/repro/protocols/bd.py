@@ -46,7 +46,7 @@ class BdProtocol(KeyAgreementProtocol):
         if len(view.members) == 1:
             self._complete(z)
             return []
-        return [self._message("bd-z", {"z": z}, element_count=1)]
+        return [self._message("bd-z", {"z": z})]
 
     def receive(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         # ``_stale`` and the per-step bookkeeping are inlined with local
@@ -83,7 +83,7 @@ class BdProtocol(KeyAgreementProtocol):
         )
         x = self.ctx.exp(ratio, self._r)
         self._x[self.member] = x
-        return self._message("bd-x", {"x": x}, element_count=1)
+        return self._message("bd-x", {"x": x})
 
     def _derive_key(self) -> None:
         members = self.view.members

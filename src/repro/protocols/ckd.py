@@ -88,9 +88,7 @@ class CkdProtocol(KeyAgreementProtocol):
             # from its previous tenure).
             return [
                 self._message(
-                    "ckd-pub",
-                    {"y": self._y, "needed": sorted(self._awaiting)},
-                    element_count=1,
+                    "ckd-pub", {"y": self._y, "needed": sorted(self._awaiting)}
                 )
             ]
         return [self._distribute()]
@@ -117,10 +115,8 @@ class CkdProtocol(KeyAgreementProtocol):
             self._message(
                 "ckd-reply",
                 {"y": self._y},
-                broadcast=False,
                 target=message.sender,
                 requires_agreed=False,
-                element_count=1,
             )
         ]
 
@@ -142,7 +138,7 @@ class CkdProtocol(KeyAgreementProtocol):
                 continue
             table[member] = self.ctx.exp(group_secret, self._pair_exponent(member))
         self._complete(group_secret)
-        return self._message("ckd-dist", {"table": table}, element_count=len(table))
+        return self._message("ckd-dist", {"table": table})
 
     def _on_dist(self, message: ProtocolMessage) -> None:
         blinded = message.body["table"][self.member]

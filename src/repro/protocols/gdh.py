@@ -134,16 +134,7 @@ class GdhProtocol(KeyAgreementProtocol):
         self._r_dirty = True
         token = self.ctx.exp(self._partials[self.member], self._r)
         self._chain = new_members
-        return [
-            self._message(
-                "gdh-token",
-                {"value": token, "chain": list(new_members)},
-                broadcast=False,
-                target=new_members[0],
-                requires_agreed=False,
-                element_count=1,
-            )
-        ]
+        return self._token(token, new_members, 0)
 
     def _start_formation(
         self, view: View, leader: Optional[str] = None
@@ -164,14 +155,18 @@ class GdhProtocol(KeyAgreementProtocol):
         token = self.ctx.exp_g(self._r)
         chain = [m for m in view.members if m != self.member]
         self._chain = chain
+        return self._token(token, chain, 0)
+
+    def _token(
+        self, value: int, chain: List[str], position: int
+    ) -> List[ProtocolMessage]:
+        """Pass the token, FIFO, to the chain's member at ``position``."""
         return [
             self._message(
                 "gdh-token",
-                {"value": token, "chain": list(chain)},
-                broadcast=False,
-                target=chain[0],
+                {"value": value, "chain": list(chain)},
+                target=chain[position],
                 requires_agreed=False,
-                element_count=1,
             )
         ]
 
@@ -198,24 +193,13 @@ class GdhProtocol(KeyAgreementProtocol):
             self._factors["__upflow__"] = message.body["value"]
             return [
                 self._message(
-                    "gdh-upflow",
-                    {"value": message.body["value"], "chain": chain},
-                    element_count=1,
+                    "gdh-upflow", {"value": message.body["value"], "chain": chain}
                 )
             ]
         self._r = self.ctx.random_exponent(self.rng)
         self._r_dirty = True
         value = self.ctx.exp(message.body["value"], self._r)
-        return [
-            self._message(
-                "gdh-token",
-                {"value": value, "chain": chain},
-                broadcast=False,
-                target=chain[position + 1],
-                requires_agreed=False,
-                element_count=1,
-            )
-        ]
+        return self._token(value, chain, position + 1)
 
     def _on_upflow(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         # Everyone except the new controller factors out its contribution
@@ -229,16 +213,7 @@ class GdhProtocol(KeyAgreementProtocol):
             message.body["value"], self.ctx.inv_exponent(self._r)
         )
         self._factored_epoch = self.view.view_id
-        return [
-            self._message(
-                "gdh-factor",
-                {"factor": factor},
-                broadcast=True,
-                target=controller,
-                requires_agreed=True,
-                element_count=1,
-            )
-        ]
+        return [self._message("gdh-factor", {"factor": factor}, target=controller)]
 
     def _on_factor(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         if not self._chain or self.member != self._chain[-1]:
@@ -262,13 +237,7 @@ class GdhProtocol(KeyAgreementProtocol):
         self._partials = partials
         self._r_dirty = False
         self._complete(self.ctx.exp(upflow, self._r))
-        return [
-            self._message(
-                "gdh-keylist",
-                {"partials": dict(partials)},
-                element_count=len(partials),
-            )
-        ]
+        return [self._message("gdh-keylist", {"partials": dict(partials)})]
 
     def _on_keylist(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         if self._r_dirty and self._factored_epoch != self.view.view_id:
@@ -312,10 +281,4 @@ class GdhProtocol(KeyAgreementProtocol):
         self._r = fresh
         self._partials = partials
         self._complete(self.ctx.exp(partials[self.member], self._r))
-        return [
-            self._message(
-                "gdh-keylist",
-                {"partials": dict(partials)},
-                element_count=len(partials),
-            )
-        ]
+        return [self._message("gdh-keylist", {"partials": dict(partials)})]

@@ -310,10 +310,6 @@ class KeyTree:
     def deserialize(cls, data) -> "KeyTree":
         return cls(_deserialize(data))
 
-    def bkey_count(self) -> int:
-        """How many blinded keys a serialization carries (for sizing)."""
-        return sum(1 for node in self._all_nodes() if node.bkey is not None)
-
     def _all_nodes(self) -> List[TreeNode]:
         nodes = []
         stack = [self.root]

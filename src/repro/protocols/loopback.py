@@ -47,11 +47,11 @@ class RunStats:
 
     @property
     def broadcasts(self) -> int:
-        return sum(1 for m in self.messages if m.broadcast)
+        return sum(1 for m in self.messages if m.requires_agreed)
 
     @property
     def unicasts(self) -> int:
-        return sum(1 for m in self.messages if not m.broadcast)
+        return sum(1 for m in self.messages if not m.requires_agreed)
 
     def exponentiations(self, member: Optional[str] = None) -> int:
         """Full exponentiations by one member, or by everyone."""

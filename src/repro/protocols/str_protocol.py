@@ -76,7 +76,6 @@ class StrProtocol(TreeProtocol):
         return self._message(
             self.TREE_STEP,
             {"order": list(self._order), "br": dict(self._br), "bk": dict(self._bk)},
-            element_count=len(self._br) + len(self._bk),
         )
 
     def _members_of(self, component: dict) -> List[str]:
@@ -169,7 +168,6 @@ class StrProtocol(TreeProtocol):
                     "bk": dict(self._bk),
                     "order": list(self._order),
                 },
-                element_count=1 + len(self._bk),
             )
         ]
 

@@ -67,11 +67,7 @@ class TgdhProtocol(TreeProtocol):
         self._refresh_leaf()
         self._compute_path_keys()
         self._fill_path_bkeys(include_root=True, unrestricted=True)
-        return self._message(
-            self.TREE_STEP,
-            {"tree": self._tree.serialize()},
-            element_count=self._tree.bkey_count(),
-        )
+        return self._message(self.TREE_STEP, {"tree": self._tree.serialize()})
 
     def _members_of(self, component: Dict[str, object]) -> List[str]:
         return serialized_members(component["tree"])
@@ -222,13 +218,7 @@ class TgdhProtocol(TreeProtocol):
             self._complete(root.key)
         if not published:
             return []
-        return [
-            self._message(
-                self.BKEYS_STEP,
-                {"updates": dict(published)},
-                element_count=len(published),
-            )
-        ]
+        return [self._message(self.BKEYS_STEP, {"updates": dict(published)})]
 
     def _on_bkeys(self, message: ProtocolMessage) -> List[ProtocolMessage]:
         for node_id, bkey in message.body["updates"].items():

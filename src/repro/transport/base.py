@@ -152,10 +152,6 @@ class GroupChannel(Protocol):
         target: Optional[str] = None,
     ) -> None: ...
 
-    def unicast(
-        self, group: str, target: str, payload: Any, size_bytes: int = 64
-    ) -> None: ...
-
     def disconnect(self) -> None: ...
 
 

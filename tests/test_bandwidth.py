@@ -50,7 +50,74 @@ class TestWireBytes:
         assert all(b > 0 for b in join_bytes.values())
 
 
+#: Each step's element count through one event sequence on a 6-member
+#: loopback group: join x, leave m1, mass-join y0-y2, mass-leave m3 and
+#: y1, then merge back the side partitioned off with m4 and y2.
+TOKEN, UPFLOW, FACTOR = ("gdh-token", 1), ("gdh-upflow", 1), ("gdh-factor", 1)
+SIZED_STEPS = {
+    "BD": {
+        "join": [("bd-z", 1)] * 7 + [("bd-x", 1)] * 7,
+        "leave": [("bd-z", 1)] * 6 + [("bd-x", 1)] * 6,
+        "mass_join": [("bd-z", 1)] * 9 + [("bd-x", 1)] * 9,
+        "mass_leave": [("bd-z", 1)] * 7 + [("bd-x", 1)] * 7,
+        "merge": [("bd-z", 1)] * 7 + [("bd-x", 1)] * 7,
+    },
+    "CKD": {
+        "join": [("ckd-pub", 1), ("ckd-reply", 1), ("ckd-dist", 6)],
+        "leave": [("ckd-dist", 5)],
+        "mass_join": [("ckd-pub", 1)] + [("ckd-reply", 1)] * 3 + [("ckd-dist", 8)],
+        "mass_leave": [("ckd-dist", 6)],
+        "merge": [("ckd-pub", 1)] + [("ckd-reply", 1)] * 2 + [("ckd-dist", 6)],
+    },
+    "GDH": {
+        "join": [TOKEN, UPFLOW] + [FACTOR] * 6 + [("gdh-keylist", 7)],
+        "leave": [("gdh-keylist", 6)],
+        "mass_join": [TOKEN] * 3 + [UPFLOW] + [FACTOR] * 8 + [("gdh-keylist", 9)],
+        "mass_leave": [("gdh-keylist", 7)],
+        "merge": [TOKEN] * 2 + [UPFLOW] + [FACTOR] * 6 + [("gdh-keylist", 7)],
+    },
+    "STR": {
+        "join": [("str-tree", 12), ("str-tree", 2), ("str-bkeys", 8)],
+        "leave": [("str-bkeys", 7)],
+        "mass_join": [("str-tree", 12)] + [("str-tree", 2)] * 3 + [("str-bkeys", 10)],
+        "mass_leave": [("str-bkeys", 8)],
+        "merge": [("str-tree", 10), ("str-tree", 4), ("str-bkeys", 8)],
+    },
+    "TGDH": {
+        "join": [("tgdh-tree", 11), ("tgdh-tree", 1), ("tgdh-bkeys", 1)],
+        "leave": [("tgdh-bkeys", 2)],
+        "mass_join": [
+            ("tgdh-tree", 11),
+            ("tgdh-tree", 1),
+            ("tgdh-tree", 1),
+            ("tgdh-tree", 1),
+            ("tgdh-bkeys", 2),
+            ("tgdh-bkeys", 2),
+            ("tgdh-bkeys", 1),
+        ],
+        "mass_leave": [("tgdh-bkeys", 3)],
+        "merge": [("tgdh-tree", 9), ("tgdh-tree", 3), ("tgdh-bkeys", 1)],
+    },
+}
+
+
 class TestMessageSizing:
+    @pytest.mark.parametrize("protocol", sorted(SIZED_STEPS))
+    def test_every_step_sized_by_its_elements(self, protocol):
+        def sized(stats):
+            return [(m.step, m.element_count) for m in stats.messages]
+
+        loop = build_group(get_protocol(protocol), 6)
+        seen = {
+            "join": sized(loop.join("x")),
+            "leave": sized(loop.leave("m1")),
+            "mass_join": sized(loop.mass_join(["y0", "y1", "y2"])),
+            "mass_leave": sized(loop.mass_leave(["m3", "y1"])),
+        }
+        other = loop.partition(["m4", "y2"])
+        seen["merge"] = sized(loop.merge(other))
+        assert seen == SIZED_STEPS[protocol]
+
     def test_gdh_keylist_carries_n_elements(self):
         loop = build_group(get_protocol("GDH"), 6)
         stats = loop.join("x")

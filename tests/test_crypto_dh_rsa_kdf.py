@@ -38,8 +38,9 @@ class TestDiffieHellman:
 
     def test_rejects_out_of_group_public(self):
         ctx = GroupElementContext(GROUP_TINY)
-        assert ctx.contains(ctx.exp_g(ctx.random_exponent(DeterministicRandom(1))))
-        assert not ctx.contains(2)  # order-1018 element, not in the subgroup
+        public = ctx.exp_g(ctx.random_exponent(DeterministicRandom(1)))
+        assert ctx.group.contains(public)
+        assert not ctx.group.contains(2)  # order-1018 element, not in the subgroup
 
     def test_exchange_charges_ledger(self):
         ctx = GroupElementContext(GROUP_TEST)

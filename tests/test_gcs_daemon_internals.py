@@ -6,7 +6,7 @@ import pytest
 from repro.gcs import GcsWorld, ViewEvent, lan_testbed
 from repro.gcs.daemon import _reconstruct_groups, _AcceptState
 from repro.gcs.membership import MembershipTable
-from repro.gcs.messages import GroupMessage, SequencedMessage
+from repro.gcs.messages import GroupMessage, SequencedMessage, Service
 
 
 def _world_with_group(names):
@@ -160,7 +160,7 @@ class TestEdgePaths:
         world, (a, b) = _world_with_group(["a", "b"])
         b.leave("g")
         world.run_until_idle()
-        a.unicast("g", "b", "too late")  # must not raise
+        a.multicast("g", "too late", service=Service.FIFO, target="b")  # must not raise
         world.run_until_idle()
         assert all(m.payload != "too late" for m in b.received)
 

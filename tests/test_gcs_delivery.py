@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gcs import GcsWorld, ViewEvent, lan_testbed, wan_testbed
+from repro.gcs import GcsWorld, Service, ViewEvent, lan_testbed, wan_testbed
 
 
 @pytest.fixture()
@@ -125,14 +125,14 @@ class TestAgreedOrdering:
 class TestUnicast:
     def test_fifo_unicast_delivered_to_target_only(self, world):
         alice, bob, carol = _setup_group(world, ["alice", "bob", "carol"])
-        alice.unicast("g", "bob", "hi bob")
+        alice.multicast("g", "hi bob", service=Service.FIFO, target="bob")
         world.run_until_idle()
         assert [m.payload for m in bob.received] == ["hi bob"]
         assert carol.received == []
 
     def test_unicast_to_unknown_member_dropped(self, world):
         (alice,) = _setup_group(world, ["alice"])
-        alice.unicast("g", "ghost", "anyone there?")
+        alice.multicast("g", "anyone there?", service=Service.FIFO, target="ghost")
         world.run_until_idle()  # must not raise
 
     def test_unicast_cheaper_than_agreed_on_wan(self):
@@ -146,7 +146,7 @@ class TestUnicast:
         stamps = {}
         b.on_message = lambda _c, m: stamps.setdefault(m.payload, wan.now)
         t0 = wan.now
-        a.unicast("g", "b", "u")
+        a.multicast("g", "u", service=Service.FIFO, target="b")
         a.multicast("g", "a")
         wan.run_until_idle()
         assert stamps["u"] - t0 < stamps["a"] - t0

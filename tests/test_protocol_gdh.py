@@ -60,7 +60,7 @@ def test_leave_is_one_broadcast():
     assert stats.rounds == 1
     assert stats.total_messages == 1
     (message,) = stats.messages
-    assert message.broadcast
+    assert message.requires_agreed
 
 
 def test_leave_broadcast_comes_from_newest_member():
@@ -101,7 +101,7 @@ def test_token_messages_are_fifo_unicasts():
     stats = loop.mass_join(["x0", "x1"])
     tokens = [m for m in stats.messages if m.step == "gdh-token"]
     assert len(tokens) == 2  # controller -> x0 -> x1
-    assert all(not m.requires_agreed and not m.broadcast for m in tokens)
+    assert all(not m.requires_agreed for m in tokens)
 
 
 def test_all_members_cache_partial_keys():

@@ -24,7 +24,7 @@ import pytest
 from repro.core import SecureSpreadFramework
 from repro.core.driver import GroupDriver
 from repro.gcs import GcsWorld, lan_testbed
-from repro.gcs.messages import View
+from repro.gcs.messages import Service, View
 from repro.net.daemon import NetDaemon
 from repro.net.client import NetClient
 from repro.net.runner import AsyncioTransport
@@ -275,7 +275,7 @@ class TestAgreedOrder:
                 await s.settle()
                 clients.append(client)
             alice, bob, carol = clients
-            alice.unicast(GROUP, "bob", "psst")
+            alice.multicast(GROUP, "psst", service=Service.FIFO, target="bob")
             await s.settle()
             assert ("msg", "alice", "psst") in bob.log
             assert all(entry[0] != "msg" for entry in alice.log)
