@@ -148,9 +148,9 @@ def test_key_confirmation_overhead(benchmark):
     from repro.protocols.tgdh import TgdhProtocol
 
     class ConfirmingTgdh(TgdhProtocol):
-        def __init__(self, member, group, rng, ledger=None, engine=None):
+        def __init__(self, member, group, rng, engine=None):
             super().__init__(
-                member, group, rng, ledger, engine=engine, key_confirmation=True
+                member, group, rng, engine=engine, key_confirmation=True
             )
 
     ConfirmingTgdh.name = "TGDH"

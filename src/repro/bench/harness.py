@@ -73,10 +73,6 @@ class EventMeasurement:
     engine: str = "real"
     ops: Optional[dict] = None
 
-    @property
-    def key_agreement_ms(self) -> float:
-        return self.total_ms - self.membership_ms
-
     def to_dict(self) -> dict:
         """A JSON-ready dict — the single serialization for all outputs."""
         return {

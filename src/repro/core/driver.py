@@ -39,6 +39,7 @@ from repro.core.framework import SecureSpreadFramework
 from repro.core.timing import EpochRecord
 from repro.crypto.ledger import OpCounts
 from repro.gcs.membership import reconfiguration_view
+from repro.sim.engine import LivelockError
 from repro.transport.base import CAP_VIRTUAL_TIME
 
 #: event budget for large-n runs (the simulator default is sized for the
@@ -78,9 +79,10 @@ class GroupDriver:
     """A framework plus the live roster of one of its groups.
 
     With a ``metrics`` registry the settle is *guarded*: a tripped event
-    budget is counted as ``bench.cell.livelock{kind,protocol}`` and
-    reported (``settle()`` returns False) instead of raised, so a fault
-    sweep keeps going and says how often it happened.
+    budget (:class:`~repro.sim.engine.LivelockError`) is counted as
+    ``bench.cell.livelock{kind,protocol}`` and reported (``settle()``
+    returns False) instead of raised, so a fault sweep keeps going and
+    says how often it happened.  Any other error propagates.
     """
 
     def __init__(
@@ -120,8 +122,8 @@ class GroupDriver:
         """Drain the virtual-time transport within the event budget."""
         try:
             self.framework.run_until_idle(max_events=self.max_events)
-        except RuntimeError:
-            if self.metrics is None or not self.virtual:
+        except LivelockError:
+            if self.metrics is None:
                 raise
             self.metrics.counter(
                 "bench.cell.livelock", kind=self.kind, protocol=self.protocol

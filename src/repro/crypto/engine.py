@@ -130,9 +130,6 @@ class PowerCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def pow(
         self,
         base: int,

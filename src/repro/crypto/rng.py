@@ -48,14 +48,6 @@ class DeterministicRandom:
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
         return DeterministicRandom(int.from_bytes(digest[:8], "big"))
 
-    def shuffle(self, items: list) -> None:
-        """In-place deterministic shuffle."""
-        self._rng.shuffle(items)
-
-    def choice(self, items):
-        """Deterministic choice from a non-empty sequence."""
-        return self._rng.choice(items)
-
     def uniform(self, a: float, b: float) -> float:
         """Deterministic uniform float in ``[a, b)``."""
         return self._rng.uniform(a, b)

@@ -144,6 +144,11 @@ class Daemon:
         self._nack_rotation = 0
 
     @property
+    def crashed(self) -> bool:
+        """Is this daemon down (crashed and not yet restarted)?"""
+        return self._crashed
+
+    @property
     def config(self) -> Optional[Config]:
         """The current configuration (None while crashed)."""
         return None if self._delivery is None else self._delivery.config
@@ -210,8 +215,7 @@ class Daemon:
             config = delivery.config
             config.ring.request(
                 config._index[self.daemon_id],
-                1,
-                lambda assignments: self._on_sequenced(delivery, message, assignments),
+                lambda seq, at: self._on_sequenced(delivery, message, seq, at),
             )
         elif message.service is Service.FIFO:
             self._send_fifo(message)
@@ -219,7 +223,8 @@ class Daemon:
             raise ValueError(f"unknown service {message.service}")
 
     def _on_sequenced(
-        self, delivery: _Delivery, message: GroupMessage, assignments
+        self, delivery: _Delivery, message: GroupMessage, seq: int,
+        sequenced_at: float,
     ) -> None:
         """The token reached us: stamp the message and disseminate it."""
         if self._crashed:
@@ -230,7 +235,6 @@ class Daemon:
             # in the configuration that replaced this one.
             self.submit(message)
             return
-        ((seq, sequenced_at),) = assignments
         config = delivery.config
         smsg = SequencedMessage(
             config_id=config.config_id,
@@ -321,7 +325,7 @@ class Daemon:
             return  # crashed, or the configuration changed meanwhile
         pending = delivery.pending
         index = delivery.config._index
-        distance, mine = delivery.config.ring._distance_ms, index[self.daemon_id]
+        distance, mine = delivery.config.ring.distance_ms, index[self.daemon_id]
         now = self.world.sim.now
         while True:
             smsg = pending.get(delivery.delivered + 1)

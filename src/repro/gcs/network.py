@@ -80,13 +80,6 @@ class Network:
 
     # -- reachability ----------------------------------------------------
 
-    def reachable(self, src_id: int, dst_id: int) -> bool:
-        """True when the two daemons are in the same network component
-        and neither has crashed."""
-        if src_id in self._crashed or dst_id in self._crashed:
-            return False
-        return self._component_of[src_id] == self._component_of[dst_id]
-
     def component_of(self, daemon_id: int) -> Set[int]:
         """All running daemon ids in ``daemon_id``'s component."""
         if daemon_id in self._crashed:
@@ -146,7 +139,6 @@ class Network:
         size_bytes: int,
         fn: Callable,
         *args: Any,
-        extra_delay_ms: float = 0.0,
         control: bool = False,
         retry_faults: bool = False,
         _attempt: int = 0,
@@ -166,7 +158,7 @@ class Network:
         is the configuration change's to resolve.
         """
         landing = self._route(
-            src_id, (dst_id,), size_bytes, extra_delay_ms, control,
+            src_id, (dst_id,), size_bytes, 0.0, control,
             fn, args, retry_faults, _attempt,
         )
         for at, cause in landing:

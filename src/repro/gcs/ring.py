@@ -7,7 +7,9 @@ only the entity that has the token is allowed to send").  This is the
 mechanism behind two of the paper's WAN findings: every broadcast waits
 for the token (on average half a ring rotation), and "simultaneous"
 broadcasts from different members serialize on token visits — in *ring*
-order, so one sweep services every daemon with pending messages.
+order, so one sweep services every daemon with pending messages.  Each
+request asks for one sequence number: a token grant sequences one
+message, and a visit serves at most ``token_window`` requests.
 
 The token is in one of three states, and only work costs an event:
 
@@ -39,14 +41,14 @@ propagation time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.gcs.topology import Topology
 from repro.sim.cpu import Machine
 from repro.sim.engine import Event, Simulator
 
-#: Callback type: receives [(seq, sequenced_at_ms), ...] for its burst.
-SequenceCallback = Callable[[List[Tuple[int, float]]], None]
+#: Callback type: receives ``(seq, sequenced_at_ms)`` for its message.
+SequenceCallback = Callable[[int, float], None]
 
 
 class TokenRing:
@@ -74,12 +76,12 @@ class TokenRing:
             hop = topology.one_way_ms(machines[i], nxt) + self._params.hop_processing_ms
             self._hop_ms.append(hop)
         self.cycle_ms = sum(self._hop_ms)
-        # Token travel times, precomputed: every Agreed delivery asks for
-        # the sweep distance from its sequencer (the ordering-settlement
-        # barrier), which made the on-demand hop walk a top profile entry
-        # at large n.  Each row accumulates hops in the exact order the
-        # walk did, so the floats are bit-identical.
-        self._distance_ms: List[List[float]] = []
+        #: ``distance_ms[src][dst]``: token travel time from ring
+        #: position ``src`` forward to ``dst``, zero when they are equal
+        #: (the sequencer holds the token and needs no settlement sweep).
+        #: Precomputed because every Agreed delivery reads its barrier
+        #: here; each row accumulates hops in ring order.
+        self.distance_ms: List[List[float]] = []
         for src in range(n):
             row = [0.0] * n
             total = 0.0
@@ -90,7 +92,7 @@ class TokenRing:
                 row[nxt] = total
                 i = nxt
                 nxt = (i + 1) % n
-            self._distance_ms.append(row)
+            self.distance_ms.append(row)
         # Token state.  Parked: it was at position ``_pos`` at time
         # ``_time`` and has been rotating freely since.  Active: its next
         # visit not yet replayed is to ``_pos`` at ``_time``, after
@@ -99,25 +101,11 @@ class TokenRing:
         self._time = 0.0
         self._next_seq = 1
         self._active = False
-        self._pending: Dict[int, List[Tuple[int, SequenceCallback]]] = {}
+        self._pending: Dict[int, List[SequenceCallback]] = {}
         self._idle_hops = 0
         #: the active token's one scheduled event (see :meth:`_aim`)
         self._aimed: Optional[Event] = None
         self._in_visit = False
-
-    # -- static geometry ---------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self._machines)
-
-    def distance_ms(self, src_index: int, dst_index: int) -> float:
-        """Token travel time from ``src_index`` forward to ``dst_index``.
-
-        Zero when src == dst (the sequencer itself needs no settlement
-        sweep: it holds the token).
-        """
-        return self._distance_ms[src_index][dst_index]
 
     @property
     def next_seq(self) -> int:
@@ -184,23 +172,21 @@ class TokenRing:
 
     # -- sequencing ----------------------------------------------------------
 
-    def request(self, index: int, count: int, callback: SequenceCallback) -> None:
-        """Ask for ``count`` sequence numbers at daemon ``index``.
+    def request(self, index: int, callback: SequenceCallback) -> None:
+        """Ask for one sequence number at daemon ``index``.
 
         The callback fires when the token next visits ``index`` — requests
         across daemons are serviced in ring order, one sweep per rotation,
         exactly like a physical token.  A request made at the very instant
         the token reaches ``index`` is served by that visit.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
         if not 0 <= index < len(self._machines):
             raise IndexError(f"no daemon at ring position {index}")
         if self._sim is None:
             raise RuntimeError("this ring was built without a simulator")
         if self._active and not self._in_visit:
             self._coast(self._sim.now)
-        self._pending.setdefault(index, []).append((count, callback))
+        self._pending.setdefault(index, []).append(callback)
         if not self._active:
             self._activate()
         elif not self._in_visit:
@@ -227,29 +213,20 @@ class TokenRing:
         # Flow control: at most ``token_window`` messages per visit; the
         # rest wait for the next rotation (Totem's sequencing window).
         window = max(self._params.token_window, 1)
-        burst, leftover = [], []
-        taken = 0
-        for count, callback in queue:
-            if taken + count <= window or not burst:
-                burst.append((count, callback))
-                taken += count
-            else:
-                leftover.append((count, callback))
-        if leftover:
-            self._pending[index] = leftover
+        burst = queue[:window]
+        if len(queue) > window:
+            self._pending[index] = queue[window:]
         t = self._time
         if burst:
             self._idle_hops = 0
             # Requests the callbacks make join the queue; they are aimed
             # for once this visit has moved the token on.
             self._in_visit = True
-            for count, callback in burst:
-                assignments = []
-                for _ in range(count):
-                    t += self._params.msg_processing_ms
-                    assignments.append((self._next_seq, t))
-                    self._next_seq += 1
-                callback(assignments)
+            for callback in burst:
+                t += self._params.msg_processing_ms
+                seq = self._next_seq
+                self._next_seq = seq + 1
+                callback(seq, t)
             self._in_visit = False
         else:
             self._idle_hops += 1

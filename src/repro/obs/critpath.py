@@ -57,10 +57,6 @@ class CriticalSegment:
     category: str = ""
     span_id: Optional[int] = None
 
-    @property
-    def is_wait(self) -> bool:
-        return self.category == "wait"
-
 
 @dataclass
 class CriticalPath:

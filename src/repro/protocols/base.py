@@ -110,12 +110,11 @@ class KeyAgreementProtocol(ABC):
         member: str,
         group: SchnorrGroup,
         rng: DeterministicRandom,
-        ledger: Optional[OperationLedger] = None,
         engine: EngineSpec = None,
     ):
         self.member = member
         self.engine = get_engine(engine)
-        self.ctx = self.engine.context(group, ledger or OperationLedger())
+        self.ctx = self.engine.context(group, OperationLedger())
         self.rng = rng.fork(f"{self.name}:{member}")
         #: the :class:`repro.obs.Observability` recorder.  The hosting
         #: layer attaches its own; when enabled, the protocol meters every
@@ -252,10 +251,8 @@ class TreeProtocol(KeyAgreementProtocol):
     #: the component broadcast of a merge and the blinded-key update
     TREE_STEP = BKEYS_STEP = "?"
 
-    def __init__(
-        self, member, group, rng, ledger=None, engine=None, key_confirmation=False
-    ):
-        super().__init__(member, group, rng, ledger, engine=engine)
+    def __init__(self, member, group, rng, engine=None, key_confirmation=False):
+        super().__init__(member, group, rng, engine=engine)
         self.key_confirmation = key_confirmation
         self._session: Optional[int] = None
         self._collected: Dict[Tuple[str, ...], Dict[str, Any]] = {}

@@ -30,8 +30,8 @@ class BdProtocol(KeyAgreementProtocol):
     name = "BD"
     STEP_PHASES = {"bd-z": "round-1", "bd-x": "round-2"}
 
-    def __init__(self, member, group, rng, ledger=None, engine=None):
-        super().__init__(member, group, rng, ledger, engine=engine)
+    def __init__(self, member, group, rng, engine=None):
+        super().__init__(member, group, rng, engine=engine)
         self._r = 0
         self._z: Dict[str, int] = {}
         self._x: Dict[str, int] = {}

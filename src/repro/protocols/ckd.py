@@ -34,8 +34,8 @@ class CkdProtocol(KeyAgreementProtocol):
         "ckd-dist": "distribution",
     }
 
-    def __init__(self, member, group, rng, ledger=None, engine=None):
-        super().__init__(member, group, rng, ledger, engine=engine)
+    def __init__(self, member, group, rng, engine=None):
+        super().__init__(member, group, rng, engine=engine)
         self._x: Optional[int] = None  # long-term DH private (chosen once)
         self._y: Optional[int] = None  # g^x
         self._pair: Dict[str, int] = {}  # pairwise DH secrets by peer name

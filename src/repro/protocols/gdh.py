@@ -39,8 +39,8 @@ class GdhProtocol(KeyAgreementProtocol):
         "gdh-keylist": "broadcast",
     }
 
-    def __init__(self, member, group, rng, ledger=None, engine=None):
-        super().__init__(member, group, rng, ledger, engine=engine)
+    def __init__(self, member, group, rng, engine=None):
+        super().__init__(member, group, rng, engine=engine)
         self._r: Optional[int] = None
         #: cached partial-key list from the last key-list broadcast
         self._partials: Dict[str, int] = {}

@@ -19,6 +19,11 @@ import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
 
+class LivelockError(RuntimeError):
+    """:meth:`Simulator.run_until_idle` spent its event budget while live
+    events remained."""
+
+
 class Event:
     """A scheduled callback.  Cancel with :meth:`cancel`."""
 
@@ -180,6 +185,6 @@ class Simulator:
             event.fn(*event.args)
             fired += 1
             if fired >= max_events and self.active_pending:
-                raise RuntimeError(
+                raise LivelockError(
                     f"simulation exceeded {max_events} events; likely a livelock"
                 )

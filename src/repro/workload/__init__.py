@@ -29,7 +29,6 @@ from repro.workload.arrivals import (
     diurnal_stream,
     flash_stream,
     poisson_stream,
-    stream_populations,
     trace_stream,
 )
 from repro.workload.engine import WorkloadEngine, WorkloadResult
@@ -45,5 +44,4 @@ __all__ = [
     "flash_stream",
     "diurnal_stream",
     "trace_stream",
-    "stream_populations",
 ]

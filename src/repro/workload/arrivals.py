@@ -11,11 +11,13 @@ not by stdlib implementation details.
 
 Feasibility is decided at *generation* time: the generator tracks each
 group's virtual population (starting at the settled group size) and only
-emits a leave while the group stays above ``min_members``, so the engine
-replaying the stream never has to skip an event.  Joins are always
-feasible; the generators merely cap steady-state growth at
-``max_members`` to keep runs bounded — the flash-crowd burst
-deliberately ignores that cap, because overshooting is the scenario.
+emits a leave while the group stays above :data:`MIN_MEMBERS`, so the
+engine replaying the stream never has to skip an event.  Joins are
+always feasible; the generators merely cap steady-state growth at
+:data:`MAX_MEMBERS_FACTOR` × the group size to keep runs bounded — the
+flash-crowd burst deliberately ignores that cap, because overshooting is
+the scenario.  The burst is :data:`FLASH_JOINS_PER_GROUP` × ``groups``
+joins at mid-run, and the diurnal cycle has one period per run.
 
 The four processes:
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 #: The two things a churn event can do to a group.
 CHURN_ACTIONS = ("join", "leave")
@@ -48,6 +50,16 @@ DIURNAL_AMPLITUDE = 0.9
 
 #: Gap between consecutive joins inside a flash burst, virtual ms.
 FLASH_SPACING_MS = 1.0
+
+#: A generated leave never shrinks a group below this many members.
+MIN_MEMBERS = 2
+
+#: Background churn never grows a group beyond this multiple of its
+#: settled size.
+MAX_MEMBERS_FACTOR = 2
+
+#: A flash burst brings this many joins per group.
+FLASH_JOINS_PER_GROUP = 2
 
 
 @dataclass(frozen=True)
@@ -88,17 +100,13 @@ class ChurnEvent:
 
 
 def _pick_action(
-    rng: random.Random,
-    populations: List[int],
-    group: int,
-    min_members: int,
-    max_members: int,
+    rng: random.Random, populations: List[int], group: int, cap: int
 ) -> Optional[str]:
     """Choose join/leave for ``group`` subject to feasibility, updating
     the virtual population; None when the group is pinned at both bounds."""
     population = populations[group]
-    can_join = population < max_members
-    can_leave = population > min_members
+    can_join = population < cap
+    can_leave = population > MIN_MEMBERS
     if can_join and can_leave:
         action = "join" if rng.random() < 0.5 else "leave"
     elif can_join:
@@ -117,12 +125,10 @@ def poisson_stream(
     rate_hz: float,
     duration_ms: float,
     seed: int,
-    min_members: int = 2,
-    max_members: Optional[int] = None,
 ) -> Tuple[ChurnEvent, ...]:
     """Steady-state churn: one Poisson process at ``rate_hz`` events/s
     across all groups, each event hitting a uniformly random group."""
-    cap = 2 * group_size if max_members is None else max_members
+    cap = MAX_MEMBERS_FACTOR * group_size
     rng = random.Random(seed)
     populations = [group_size] * groups
     scale_ms = 1000.0 / rate_hz
@@ -133,7 +139,7 @@ def poisson_stream(
         if t >= duration_ms:
             return tuple(events)
         group = rng.randrange(groups)
-        action = _pick_action(rng, populations, group, min_members, cap)
+        action = _pick_action(rng, populations, group, cap)
         if action is not None:
             events.append(ChurnEvent(t, group, action))
 
@@ -144,27 +150,20 @@ def flash_stream(
     rate_hz: float,
     duration_ms: float,
     seed: int,
-    min_members: int = 2,
-    max_members: Optional[int] = None,
-    burst_at_ms: Optional[float] = None,
-    burst_joins: Optional[int] = None,
 ) -> Tuple[ChurnEvent, ...]:
-    """Flash crowd: the Poisson background plus ``burst_joins`` joins
-    packed :data:`FLASH_SPACING_MS` apart starting at ``burst_at_ms``
-    (default: mid-run), round-robined over the groups.
+    """Flash crowd: the Poisson background plus
+    :data:`FLASH_JOINS_PER_GROUP` × ``groups`` joins packed
+    :data:`FLASH_SPACING_MS` apart from mid-run on, round-robined over
+    the groups.
 
     The burst only *adds* members, so merging it into the background
     stream cannot invalidate any background leave's feasibility.
     """
-    at = duration_ms / 2.0 if burst_at_ms is None else burst_at_ms
-    joins = 2 * groups if burst_joins is None else burst_joins
-    background = poisson_stream(
-        groups, group_size, rate_hz, duration_ms, seed,
-        min_members=min_members, max_members=max_members,
-    )
+    at = duration_ms / 2.0
+    background = poisson_stream(groups, group_size, rate_hz, duration_ms, seed)
     burst = [
         ChurnEvent(at + j * FLASH_SPACING_MS, j % groups, "join")
-        for j in range(joins)
+        for j in range(FLASH_JOINS_PER_GROUP * groups)
     ]
     return tuple(sorted(background + tuple(burst), key=lambda e: e.at_ms))
 
@@ -175,16 +174,12 @@ def diurnal_stream(
     rate_hz: float,
     duration_ms: float,
     seed: int,
-    min_members: int = 2,
-    max_members: Optional[int] = None,
-    period_ms: Optional[float] = None,
 ) -> Tuple[ChurnEvent, ...]:
     """Diurnal cycle: a non-homogeneous Poisson process whose rate swings
-    sinusoidally around ``rate_hz`` with period ``period_ms`` (default:
-    one full cycle over the run), sampled by thinning against the peak
-    rate so the accept/reject draws stay seed-deterministic."""
-    cap = 2 * group_size if max_members is None else max_members
-    period = duration_ms if period_ms is None else period_ms
+    sinusoidally around ``rate_hz`` with one full period over the run,
+    sampled by thinning against the peak rate so the accept/reject draws
+    stay seed-deterministic."""
+    cap = MAX_MEMBERS_FACTOR * group_size
     peak_hz = rate_hz * (1.0 + DIURNAL_AMPLITUDE)
     rng = random.Random(seed)
     populations = [group_size] * groups
@@ -196,12 +191,12 @@ def diurnal_stream(
         if t >= duration_ms:
             return tuple(events)
         rate_now = rate_hz * (
-            1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / period)
+            1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / duration_ms)
         )
         if rng.random() * peak_hz >= rate_now:
             continue  # thinned: the candidate falls outside λ(t)
         group = rng.randrange(groups)
-        action = _pick_action(rng, populations, group, min_members, cap)
+        action = _pick_action(rng, populations, group, cap)
         if action is not None:
             events.append(ChurnEvent(t, group, action))
 
@@ -224,13 +219,3 @@ def trace_stream(
         events.append(event)
     return tuple(sorted(events, key=lambda e: e.at_ms))
 
-
-def stream_populations(
-    events: Sequence[ChurnEvent], groups: int, group_size: int
-) -> List[int]:
-    """Replay a stream's population arithmetic: final member count per
-    group.  Used by tests to assert the feasibility invariant."""
-    populations = [group_size] * groups
-    for event in events:
-        populations[event.group] += 1 if event.action == "join" else -1
-    return populations

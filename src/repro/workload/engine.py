@@ -8,7 +8,9 @@ composed fault schedule are installed as ordinary simulator events
 event queue drains.  Groups are staggered across the testbed machines so
 hundreds of groups multiplex the same daemons instead of piling onto
 machine 0 — the "different groups, different protocols, one framework"
-deployment of the paper, at scale.
+deployment of the paper, at scale.  A daemon crash in the fault schedule
+is followed: its members drop out of their group's roster, and joiners
+are placed only on running daemons.
 
 Measurement reads the framework's timeline: each member's key install
 is observed into its group's ``member.rekey_ms`` log histogram
@@ -38,6 +40,7 @@ from repro.core.framework import SecureSpreadFramework
 from repro.gcs.topology import resolve_testbed
 from repro.obs.histo import LogHistogram
 from repro.obs.metrics import MetricsRegistry
+from repro.workload.arrivals import MIN_MEMBERS
 from repro.workload.spec import WorkloadSpec
 
 #: Epoch-watchdog timeout, virtual ms, armed by default for every
@@ -181,11 +184,7 @@ class WorkloadEngine:
                 serial = self._joiner_serial[event.group]
                 self._joiner_serial[event.group] = serial + 1
                 name = f"{self.group_name(event.group)}.c{serial}"
-                machine = self._next_machine % self._machines
-                self._next_machine += 1
-                sim.schedule_at(
-                    base + event.at_ms, self._do_join, event.group, name, machine
-                )
+                sim.schedule_at(base + event.at_ms, self._do_join, event.group, name)
             else:
                 sim.schedule_at(base + event.at_ms, self._do_leave, event.group)
         schedule = spec.fault_schedule()
@@ -195,7 +194,30 @@ class WorkloadEngine:
         self._last_injection_ms = last
         return len(events)
 
-    def _do_join(self, group: int, name: str, machine: int) -> None:
+    def _next_running_machine(self) -> Optional[int]:
+        """The next machine in rotation whose daemon is up, or None when
+        every daemon is down."""
+        daemons = self.framework.world.daemons
+        for _ in range(self._machines):
+            machine = self._next_machine % self._machines
+            self._next_machine += 1
+            if not daemons[machine].crashed:
+                return machine
+        return None
+
+    def _live_roster(self, group: int) -> List:
+        """Group ``group``'s roster without the members a daemon crash
+        disconnected (they hold no channel, so they neither leave nor
+        key)."""
+        roster = self.drivers[group].members
+        roster[:] = [member for member in roster if member.client.connected]
+        return roster
+
+    def _do_join(self, group: int, name: str) -> None:
+        machine = self._next_running_machine()
+        if machine is None:
+            self.skipped += 1
+            return
         self.framework.mark_event()
         member = self.framework.member(name, machine, self.group_name(group))
         member.join()
@@ -203,10 +225,11 @@ class WorkloadEngine:
         self.joins += 1
 
     def _do_leave(self, group: int) -> None:
-        roster = self.drivers[group].members
-        if len(roster) <= self.spec.min_members:
-            # Unreachable for generated streams (feasibility is decided
-            # at generation time); a replayed trace can get here.
+        roster = self._live_roster(group)
+        if len(roster) <= MIN_MEMBERS:
+            # Unreachable for generated streams without crashes
+            # (feasibility is decided at generation time); a replayed
+            # trace or a crash can get here.
             self.skipped += 1
             return
         victim = roster.pop(self._victim_rng.randrange(len(roster)))
@@ -234,6 +257,8 @@ class WorkloadEngine:
         injected = self.inject()
         # A tripped livelock guard is counted; report whatever converged.
         self.drivers[0].settle()
+        for group in self.drivers:
+            self._live_roster(group)
         end = self.framework.now
         makespan = end - self._base_ms
         converge = 0.0

@@ -18,12 +18,13 @@ message instead of deep inside a worker process.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.protocols import available
 from repro.workload.arrivals import (
     ARRIVALS,
+    MIN_MEMBERS,
     ChurnEvent,
     diurnal_stream,
     flash_stream,
@@ -36,13 +37,13 @@ from repro.workload.arrivals import (
 class WorkloadSpec:
     """One sustained-churn scenario, fully serializable.
 
-    ``burst_at_ms``/``burst_joins`` apply to the ``flash`` arrival,
-    ``period_ms`` to ``diurnal``, and ``trace`` to ``trace``; ``None``
-    means the generator's documented default.  ``faults`` composes a
-    fault schedule (specified exactly as
-    :meth:`~repro.faults.FaultSchedule.from_spec` takes it) whose times
-    are relative to the start of the sustained phase, alongside the
-    churn; it holds faults only (churn belongs in ``trace``).
+    ``trace`` applies to the ``trace`` arrival; the generated arrivals
+    take their bounds from the constants of
+    :mod:`repro.workload.arrivals`.  ``faults`` composes a fault schedule
+    (specified exactly as :meth:`~repro.faults.FaultSchedule.from_spec`
+    takes it) whose times are relative to the start of the sustained
+    phase, alongside the churn; it holds faults only (churn belongs in
+    ``trace``).
     """
 
     protocol: str
@@ -52,11 +53,6 @@ class WorkloadSpec:
     rate_hz: float = 20.0
     duration_ms: float = 2000.0
     seed: int = 0
-    min_members: int = 2
-    max_members: Optional[int] = None
-    burst_at_ms: Optional[float] = None
-    burst_joins: Optional[int] = None
-    period_ms: Optional[float] = None
     trace: Tuple[ChurnEvent, ...] = ()
     faults: Tuple[FaultEvent, ...] = ()
 
@@ -74,22 +70,12 @@ class WorkloadSpec:
             )
         if self.groups < 1:
             raise ValueError("groups must be at least 1")
-        if self.min_members < 1:
-            raise ValueError("min_members must be at least 1")
-        if self.group_size < self.min_members:
-            raise ValueError("group_size must be at least min_members")
-        if self.max_members is not None and self.max_members < self.group_size:
-            raise ValueError("max_members must be at least group_size")
+        if self.group_size < MIN_MEMBERS:
+            raise ValueError(f"group_size must be at least {MIN_MEMBERS}")
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
-        if self.burst_at_ms is not None and self.burst_at_ms < 0:
-            raise ValueError("burst_at_ms must be non-negative")
-        if self.burst_joins is not None and self.burst_joins < 0:
-            raise ValueError("burst_joins must be non-negative")
-        if self.period_ms is not None and self.period_ms <= 0:
-            raise ValueError("period_ms must be positive")
         # Coerce trace/fault entries (dicts or event values) into the
         # frozen event types — each constructor validates as it builds,
         # so an unknown fault action or churn action fails here.
@@ -149,24 +135,15 @@ class WorkloadSpec:
     def events(self) -> Tuple[ChurnEvent, ...]:
         """The churn stream this spec describes (same spec ⇒ identical
         stream, event for event)."""
-        if self.arrival == "poisson":
-            return poisson_stream(
+        streams = {
+            "poisson": poisson_stream,
+            "flash": flash_stream,
+            "diurnal": diurnal_stream,
+        }
+        if self.arrival in streams:
+            return streams[self.arrival](
                 self.groups, self.group_size, self.rate_hz, self.duration_ms,
-                self.seed, min_members=self.min_members,
-                max_members=self.max_members,
-            )
-        if self.arrival == "flash":
-            return flash_stream(
-                self.groups, self.group_size, self.rate_hz, self.duration_ms,
-                self.seed, min_members=self.min_members,
-                max_members=self.max_members,
-                burst_at_ms=self.burst_at_ms, burst_joins=self.burst_joins,
-            )
-        if self.arrival == "diurnal":
-            return diurnal_stream(
-                self.groups, self.group_size, self.rate_hz, self.duration_ms,
-                self.seed, min_members=self.min_members,
-                max_members=self.max_members, period_ms=self.period_ms,
+                self.seed,
             )
         return self.trace  # already validated and time-ordered
 

@@ -15,10 +15,15 @@ def _ring(testbed=lan_testbed, machines=None):
     return sim, ring
 
 
-def _request(sim, ring, index, count=1, at=0.0):
-    """Request sequencing and collect the assignments."""
+def _collector(collected):
+    """A sequencing callback appending each ``(seq, time)`` it gets."""
+    return lambda seq, at: collected.append((seq, at))
+
+
+def _request(sim, ring, index, at=0.0):
+    """Request one sequence number and collect the assignment."""
     collected = []
-    sim.schedule_at(max(at, sim.now), ring.request, index, count, collected.extend)
+    sim.schedule_at(max(at, sim.now), ring.request, index, _collector(collected))
     return collected
 
 
@@ -46,8 +51,9 @@ def test_sequencing_waits_for_token_arrival():
 
 def test_burst_sequencing_spaces_messages():
     sim, ring = _ring()
-    got = _request(sim, ring, 0, count=3)
+    requests = [_request(sim, ring, 0) for _ in range(3)]
     sim.run_until_idle()
+    got = [assignment for (assignment,) in requests]
     seqs = [s for s, _ in got]
     times = [t for _, t in got]
     assert seqs == [1, 2, 3]
@@ -92,9 +98,9 @@ def test_token_parks_and_resumes_with_correct_phase():
 
 def test_distance_is_directional():
     _, ring = _ring()
-    assert ring.distance_ms(0, 1) == pytest.approx(0.11)
-    assert ring.distance_ms(1, 0) == pytest.approx(12 * 0.11)
-    assert ring.distance_ms(4, 4) == 0.0
+    assert ring.distance_ms[0][1] == pytest.approx(0.11)
+    assert ring.distance_ms[1][0] == pytest.approx(12 * 0.11)
+    assert ring.distance_ms[4][4] == 0.0
 
 
 def test_single_daemon_ring():
@@ -108,17 +114,15 @@ def test_single_daemon_ring():
 
 def test_request_validation():
     sim, ring = _ring()
-    with pytest.raises(ValueError):
-        ring.request(0, 0, lambda a: None)
     with pytest.raises(IndexError):
-        ring.request(99, 1, lambda a: None)
+        ring.request(99, lambda seq, at: None)
 
 
 def test_ring_without_simulator_rejects_requests():
     topo = lan_testbed()
     ring = TokenRing(topo, topo.machines)
     with pytest.raises(RuntimeError):
-        ring.request(0, 1, lambda a: None)
+        ring.request(0, lambda seq, at: None)
 
 
 def test_empty_ring_rejected():
@@ -144,33 +148,19 @@ def test_average_token_wait_about_half_cycle():
 def test_flow_control_window_spreads_bursts_over_rotations():
     """Totem-style flow control: one daemon may sequence at most
     ``token_window`` messages per visit; excess waits a full rotation."""
-    from repro.gcs.topology import GcsParams
-
     sim = Simulator()
     topo = lan_testbed(GcsParams(token_window=2))
     ring = TokenRing(topo, topo.machines, sim)
-    batches = []
-    for _ in range(2):
-        batches.append(_request(sim, ring, 0, count=2))
-    extra = _request(sim, ring, 0, count=1)
+    requests = [_request(sim, ring, 0) for _ in range(5)]
     sim.run_until_idle()
-    first_visit_end = batches[0][-1][1]
-    # The first two requests (4 messages > window 2) already split, and
-    # the fifth message lands even later.
-    assert batches[1][0][1] - first_visit_end > ring.cycle_ms / 2
-    assert extra[0][1] >= batches[1][-1][1]
-
-
-def test_oversized_single_burst_not_starved():
-    """A single request larger than the window is still serviced whole."""
-    from repro.gcs.topology import GcsParams
-
-    sim = Simulator()
-    topo = lan_testbed(GcsParams(token_window=2))
-    ring = TokenRing(topo, topo.machines, sim)
-    got = _request(sim, ring, 0, count=5)
-    sim.run_until_idle()
-    assert [s for s, _ in got] == [1, 2, 3, 4, 5]
+    seqs, times = zip(*(assignment for (assignment,) in requests))
+    assert seqs == (1, 2, 3, 4, 5)
+    # Two messages per visit: the third and the fifth each wait a
+    # rotation, while a visit's pair is one message-processing apart.
+    assert times[1] - times[0] == pytest.approx(0.05)
+    assert times[2] - times[1] > ring.cycle_ms / 2
+    assert times[3] - times[2] == pytest.approx(0.05)
+    assert times[4] - times[3] > ring.cycle_ms / 2
 
 
 # -- the coasting token against a hop-by-hop oracle ---------------------------
@@ -184,8 +174,8 @@ class HopByHopRing(TokenRing):
     that :class:`TokenRing` replays arithmetically.
     """
 
-    def request(self, index, count, callback):
-        self._pending.setdefault(index, []).append((count, callback))
+    def request(self, index, callback):
+        self._pending.setdefault(index, []).append(callback)
         if not self._active:
             self._activate()
 
@@ -204,25 +194,17 @@ class HopByHopRing(TokenRing):
         index = self._pos
         queue = self._pending.pop(index, [])
         window = max(self._params.token_window, 1)
-        burst, leftover, taken = [], [], 0
-        for count, callback in queue:
-            if taken + count <= window or not burst:
-                burst.append((count, callback))
-                taken += count
-            else:
-                leftover.append((count, callback))
+        burst, leftover = queue[:window], queue[window:]
         if leftover:
             self._pending[index] = leftover
         t = self._time
         if burst:
             self._idle_hops = 0
-            for count, callback in burst:
-                assignments = []
-                for _ in range(count):
-                    t += self._params.msg_processing_ms
-                    assignments.append((self._next_seq, t))
-                    self._next_seq += 1
-                callback(assignments)
+            for callback in burst:
+                t += self._params.msg_processing_ms
+                seq = self._next_seq
+                self._next_seq += 1
+                callback(seq, t)
         else:
             self._idle_hops += 1
         if not self._pending and self._idle_hops >= len(self._machines):
@@ -246,20 +228,20 @@ def _replay(ring_class, testbed, window, requests):
 
     def record(key):
         # what was assigned, and the instant the callback ran
-        return lambda assignments: got.setdefault(key, []).append(
-            (assignments, sim.now)
+        return lambda seq, at: got.setdefault(key, []).append(
+            ((seq, at), sim.now)
         )
 
-    def submit(key, index, count, chain):
-        def served(assignments):
-            record(key)(assignments)
+    def submit(key, index, chain):
+        def served(seq, at):
+            record(key)(seq, at)
             if chain is not None:
-                ring.request(chain, 1, record((key, "chain")))
+                ring.request(chain, record((key, "chain")))
 
-        ring.request(index, count, served)
+        ring.request(index, served)
 
-    for key, (tick, index, count, chain) in enumerate(requests):
-        sim.schedule_at((tick + 0.371) * quantum, submit, key, index, count, chain)
+    for key, (tick, index, chain) in enumerate(requests):
+        sim.schedule_at((tick + 0.371) * quantum, submit, key, index, chain)
     sim.run_until_idle()
     return got, (ring._pos, ring._time, ring._active), sim.now
 
@@ -272,7 +254,6 @@ def _replay(ring_class, testbed, window, requests):
         st.tuples(
             st.integers(0, 120),
             st.integers(0, 12),
-            st.integers(1, 4),
             st.none() | st.integers(0, 12),
         ),
         min_size=1,
@@ -312,10 +293,10 @@ def test_request_at_the_token_arrival_instant_is_served_by_that_visit(late):
     if late:
         sim.schedule_at(
             (arrivals[2] + at) / 2,
-            lambda: sim.schedule_at(at, ring.request, 3, 1, tied.extend),
+            lambda: sim.schedule_at(at, ring.request, 3, _collector(tied)),
         )
     else:
-        sim.schedule_at(at, ring.request, 3, 1, tied.extend)
+        sim.schedule_at(at, ring.request, 3, _collector(tied))
     sim.run_until_idle()
     assert first == [(1, params.msg_processing_ms)]
     assert tied == [(2, at + params.msg_processing_ms)]

@@ -147,6 +147,21 @@ def test_livelock_is_counted_when_guarded_and_raised_otherwise():
         _sim_driver(size=2, max_events=5)
 
 
+def test_guarded_settle_counts_only_the_event_budget():
+    """Only a spent event budget is a livelock: any other error raised
+    inside a guarded settle propagates and is not counted."""
+    registry = MetricsRegistry()
+    driver = _sim_driver(size=2, metrics=registry, kind="load")
+
+    def broken():
+        raise RuntimeError("client 'x' is disconnected")
+
+    driver.framework.world.sim.schedule(1.0, broken)
+    with pytest.raises(RuntimeError, match="disconnected"):
+        driver.settle()
+    assert registry.counter_total("bench.cell.livelock") == 0
+
+
 # -- (c) names, creation order and machine slots -----------------------------
 
 

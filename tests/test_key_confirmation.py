@@ -19,9 +19,9 @@ from repro.protocols.tgdh import KeyConfirmationError as TgdhConfirmError
 
 def _confirming(cls):
     class Confirming(cls):
-        def __init__(self, member, group, rng, ledger=None, engine=None):
+        def __init__(self, member, group, rng, engine=None):
             super().__init__(
-                member, group, rng, ledger, engine=engine, key_confirmation=True
+                member, group, rng, engine=engine, key_confirmation=True
             )
 
     Confirming.name = cls.name

@@ -80,7 +80,7 @@ def test_chain_is_recorded_not_inferred(protocol, event):
         framework.timeline, framework.obs.spans
     ):
         assert path.trace_id is not None
-        traced = [s for s in path.segments if not s.is_wait]
+        traced = [s for s in path.segments if s.category != "wait"]
         assert traced, "chain must contain at least one traced span"
         assert all(s.span_id is not None for s in traced)
         assert {"untraced"} != {s.name for s in path.segments}
@@ -103,7 +103,7 @@ def test_chain_instants_separate_every_wait(protocol, event):
     assert paths
     for path in paths:
         assert path.exact
-        waits = [s.is_wait for s in path.segments]
+        waits = [s.category == "wait" for s in path.segments]
         assert not any(a and b for a, b in zip(waits, waits[1:])), [
             (s.member, s.name, s.start) for s in path.segments
         ]

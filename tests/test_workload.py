@@ -14,9 +14,9 @@ from repro.workload import (
     diurnal_stream,
     flash_stream,
     poisson_stream,
-    stream_populations,
     trace_stream,
 )
+from repro.workload.arrivals import FLASH_JOINS_PER_GROUP, MIN_MEMBERS
 
 
 # -- spec validation and round-trip -----------------------------------------
@@ -31,8 +31,6 @@ def test_spec_roundtrips_through_to_spec():
         rate_hz=10.0,
         duration_ms=500.0,
         seed=42,
-        burst_at_ms=250.0,
-        burst_joins=5,
         faults=(
             {"at_ms": 100.0, "action": "partition", "components": [[0, 1], [2]]},
             {"at_ms": 200.0, "action": "heal"},
@@ -61,14 +59,9 @@ def test_spec_rejects_unknown_protocol():
 
 @pytest.mark.parametrize("field, value, complaint", [
     ("groups", 0, "groups must be at least 1"),
-    ("min_members", 0, "min_members must be at least 1"),
-    ("group_size", 1, "group_size must be at least min_members"),
-    ("max_members", 3, "max_members must be at least group_size"),
+    ("group_size", 1, "group_size must be at least 2"),
     ("rate_hz", 0.0, "rate_hz must be positive"),
     ("duration_ms", -1.0, "duration_ms must be positive"),
-    ("burst_at_ms", -1.0, "burst_at_ms must be non-negative"),
-    ("burst_joins", -1, "burst_joins must be non-negative"),
-    ("period_ms", 0.0, "period_ms must be positive"),
 ])
 def test_spec_refuses_a_bad_field_at_construction(field, value, complaint):
     with pytest.raises(ValueError, match=complaint):
@@ -165,27 +158,43 @@ def test_streams_are_time_ordered_and_in_range(stream):
 @pytest.mark.parametrize(
     "stream", [poisson_stream, flash_stream, diurnal_stream]
 )
+def stream_populations(events, groups, group_size):
+    """Replay a stream's population arithmetic: final member count per
+    group."""
+    populations = [group_size] * groups
+    for event in events:
+        populations[event.group] += 1 if event.action == "join" else -1
+    return populations
+
+
+@pytest.mark.parametrize(
+    "stream", [poisson_stream, flash_stream, diurnal_stream]
+)
 def test_streams_never_drain_a_group_below_minimum(stream):
     """The feasibility invariant: replaying the population arithmetic
-    never dips below min_members at any prefix of the stream."""
-    events = stream(**ARRIVAL_ARGS, min_members=2)
+    never dips below the minimum group at any prefix of the stream."""
+    events = stream(**ARRIVAL_ARGS)
     populations = [ARRIVAL_ARGS["group_size"]] * ARRIVAL_ARGS["groups"]
     for event in events:
         populations[event.group] += 1 if event.action == "join" else -1
-        assert populations[event.group] >= 2
+        assert populations[event.group] >= MIN_MEMBERS == 2
     assert populations == stream_populations(
         events, ARRIVAL_ARGS["groups"], ARRIVAL_ARGS["group_size"]
     )
 
 
 def test_flash_burst_lands_at_the_requested_instant():
-    events = flash_stream(**ARRIVAL_ARGS, burst_at_ms=400.0, burst_joins=6)
+    """The burst: 2 × ``groups`` joins, round-robined over the groups
+    from mid-run on, on top of the Poisson background."""
+    events = flash_stream(**ARRIVAL_ARGS)
     background = poisson_stream(**ARRIVAL_ARGS)
     burst = [e for e in events if e not in background]
-    assert len(burst) >= 6
-    joins = [e for e in burst if e.action == "join" and e.at_ms >= 400.0]
-    assert len(joins) >= 6
-    assert min(e.at_ms for e in joins) == 400.0
+    groups, mid = ARRIVAL_ARGS["groups"], ARRIVAL_ARGS["duration_ms"] / 2
+    assert FLASH_JOINS_PER_GROUP == 2
+    assert len(burst) == 2 * groups
+    assert all(e.action == "join" for e in burst)
+    assert [e.group for e in burst] == [j % groups for j in range(2 * groups)]
+    assert min(e.at_ms for e in burst) == mid
 
 
 def test_trace_stream_orders_and_validates():
@@ -257,16 +266,49 @@ def test_diurnal_load_cell_keys_every_group_on_the_specs_stream():
     """The ``diurnal`` arrival ``load --arrivals diurnal`` offers: the
     spec's stream is the generator's, called with the spec's values,
     and a small cell keys every group."""
-    spec = _small_spec(arrival="diurnal", period_ms=200.0)
+    spec = _small_spec(arrival="diurnal")
     assert spec.events() == diurnal_stream(
         spec.groups, spec.group_size, spec.rate_hz, spec.duration_ms,
-        spec.seed, min_members=spec.min_members,
-        max_members=spec.max_members, period_ms=spec.period_ms,
+        spec.seed,
     )
     result = run_load_cell({"workload": spec.to_spec(), "dh_group": "dh-test"})
     assert result["unkeyed"] == []
     assert result["cell"]["converged"]
     assert result["cell"]["events"] == len(spec.events()) > 0
+
+
+def _crash_run(protocol, seed, machine, trace=()):
+    """One group of 4 (machines 0-3) whose daemon ``machine`` crashes at
+    50 ms of the sustained phase."""
+    spec = WorkloadSpec(
+        protocol=protocol, arrival="trace", groups=1, group_size=4, seed=seed,
+        trace=trace,
+        faults=({"at_ms": 50.0, "action": "crash", "machine": machine},),
+    )
+    engine = WorkloadEngine(spec, engine="symbolic")
+    with engine.framework:
+        return engine.run(), engine.unkeyed(), engine
+
+
+@pytest.mark.parametrize("protocol", ["BD", "CKD", "GDH", "STR", "TGDH"])
+def test_engine_follows_daemon_crashes(protocol):
+    """A crashed daemon's members leave the roster: the survivors' key
+    converges the group, a leave never picks a crashed member, and a
+    joiner is placed on a running daemon."""
+    result, unkeyed, _ = _crash_run(protocol, seed=0, machine=0)
+    assert (result.converged_groups, unkeyed) == (1, [])
+    # Seed 3 picks the crashed g0.m0 from the full roster of four.
+    leave = {"at_ms": 200.0, "group": 0, "action": "leave"}
+    result, unkeyed, engine = _crash_run(protocol, 3, 0, trace=(leave,))
+    assert (result.leaves, result.converged_groups, unkeyed) == (1, 1, [])
+    assert engine.metrics.counter_total("bench.cell.livelock") == 0
+    assert "g0.m0" not in [m.name for m in engine.drivers[0].members]
+    # The joiner's turn in rotation is machine 4, whose daemon is down.
+    join = {"at_ms": 100.0, "group": 0, "action": "join"}
+    result, unkeyed, engine = _crash_run(protocol, 0, 4, trace=(join,))
+    assert (result.joins, result.converged_groups, unkeyed) == (1, 1, [])
+    joiner = engine.drivers[0].members[-1]
+    assert (joiner.name, joiner.machine_index) == ("g0.c0", 5)
 
 
 def test_groups_keep_distinct_keys():
